@@ -281,7 +281,7 @@ func cmdCampaign(args []string) error {
 	faultRank := fs.Int("faultrank", 0, "rank the faults are injected into (with -mpi)")
 	journalPath := fs.String("journal", "", "durable journal path: outcomes are committed per fault and a killed campaign resumes from its last committed index")
 	resume := fs.Bool("resume", false, "require -journal to already exist and resume it (without -resume, an existing journal is an error)")
-	shards := fs.Int("shards", 0, "split the fault-index space into N ranges and run them through the shard coordinator (0: plain in-process run); the merged stream and results are identical either way")
+	shards := fs.Int("shards", 0, "split the fault-index space into N ranges run concurrently and merged in index order (0 or 1: one range); the merged stream and results are identical either way")
 	fs.Parse(args)
 
 	if *shards < 0 {
@@ -362,13 +362,7 @@ func cmdCampaign(args []string) error {
 		if *analyze {
 			return fmt.Errorf("-journal does not combine with -analyze (analysis payloads are not journaled)")
 		}
-		// A sharded campaign journals its merged stream through the
-		// coordinator (same format, same header); the engine journal is for
-		// plain in-process runs.
 		copts = append(copts, inject.WithJournalApp(*app))
-		if *shards == 0 {
-			copts = append(copts, inject.WithJournal(*journalPath))
-		}
 	}
 
 	fmt.Printf("campaign on %s (%s): %d tests\n", *app, pop, n)
@@ -404,37 +398,20 @@ func cmdCampaign(args []string) error {
 				fmt.Printf("  %-25s %d\n", patterns.Pattern(p), patternCounts[p])
 			}
 		}
-	case *shards > 0:
+	default:
 		c, err := an.NewCampaign(pop, copts...)
 		if err != nil {
 			return err
 		}
-		h, err := coord.Inject(c)
+		co, err := coord.New(c.Campaign, coord.WithShards(*shards), coord.WithJournal(*journalPath))
 		if err != nil {
 			return err
 		}
-		co, err := coord.New(h, shardOpts(*shards, *journalPath)...)
-		if err != nil {
-			return err
-		}
-		if *stream {
-			for fo, err := range co.Stream(ctx) {
-				if err != nil {
-					runErr = err
-					break
-				}
-				r.Count(fo.Outcome)
-				fmt.Printf("#%-6d %-32s -> %s\n", fo.Index, fo.Fault.String(), fo.Outcome)
-			}
-		} else {
+		if !*stream {
 			r, runErr = co.Run(ctx)
+			break
 		}
-	case *stream:
-		c, err := an.NewCampaign(pop, copts...)
-		if err != nil {
-			return err
-		}
-		for fo, err := range c.Stream(ctx) {
+		for fo, err := range co.Stream(ctx) {
 			if err != nil {
 				runErr = err
 				break
@@ -442,12 +419,6 @@ func cmdCampaign(args []string) error {
 			r.Count(fo.Outcome)
 			fmt.Printf("#%-6d %-32s -> %s\n", fo.Index, fo.Fault.String(), fo.Outcome)
 		}
-	default:
-		c, err := an.NewCampaign(pop, copts...)
-		if err != nil {
-			return err
-		}
-		r, runErr = c.Run(ctx)
 	}
 	if runErr != nil {
 		fmt.Printf("campaign stopped early (%v); partial results over %d tests:\n", runErr, r.Tests)
@@ -460,17 +431,6 @@ func cmdCampaign(args []string) error {
 		fmt.Printf("success rate %.3f ± %.3f (95%% CI), crash rate %.3f\n", r.SuccessRate(), ci, r.CrashRate())
 	}
 	return runErr
-}
-
-// shardOpts maps the CLI's -shards / -journal flags onto coordinator
-// options: the coordinator owns the journal for sharded runs so the merged
-// stream — not any one shard's — is what resumes.
-func shardOpts(shards int, journalPath string) []coord.Option {
-	opts := []coord.Option{coord.WithShards(shards)}
-	if journalPath != "" {
-		opts = append(opts, coord.WithJournal(journalPath))
-	}
-	return opts
 }
 
 // mpiCampaign runs a multi-rank campaign: every injection replays the
@@ -510,9 +470,6 @@ func mpiCampaign(ctx context.Context, app string, ranks, faultRank, tests int, s
 			return fmt.Errorf("-journal does not combine with -analyze (analysis payloads are not journaled)")
 		}
 		copts = append(copts, mpi.WithJournalApp(app))
-		if shards == 0 {
-			copts = append(copts, mpi.WithJournal(journalPath))
-		}
 	}
 	fmt.Printf("MPI campaign on %s: %d ranks, faults on rank %d, %d tests (%s scheduler)\n",
 		app, ranks, faultRank, n, ma.Scheduler)
@@ -557,19 +514,11 @@ func mpiCampaign(ctx context.Context, app string, ranks, faultRank, tests int, s
 		if err != nil {
 			return err
 		}
-		worlds := c.Stream(ctx)
-		if shards > 0 {
-			h, err := coord.MPI(c)
-			if err != nil {
-				return err
-			}
-			co, err := coord.New(h, shardOpts(shards, journalPath)...)
-			if err != nil {
-				return err
-			}
-			worlds = co.Stream(ctx)
+		co, err := coord.New(c.Campaign, coord.WithShards(shards), coord.WithJournal(journalPath))
+		if err != nil {
+			return err
 		}
-		for wo, err := range worlds {
+		for wo, err := range co.Stream(ctx) {
 			if err != nil {
 				runErr = err
 				break

@@ -34,7 +34,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "", "journal directory for durable campaigns (empty: in-memory only)")
 	maxRunning := flag.Int("max-running", 2, "campaigns executing concurrently")
-	maxCampaigns := flag.Int("max-campaigns", 64, "campaigns tracked at once, finished ones included")
+	maxCampaigns := flag.Int("max-campaigns", 64, "campaigns tracked at once, finished ones included; a new campaign evicts the oldest finished one")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running campaigns")
 	flag.Parse()
 

@@ -306,10 +306,6 @@ func WithScheduler(k SchedulerKind) CampaignOption { return inject.WithScheduler
 // WithParallelism caps campaign worker goroutines; 0 means GOMAXPROCS.
 func WithParallelism(n int) CampaignOption { return inject.WithParallelism(n) }
 
-// WithMaxCheckpoints caps the live prefix snapshots the checkpointed
-// scheduler keeps; 0 means the default budget.
-func WithMaxCheckpoints(n int) CampaignOption { return inject.WithMaxCheckpoints(n) }
-
 // WithProgress registers a per-injection progress callback.
 func WithProgress(fn func(done, total int)) CampaignOption { return inject.WithProgress(fn) }
 
@@ -417,10 +413,6 @@ func MPIWithParallelism(n int) MPIOption { return mpi.WithParallelism(n) }
 // injections via world snapshots cut at collective boundaries. Outcomes are
 // scheduler-independent.
 func MPIWithScheduler(k SchedulerKind) MPIOption { return mpi.WithScheduler(k) }
-
-// MPIWithMaxCheckpoints caps the live world snapshots the checkpointed MPI
-// scheduler keeps; 0 means mpi.DefaultMaxWorldCheckpoints.
-func MPIWithMaxCheckpoints(n int) MPIOption { return mpi.WithMaxCheckpoints(n) }
 
 // MPIWithEarlyStop enables sequential early stopping for an MPI campaign on
 // the world outcome stream, exactly as WithEarlyStop does for single-process
@@ -615,13 +607,13 @@ func SampleSize(population uint64, confidence, margin float64) int {
 }
 
 // Shard coordinator (internal/coord): split one campaign's fault-index
-// space into contiguous shards, run each shard through the engine's window
-// entry point on parallel workers, and merge the ordered per-shard streams
-// back into the single deterministic fault-index-ordered stream — for a
-// fixed seed, byte-identical to the campaign's own Run/Stream at any shard
-// count. With CoordWithJournal the merged stream is durable under the
-// campaign's own journal identity, so a killed sharded campaign resumes
-// from its last committed outcome (by coordinator or plain engine alike).
+// space into contiguous shards, run them on parallel workers, and merge the
+// ordered per-shard streams back into the single deterministic
+// fault-index-ordered stream — for a fixed seed, byte-identical to the
+// campaign's own Run/Stream at any shard count. With CoordWithJournal the
+// merged stream is durable under the campaign's own journal identity, so a
+// killed sharded campaign resumes from its last committed outcome (by
+// coordinator or plain engine alike).
 type (
 	// CoordShard is one contiguous window [First, Last) of a campaign's
 	// fault-index space.
@@ -638,11 +630,6 @@ type (
 	// that multiplex engines hold — the campaign service does.
 	CoordRunner = coord.Runner
 )
-
-// ErrShardMismatch: the campaign handles given to a multi-handle
-// coordinator do not describe the same campaign (their journal headers
-// differ), so their shard streams cannot be merged.
-var ErrShardMismatch = coord.ErrShardMismatch
 
 // PlanShards splits the index space [0, tests) into at most shards
 // contiguous, non-empty, near-equal windows; their concatenation always
@@ -671,7 +658,7 @@ func NewMPICoordinator(c *MPICampaign, opts ...CoordOption) (*MPICoordinator, er
 }
 
 // CoordWithShards sets how many contiguous windows the fault-index space is
-// split into; the default is one shard per worker. Result-invariant.
+// split into; the default is a single window. Result-invariant.
 func CoordWithShards(n int) CoordOption { return coord.WithShards(n) }
 
 // CoordWithWorkers sets how many shard workers run concurrently; the

@@ -1,0 +1,465 @@
+package campaign
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"iter"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"fliptracker/internal/interp"
+	"fliptracker/internal/journal"
+	"fliptracker/internal/stats"
+)
+
+// Settings are the engine-independent campaign settings. Each engine
+// exposes them through its own functional options (WithTests, WithSeed,
+// WithEarlyStop, WithJournal, ...); the shard coordinator (internal/coord)
+// sets the execution ones through Campaign.With.
+type Settings struct {
+	// Tests is the number of injections (the cap, under early stopping).
+	Tests int
+	// Seed seeds the pre-drawn fault stream.
+	Seed int64
+	// Parallelism caps the fault workers of each window; 0 means
+	// GOMAXPROCS.
+	Parallelism int
+	// Progress, when non-nil, is called after each delivered outcome
+	// (journal replays included) with the number delivered so far and
+	// Tests, sequentially in fault-index order.
+	Progress func(done, total int)
+	// EarlyStop enables the sequential stopping rule at Confidence and
+	// Margin (see EarlyStopMinTests).
+	EarlyStop          bool
+	Confidence, Margin float64
+	// Journal, when non-empty, makes the campaign durable at that path.
+	Journal string
+	// App labels the journal header.
+	App string
+	// Shards splits the fault-index space into that many contiguous
+	// windows, run concurrently and merged in index order; 0 or 1 runs one
+	// window.
+	Shards int
+	// Workers bounds concurrently running shards; 0 runs every shard at
+	// once.
+	Workers int
+}
+
+// Executor is one engine's share of a campaign: what a fault runs against
+// and how its outcome is journaled. Everything else — drawing the fault
+// stream, the journal, early stopping, sharding — is the driver's.
+type Executor[O any] struct {
+	// Engine tags the journal header and prefixes the driver's errors.
+	Engine journal.Engine
+	// Config describes the engine's outcome-determining configuration; it
+	// leads the journal fingerprint (see Campaign.Header).
+	Config string
+	// Heavy marks outcomes that pin large buffers (faulty traces, worlds):
+	// each window then bounds completed-but-unemitted outcomes to twice its
+	// worker count (Config.Window), so the reorder buffer cannot absorb the
+	// whole campaign behind one slow early fault.
+	Heavy bool
+	// Plan prepares the fault-index window [first, last) of faults — the
+	// checkpoint forward pass — and returns the function that runs fault i
+	// of the window, static-prune short-circuit included. That function is
+	// called from concurrent workers.
+	Plan func(ctx context.Context, faults []interp.Fault, first, last int) (func(i int) (O, error), error)
+	// Record converts an outcome to its journal form; Replay converts a
+	// committed record back.
+	Record func(O) journal.Record
+	Replay func(journal.Record) O
+}
+
+// Campaign is the campaign driver both engines and the shard coordinator
+// run on. It draws the fault stream once, at construction; every run then
+// delivers the per-fault outcomes in fault-index order — replayed from the
+// journal, executed as one window, or executed as shards and merged — and
+// the stream is identical whatever the parallelism, shard count or restart
+// history. A Campaign is immutable and safe to run multiple times.
+type Campaign[O any] struct {
+	s       Settings
+	x       Executor[O]
+	targets TargetPicker
+	faults  []interp.Fault
+}
+
+// EarlyStopMinTests is the minimum number of completed injections before
+// the early-stopping rule may end a campaign, guarding the
+// normal-approximation confidence interval against tiny samples.
+const EarlyStopMinTests = 48
+
+// New validates the settings, draws the fault stream and returns the
+// campaign. A nil targets with zero tests builds a replay-only campaign,
+// whose runs fail.
+func New[O any](s Settings, targets TargetPicker, x Executor[O]) (*Campaign[O], error) {
+	if targets == nil {
+		if s.Tests != 0 {
+			return nil, fmt.Errorf("%v: campaign with %d tests needs a TargetPicker", x.Engine, s.Tests)
+		}
+	} else {
+		if s.Tests <= 0 {
+			return nil, fmt.Errorf("%v: campaign needs a positive test count (WithTests)", x.Engine)
+		}
+		if v, ok := targets.(Validator); ok {
+			if err := v.Validate(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if s.EarlyStop {
+		if s.Confidence <= 0 || s.Confidence >= 1 {
+			return nil, fmt.Errorf("%v: early-stop confidence %v outside (0, 1)", x.Engine, s.Confidence)
+		}
+		if s.Margin <= 0 || s.Margin >= 1 {
+			return nil, fmt.Errorf("%v: early-stop margin %v outside (0, 1)", x.Engine, s.Margin)
+		}
+	}
+	c := &Campaign[O]{s: s, x: x, targets: targets}
+	if targets != nil {
+		rng := rand.New(rand.NewSource(s.Seed))
+		ip, indexed := targets.(IndexedPicker)
+		c.faults = make([]interp.Fault, s.Tests)
+		for i := range c.faults {
+			if indexed {
+				c.faults[i] = ip.PickAt(i, rng)
+			} else {
+				c.faults[i] = targets.Pick(rng)
+			}
+		}
+	}
+	return c, nil
+}
+
+// With returns a copy of the campaign whose execution settings —
+// Parallelism, Progress, Journal, Shards and Workers — are changed by set.
+// The copy shares the drawn fault stream; changes set makes to any other
+// setting are ignored.
+func (c *Campaign[O]) With(set ...func(*Settings)) (*Campaign[O], error) {
+	s := c.s
+	for _, f := range set {
+		f(&s)
+	}
+	if s.Shards < 0 || s.Workers < 0 {
+		return nil, fmt.Errorf("%v: negative shard or worker count", c.x.Engine)
+	}
+	cp := *c
+	cp.s.Parallelism, cp.s.Progress, cp.s.Journal, cp.s.Shards, cp.s.Workers = s.Parallelism, s.Progress, s.Journal, s.Shards, s.Workers
+	return &cp, nil
+}
+
+// Tests returns the configured injection count (the cap, under early
+// stopping).
+func (c *Campaign[O]) Tests() int { return c.s.Tests }
+
+// Journaled reports whether the campaign commits its outcomes to a durable
+// journal.
+func (c *Campaign[O]) Journaled() bool { return c.s.Journal != "" }
+
+// Faults returns a copy of the pre-drawn fault stream: the fault run at
+// every index 0..Tests()-1. The stream is what makes campaigns shardable —
+// any [first, last) window of it can run anywhere and the outcomes merge in
+// index order — and what resumed journals are checked against. A
+// replay-only campaign returns nil.
+func (c *Campaign[O]) Faults() []interp.Fault { return slices.Clone(c.faults) }
+
+// Header identifies the campaign for the durable journal: engine, app
+// label, seed, test count, and a fingerprint of the configuration that
+// determines per-index outcomes — the engine's Config, the population
+// (picker type and parameters) and the stopping rule. Parallelism,
+// scheduler, pruning and sharding are result-invariant and stay out, so a
+// journal resumes under different ones.
+func (c *Campaign[O]) Header() journal.Header {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|targets=%T%+v|earlystop=%v:%g:%g",
+		c.x.Config, c.targets, c.targets, c.s.EarlyStop, c.s.Confidence, c.s.Margin)
+	return journal.Header{
+		Engine:      c.x.Engine,
+		App:         c.s.App,
+		Seed:        c.s.Seed,
+		Tests:       uint64(c.s.Tests),
+		Fingerprint: h.Sum64(),
+	}
+}
+
+// Run executes the campaign and aggregates the outcomes. On context
+// cancellation it returns the well-formed partial Result accumulated so far
+// together with ctx.Err().
+func (c *Campaign[O]) Run(ctx context.Context) (Result, error) {
+	return c.run(ctx, func(O) bool { return true })
+}
+
+// Stream executes the campaign and yields one outcome per fault in
+// fault-index order. Breaking out of the loop stops the workers promptly.
+// On failure — including context cancellation — the final pair carries the
+// error with a zero outcome; early stopping ends the sequence without one.
+func (c *Campaign[O]) Stream(ctx context.Context) iter.Seq2[O, error] {
+	return seq(func(emit func(O) bool) error {
+		_, err := c.run(ctx, emit)
+		return err
+	})
+}
+
+// Records is Stream in durable journal representation — the
+// engine-independent form the campaign service stores and serves.
+func (c *Campaign[O]) Records(ctx context.Context) iter.Seq2[journal.Record, error] {
+	return seq(func(emit func(journal.Record) bool) error {
+		_, err := c.run(ctx, func(o O) bool { return emit(c.x.Record(o)) })
+		return err
+	})
+}
+
+// StreamWindow executes only the fault-index window [first, last), clamped
+// to [0, Tests()), and yields its outcomes in index order. Contiguous
+// windows concatenate into exactly the sequence Stream yields. A window is
+// one shard of a larger whole: it neither journals nor stops early, since
+// both read the merged stream.
+func (c *Campaign[O]) StreamWindow(ctx context.Context, first, last int) iter.Seq2[O, error] {
+	return seq(func(emit func(O) bool) error {
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		if last <= 0 || last > len(c.faults) {
+			last = len(c.faults)
+		}
+		return c.window(ctx, max(first, 0), last, emit)
+	})
+}
+
+// seq adapts a push-style run to an iterator whose final pair carries the
+// run's error, unless the consumer stopped the run itself.
+func seq[T any](run func(emit func(T) bool) error) iter.Seq2[T, error] {
+	return func(yield func(T, error) bool) {
+		broke := false
+		err := run(func(v T) bool {
+			broke = !yield(v, nil)
+			return !broke
+		})
+		if err != nil && !broke {
+			var zero T
+			yield(zero, err)
+		}
+	}
+}
+
+// stopEarly reports whether the sequential stopping rule is satisfied by
+// the outcomes counted so far: the success rate's Agresti–Coull interval
+// half-width (stats.AdjustedProportionCI) is within the margin. It depends
+// only on aggregate counts in fault-index order, so it fires at the same
+// index whatever the parallelism, shard count or restart history.
+func (c *Campaign[O]) stopEarly(res Result) bool {
+	if !c.s.EarlyStop || res.Tests < EarlyStopMinTests || res.Tests >= c.s.Tests {
+		return false
+	}
+	return stats.AdjustedProportionCI(res.Success, res.Tests, c.s.Confidence) <= c.s.Margin
+}
+
+// run drives one campaign run: replay the journal's committed prefix
+// (checking each record against the drawn stream), execute the rest,
+// commit each fresh outcome (written + fsync'd) before delivering it, and
+// count outcomes for the Result and the stopping rule. emit returning false
+// stops the run; cancelling ctx stops it with ctx.Err(). No goroutines
+// outlive the call.
+func (c *Campaign[O]) run(ctx context.Context, emit func(O) bool) (Result, error) {
+	var res Result
+	if c.targets == nil {
+		return res, fmt.Errorf("%v: replay-only campaign cannot run injections", c.x.Engine)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
+	deliver := func(o O) bool {
+		res.Count(Outcome(c.x.Record(o).Outcome))
+		if c.s.Progress != nil {
+			c.s.Progress(res.Tests, len(c.faults))
+		}
+		return emit(o) && !c.stopEarly(res)
+	}
+	if c.s.Journal == "" {
+		return res, c.execute(ctx, 0, deliver)
+	}
+
+	j, recs, err := journal.OpenOrCreate(c.s.Journal, c.Header())
+	if err != nil {
+		return res, err
+	}
+	defer j.Close()
+	for _, r := range recs {
+		i := int(r.Index)
+		if i >= len(c.faults) || r.Fault != c.faults[i] {
+			return res, fmt.Errorf("%v: journal %s record %d (%v) does not match this campaign's fault stream: %w",
+				c.x.Engine, c.s.Journal, i, &r.Fault, journal.ErrMismatch)
+		}
+		if !deliver(c.x.Replay(r)) {
+			return res, nil
+		}
+	}
+	var appendErr error
+	err = c.execute(ctx, len(recs), func(o O) bool {
+		if appendErr = j.Append(c.x.Record(o)); appendErr != nil {
+			return false
+		}
+		return deliver(o)
+	})
+	if err == nil && appendErr != nil {
+		err = fmt.Errorf("%v: journal append: %w", c.x.Engine, appendErr)
+	}
+	return res, err
+}
+
+// execute runs fault indices [first, Tests()) and delivers their outcomes to
+// emit in index order: as one window, or — with more than one shard — as
+// contiguous shards run concurrently and merged.
+func (c *Campaign[O]) execute(ctx context.Context, first int, emit func(O) bool) error {
+	shards := Plan(len(c.faults)-first, c.s.Shards)
+	if len(shards) <= 1 {
+		return c.window(ctx, first, len(c.faults), emit)
+	}
+	for i := range shards {
+		shards[i].First += first
+		shards[i].Last += first
+	}
+	workers := c.s.Workers
+	if workers <= 0 || workers > len(shards) {
+		workers = len(shards)
+	}
+
+	// Each shard gets a channel buffered to its full window, so shard
+	// workers never block sending and always reach their context checks —
+	// the merge can lag arbitrarily without deadlocking the pool.
+	chans := make([]chan O, len(shards))
+	for i, s := range shards {
+		chans[i] = make(chan O, s.Last-s.First)
+	}
+	shardErrs := make([]error, len(shards))
+	var nextShard atomic.Int64
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				// Shards are claimed in index order, so the earliest
+				// unmerged shard is always among the first started and the
+				// merge is never gated behind late-window work.
+				s := int(nextShard.Add(1)) - 1
+				if s >= len(shards) {
+					return
+				}
+				err := c.window(wctx, shards[s].First, shards[s].Last, func(o O) bool {
+					chans[s] <- o
+					return true
+				})
+				if err != nil {
+					shardErrs[s] = err
+					cancel()
+				}
+				close(chans[s])
+				if wctx.Err() != nil {
+					return
+				}
+			}
+		}()
+	}
+
+	// Merge: consume the shard channels in shard order. Within a shard the
+	// window already delivers index order, and shards partition the index
+	// space contiguously, so the concatenation IS the merged order.
+	stopped := false
+merge:
+	for s := range shards {
+		for o := range chans[s] {
+			if ctx.Err() != nil {
+				break merge
+			}
+			if !emit(o) {
+				stopped = true
+				break merge
+			}
+		}
+		if shardErrs[s] != nil {
+			// The shard ended early: later shards' outcomes would leave a
+			// gap in the merged order, so emission stops here and the
+			// already-emitted prefix stays clean.
+			break merge
+		}
+	}
+	cancel()
+	wg.Wait()
+
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if stopped {
+		return nil
+	}
+	for _, err := range shardErrs {
+		// Workers cancelled by a sibling's failure report context.Canceled;
+		// the first real error in shard order wins.
+		if err != nil && !errors.Is(err, context.Canceled) {
+			return err
+		}
+	}
+	return nil
+}
+
+// window plans the fault-index window [first, last) and fans it out over
+// the ordered worker pool (Run).
+func (c *Campaign[O]) window(ctx context.Context, first, last int, emit func(O) bool) error {
+	if last <= first {
+		return nil
+	}
+	one, err := c.x.Plan(ctx, c.faults, first, last)
+	if err != nil {
+		return err
+	}
+	workers := Workers(c.s.Parallelism, last-first)
+	window := 0
+	if c.x.Heavy {
+		window = 2 * workers
+	}
+	return Run(ctx, Config{Items: len(c.faults), First: first, Last: last, Workers: workers, Window: window}, one, emit)
+}
+
+// Shard is one contiguous window [First, Last) of a campaign's fault-index
+// space.
+type Shard struct {
+	First int
+	Last  int
+}
+
+// Plan splits the index space [0, tests) into at most shards contiguous,
+// non-empty, near-equal windows in index order. Fewer shards come back when
+// tests < shards; no shards when tests <= 0. Concatenating the windows
+// always reproduces [0, tests) exactly — the invariant the merge builds on.
+func Plan(tests, shards int) []Shard {
+	if tests <= 0 {
+		return nil
+	}
+	if shards < 1 {
+		shards = 1
+	}
+	if shards > tests {
+		shards = tests
+	}
+	out := make([]Shard, shards)
+	base, rem := tests/shards, tests%shards
+	first := 0
+	for i := range out {
+		size := base
+		if i < rem {
+			size++
+		}
+		out[i] = Shard{First: first, Last: first + size}
+		first += size
+	}
+	return out
+}

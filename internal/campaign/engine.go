@@ -1,12 +1,19 @@
-// Package campaign provides the ordered fan-out engine shared by the
-// single-process (inject) and multi-rank (mpi) campaign runners: a pre-drawn
-// stream of indexed work items executed over a bounded worker pool, with a
-// reorder buffer delivering results in index order, an optional in-flight
-// window bounding completed-but-unemitted results, prompt context
-// cancellation, and no goroutines outliving the call. The concurrency rules
-// here are subtle (slot-before-index acquisition, the stopped/next emission
-// loop, error-path shutdown); keeping one copy lets both campaign engines
-// share the same proofs.
+// Package campaign is the one campaign driver both engines (inject, mpi)
+// and the shard coordinator (coord) run on. Campaign draws a campaign's
+// fault stream once, opens, replays, checks and commits its durable
+// journal, applies the early-stopping rule, plans, runs and merges shards,
+// and yields the outcome stream, a window of it, and its journal.Record
+// form; an engine supplies only an Executor — plan a window, run one fault,
+// convert an outcome to and from its journal record.
+//
+// Underneath sits the ordered fan-out (Run): a pre-drawn stream of indexed
+// work items executed over a bounded worker pool, with a reorder buffer
+// delivering results in index order, an optional in-flight window bounding
+// completed-but-unemitted results, prompt context cancellation, and no
+// goroutines outliving the call. The concurrency rules there are subtle
+// (slot-before-index acquisition, the stopped/next emission loop,
+// error-path shutdown); keeping one copy lets every campaign share the same
+// proofs.
 package campaign
 
 import (

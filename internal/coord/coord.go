@@ -1,213 +1,93 @@
-// Package coord is the shard coordinator: it splits one campaign's
-// fault-index space into contiguous shards, runs each shard through the
-// engines' window entry points (inject/mpi StreamWindow — themselves thin
-// wrappers over the shared ordered fan-out engine, internal/campaign), and
+// Package coord is the shard coordinator: it runs one campaign as
+// contiguous shards of its fault-index space on concurrent workers and
 // merges the ordered per-shard streams back into the single deterministic
 // fault-index-ordered stream a plain Run would have produced.
 //
-// The merge is exact, not approximate: faults are pre-drawn from one seeded
-// stream, per-index outcomes are execution-placement-invariant, and the
-// early-stopping rule depends only on aggregate counts — so the coordinator
-// applies it to the merged stream and stops at exactly the index a
-// single-process run would. For a fixed seed, Run and Stream are
-// byte-identical to the underlying campaign's own Run and Stream at any
-// shard count.
-//
-// Shards execute on in-process workers: each worker owns one Campaign
-// handle and pulls shards off a shared ordered queue. The shard boundary is
-// a plain (first, last) window against an immutable campaign, so
-// out-of-process or remote workers slot in behind the same handle interface
-// later — nothing in the merge depends on shards sharing an address space.
-//
-// A coordinator is durable the same way the engines are: WithJournal
-// commits the merged stream to the campaign's own journal identity
-// (journal.Header from the engine), so a killed sharded campaign resumes —
-// by coordinator or by the plain engine — from the last committed outcome.
+// The coordinator is a view of the campaign driver both engines already run
+// on (internal/campaign): a coordinated campaign is the engine's own driver
+// with the result-invariant execution settings changed — shard count, shard
+// workers, journal path, progress callback. The draw, the journal, the
+// early-stopping rule and the shard merge are the driver's, so for a fixed
+// seed Run and Stream are byte-identical to the engine's own at any shard
+// count, and a journal written by a coordinator resumes under the plain
+// engine and vice versa.
 package coord
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
-	"sync"
-	"sync/atomic"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/journal"
 	"fliptracker/internal/mpi"
 )
 
-// ErrShardMismatch reports that the campaign handles given to NewMulti do
-// not describe the same campaign: their journal headers (engine, app, seed,
-// test count, configuration fingerprint) differ, so their pre-drawn fault
-// streams — and therefore their per-index outcomes — could diverge and the
-// merged stream would be meaningless.
-var ErrShardMismatch = errors.New("coord: shard campaigns disagree")
-
 // Shard is one contiguous window [First, Last) of a campaign's fault-index
 // space.
-type Shard struct {
-	First int
-	Last  int
-}
+type Shard = campaign.Shard
 
 // Plan splits the index space [0, tests) into at most shards contiguous,
-// non-empty, near-equal windows in index order. Fewer shards come back when
-// tests < shards; no shards when tests <= 0. Concatenating the windows
-// always reproduces [0, tests) exactly — the invariant the merge builds on.
-func Plan(tests, shards int) []Shard {
-	if tests <= 0 {
-		return nil
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > tests {
-		shards = tests
-	}
-	out := make([]Shard, shards)
-	base, rem := tests/shards, tests%shards
-	first := 0
-	for i := range out {
-		size := base
-		if i < rem {
-			size++
-		}
-		out[i] = Shard{First: first, Last: first + size}
-		first += size
-	}
-	return out
-}
+// non-empty, near-equal windows in index order; their concatenation always
+// reproduces [0, tests) exactly.
+func Plan(tests, shards int) []Shard { return campaign.Plan(tests, shards) }
 
-// Campaign is the coordinator's handle on one engine campaign: everything
-// the coordinator needs to schedule windows, merge and journal the stream,
-// and apply the stopping rule — without knowing which engine is behind it.
-// Build one with Inject or MPI.
-type Campaign[O any] struct {
-	header  journal.Header
-	tests   int
-	stream  func(ctx context.Context, first, last int) iter.Seq2[O, error]
-	record  func(O) journal.Record
-	replay  func(journal.Record) (O, error)
-	outcome func(O) inject.Outcome
-	stop    func(inject.Result) bool
-}
-
-// Header returns the underlying campaign's journal identity.
-func (h Campaign[O]) Header() journal.Header { return h.header }
+// Coordinator executes one campaign as a set of shards and re-delivers the
+// merged, fault-index-ordered outcome stream (Run, Stream, Records). Build
+// one with Inject or MPI, then New.
+type Coordinator[O any] = campaign.Campaign[O]
 
 // Inject adapts a single-process campaign for sharded execution. The
 // campaign must be unjournaled (the coordinator journals the merged stream;
 // see WithJournal) and must draw at least one fault.
-func Inject(c *inject.Campaign) (Campaign[inject.FaultOutcome], error) {
-	var h Campaign[inject.FaultOutcome]
-	if c.Journaled() {
-		return h, fmt.Errorf("coord: campaign carries its own journal; journal the merged stream with coord.WithJournal instead")
-	}
-	if c.Tests() <= 0 {
-		return h, fmt.Errorf("coord: campaign draws no faults")
-	}
-	faults := c.Faults()
-	return Campaign[inject.FaultOutcome]{
-		header: c.JournalHeader(),
-		tests:  c.Tests(),
-		stream: c.StreamWindow,
-		record: func(fo inject.FaultOutcome) journal.Record {
-			return journal.Record{Index: uint64(fo.Index), Outcome: uint8(fo.Outcome), Fault: fo.Fault}
-		},
-		replay: func(r journal.Record) (inject.FaultOutcome, error) {
-			i := int(r.Index)
-			if i >= len(faults) || r.Fault != faults[i] {
-				return inject.FaultOutcome{}, fmt.Errorf("coord: journal record %d (%v) does not match this campaign's fault stream: %w",
-					i, &r.Fault, journal.ErrMismatch)
-			}
-			return inject.FaultOutcome{Index: i, Fault: r.Fault, Outcome: inject.Outcome(r.Outcome)}, nil
-		},
-		outcome: func(fo inject.FaultOutcome) inject.Outcome { return fo.Outcome },
-		stop:    c.StopEarly,
-	}, nil
-}
+func Inject(c *inject.Campaign) (*Coordinator[inject.FaultOutcome], error) { return adopt(c.Campaign) }
 
 // MPI adapts a multi-rank campaign for sharded execution, under the same
 // constraints as Inject. World outcomes keep their cross-rank propagation
-// classification through the journal, exactly as mpi.WithJournal does.
-func MPI(c *mpi.Campaign) (Campaign[mpi.WorldOutcome], error) {
-	var h Campaign[mpi.WorldOutcome]
+// classification through the journal.
+func MPI(c *mpi.Campaign) (*Coordinator[mpi.WorldOutcome], error) { return adopt(c.Campaign) }
+
+func adopt[O any](c *campaign.Campaign[O]) (*Coordinator[O], error) {
 	if c.Journaled() {
-		return h, fmt.Errorf("coord: campaign carries its own journal; journal the merged stream with coord.WithJournal instead")
+		return nil, fmt.Errorf("coord: campaign carries its own journal; journal the merged stream with coord.WithJournal instead")
 	}
 	if c.Tests() <= 0 {
-		return h, fmt.Errorf("coord: campaign draws no faults")
+		return nil, fmt.Errorf("coord: campaign draws no faults")
 	}
-	faults := c.Faults()
-	return Campaign[mpi.WorldOutcome]{
-		header: c.JournalHeader(),
-		tests:  c.Tests(),
-		stream: c.StreamWindow,
-		record: func(wo mpi.WorldOutcome) journal.Record {
-			return journal.Record{
-				Index:     uint64(wo.Index),
-				Outcome:   uint8(wo.Outcome),
-				Fault:     wo.Fault,
-				PropClass: uint8(wo.Propagation.Class),
-				PropRanks: wo.Propagation.Ranks,
-			}
-		},
-		replay: func(r journal.Record) (mpi.WorldOutcome, error) {
-			i := int(r.Index)
-			if i >= len(faults) || r.Fault != faults[i] {
-				return mpi.WorldOutcome{}, fmt.Errorf("coord: journal record %d (%v) does not match this campaign's fault stream: %w",
-					i, &r.Fault, journal.ErrMismatch)
-			}
-			return mpi.WorldOutcome{
-				Index:       i,
-				Fault:       r.Fault,
-				Outcome:     inject.Outcome(r.Outcome),
-				Propagation: mpi.Propagation{Class: mpi.PropagationClass(r.PropClass), Ranks: r.PropRanks},
-			}, nil
-		},
-		outcome: func(wo mpi.WorldOutcome) inject.Outcome { return wo.Outcome },
-		stop:    c.StopEarly,
-	}, nil
-}
-
-// config carries the engine-independent coordinator knobs.
-type config struct {
-	shards      int
-	workers     int
-	journalPath string
-	progress    func(done, total int)
+	return c, nil
 }
 
 // Option configures a Coordinator at construction time.
-type Option func(*config)
+type Option = func(*campaign.Settings)
 
 // WithShards sets how many contiguous windows the fault-index space is
-// split into; the default is one shard per worker. Shard count is
+// split into; the default is a single window. Shard count is
 // result-invariant: any count yields the identical merged stream.
-func WithShards(n int) Option { return func(c *config) { c.shards = n } }
+func WithShards(n int) Option { return func(s *campaign.Settings) { s.Shards = n } }
 
 // WithWorkers sets how many shard workers run concurrently; the default
-// matches the shard count (all shards in flight at once). Each worker runs
-// one shard at a time through its own campaign handle, so with NewMulti the
-// handles spread round-robin over the workers.
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
+// matches the shard count (all shards in flight at once).
+func WithWorkers(n int) Option { return func(s *campaign.Settings) { s.Workers = n } }
 
 // WithJournal makes the coordinated campaign durable: the merged stream is
 // committed (written + fsync'd) to an append-only checksummed journal at
-// path before each outcome is delivered, under the underlying campaign's
-// own journal identity. Resuming validates the header (journal.ErrMismatch
-// on any difference), replays the committed prefix, and shards only the
-// remaining index range — and because the identity is the engine's own, a
-// journal written by the coordinator resumes under plain inject/mpi
-// WithJournal and vice versa.
-func WithJournal(path string) Option { return func(c *config) { c.journalPath = path } }
+// path before each outcome is delivered, under the campaign's own journal
+// identity. Resuming validates the header (journal.ErrMismatch on any
+// difference), replays the committed prefix, and shards only the remaining
+// index range.
+func WithJournal(path string) Option { return func(s *campaign.Settings) { s.Journal = path } }
 
 // WithProgress registers a callback invoked after each merged outcome with
 // the number delivered so far (including any journal-replayed prefix) and
 // the planned total. It is called sequentially in fault-index order.
-func WithProgress(fn func(done, total int)) Option { return func(c *config) { c.progress = fn } }
+func WithProgress(fn func(done, total int)) Option {
+	return func(s *campaign.Settings) { s.Progress = fn }
+}
+
+// New returns the coordinated campaign: c under the given options, sharing
+// c's drawn fault stream.
+func New[O any](c *Coordinator[O], opts ...Option) (*Coordinator[O], error) { return c.With(opts...) }
 
 // Runner is the engine-erased view of a coordinator — what consumers that
 // multiplex campaigns across engines (the campaign service,
@@ -219,271 +99,4 @@ type Runner interface {
 	Header() journal.Header
 	Run(ctx context.Context) (inject.Result, error)
 	Records(ctx context.Context) iter.Seq2[journal.Record, error]
-}
-
-// Coordinator executes one campaign as a set of shards and re-delivers the
-// merged, fault-index-ordered outcome stream. Build it with New or
-// NewMulti; a Coordinator is immutable after construction and safe to run
-// multiple times.
-type Coordinator[O any] struct {
-	handles []Campaign[O]
-	cfg     config
-}
-
-// New builds a coordinator over a single campaign handle: every worker
-// schedules windows of the same immutable campaign.
-func New[O any](h Campaign[O], opts ...Option) (*Coordinator[O], error) {
-	return NewMulti([]Campaign[O]{h}, opts...)
-}
-
-// NewMulti builds a coordinator over several handles of the SAME campaign —
-// the multi-worker form: worker i runs its shards through handles[i%len].
-// Today the handles are in-process adapters; a process or remote worker
-// implements the same window contract behind its handle. NewMulti verifies
-// that every handle's journal header — engine, app, seed, tests, and the
-// configuration fingerprint the engines derive from everything that
-// determines per-index outcomes — agrees, and refuses with ErrShardMismatch
-// otherwise: equal headers are what make merging the shard streams sound.
-func NewMulti[O any](handles []Campaign[O], opts ...Option) (*Coordinator[O], error) {
-	if len(handles) == 0 {
-		return nil, fmt.Errorf("coord: no campaign handles")
-	}
-	for i, h := range handles[1:] {
-		if h.header != handles[0].header {
-			return nil, fmt.Errorf("coord: handle %d header %+v, handle 0 header %+v: %w",
-				i+1, h.header, handles[0].header, ErrShardMismatch)
-		}
-	}
-	co := &Coordinator[O]{handles: handles}
-	for _, o := range opts {
-		o(&co.cfg)
-	}
-	if co.cfg.shards < 0 || co.cfg.workers < 0 {
-		return nil, fmt.Errorf("coord: negative shard or worker count")
-	}
-	return co, nil
-}
-
-// Tests returns the coordinated campaign's injection count (the cap, under
-// early stopping).
-func (co *Coordinator[O]) Tests() int { return co.handles[0].tests }
-
-// Header returns the coordinated campaign's journal identity.
-func (co *Coordinator[O]) Header() journal.Header { return co.handles[0].header }
-
-// Run executes the sharded campaign and aggregates the merged outcomes —
-// the drop-in replacement for the engine's own Run. On context cancellation
-// it returns the well-formed partial Result accumulated so far together
-// with ctx.Err().
-func (co *Coordinator[O]) Run(ctx context.Context) (inject.Result, error) {
-	var res inject.Result
-	h := co.handles[0]
-	err := co.run(ctx, func(o O) bool {
-		res.Count(h.outcome(o))
-		return !h.stop(res)
-	})
-	return res, err
-}
-
-// Stream executes the sharded campaign and yields the merged outcome stream
-// in fault-index order — byte-identical, for a fixed seed, to the
-// underlying campaign's own Stream. Breaking out of the loop stops the
-// shard workers promptly. On failure — including context cancellation — the
-// final pair carries the error (with a zero outcome value); early stopping
-// ends the sequence without one.
-func (co *Coordinator[O]) Stream(ctx context.Context) iter.Seq2[O, error] {
-	return func(yield func(O, error) bool) {
-		var res inject.Result
-		h := co.handles[0]
-		broke := false
-		err := co.run(ctx, func(o O) bool {
-			res.Count(h.outcome(o))
-			if !yield(o, nil) {
-				broke = true
-				return false
-			}
-			return !h.stop(res)
-		})
-		if err != nil && !broke {
-			var zero O
-			yield(zero, err)
-		}
-	}
-}
-
-// Records executes the sharded campaign and yields the merged stream in its
-// durable journal representation — the engine-independent form consumers
-// like the campaign service (internal/server) store and serve without
-// caring which engine ran the faults.
-func (co *Coordinator[O]) Records(ctx context.Context) iter.Seq2[journal.Record, error] {
-	return func(yield func(journal.Record, error) bool) {
-		var res inject.Result
-		h := co.handles[0]
-		broke := false
-		err := co.run(ctx, func(o O) bool {
-			res.Count(h.outcome(o))
-			if !yield(h.record(o), nil) {
-				broke = true
-				return false
-			}
-			return !h.stop(res)
-		})
-		if err != nil && !broke {
-			yield(journal.Record{}, err)
-		}
-	}
-}
-
-// run is the coordinator driver shared by Run, Stream, and Records: resume
-// the journal if one is configured, plan shards over the remaining index
-// range, fan the shards out over the workers, and merge the ordered
-// per-shard streams into emit in fault-index order. emit returning false
-// stops the run; cancelling ctx stops it with ctx.Err(). run waits for its
-// workers before returning, so no goroutines outlive the call.
-func (co *Coordinator[O]) run(ctx context.Context, emit func(O) bool) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	h := co.handles[0]
-	tests := h.tests
-
-	// Resume: replay the journal's committed prefix — validating every
-	// record against the campaign's own drawn fault stream — and shard only
-	// the remainder. Every freshly merged outcome is committed before it is
-	// emitted, exactly as in the engines' journaled runs.
-	first := 0
-	var jr *journal.Journal
-	if co.cfg.journalPath != "" {
-		j, recs, err := journal.OpenOrCreate(co.cfg.journalPath, h.header)
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		jr = j
-		for _, r := range recs {
-			o, err := h.replay(r)
-			if err != nil {
-				return err
-			}
-			if co.cfg.progress != nil {
-				co.cfg.progress(int(r.Index)+1, tests)
-			}
-			if !emit(o) {
-				return nil
-			}
-		}
-		first = len(recs)
-	}
-	if first >= tests {
-		return nil
-	}
-
-	shards := Plan(tests-first, co.cfg.shards)
-	for i := range shards {
-		shards[i].First += first
-		shards[i].Last += first
-	}
-	workers := co.cfg.workers
-	if workers <= 0 || workers > len(shards) {
-		workers = len(shards)
-	}
-
-	// Each shard gets a channel buffered to its full window, so shard
-	// workers never block sending and always reach their context checks —
-	// the merge can lag arbitrarily without deadlocking the pool.
-	chans := make([]chan O, len(shards))
-	for i, s := range shards {
-		chans[i] = make(chan O, s.Last-s.First)
-	}
-	shardErrs := make([]error, len(shards))
-	var nextShard atomic.Int64
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		hw := co.handles[w%len(co.handles)]
-		wg.Add(1)
-		go func(hw Campaign[O]) {
-			defer wg.Done()
-			for {
-				// Shards are claimed in index order, so the earliest
-				// unmerged shard is always among the first started and the
-				// merge is never gated behind late-window work.
-				s := int(nextShard.Add(1)) - 1
-				if s >= len(shards) {
-					return
-				}
-				for o, err := range hw.stream(wctx, shards[s].First, shards[s].Last) {
-					if err != nil {
-						shardErrs[s] = err
-						cancel()
-						break
-					}
-					chans[s] <- o
-				}
-				close(chans[s])
-				if wctx.Err() != nil {
-					return
-				}
-			}
-		}(hw)
-	}
-
-	// Merge: consume the shard channels in shard order. Within a shard the
-	// engine already delivers index order, and shards partition the index
-	// space contiguously, so the concatenation IS the merged order.
-	done := first
-	emitStopped := false
-	var appendErr error
-merge:
-	for s := range shards {
-		for o := range chans[s] {
-			if ctx.Err() != nil {
-				break merge
-			}
-			if jr != nil {
-				if err := jr.Append(h.record(o)); err != nil {
-					appendErr = err
-					break merge
-				}
-			}
-			done++
-			if co.cfg.progress != nil {
-				co.cfg.progress(done, tests)
-			}
-			if !emit(o) {
-				emitStopped = true
-				break merge
-			}
-		}
-		if shardErrs[s] != nil {
-			// The shard ended early: later shards' outcomes would leave a
-			// gap in the merged order, so emission stops here and the
-			// already-emitted prefix stays clean.
-			break merge
-		}
-	}
-	cancel()
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if appendErr != nil {
-		return fmt.Errorf("coord: journal append: %w", appendErr)
-	}
-	if emitStopped {
-		return nil
-	}
-	for _, err := range shardErrs {
-		// Workers cancelled by early stop or a sibling's failure report
-		// context.Canceled; the first real error in shard order wins.
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	return nil
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"fliptracker/internal/coord"
@@ -195,45 +197,60 @@ func TestCoordinatorEarlyStop(t *testing.T) {
 	}
 }
 
-// TestShardMismatch: handles describing different campaigns (here: a
-// different fault-stream seed, surfacing as a different header fingerprint
-// via different drawn streams — the seed lives in the header directly) are
-// refused at construction with ErrShardMismatch.
-func TestShardMismatch(t *testing.T) {
-	a, err := coord.Inject(testCampaign(t, 50))
+// countingPicker is a whole-program population that counts its draws.
+type countingPicker struct {
+	inject.UniformDst
+	draws *atomic.Int64
+}
+
+func (p countingPicker) Pick(r *rand.Rand) interp.Fault {
+	p.draws.Add(1)
+	return p.UniformDst.Pick(r)
+}
+
+// TestFaultStreamDrawnOnce: the fault stream is drawn exactly once per
+// campaign — at construction — whatever the shard count, and Faults hands
+// out a copy the caller cannot use to alter the campaign's stream.
+func TestFaultStreamDrawnOnce(t *testing.T) {
+	const tests = 40
+	p := buildProg(t)
+	m, err := interp.NewMachine(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := coord.Inject(testCampaign(t, 50, inject.WithSeed(7)))
+	clean, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.NewMulti([]coord.Campaign[inject.FaultOutcome]{a, b}); !errors.Is(err, coord.ErrShardMismatch) {
-		t.Fatalf("NewMulti over disagreeing campaigns: %v, want ErrShardMismatch", err)
-	}
-	// Two independently built handles of the SAME campaign agree.
-	a2, err := coord.Inject(testCampaign(t, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, err := coord.NewMulti([]coord.Campaign[inject.FaultOutcome]{a, a2}, coord.WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := collectRef(t, testCampaign(t, 50))
-	var got []string
-	for fo, err := range co.Stream(context.Background()) {
+	mk := func() (*interp.Machine, error) { return interp.NewMachine(p) }
+	verify := func(tr *trace.Trace) bool { return len(tr.Output) == 1 }
+	for _, shards := range []int{1, 2, 4} {
+		var draws atomic.Int64
+		picker := countingPicker{UniformDst: inject.UniformDst{TotalSteps: clean.Steps}, draws: &draws}
+		c, err := inject.NewCampaign(mk, verify, picker, inject.WithTests(tests), inject.WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, digest(fo))
-	}
-	if len(got) != len(ref) {
-		t.Fatalf("multi-handle stream yielded %d outcomes, want %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i] != ref[i] {
-			t.Errorf("multi-handle outcome %d: %s, want %s", i, got[i], ref[i])
+		h, err := coord.Inject(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		co, err := coord.New(h, coord.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := co.Run(context.Background())
+		if err != nil || res.Tests != tests {
+			t.Fatalf("shards=%d: %+v %v", shards, res, err)
+		}
+		if n := draws.Load(); n != tests {
+			t.Errorf("shards=%d: construction + run drew %d faults, want %d", shards, n, tests)
+		}
+
+		faults := c.Faults()
+		faults[0].Step++
+		if c.Faults()[0] == faults[0] {
+			t.Errorf("shards=%d: mutating Faults() changed the campaign's stream", shards)
 		}
 	}
 }

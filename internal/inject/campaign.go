@@ -3,43 +3,34 @@ package inject
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"iter"
-	"math/rand"
 	"sort"
 
 	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/irstatic"
 	"fliptracker/internal/journal"
-	"fliptracker/internal/stats"
 	"fliptracker/internal/trace"
 )
 
 // Campaign is one configured fault-injection campaign. Build it with
 // NewCampaign, then execute it with Run for the aggregate Result or consume
-// it fault by fault with Stream. A Campaign is immutable after construction
-// and safe to run multiple times; every run re-draws the same fault stream
-// from its seed, so for a fixed seed the outcomes are identical whatever
-// the parallelism or scheduler.
+// it fault by fault with Stream. The embedded driver (internal/campaign)
+// draws the fault stream once, at construction, and owns the journal, early
+// stopping and sharding; the engine supplies only how one fault runs. A
+// Campaign is immutable after construction and safe to run multiple times:
+// for a fixed seed the outcomes are identical whatever the parallelism or
+// scheduler.
 type Campaign struct {
-	mk      func() (*interp.Machine, error)
-	verify  func(*trace.Trace) bool
-	targets TargetPicker
+	*campaign.Campaign[FaultOutcome]
 
-	tests          int
-	seed           int64
-	parallelism    int
-	scheduler      SchedulerKind
+	cfg    campaign.Settings
+	mk     func() (*interp.Machine, error)
+	verify func(*trace.Trace) bool
+
+	scheduler SchedulerKind
+	// maxCheckpoints overrides DefaultMaxCheckpoints when positive; only
+	// the package's own tests set it.
 	maxCheckpoints int
-	progress       func(done, total int)
-
-	earlyStop           bool
-	earlyStopConfidence float64
-	earlyStopMargin     float64
-
-	journalPath string
-	journalApp  string
 
 	pruner *irstatic.Pruner
 
@@ -59,28 +50,24 @@ type Option func(*Campaign)
 // paper's sizing rule). With early stopping enabled this is the cap; the
 // campaign may finish sooner. Required: NewCampaign rejects a campaign
 // without a positive test count.
-func WithTests(n int) Option { return func(c *Campaign) { c.tests = n } }
+func WithTests(n int) Option { return func(c *Campaign) { c.cfg.Tests = n } }
 
 // WithSeed makes the campaign reproducible: faults are pre-drawn from a
 // single stream seeded here, so results do not depend on parallelism or
 // scheduler. The default seed is 0.
-func WithSeed(seed int64) Option { return func(c *Campaign) { c.seed = seed } }
+func WithSeed(seed int64) Option { return func(c *Campaign) { c.cfg.Seed = seed } }
 
 // WithScheduler selects the execution strategy; the default is
 // ScheduleCheckpointed. Outcomes are scheduler-independent.
 func WithScheduler(k SchedulerKind) Option { return func(c *Campaign) { c.scheduler = k } }
 
 // WithParallelism caps worker goroutines; 0 (the default) means GOMAXPROCS.
-func WithParallelism(n int) Option { return func(c *Campaign) { c.parallelism = n } }
-
-// WithMaxCheckpoints caps the live prefix snapshots the checkpointed
-// scheduler keeps; 0 (the default) means DefaultMaxCheckpoints.
-func WithMaxCheckpoints(n int) Option { return func(c *Campaign) { c.maxCheckpoints = n } }
+func WithParallelism(n int) Option { return func(c *Campaign) { c.cfg.Parallelism = n } }
 
 // WithProgress registers a callback invoked after each completed injection
 // with the number of outcomes delivered so far and the planned total. It is
 // called sequentially (never concurrently) in fault-index order.
-func WithProgress(fn func(done, total int)) Option { return func(c *Campaign) { c.progress = fn } }
+func WithProgress(fn func(done, total int)) Option { return func(c *Campaign) { c.cfg.Progress = fn } }
 
 // TraceAnalyzer is a per-fault analysis hook for analyzed campaigns: it
 // receives the fault's stream index, the fault, the full faulty trace of
@@ -146,13 +133,13 @@ func WithDropTraces() Option { return func(c *Campaign) { c.dropTraces = true } 
 // original run and the resume; they are result-invariant and excluded from
 // the fingerprint. Incompatible with WithAnalysis (analysis payloads are
 // not journaled).
-func WithJournal(path string) Option { return func(c *Campaign) { c.journalPath = path } }
+func WithJournal(path string) Option { return func(c *Campaign) { c.cfg.Journal = path } }
 
 // WithJournalApp labels the journal header with an application name, so a
 // journal recorded for one app refuses to resume under another even when
 // their populations fingerprint alike. Optional; core.Analyzer and the CLI
 // set it automatically.
-func WithJournalApp(app string) Option { return func(c *Campaign) { c.journalApp = app } }
+func WithJournalApp(app string) Option { return func(c *Campaign) { c.cfg.App = app } }
 
 // WithStaticPrune short-circuits injections whose outcome the static
 // dependence analysis (internal/irstatic) has already proven. A fault site
@@ -174,7 +161,7 @@ func WithStaticPrune(p *irstatic.Pruner) Option { return func(c *Campaign) { c.p
 // EarlyStopMinTests is the minimum number of completed injections before
 // WithEarlyStop may end a campaign, guarding the normal-approximation
 // confidence interval against tiny samples.
-const EarlyStopMinTests = 48
+const EarlyStopMinTests = campaign.EarlyStopMinTests
 
 // WithEarlyStop enables sequential early stopping: the campaign ends as
 // soon as the success rate's confidence interval half-width (at the given
@@ -189,9 +176,9 @@ const EarlyStopMinTests = 48
 // scheduler-independent.
 func WithEarlyStop(confidence, margin float64) Option {
 	return func(c *Campaign) {
-		c.earlyStop = true
-		c.earlyStopConfidence = confidence
-		c.earlyStopMargin = margin
+		c.cfg.EarlyStop = true
+		c.cfg.Confidence = confidence
+		c.cfg.Margin = margin
 	}
 }
 
@@ -204,36 +191,36 @@ func WithEarlyStop(confidence, margin float64) Option {
 // set, which forces TraceFull — so Verify must classify from the run's
 // output, never from its trace records.
 func NewCampaign(mk func() (*interp.Machine, error), verify func(*trace.Trace) bool, targets TargetPicker, opts ...Option) (*Campaign, error) {
-	c := &Campaign{mk: mk, verify: verify, targets: targets}
+	c := &Campaign{mk: mk, verify: verify}
 	for _, o := range opts {
 		o(c)
 	}
-	if c.mk == nil || c.verify == nil || c.targets == nil {
+	if c.mk == nil || c.verify == nil || targets == nil {
 		return nil, fmt.Errorf("inject: incomplete campaign (need MakeMachine, Verify and a TargetPicker)")
 	}
-	if c.tests <= 0 {
-		return nil, fmt.Errorf("inject: campaign needs a positive test count (WithTests)")
+	d, err := campaign.New(c.cfg, targets, campaign.Executor[FaultOutcome]{
+		Engine: journal.EngineInject,
+		Config: "inject",
+		Heavy:  c.analyze != nil,
+		Plan:   c.plan,
+		Record: func(fo FaultOutcome) journal.Record {
+			return journal.Record{Index: uint64(fo.Index), Outcome: uint8(fo.Outcome), Fault: fo.Fault}
+		},
+		Replay: func(r journal.Record) FaultOutcome {
+			return FaultOutcome{Index: int(r.Index), Fault: r.Fault, Outcome: Outcome(r.Outcome)}
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	if v, ok := c.targets.(Validator); ok {
-		if err := v.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if c.earlyStop {
-		if c.earlyStopConfidence <= 0 || c.earlyStopConfidence >= 1 {
-			return nil, fmt.Errorf("inject: early-stop confidence %v outside (0, 1)", c.earlyStopConfidence)
-		}
-		if c.earlyStopMargin <= 0 || c.earlyStopMargin >= 1 {
-			return nil, fmt.Errorf("inject: early-stop margin %v outside (0, 1)", c.earlyStopMargin)
-		}
-	}
+	c.Campaign = d
 	if c.dropTraces && c.analyze == nil {
 		return nil, fmt.Errorf("inject: WithDropTraces requires WithAnalysis")
 	}
 	if c.pruner != nil && c.analyze != nil {
 		return nil, fmt.Errorf("inject: WithStaticPrune cannot be combined with WithAnalysis (pruned injections produce no trace to analyze)")
 	}
-	if c.journalPath != "" && c.analyze != nil {
+	if c.cfg.Journal != "" && c.analyze != nil {
 		return nil, fmt.Errorf("inject: WithJournal cannot be combined with WithAnalysis (analysis payloads are not journaled)")
 	}
 	if c.analyze != nil {
@@ -247,103 +234,6 @@ func NewCampaign(mk func() (*interp.Machine, error), verify func(*trace.Trace) b
 		c.stitch = trace.StepsMonotonic(c.clean.Recs)
 	}
 	return c, nil
-}
-
-// Tests returns the configured injection count (the cap, under early
-// stopping).
-func (c *Campaign) Tests() int { return c.tests }
-
-// Journaled reports whether the campaign commits its outcomes to a durable
-// journal (WithJournal). Sharded execution requires an unjournaled campaign:
-// shards must not journal their windows independently, the coordinator
-// journals the merged stream (internal/coord).
-func (c *Campaign) Journaled() bool { return c.journalPath != "" }
-
-// Faults returns the campaign's pre-drawn fault stream: the fault executed
-// at every index 0..Tests()-1, drawn fresh from the campaign seed. The
-// stream is what makes campaigns shardable — any [first, last) window of it
-// can run anywhere and the outcomes merge in index order — and what resumed
-// journals are validated against.
-func (c *Campaign) Faults() []interp.Fault {
-	rng := rand.New(rand.NewSource(c.seed))
-	faults := make([]interp.Fault, c.tests)
-	ip, indexed := c.targets.(IndexedPicker)
-	for i := range faults {
-		if indexed {
-			faults[i] = ip.PickAt(i, rng)
-		} else {
-			faults[i] = c.targets.Pick(rng)
-		}
-	}
-	return faults
-}
-
-// StopEarly reports whether the campaign's sequential early-stopping rule
-// (WithEarlyStop) is satisfied by the outcomes counted so far — always false
-// for a campaign without early stopping. The rule depends only on the
-// aggregated counts, so a coordinator merging sharded outcome streams can
-// apply it to the merged stream and stop at exactly the index a
-// single-process run would.
-func (c *Campaign) StopEarly(res Result) bool {
-	if !c.earlyStop || res.Tests < EarlyStopMinTests || res.Tests >= c.tests {
-		return false
-	}
-	return stats.AdjustedProportionCI(res.Success, res.Tests, c.earlyStopConfidence) <= c.earlyStopMargin
-}
-
-// StreamWindow executes only the fault-index window [first, last) of the
-// campaign and yields its outcomes in index order — the shard entry point of
-// the coordinator (internal/coord): contiguous windows partition the
-// pre-drawn fault stream, so the per-window streams concatenate into exactly
-// the sequence Stream yields. The bounds clamp to [0, Tests()); an empty
-// window yields nothing.
-//
-// A window is one shard of a larger whole, so whole-campaign concerns stay
-// with the caller: no early stopping is applied (the stopping rule reads the
-// merged stream — see StopEarly), and a journaled campaign refuses to run
-// windows (the coordinator journals the merged stream instead). Checkpoint
-// planning under ScheduleCheckpointed covers only the window's faults.
-func (c *Campaign) StreamWindow(ctx context.Context, first, last int) iter.Seq2[FaultOutcome, error] {
-	return func(yield func(FaultOutcome, error) bool) {
-		if c.journalPath != "" {
-			yield(FaultOutcome{Index: -1}, fmt.Errorf("inject: a journaled campaign cannot run shard windows (journal the merged stream instead)"))
-			return
-		}
-		broke := false
-		err := c.runWindow(ctx, first, last, func(fo FaultOutcome) bool {
-			if !yield(fo, nil) {
-				broke = true
-				return false
-			}
-			return true
-		})
-		if err != nil && !broke {
-			yield(FaultOutcome{Index: -1}, err)
-		}
-	}
-}
-
-// runWindow drives the window [first, last) of the pre-drawn fault stream
-// through the ordered fan-out engine, with checkpoint planning restricted to
-// the window's faults.
-func (c *Campaign) runWindow(ctx context.Context, first, last int, emit func(FaultOutcome) bool) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	faults := c.Faults()
-	if first < 0 {
-		first = 0
-	}
-	if last <= 0 || last > len(faults) {
-		last = len(faults)
-	}
-	if last <= first {
-		return nil
-	}
-	return c.execute(ctx, faults, first, last, nil, emit)
 }
 
 // FaultOutcome is one per-fault record of a streaming campaign: the drawn
@@ -361,195 +251,27 @@ type FaultOutcome struct {
 	Analysis any
 }
 
-// Run executes the campaign and aggregates the outcomes. On context
-// cancellation it returns the well-formed partial Result accumulated so
-// far together with ctx.Err().
-func (c *Campaign) Run(ctx context.Context) (Result, error) {
-	var res Result
-	err := c.run(ctx, func(fo FaultOutcome) bool {
-		res.Count(fo.Outcome)
-		return !c.metEarlyStop(res)
-	})
-	return res, err
-}
-
-// Stream executes the campaign and yields one FaultOutcome per injection in
-// fault-index order. Breaking out of the loop stops the campaign's workers
-// promptly. On failure — including context cancellation — the final pair
-// carries the error (with Index -1); early stopping ends the sequence
-// without one.
-func (c *Campaign) Stream(ctx context.Context) iter.Seq2[FaultOutcome, error] {
-	return func(yield func(FaultOutcome, error) bool) {
-		var res Result
-		broke := false
-		err := c.run(ctx, func(fo FaultOutcome) bool {
-			res.Count(fo.Outcome)
-			if !yield(fo, nil) {
-				broke = true
-				return false
-			}
-			return !c.metEarlyStop(res)
-		})
-		if err != nil && !broke {
-			yield(FaultOutcome{Index: -1}, err)
-		}
-	}
-}
-
-// metEarlyStop reports whether the sequential stopping rule is satisfied by
-// the outcomes counted so far.
-func (c *Campaign) metEarlyStop(res Result) bool { return c.StopEarly(res) }
-
-// run is the campaign driver shared by Run and Stream: pre-draw the fault
-// stream, plan checkpoints when the checkpointed scheduler is selected, and
-// fan the injections out through the shared ordered fan-out engine
-// (internal/campaign), which delivers outcomes to emit in fault-index order.
-// emit returning false stops the campaign (early stop or a broken Stream
-// loop); cancelling ctx stops it with ctx.Err(). In every case run waits for
-// its workers to exit before returning, so no goroutines outlive the call.
-func (c *Campaign) run(ctx context.Context, emit func(FaultOutcome) bool) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	faults := c.Faults()
-
-	// A journaled campaign replays its committed outcomes from disk and
-	// schedules only the remaining index range; every freshly computed
-	// outcome is committed (written + fsync'd) before it is emitted.
-	first := 0
-	var jr *journal.Journal
-	if c.journalPath != "" {
-		j, recs, err := journal.OpenOrCreate(c.journalPath, c.JournalHeader())
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		jr = j
-		done, stopped, err := c.replayJournal(recs, faults, emit)
-		if err != nil {
-			return err
-		}
-		if stopped || done == len(faults) {
-			return nil
-		}
-		first = done
-	}
-	return c.execute(ctx, faults, first, len(faults), jr, emit)
-}
-
-// execute runs the fault-index window [first, last) of the pre-drawn stream
-// through the ordered fan-out engine: plan checkpoints for the window's
-// faults when the checkpointed scheduler is selected, fan the injections out,
-// and deliver outcomes to emit in index order — committing each to jr first
-// when the campaign is journaled.
-func (c *Campaign) execute(ctx context.Context, faults []interp.Fault, first, last int, jr *journal.Journal, emit func(FaultOutcome) bool) error {
+// plan is the engine's window planner (campaign.Executor.Plan): the
+// checkpoint forward pass over the window's faults under the checkpointed
+// scheduler, then the per-fault runner. Checkpoints are useless for an
+// analyzed campaign that cannot stitch the clean prefix (non-monotonic
+// record steps): such runs replay traced from step 0, so the planning pass
+// is skipped entirely.
+func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first, last int) (func(int) (FaultOutcome, error), error) {
 	var plan *checkpointPlan
-	// Checkpoints are useless for an analyzed campaign that cannot stitch
-	// the clean prefix (non-monotonic record steps): such runs replay
-	// traced from step 0, so skip the planning pass entirely.
 	if c.scheduler == ScheduleCheckpointed && (c.analyze == nil || c.stitch) {
 		var err error
-		plan, err = c.planCheckpoints(ctx, faults, first, last)
+		if plan, err = c.planCheckpoints(ctx, faults, first, last); err != nil {
+			return nil, err
+		}
+	}
+	return func(i int) (FaultOutcome, error) {
+		o, payload, err := c.runFault(i, faults[i], plan)
 		if err != nil {
-			return err
+			return FaultOutcome{}, err
 		}
-	}
-
-	workers := campaign.Workers(c.parallelism, last-first)
-	// For analyzed campaigns, the window bounds completed-but-unemitted
-	// injections: each payload references a full faulty trace, so letting
-	// the reorder buffer absorb the whole campaign behind one slow early
-	// fault would pin O(tests) traces in memory. Untraced outcomes are a
-	// few words, so they stay unbounded.
-	window := 0
-	if c.analyze != nil {
-		window = 2 * workers
-	}
-	jemit := emit
-	var journalErr error
-	if jr != nil {
-		jemit = func(fo FaultOutcome) bool {
-			if err := jr.Append(journal.Record{
-				Index:   uint64(fo.Index),
-				Outcome: uint8(fo.Outcome),
-				Fault:   fo.Fault,
-			}); err != nil {
-				journalErr = err
-				return false
-			}
-			return emit(fo)
-		}
-	}
-	err := campaign.Run(ctx,
-		campaign.Config{Items: len(faults), First: first, Last: last, Workers: workers, Window: window, Progress: c.progress},
-		func(i int) (FaultOutcome, error) {
-			o, payload, err := c.runFault(i, faults[i], plan)
-			if err != nil {
-				return FaultOutcome{}, err
-			}
-			return FaultOutcome{Index: i, Fault: faults[i], Outcome: o, Analysis: payload}, nil
-		},
-		jemit)
-	if err == nil && journalErr != nil {
-		return fmt.Errorf("inject: journal append: %w", journalErr)
-	}
-	return err
-}
-
-// JournalHeader identifies this campaign for the durable journal: engine,
-// app label, seed, test count, and the configuration fingerprint. Exported
-// so a shard coordinator (internal/coord) can check that every shard of one
-// campaign agrees on the exact same campaign — same header, same
-// fingerprint — before merging their streams, and can journal the merged
-// stream under the identity the engines themselves would use (a journal
-// written by a coordinator resumes under a plain campaign and vice versa).
-func (c *Campaign) JournalHeader() journal.Header {
-	return journal.Header{
-		Engine:      journal.EngineInject,
-		App:         c.journalApp,
-		Seed:        c.seed,
-		Tests:       uint64(c.tests),
-		Fingerprint: c.fingerprint(),
-	}
-}
-
-// fingerprint digests the campaign configuration that determines per-index
-// outcomes: the population (picker type and parameters) and the stopping
-// rule. Seed and test count live in their own header fields; parallelism,
-// scheduler and checkpoint budget are proven result-invariant and stay out,
-// so a campaign may resume under different ones.
-func (c *Campaign) fingerprint() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "inject|targets=%T%+v|earlystop=%v:%g:%g",
-		c.targets, c.targets, c.earlyStop, c.earlyStopConfidence, c.earlyStopMargin)
-	return h.Sum64()
-}
-
-// replayJournal delivers committed outcomes from a resumed journal to emit,
-// re-checking each record's fault against the campaign's own drawn stream —
-// a journal that fingerprint-collided its way past the header can still
-// never splice foreign outcomes into this campaign. It reports how many
-// indices are already done and whether the consumer stopped the run.
-func (c *Campaign) replayJournal(recs []journal.Record, faults []interp.Fault, emit func(FaultOutcome) bool) (done int, stopped bool, err error) {
-	for _, r := range recs {
-		i := int(r.Index)
-		if i >= len(faults) || r.Fault != faults[i] {
-			return 0, false, fmt.Errorf("inject: journal %s record %d (%v) does not match this campaign's fault stream: %w",
-				c.journalPath, i, &r.Fault, journal.ErrMismatch)
-		}
-		fo := FaultOutcome{Index: i, Fault: r.Fault, Outcome: Outcome(r.Outcome)}
-		if c.progress != nil {
-			c.progress(i+1, len(faults))
-		}
-		if !emit(fo) {
-			return i + 1, true, nil
-		}
-	}
-	return len(recs), false, nil
+		return FaultOutcome{Index: i, Fault: faults[i], Outcome: o, Analysis: payload}, nil
+	}, nil
 }
 
 // runFault executes one injection under the planned scheduler — unless the

@@ -11,7 +11,7 @@ import (
 )
 
 // DefaultMaxCheckpoints bounds the prefix snapshots the checkpointed
-// scheduler keeps live when WithMaxCheckpoints is unset. Snapshots are
+// scheduler keeps live. Snapshots are
 // copy-on-write page tables, so a checkpoint costs O(pages) pointers up
 // front and pins only the pages the machine dirties between neighboring
 // checkpoints — the budget is a backstop against pathological fault

@@ -67,6 +67,9 @@ func TestCheckpointedMatchesDirectMemAtStep(t *testing.T) {
 	runBothTolerance(t, p, MemAtStep{Step: steps / 2, Addrs: addrs}, WithTests(200), WithSeed(7))
 }
 
+// withMaxCheckpoints overrides the planner's DefaultMaxCheckpoints backstop.
+func withMaxCheckpoints(n int) Option { return func(c *Campaign) { c.maxCheckpoints = n } }
+
 func TestCheckpointedCheckpointBudgets(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
@@ -74,7 +77,7 @@ func TestCheckpointedCheckpointBudgets(t *testing.T) {
 	want := mustRun(t, p, targets, WithTests(150), WithSeed(3), WithScheduler(ScheduleDirect))
 	for _, budget := range []int{1, 2, 16, 10_000} {
 		got := mustRun(t, p, targets, WithTests(150), WithSeed(3),
-			WithScheduler(ScheduleCheckpointed), WithMaxCheckpoints(budget))
+			WithScheduler(ScheduleCheckpointed), withMaxCheckpoints(budget))
 		if got != want {
 			t.Errorf("budget %d: %+v, want %+v", budget, got, want)
 		}

@@ -20,62 +20,36 @@ import (
 	"fmt"
 	"math/rand"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/trace"
 )
 
-// Outcome is one fault manifestation.
-type Outcome uint8
-
-const (
-	// Success: the run completed and passed verification (§II-A case a/b).
-	Success Outcome = iota
-	// Failed: the run completed but verification rejected the output (SDC).
-	Failed
-	// Crashed: the run crashed or hung.
-	Crashed
-	// NotApplied: the fault never fired (e.g. the target step was never
-	// reached because problem size shrank). Excluded from the rate.
-	NotApplied
+// The outcome, result and population types live with the campaign driver
+// (internal/campaign), which both engines share; these are their names here.
+type (
+	// Outcome is one fault manifestation (§II-A).
+	Outcome = campaign.Outcome
+	// Result aggregates campaign outcomes.
+	Result = campaign.Result
+	// TargetPicker draws one fault from the campaign's injection-site
+	// population.
+	TargetPicker = campaign.TargetPicker
+	// Validator lets a TargetPicker reject an empty population at campaign
+	// construction time.
+	Validator = campaign.Validator
+	// IndexedPicker lets a TargetPicker draw by position in the pre-drawn
+	// fault stream.
+	IndexedPicker = campaign.IndexedPicker
 )
 
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case Success:
-		return "success"
-	case Failed:
-		return "failed"
-	case Crashed:
-		return "crashed"
-	case NotApplied:
-		return "not-applied"
-	}
-	return fmt.Sprintf("outcome(%d)", uint8(o))
-}
-
-// TargetPicker draws one fault from the campaign's injection-site population.
-type TargetPicker interface {
-	Pick(r *rand.Rand) interp.Fault
-}
-
-// Validator lets a TargetPicker reject an empty population at campaign
-// construction time. NewCampaign calls Validate when the picker implements
-// it; pickers with nothing to draw from must also degrade gracefully in
-// Pick (a never-firing fault rather than a panic) for callers that build
-// them directly.
-type Validator interface {
-	Validate() error
-}
-
-// IndexedPicker lets a TargetPicker draw by position in the campaign's
-// pre-drawn fault stream instead of purely from randomness. When the picker
-// implements it, the campaign calls PickAt(i, r) for the i-th fault
-// (i = 0..tests-1); pickers stay stateless, so a Campaign remains safe to
-// run multiple times with identical streams.
-type IndexedPicker interface {
-	PickAt(i int, r *rand.Rand) interp.Fault
-}
+// The fault manifestations.
+const (
+	Success    = campaign.Success
+	Failed     = campaign.Failed
+	Crashed    = campaign.Crashed
+	NotApplied = campaign.NotApplied
+)
 
 // FaultList replays a fixed, hand-constructed fault sequence through the
 // campaign engine — deterministic targeted studies (Table I's per-region
@@ -298,56 +272,6 @@ func (k SchedulerKind) String() string {
 		return "direct"
 	}
 	return fmt.Sprintf("scheduler(%d)", uint8(k))
-}
-
-// Result aggregates campaign outcomes.
-type Result struct {
-	Tests      int
-	Success    int
-	Failed     int
-	Crashed    int
-	NotApplied int
-}
-
-// SuccessRate is Equation 1: Verification Successes over all tests.
-func (r Result) SuccessRate() float64 {
-	if r.Tests == 0 {
-		return 0
-	}
-	return float64(r.Success) / float64(r.Tests)
-}
-
-// CrashRate is the fraction of runs that crashed or hung.
-func (r Result) CrashRate() float64 {
-	if r.Tests == 0 {
-		return 0
-	}
-	return float64(r.Crashed) / float64(r.Tests)
-}
-
-// Add accumulates another result into r.
-func (r *Result) Add(o Result) {
-	r.Tests += o.Tests
-	r.Success += o.Success
-	r.Failed += o.Failed
-	r.Crashed += o.Crashed
-	r.NotApplied += o.NotApplied
-}
-
-// Count tallies one outcome — the streaming analog of Add, for consumers
-// aggregating Campaign.Stream themselves.
-func (r *Result) Count(o Outcome) {
-	r.Tests++
-	switch o {
-	case Success:
-		r.Success++
-	case Failed:
-		r.Failed++
-	case Crashed:
-		r.Crashed++
-	case NotApplied:
-		r.NotApplied++
-	}
 }
 
 // RunOne performs a single injection run from step 0 and classifies it.

@@ -173,7 +173,7 @@ func TestJournalFaultStreamCrossCheck(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.journal")
 
 	c := mustCampaign(t, p, targets, WithTests(10), WithSeed(3), WithJournal(path))
-	j, err := journal.Create(path, c.JournalHeader())
+	j, err := journal.Create(path, c.Header())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,6 @@ package mpi
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"iter"
-	"math/rand"
 
 	"fliptracker/internal/campaign"
 	"fliptracker/internal/inject"
@@ -13,17 +10,17 @@ import (
 	"fliptracker/internal/ir"
 	"fliptracker/internal/irstatic"
 	"fliptracker/internal/journal"
-	"fliptracker/internal/stats"
 	"fliptracker/internal/trace"
 )
 
 // Campaign is one configured multi-rank fault-injection campaign: the MPI
 // analog of inject.Campaign, with a full replayed world as the unit of work.
 // Build it with NewCampaign, then execute it with Run for the aggregate
-// result or consume it world by world with Stream. A Campaign is immutable
-// after construction and safe to run multiple times; every run re-draws the
-// same fault stream from its seed, so for a fixed seed the outcomes are
-// identical whatever the parallelism.
+// result or consume it world by world with Stream. The embedded driver
+// (internal/campaign) draws the fault stream once and owns the journal,
+// early stopping and sharding, exactly as for inject.Campaign. A Campaign is
+// immutable after construction and safe to run multiple times; for a fixed
+// seed the outcomes are identical whatever the parallelism.
 //
 // Construction records (or adopts, see WithClean) one fault-free fully
 // traced world. Every injection then replays that world — same per-rank
@@ -34,27 +31,21 @@ import (
 // outcome (§II-A against the clean world's outputs) and how far the
 // corruption spread across ranks (Propagation).
 type Campaign struct {
+	*campaign.Campaign[WorldOutcome]
+
+	cfg     campaign.Settings
 	prog    *ir.Program
 	base    Config
 	targets inject.TargetPicker
 
-	tests          int
-	seed           int64
-	parallelism    int
-	scheduler      SchedulerKind
+	scheduler SchedulerKind
+	// maxCheckpoints overrides DefaultMaxWorldCheckpoints when positive;
+	// only the package's own tests set it.
 	maxCheckpoints int
-	progress       func(done, total int)
 	verify         func(*Result) bool
 	analyze        WorldAnalyzer
 	dropTraces     bool
 	pruner         *irstatic.Pruner
-
-	earlyStop           bool
-	earlyStopConfidence float64
-	earlyStopMargin     float64
-
-	journalPath string
-	journalApp  string
 
 	clean *Result
 	hint  uint64
@@ -86,28 +77,22 @@ type Option func(*Campaign)
 
 // WithTests sets the number of injected worlds. Required for an injecting
 // campaign; a replay-only campaign (nil TargetPicker) must leave it zero.
-func WithTests(n int) Option { return func(c *Campaign) { c.tests = n } }
+func WithTests(n int) Option { return func(c *Campaign) { c.cfg.Tests = n } }
 
 // WithSeed makes the campaign reproducible: faults are pre-drawn from a
 // single stream seeded here, so results do not depend on parallelism. The
 // default seed is 0. (This seeds the fault stream only; Config.Seed seeds
 // the per-rank RNGs of every world.)
-func WithSeed(seed int64) Option { return func(c *Campaign) { c.seed = seed } }
+func WithSeed(seed int64) Option { return func(c *Campaign) { c.cfg.Seed = seed } }
 
 // WithParallelism caps concurrently executing worlds; 0 (the default) means
 // GOMAXPROCS. Each world already runs one goroutine per rank, so the useful
 // ceiling is lower than in single-process campaigns.
-func WithParallelism(n int) Option { return func(c *Campaign) { c.parallelism = n } }
+func WithParallelism(n int) Option { return func(c *Campaign) { c.cfg.Parallelism = n } }
 
 // WithScheduler selects the execution strategy; the default is
 // ScheduleCheckpointed. Outcomes are scheduler-independent.
 func WithScheduler(k SchedulerKind) Option { return func(c *Campaign) { c.scheduler = k } }
-
-// WithMaxCheckpoints caps the live world snapshots the checkpointed
-// scheduler keeps; 0 (the default) means DefaultMaxWorldCheckpoints. Each
-// snapshot deep-copies every rank's memory and frame stack, so the cap also
-// bounds the scheduler's memory overhead.
-func WithMaxCheckpoints(n int) Option { return func(c *Campaign) { c.maxCheckpoints = n } }
 
 // WithEarlyStop enables sequential early stopping, exactly as in
 // single-process campaigns (inject.WithEarlyStop): the campaign ends as soon
@@ -119,16 +104,16 @@ func WithMaxCheckpoints(n int) Option { return func(c *Campaign) { c.maxCheckpoi
 // is deterministic whatever the parallelism or scheduler.
 func WithEarlyStop(confidence, margin float64) Option {
 	return func(c *Campaign) {
-		c.earlyStop = true
-		c.earlyStopConfidence = confidence
-		c.earlyStopMargin = margin
+		c.cfg.EarlyStop = true
+		c.cfg.Confidence = confidence
+		c.cfg.Margin = margin
 	}
 }
 
 // WithProgress registers a callback invoked after each completed world with
 // the number of outcomes delivered so far and the planned total. It is
 // called sequentially (never concurrently) in fault-index order.
-func WithProgress(fn func(done, total int)) Option { return func(c *Campaign) { c.progress = fn } }
+func WithProgress(fn func(done, total int)) Option { return func(c *Campaign) { c.cfg.Progress = fn } }
 
 // WithVerify replaces the campaign's world verifier, consulted when a world
 // completes without crashing. The default verifier requires every rank's
@@ -186,11 +171,11 @@ func WithStaticPrune(p *irstatic.Pruner) Option { return func(c *Campaign) { c.p
 // only the remaining index range; a torn or bit-flipped tail is truncated
 // to the last committed record. Parallelism and scheduler may change
 // between runs. Incompatible with WithWorldAnalysis.
-func WithJournal(path string) Option { return func(c *Campaign) { c.journalPath = path } }
+func WithJournal(path string) Option { return func(c *Campaign) { c.cfg.Journal = path } }
 
 // WithJournalApp labels the journal header with an application name;
 // defaults to the program's name.
-func WithJournalApp(app string) Option { return func(c *Campaign) { c.journalApp = app } }
+func WithJournalApp(app string) Option { return func(c *Campaign) { c.cfg.App = app } }
 
 // WithClean adopts an existing fault-free world instead of recording a new
 // one at construction. clean must be a TraceFull run of the same program
@@ -221,39 +206,48 @@ func NewCampaign(p *ir.Program, base Config, targets inject.TargetPicker, opts .
 	if base.FaultRank < 0 || base.FaultRank >= base.Ranks {
 		return nil, fmt.Errorf("mpi: fault rank %d outside world [0, %d)", base.FaultRank, base.Ranks)
 	}
-	if c.targets == nil {
-		if c.tests != 0 {
-			return nil, fmt.Errorf("mpi: campaign with %d tests needs a TargetPicker", c.tests)
-		}
-		if c.analyze != nil {
-			return nil, fmt.Errorf("mpi: replay-only campaign cannot carry a WorldAnalyzer")
-		}
-	} else {
-		if c.tests <= 0 {
-			return nil, fmt.Errorf("mpi: campaign needs a positive test count (WithTests)")
-		}
-		if v, ok := c.targets.(inject.Validator); ok {
-			if err := v.Validate(); err != nil {
-				return nil, err
-			}
-		}
+	if c.targets == nil && c.analyze != nil {
+		return nil, fmt.Errorf("mpi: replay-only campaign cannot carry a WorldAnalyzer")
 	}
+	if c.cfg.App == "" {
+		c.cfg.App = p.Name
+	}
+	d, err := campaign.New(c.cfg, c.targets, campaign.Executor[WorldOutcome]{
+		Engine: journal.EngineMPI,
+		Config: fmt.Sprintf("mpi|ranks=%d|faultrank=%d|worldseed=%d|steplimit=%d",
+			base.Ranks, base.FaultRank, base.Seed, base.StepLimit),
+		Heavy: c.analyze != nil,
+		Plan:  c.plan,
+		Record: func(wo WorldOutcome) journal.Record {
+			return journal.Record{
+				Index:     uint64(wo.Index),
+				Outcome:   uint8(wo.Outcome),
+				Fault:     wo.Fault,
+				PropClass: uint8(wo.Propagation.Class),
+				PropRanks: wo.Propagation.Ranks,
+			}
+		},
+		Replay: func(r journal.Record) WorldOutcome {
+			return WorldOutcome{
+				Index:       int(r.Index),
+				Fault:       r.Fault,
+				Outcome:     inject.Outcome(r.Outcome),
+				Propagation: Propagation{Class: PropagationClass(r.PropClass), Ranks: r.PropRanks},
+			}
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.Campaign = d
 	if c.dropTraces && c.analyze == nil {
 		return nil, fmt.Errorf("mpi: WithDropTraces requires WithWorldAnalysis")
 	}
-	if c.journalPath != "" && c.analyze != nil {
+	if c.cfg.Journal != "" && c.analyze != nil {
 		return nil, fmt.Errorf("mpi: WithJournal cannot be combined with WithWorldAnalysis (analysis payloads are not journaled)")
 	}
 	if c.pruner != nil && c.analyze != nil {
 		return nil, fmt.Errorf("mpi: WithStaticPrune cannot be combined with WithWorldAnalysis (pruned worlds produce no traces to analyze)")
-	}
-	if c.earlyStop {
-		if c.earlyStopConfidence <= 0 || c.earlyStopConfidence >= 1 {
-			return nil, fmt.Errorf("mpi: early-stop confidence %v outside (0, 1)", c.earlyStopConfidence)
-		}
-		if c.earlyStopMargin <= 0 || c.earlyStopMargin >= 1 {
-			return nil, fmt.Errorf("mpi: early-stop margin %v outside (0, 1)", c.earlyStopMargin)
-		}
 	}
 	if c.clean == nil {
 		cfg := c.base
@@ -315,104 +309,6 @@ func outputsEqual(clean, faulty *Result) bool {
 		}
 	}
 	return true
-}
-
-// Tests returns the configured injection count.
-func (c *Campaign) Tests() int { return c.tests }
-
-// Journaled reports whether the campaign commits its outcomes to a durable
-// journal (WithJournal). Sharded execution requires an unjournaled campaign:
-// shards must not journal their windows independently, the coordinator
-// journals the merged stream (internal/coord).
-func (c *Campaign) Journaled() bool { return c.journalPath != "" }
-
-// Faults returns the campaign's pre-drawn fault stream: the fault injected
-// into world index 0..Tests()-1, drawn fresh from the campaign seed. Any
-// [first, last) window of the stream can run anywhere and the outcomes merge
-// in index order — the property sharded and journaled campaigns build on. A
-// replay-only campaign (nil TargetPicker) returns nil.
-func (c *Campaign) Faults() []interp.Fault {
-	if c.targets == nil {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(c.seed))
-	faults := make([]interp.Fault, c.tests)
-	ip, indexed := c.targets.(inject.IndexedPicker)
-	for i := range faults {
-		if indexed {
-			faults[i] = ip.PickAt(i, rng)
-		} else {
-			faults[i] = c.targets.Pick(rng)
-		}
-	}
-	return faults
-}
-
-// StopEarly reports whether the campaign's sequential early-stopping rule
-// (WithEarlyStop) is satisfied by the world outcomes counted so far — always
-// false without early stopping. The rule depends only on the aggregated
-// counts, so a coordinator merging sharded streams applies it to the merged
-// stream and stops at exactly the index a single-process run would.
-func (c *Campaign) StopEarly(res inject.Result) bool {
-	if !c.earlyStop || res.Tests < inject.EarlyStopMinTests || res.Tests >= c.tests {
-		return false
-	}
-	return stats.AdjustedProportionCI(res.Success, res.Tests, c.earlyStopConfidence) <= c.earlyStopMargin
-}
-
-// StreamWindow executes only the fault-index window [first, last) of the
-// campaign and yields its world outcomes in index order — the shard entry
-// point of the coordinator (internal/coord), mirroring
-// inject.Campaign.StreamWindow: contiguous windows partition the pre-drawn
-// fault stream, so per-window streams concatenate into exactly the sequence
-// Stream yields. Bounds clamp to [0, Tests()); an empty window yields
-// nothing. No early stopping is applied (the rule reads the merged stream —
-// see StopEarly), a journaled campaign refuses to run windows, and world
-// checkpoint planning covers only the window's faults.
-func (c *Campaign) StreamWindow(ctx context.Context, first, last int) iter.Seq2[WorldOutcome, error] {
-	return func(yield func(WorldOutcome, error) bool) {
-		if c.journalPath != "" {
-			yield(WorldOutcome{Index: -1}, fmt.Errorf("mpi: a journaled campaign cannot run shard windows (journal the merged stream instead)"))
-			return
-		}
-		broke := false
-		err := c.runWindow(ctx, first, last, func(wo WorldOutcome) bool {
-			if !yield(wo, nil) {
-				broke = true
-				return false
-			}
-			return true
-		})
-		if err != nil && !broke {
-			yield(WorldOutcome{Index: -1}, err)
-		}
-	}
-}
-
-// runWindow drives the window [first, last) of the pre-drawn fault stream
-// through the ordered fan-out engine, with world checkpoint planning
-// restricted to the window's faults.
-func (c *Campaign) runWindow(ctx context.Context, first, last int, emit func(WorldOutcome) bool) error {
-	if c.targets == nil {
-		return fmt.Errorf("mpi: replay-only campaign cannot run injections")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	faults := c.Faults()
-	if first < 0 {
-		first = 0
-	}
-	if last <= 0 || last > len(faults) {
-		last = len(faults)
-	}
-	if last <= first {
-		return nil
-	}
-	return c.execute(ctx, faults, first, last, nil, emit)
 }
 
 // Ranks returns the world size.
@@ -512,204 +408,21 @@ type WorldOutcome struct {
 	Analysis any
 }
 
-// Run executes the campaign and aggregates the world outcomes. On context
-// cancellation it returns the well-formed partial result accumulated so far
-// together with ctx.Err().
-func (c *Campaign) Run(ctx context.Context) (inject.Result, error) {
-	var res inject.Result
-	err := c.run(ctx, func(wo WorldOutcome) bool {
-		res.Count(wo.Outcome)
-		return !c.metEarlyStop(res)
-	})
-	return res, err
-}
-
-// Stream executes the campaign and yields one WorldOutcome per injected
-// world in fault-index order. Breaking out of the loop stops the campaign's
-// workers promptly. On failure — including context cancellation — the final
-// pair carries the error (with Index -1); early stopping ends the sequence
-// without one.
-func (c *Campaign) Stream(ctx context.Context) iter.Seq2[WorldOutcome, error] {
-	return func(yield func(WorldOutcome, error) bool) {
-		var res inject.Result
-		broke := false
-		err := c.run(ctx, func(wo WorldOutcome) bool {
-			res.Count(wo.Outcome)
-			if !yield(wo, nil) {
-				broke = true
-				return false
-			}
-			return !c.metEarlyStop(res)
-		})
-		if err != nil && !broke {
-			yield(WorldOutcome{Index: -1}, err)
-		}
-	}
-}
-
-// metEarlyStop reports whether the sequential stopping rule is satisfied by
-// the world outcomes counted so far.
-func (c *Campaign) metEarlyStop(res inject.Result) bool { return c.StopEarly(res) }
-
-// run is the campaign driver shared by Run and Stream: pre-draw the fault
-// stream, plan world checkpoints when the checkpointed scheduler is selected,
-// and fan the worlds out through the shared ordered fan-out engine
-// (internal/campaign), which delivers outcomes to emit in fault-index order —
-// exactly as in inject.Campaign. emit returning false stops the campaign;
-// cancelling ctx stops it with ctx.Err(). run waits for its workers before
-// returning, so no goroutines outlive the call.
-func (c *Campaign) run(ctx context.Context, emit func(WorldOutcome) bool) error {
-	if c.targets == nil {
-		return fmt.Errorf("mpi: replay-only campaign cannot run injections")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	faults := c.Faults()
-
-	// A journaled campaign replays its committed world outcomes from disk
-	// and schedules only the remaining index range; every freshly computed
-	// outcome is committed (written + fsync'd) before it is emitted.
-	first := 0
-	var jr *journal.Journal
-	if c.journalPath != "" {
-		j, recs, err := journal.OpenOrCreate(c.journalPath, c.JournalHeader())
-		if err != nil {
-			return err
-		}
-		defer j.Close()
-		jr = j
-		done, stopped, err := c.replayJournal(recs, faults, emit)
-		if err != nil {
-			return err
-		}
-		if stopped || done == len(faults) {
-			return nil
-		}
-		first = done
-	}
-
-	return c.execute(ctx, faults, first, len(faults), jr, emit)
-}
-
-// execute drives the window [first, last) of the pre-drawn fault stream
-// through the shared ordered fan-out engine, with world checkpoint planning
-// covering only the window, committing to jr (when non-nil) before each
-// emission. It is the common tail of run (full resume window, journaled) and
-// runWindow (one shard's window, never journaled).
-func (c *Campaign) execute(ctx context.Context, faults []interp.Fault, first, last int, jr *journal.Journal, emit func(WorldOutcome) bool) error {
+// plan is the engine's window planner (campaign.Executor.Plan): world
+// checkpoints for the window's faults under the checkpointed scheduler,
+// then the per-fault runner. World checkpoints need collective boundaries
+// to cut at, and analyzed campaigns additionally need stitchable
+// (per-rank monotonic) clean traces; planWorldCheckpoints degrades to a nil
+// plan (direct replay) when either is missing.
+func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first, last int) (func(int) (WorldOutcome, error), error) {
 	var plan *worldPlan
-	// World checkpoints need collective boundaries to cut at, and analyzed
-	// campaigns additionally need stitchable (per-rank monotonic) clean
-	// traces; planWorldCheckpoints degrades to a nil plan (direct replay)
-	// when either is missing.
 	if c.scheduler == inject.ScheduleCheckpointed && (c.analyze == nil || c.stitch) {
 		var err error
-		plan, err = c.planWorldCheckpoints(ctx, faults, first, last)
-		if err != nil {
-			return err
+		if plan, err = c.planWorldCheckpoints(ctx, faults, first, last); err != nil {
+			return nil, err
 		}
 	}
-
-	workers := campaign.Workers(c.parallelism, last-first)
-	// For traced campaigns, the window bounds completed-but-unemitted
-	// worlds: each holds one full trace per rank, so the reorder buffer must
-	// not absorb the whole campaign behind one slow early fault.
-	window := 0
-	if c.worldMode() == interp.TraceFull {
-		window = 2 * workers
-	}
-	jemit := emit
-	var journalErr error
-	if jr != nil {
-		jemit = func(wo WorldOutcome) bool {
-			if err := jr.Append(journal.Record{
-				Index:     uint64(wo.Index),
-				Outcome:   uint8(wo.Outcome),
-				Fault:     wo.Fault,
-				PropClass: uint8(wo.Propagation.Class),
-				PropRanks: wo.Propagation.Ranks,
-			}); err != nil {
-				journalErr = err
-				return false
-			}
-			return emit(wo)
-		}
-	}
-	err := campaign.Run(ctx,
-		campaign.Config{Items: len(faults), First: first, Last: last, Workers: workers, Window: window, Progress: c.progress},
-		func(i int) (WorldOutcome, error) {
-			return c.runFault(i, faults[i], plan)
-		},
-		jemit)
-	if err == nil && journalErr != nil {
-		return fmt.Errorf("mpi: journal append: %w", journalErr)
-	}
-	return err
-}
-
-// JournalHeader identifies this campaign for the durable journal: engine,
-// app label, fault-stream seed, test count, and the configuration
-// fingerprint. Exported so a shard coordinator (internal/coord) can verify
-// that every shard's campaign is the same campaign — equal headers mean
-// equal fault streams and per-index outcomes — and journal the merged
-// stream under the same identity a single-process run would use.
-func (c *Campaign) JournalHeader() journal.Header {
-	app := c.journalApp
-	if app == "" {
-		app = c.prog.Name
-	}
-	return journal.Header{
-		Engine:      journal.EngineMPI,
-		App:         app,
-		Seed:        c.seed,
-		Tests:       uint64(c.tests),
-		Fingerprint: c.fingerprint(),
-	}
-}
-
-// fingerprint digests the campaign configuration that determines per-index
-// world outcomes: the world shape (ranks, injected rank, per-rank seed,
-// step limit), the population, and the stopping rule. Parallelism,
-// scheduler and checkpoint budget are result-invariant and stay out, so a
-// campaign may resume under different ones.
-func (c *Campaign) fingerprint() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "mpi|ranks=%d|faultrank=%d|worldseed=%d|steplimit=%d|targets=%T%+v|earlystop=%v:%g:%g",
-		c.base.Ranks, c.base.FaultRank, c.base.Seed, c.base.StepLimit,
-		c.targets, c.targets, c.earlyStop, c.earlyStopConfidence, c.earlyStopMargin)
-	return h.Sum64()
-}
-
-// replayJournal delivers committed world outcomes from a resumed journal to
-// emit, re-checking each record's fault against the campaign's own drawn
-// stream (journal.ErrMismatch on any difference). It reports how many
-// indices are already done and whether the consumer stopped the run.
-func (c *Campaign) replayJournal(recs []journal.Record, faults []interp.Fault, emit func(WorldOutcome) bool) (done int, stopped bool, err error) {
-	for _, r := range recs {
-		i := int(r.Index)
-		if i >= len(faults) || r.Fault != faults[i] {
-			return 0, false, fmt.Errorf("mpi: journal %s record %d (%v) does not match this campaign's fault stream: %w",
-				c.journalPath, i, &r.Fault, journal.ErrMismatch)
-		}
-		wo := WorldOutcome{
-			Index:       i,
-			Fault:       r.Fault,
-			Outcome:     inject.Outcome(r.Outcome),
-			Propagation: Propagation{Class: PropagationClass(r.PropClass), Ranks: r.PropRanks},
-		}
-		if c.progress != nil {
-			c.progress(i+1, len(faults))
-		}
-		if !emit(wo) {
-			return i + 1, true, nil
-		}
-	}
-	return len(recs), false, nil
+	return func(i int) (WorldOutcome, error) { return c.runFault(i, faults[i], plan) }, nil
 }
 
 // runFault executes one injected world — restored from its planned world

@@ -11,7 +11,7 @@ import (
 )
 
 // DefaultMaxWorldCheckpoints bounds the world snapshots the checkpointed
-// scheduler keeps live when WithMaxCheckpoints is unset. A world snapshot is
+// scheduler keeps live. A world snapshot is
 // a copy-on-write page table per rank (O(ranks × pages) pointers; dirty
 // pages are shared between neighboring checkpoints), so the bound is a
 // backstop against pathological cut counts rather than a memory-thinning

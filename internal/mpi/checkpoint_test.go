@@ -63,7 +63,7 @@ func TestPlanWorldCheckpoints(t *testing.T) {
 
 	// A budget of one keeps a single snapshot, still at or before the late
 	// faults it serves.
-	c1 := testCampaign(t, 4, WithMaxCheckpoints(1))
+	c1 := testCampaign(t, 4, withMaxCheckpoints(1))
 	plan1, err := c1.planWorldCheckpoints(context.Background(), faults, 0, len(faults))
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +72,10 @@ func TestPlanWorldCheckpoints(t *testing.T) {
 		t.Fatalf("budget 1 laid %v snapshots", plan1)
 	}
 }
+
+// withMaxCheckpoints overrides the planner's DefaultMaxWorldCheckpoints
+// backstop.
+func withMaxCheckpoints(n int) Option { return func(c *Campaign) { c.maxCheckpoints = n } }
 
 // TestCampaignAdoptedCleanWithoutCuts: a WithClean Result assembled outside
 // mpi.Run carries no collective cut log; the checkpointed scheduler must

@@ -59,9 +59,19 @@ type Options struct {
 	// Queued campaigns wait their turn in submission order.
 	MaxRunning int
 	// MaxCampaigns bounds tracked campaigns, finished ones included
-	// (default 64); past it, POST /campaigns refuses with 503.
+	// (default 64). At the bound a new POST evicts the oldest finished
+	// campaign (its journal under DataDir stays on disk); when every
+	// tracked campaign is still queued or running, POST refuses with 503.
 	MaxCampaigns int
 }
+
+// Request bounds: a POST body larger than maxSpecBytes is refused with 413,
+// and a spec asking for more than maxTests injections with 400 — the fault
+// stream is drawn up front, so tests sizes the campaign's memory.
+const (
+	maxSpecBytes = 1 << 20
+	maxTests     = 1 << 20
+)
 
 // Spec is the POST /campaigns request body: everything that determines a
 // campaign's outcome stream, plus result-invariant execution knobs
@@ -343,8 +353,8 @@ func (s *Spec) validate() error {
 	if s.Engine != "inject" && s.Engine != "mpi" {
 		return fmt.Errorf("engine must be %q or %q", "inject", "mpi")
 	}
-	if s.Tests <= 0 {
-		return fmt.Errorf("tests must be positive")
+	if s.Tests <= 0 || s.Tests > maxTests {
+		return fmt.Errorf("tests must be in [1, %d]", maxTests)
 	}
 	if s.Parallelism < 0 || s.Shards < 0 {
 		return fmt.Errorf("parallelism and shards must be non-negative")
@@ -386,8 +396,13 @@ func (s *Spec) validate() error {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "bad spec: %v", err)
 		return
 	}
 	if err := spec.validate(); err != nil {
@@ -406,22 +421,19 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	c := newCampaign(spec.ID, spec, cancel)
 
 	s.mu.Lock()
+	code, msg := 0, ""
 	switch {
 	case s.draining:
-		s.mu.Unlock()
-		cancel()
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	case len(s.campaigns) >= s.opts.MaxCampaigns:
-		s.mu.Unlock()
-		cancel()
-		writeError(w, http.StatusServiceUnavailable, "campaign capacity (%d) reached", s.opts.MaxCampaigns)
-		return
+		code, msg = http.StatusServiceUnavailable, "draining"
+	case s.campaigns[spec.ID] != nil:
+		code, msg = http.StatusConflict, fmt.Sprintf("campaign %q already exists", spec.ID)
+	case len(s.campaigns) >= s.opts.MaxCampaigns && !s.evictLocked():
+		code, msg = http.StatusServiceUnavailable, fmt.Sprintf("campaign capacity (%d) reached", s.opts.MaxCampaigns)
 	}
-	if _, ok := s.campaigns[spec.ID]; ok {
+	if code != 0 {
 		s.mu.Unlock()
 		cancel()
-		writeError(w, http.StatusConflict, "campaign %q already exists", spec.ID)
+		writeError(w, code, "%s", msg)
 		return
 	}
 	s.campaigns[spec.ID] = c
@@ -432,6 +444,26 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.vars.Add("campaigns_submitted", 1)
 	go s.runCampaign(ctx, c)
 	writeJSON(w, http.StatusCreated, c.status())
+}
+
+// evictLocked forgets the oldest finished (done, failed or cancelled)
+// campaign to make room for a new one, walking campaigns in submission
+// order; it reports false when every tracked campaign is queued or running.
+// The evicted campaign's journal stays on disk, so re-submitting its id and
+// spec to a durable server replays it. Callers hold s.mu.
+func (s *Server) evictLocked() bool {
+	for i, id := range s.order {
+		c := s.campaigns[id]
+		c.mu.Lock()
+		finished := c.finished
+		c.mu.Unlock()
+		if finished {
+			delete(s.campaigns, id)
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

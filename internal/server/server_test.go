@@ -204,6 +204,17 @@ func TestServerValidation(t *testing.T) {
 		t.Errorf("malformed body: status %d, want 400", resp.StatusCode)
 	}
 
+	// A body past maxSpecBytes → 413, before any of it is decoded as a spec.
+	big := `{"app":"` + strings.Repeat("x", maxSpecBytes) + `","engine":"inject","tests":5}`
+	resp, err = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+
 	for name, spec := range map[string]Spec{
 		"no app":       {Engine: "inject", Tests: 5},
 		"bad engine":   {App: testApp, Engine: "spark", Tests: 5},
@@ -215,6 +226,7 @@ func TestServerValidation(t *testing.T) {
 		"bad pop":      {App: testApp, Engine: "inject", Tests: 5, Population: &PopulationSpec{Kind: "everything"}},
 		"bad id":       {ID: "a/b", App: testApp, Engine: "inject", Tests: 5},
 		"bad stop":     {App: testApp, Engine: "inject", Tests: 5, EarlyStop: &EarlyStopSpec{Confidence: 2, Margin: 0.1}},
+		"huge tests":   {App: testApp, Engine: "inject", Tests: maxTests + 1},
 	} {
 		resp, _ := postSpec(t, ts, spec)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -420,15 +432,74 @@ func TestServerHealthAndDrain(t *testing.T) {
 	}
 }
 
-// TestServerCapacity: MaxCampaigns bounds tracked campaigns.
+// TestServerCapacity: at MaxCampaigns with every tracked campaign still
+// queued or running, POST refuses with 503. The first campaign is held
+// running by blocking its analyzer build until the refusal is observed.
 func TestServerCapacity(t *testing.T) {
-	ts := httptest.NewServer(New(Options{MaxCampaigns: 1}))
+	s := New(Options{MaxCampaigns: 1})
+	held := &injectEntry{}
+	s.injectCache[testApp] = held
+	started, release := make(chan struct{}), make(chan struct{})
+	go held.once.Do(func() {
+		close(started)
+		<-release
+		held.an, held.err = core.NewAnalyzer(testApp)
+	})
+	<-started
+	ts := httptest.NewServer(s)
 	defer ts.Close()
+
 	if resp, _ := postSpec(t, ts, injectSpec("one", nil)); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST status %d", resp.StatusCode)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/campaigns/one")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st statusJSON
+		json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if st.State == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("first campaign %q, never running", st.State)
+		}
 	}
 	if resp, _ := postSpec(t, ts, injectSpec("two", nil)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("over-capacity POST status %d, want 503", resp.StatusCode)
 	}
-	waitDone(t, ts, "one")
+	close(release)
+	if st := waitDone(t, ts, "one"); st.State != StateDone {
+		t.Errorf("held campaign final state %q (%s)", st.State, st.Error)
+	}
+}
+
+// TestServerEvictsFinished: at MaxCampaigns, a POST evicts the oldest
+// finished campaign — the new campaign is accepted, the evicted id answers
+// 404, and younger campaigns stay tracked.
+func TestServerEvictsFinished(t *testing.T) {
+	ts := httptest.NewServer(New(Options{MaxCampaigns: 2}))
+	defer ts.Close()
+	for _, id := range []string{"one", "two"} {
+		if resp, _ := postSpec(t, ts, injectSpec(id, nil)); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("POST %s status %d", id, resp.StatusCode)
+		}
+		waitDone(t, ts, id)
+	}
+	if resp, _ := postSpec(t, ts, injectSpec("three", nil)); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST past capacity with finished campaigns: status %d, want 201", resp.StatusCode)
+	}
+	for id, want := range map[string]int{"one": http.StatusNotFound, "two": http.StatusOK} {
+		resp, err := http.Get(ts.URL + "/campaigns/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", id, resp.StatusCode, want)
+		}
+	}
+	waitDone(t, ts, "three")
 }
