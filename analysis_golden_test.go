@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"fliptracker"
-	"fliptracker/internal/interp"
 )
 
 // digestFA renders the analysis artifacts the golden tests pin: the outcome,
@@ -111,10 +110,10 @@ func TestAnalyzeFaultGolden(t *testing.T) {
 
 // TestAnalyzedCampaignMatchesAnalyzeFaultLoop pins the analyzed-campaign
 // contract: for a fixed seed, AnalyzedCampaign yields exactly the analyses
-// a loop of per-fault AnalyzeFault calls produces — same outcomes, same
-// patterns found, same ACL peaks, byte-identical digests — under both
-// schedulers and at parallelism 1 and 4, with the per-fault order matching
-// the campaign's deterministic fault stream.
+// a loop of per-fault AnalyzeFault calls over the campaign's drawn faults
+// produces — same outcomes, same patterns found, same ACL peaks,
+// byte-identical digests — at parallelism 1 and 4, with the per-fault order
+// matching the campaign's deterministic fault stream.
 func TestAnalyzedCampaignMatchesAnalyzeFaultLoop(t *testing.T) {
 	an, err := fliptracker.NewAnalyzer("mg")
 	if err != nil {
@@ -123,61 +122,48 @@ func TestAnalyzedCampaignMatchesAnalyzeFaultLoop(t *testing.T) {
 	const tests = 12
 	ctx := context.Background()
 	pop := fliptracker.RegionInternal("mg_b", 0)
-	copts := func(sched fliptracker.SchedulerKind, par int) []fliptracker.CampaignOption {
+	copts := func(par int) []fliptracker.CampaignOption {
 		return []fliptracker.CampaignOption{
 			fliptracker.WithTests(tests),
 			fliptracker.WithSeed(20181111),
-			fliptracker.WithScheduler(sched),
 			fliptracker.WithParallelism(par),
 		}
 	}
 
-	// The reference: stream once to learn the drawn faults, analyze each
-	// with the legacy per-fault entry point.
-	var faults []interp.Fault
-	c, err := an.NewAnalyzedCampaign(pop, copts(fliptracker.ScheduleDirect, 1)...)
+	// The reference: the campaign's drawn faults, each analyzed from
+	// scratch with the per-fault entry point.
+	c, err := an.NewAnalyzedCampaign(pop, copts(1)...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	faults := c.Faults()
+	if len(faults) != tests {
+		t.Fatalf("campaign drew %d faults, want %d", len(faults), tests)
+	}
 	var ref []string
-	for fo, err := range c.Stream(ctx) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		faults = append(faults, fo.Fault)
-		ref = append(ref, digestFA(fo.Analysis.(*fliptracker.FaultAnalysis)))
-	}
-	if len(ref) != tests {
-		t.Fatalf("campaign yielded %d analyses, want %d", len(ref), tests)
-	}
-	for i, f := range faults {
+	for _, f := range faults {
 		fa, err := an.AnalyzeFault(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := digestFA(fa); d != ref[i] {
-			t.Errorf("fault %d (%v): campaign and loop digests differ\ncampaign: %s\nloop:     %s", i, f, ref[i], d)
-		}
+		ref = append(ref, digestFA(fa))
 	}
 
-	// Every scheduler/parallelism combination reproduces the reference
-	// sequence exactly.
-	for _, sched := range []fliptracker.SchedulerKind{fliptracker.ScheduleDirect, fliptracker.ScheduleCheckpointed} {
-		for _, par := range []int{1, 4} {
-			fas, err := an.AnalyzedCampaign(ctx, pop, copts(sched, par)...)
-			if err != nil {
-				t.Fatal(err)
+	// Every parallelism reproduces the reference sequence exactly.
+	for _, par := range []int{1, 4} {
+		fas, err := an.AnalyzedCampaign(ctx, pop, copts(par)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fas) != tests {
+			t.Fatalf("par=%d: %d analyses, want %d", par, len(fas), tests)
+		}
+		for i, fa := range fas {
+			if fa.Fault != faults[i] {
+				t.Fatalf("par=%d: fault %d is %v, want %v (stream order broken)", par, i, fa.Fault, faults[i])
 			}
-			if len(fas) != tests {
-				t.Fatalf("%v par=%d: %d analyses, want %d", sched, par, len(fas), tests)
-			}
-			for i, fa := range fas {
-				if fa.Fault != faults[i] {
-					t.Fatalf("%v par=%d: fault %d is %v, want %v (stream order broken)", sched, par, i, fa.Fault, faults[i])
-				}
-				if d := digestFA(fa); d != ref[i] {
-					t.Errorf("%v par=%d: fault %d digest mismatch\ngot:  %s\nwant: %s", sched, par, i, d, ref[i])
-				}
+			if d := digestFA(fa); d != ref[i] {
+				t.Errorf("par=%d: fault %d digest mismatch\ngot:  %s\nwant: %s", par, i, d, ref[i])
 			}
 		}
 	}

@@ -234,56 +234,107 @@ func BenchmarkFaultInjectionRun(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointedCampaign runs the same campaign under the direct
-// (replay-from-step-0) scheduler and the checkpointed scheduler. Both halves
-// report the whole-campaign wall clock per injection; results are verified
-// identical. "uniform" draws faults across the whole run (win bounded by the
+// BenchmarkCheckpointedCampaign times the same campaign two ways: a
+// from-scratch loop (inject.RunOne on every drawn fault, each replayed from
+// step 0) and the checkpointed campaign itself. Both halves report the
+// whole-campaign wall clock per injection; results are verified identical
+// (TestCheckpointedCampaignMatchesRunOne pins the same check in the test
+// suite). "uniform" draws faults across the whole run (win bounded by the
 // mean prefix length, ~2x); "late-window" clusters faults in the last tenth
 // of the run, the shape of region-instance campaigns, where nearly the whole
 // prefix is shared.
 func BenchmarkCheckpointedCampaign(b *testing.B) {
 	an, clean := cleanCG(b)
-	const tests = 48
-	run := func(b *testing.B, targets inject.TargetPicker, sched fliptracker.SchedulerKind) fliptracker.CampaignResult {
-		b.Helper()
-		c, err := fliptracker.NewCampaign(an.App.NewMachine, an.App.Verify, targets,
-			fliptracker.WithTests(tests),
-			fliptracker.WithSeed(20181111),
-			fliptracker.WithScheduler(sched))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := c.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	for _, pop := range []struct {
-		name    string
-		targets inject.TargetPicker
-	}{
-		{"uniform", inject.UniformDst{TotalSteps: clean.Steps}},
-		{"late-window", inject.StepRangeDst{Lo: clean.Steps - clean.Steps/10, Hi: clean.Steps}},
-	} {
-		var direct, checkpointed fliptracker.CampaignResult
-		b.Run(pop.name+"/direct", func(b *testing.B) {
+	for _, pop := range checkpointedCampaignPops(clean.Steps) {
+		var scratch, checkpointed fliptracker.CampaignResult
+		b.Run(pop.name+"/from-scratch", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				direct = run(b, pop.targets, fliptracker.ScheduleDirect)
+				scratch = runOneLoop(b, an, newCheckpointedCampaign(b, an, pop.targets))
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tests), "ns/injection")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*checkpointedCampaignTests), "ns/injection")
 		})
 		b.Run(pop.name+"/checkpointed", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				checkpointed = run(b, pop.targets, fliptracker.ScheduleCheckpointed)
+				res, err := newCheckpointedCampaign(b, an, pop.targets).Run(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				checkpointed = res
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tests), "ns/injection")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*checkpointedCampaignTests), "ns/injection")
 		})
 		// Zero Tests means a -bench filter skipped that half's closure.
-		if direct.Tests != 0 && checkpointed.Tests != 0 && direct != checkpointed {
-			b.Fatalf("%s: schedulers disagree: %+v vs %+v", pop.name, direct, checkpointed)
+		if scratch.Tests != 0 && checkpointed.Tests != 0 && scratch != checkpointed {
+			b.Fatalf("%s: from-scratch %+v vs checkpointed %+v", pop.name, scratch, checkpointed)
 		}
 	}
+}
+
+// TestCheckpointedCampaignMatchesRunOne is BenchmarkCheckpointedCampaign's
+// agreement check as a test: on CG's uniform and late-window populations,
+// the checkpointed campaign's Result equals the from-scratch loop's.
+func TestCheckpointedCampaignMatchesRunOne(t *testing.T) {
+	an, err := fliptracker.NewAnalyzer("cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := an.CleanTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pop := range checkpointedCampaignPops(clean.Steps) {
+		c := newCheckpointedCampaign(t, an, pop.targets)
+		checkpointed, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scratch := runOneLoop(t, an, c); scratch != checkpointed {
+			t.Errorf("%s: from-scratch %+v vs checkpointed %+v", pop.name, scratch, checkpointed)
+		}
+	}
+}
+
+const checkpointedCampaignTests = 48
+
+// checkpointedCampaignPops are BenchmarkCheckpointedCampaign's populations
+// over a run of the given length.
+func checkpointedCampaignPops(steps uint64) []struct {
+	name    string
+	targets inject.TargetPicker
+} {
+	return []struct {
+		name    string
+		targets inject.TargetPicker
+	}{
+		{"uniform", inject.UniformDst{TotalSteps: steps}},
+		{"late-window", inject.StepRangeDst{Lo: steps - steps/10, Hi: steps}},
+	}
+}
+
+func newCheckpointedCampaign(tb testing.TB, an *fliptracker.Analyzer, targets inject.TargetPicker) *fliptracker.Campaign {
+	tb.Helper()
+	c, err := fliptracker.NewCampaign(an.App.NewMachine, an.App.Verify, targets,
+		fliptracker.WithTests(checkpointedCampaignTests),
+		fliptracker.WithSeed(20181111))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// runOneLoop is the from-scratch oracle: inject.RunOne on each of the
+// campaign's drawn faults, tallied like Run.
+func runOneLoop(tb testing.TB, an *fliptracker.Analyzer, c *fliptracker.Campaign) fliptracker.CampaignResult {
+	tb.Helper()
+	var res fliptracker.CampaignResult
+	for _, f := range c.Faults() {
+		o, err := inject.RunOne(an.App.NewMachine, an.App.Verify, f)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		res.Count(o)
+	}
+	return res
 }
 
 // BenchmarkEarlyStopCampaign compares a fixed-size campaign (Leveugle et
@@ -449,12 +500,11 @@ func BenchmarkAnalyzedCampaign(b *testing.B) {
 		}
 		perFault(b)
 	})
-	campaign := func(b *testing.B, sched fliptracker.SchedulerKind, par int) {
+	campaign := func(b *testing.B, par int) {
 		for i := 0; i < b.N; i++ {
 			c, err := fliptracker.NewCampaign(an.App.NewMachine, an.App.Verify,
 				fliptracker.FaultList{Faults: faults},
 				fliptracker.WithTests(tests),
-				fliptracker.WithScheduler(sched),
 				fliptracker.WithParallelism(par),
 				ix.AnalysisOption())
 			if err != nil {
@@ -476,14 +526,11 @@ func BenchmarkAnalyzedCampaign(b *testing.B) {
 		}
 		perFault(b)
 	}
-	b.Run("campaign/direct-p1", func(b *testing.B) {
-		campaign(b, fliptracker.ScheduleDirect, 1)
-	})
 	b.Run("campaign/checkpointed-p1", func(b *testing.B) {
-		campaign(b, fliptracker.ScheduleCheckpointed, 1)
+		campaign(b, 1)
 	})
 	b.Run("campaign/checkpointed-p4", func(b *testing.B) {
-		campaign(b, fliptracker.ScheduleCheckpointed, 4)
+		campaign(b, 4)
 	})
 }
 
@@ -554,20 +601,20 @@ func BenchmarkMPICampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointedMPICampaign measures the checkpointed MPI scheduler's
-// headline win on late-window faults — the shape of region campaigns, where
-// every fault lands in the back quarter of the injected rank's run and the
-// shared fault-free world prefix dominates direct replay cost:
+// BenchmarkCheckpointedMPICampaign measures world checkpointing's headline
+// win on late-window faults — the shape of region campaigns, where every
+// fault lands in the back quarter of the injected rank's run and the shared
+// fault-free world prefix dominates from-scratch replay cost:
 //
-//   - direct: every injected world replays all ranks from step 0.
-//   - checkpointed: one forward pass lays world snapshots at collective
-//     boundaries; each world restores the nearest snapshot at or before its
-//     fault and resumes the suffix.
+//   - from-scratch: a loop of mpi.Run, every injected world replaying all
+//     ranks from step 0 under the clean recording.
+//   - checkpointed: the campaign — one forward pass lays world snapshots at
+//     collective boundaries; each world restores the nearest snapshot at or
+//     before its fault and resumes the suffix.
 //
-// Both variants run plain (untraced) campaigns over the same FaultList at
-// parallelism 1, so ms/world isolates scheduling from analysis and worker
-// parallelism. Results are pinned identical across schedulers by
-// TestCheckpointedMPICampaignMatchesDirect.
+// Both variants run plain (untraced) worlds over the same faults serially,
+// so ms/world isolates checkpointing from analysis and worker parallelism.
+// Results are pinned identical by TestCheckpointedMPICampaignMatchesDirect.
 func BenchmarkCheckpointedMPICampaign(b *testing.B) {
 	const (
 		ranks = 3
@@ -587,39 +634,48 @@ func BenchmarkCheckpointedMPICampaign(b *testing.B) {
 	perWorld := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*tests), "ms/world")
 	}
-	for _, sched := range []struct {
-		name string
-		kind fliptracker.SchedulerKind
-	}{
-		{"direct", fliptracker.ScheduleDirect},
-		{"checkpointed", fliptracker.ScheduleCheckpointed},
-	} {
-		b.Run(sched.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c, err := ma.NewCampaign(
-					fliptracker.FaultList{Faults: faults},
-					fliptracker.MPIWithTests(tests),
-					fliptracker.MPIWithScheduler(sched.kind),
-					fliptracker.MPIWithParallelism(1))
-				if err != nil {
+	b.Run("from-scratch", func(b *testing.B) {
+		cfg := mpi.Config{
+			Ranks:     ranks,
+			Seed:      apps.DefaultSeed,
+			FaultRank: ma.FaultRank,
+			Replay:    ma.Clean().Recording,
+			ExtraBind: func(m *interp.Machine, _ int) error { return apps.BindMathHosts(m) },
+		}
+		for i := 0; i < b.N; i++ {
+			for _, f := range faults {
+				cfg.Fault = &f
+				if _, err := mpi.Run(ma.Prog, cfg); err != nil {
 					b.Fatal(err)
-				}
-				res, err := c.Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Tests != tests {
-					b.Fatalf("ran %d worlds, want %d", res.Tests, tests)
 				}
 			}
-			perWorld(b)
-		})
-	}
+		}
+		perWorld(b)
+	})
+	b.Run("checkpointed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c, err := ma.NewCampaign(
+				fliptracker.FaultList{Faults: faults},
+				fliptracker.MPIWithTests(tests),
+				fliptracker.MPIWithParallelism(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := c.Run(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Tests != tests {
+				b.Fatalf("ran %d worlds, want %d", res.Tests, tests)
+			}
+		}
+		perWorld(b)
+	})
 }
 
 // BenchmarkSnapshotRestore pins the copy-on-write snapshot primitives
 // themselves, outside any campaign: Snapshot() on a machine whose memory is
-// fully materialized (the page-table copy the checkpointed schedulers pay
+// fully materialized (the page-table copy checkpointed campaigns pay
 // per checkpoint), restore+run at varying memory sizes and dirty fractions
 // (the per-injection cost of re-dirtying shared pages), and the MPI world
 // variants (forward-pass SnapshotWorld, RestoreWorld resume). Memory size
@@ -945,8 +1001,8 @@ func BenchmarkAblationTraceCodecs(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceCodec is the headline codec record for BENCH_10.json:
-// encode and decode throughput (MB/s of the wire format) plus bytes/record
+// BenchmarkTraceCodec measures the trace codecs: encode and decode
+// throughput (MB/s of the wire format) plus bytes/record
 // for both the legacy row-interleaved FTRC1 and the columnar FTRC2, over a
 // real CG clean trace.
 func BenchmarkTraceCodec(b *testing.B) {

@@ -11,8 +11,8 @@
 //	fliptracker trace    -app cg -out cg.trace
 //	fliptracker rates    -app cg
 //	fliptracker inject   -app cg -step 12345 -bit 40 [-kind dst|mem|reg] [-addr N]
-//	fliptracker campaign -app cg [-target whole|hybrid|internal|input] [-region cg_b] [-instance 0] [-tests N] [-seed S] [-direct] [-earlystop] [-staticprune] [-stream] [-analyze] [-shards N] [-journal path [-resume]]
-//	fliptracker campaign -app mg -mpi -ranks 4 [-faultrank R] [-tests N] [-seed S] [-direct] [-earlystop] [-staticprune] [-stream] [-analyze] [-shards N] [-journal path [-resume]]
+//	fliptracker campaign -app cg [-target whole|hybrid|internal|input] [-region cg_b] [-instance 0] [-tests N] [-seed S] [-earlystop] [-staticprune] [-stream] [-analyze] [-shards N] [-journal path [-resume]]
+//	fliptracker campaign -app mg -mpi -ranks 4 [-faultrank R] [-tests N] [-seed S] [-earlystop] [-staticprune] [-stream] [-analyze] [-shards N] [-journal path [-resume]]
 //	fliptracker static   -app cg [-disasm]
 //	fliptracker dot      -app cg -region cg_b [-instance 0]
 package main
@@ -271,7 +271,6 @@ func cmdCampaign(args []string) error {
 	target := fs.String("target", "", "population: whole, hybrid, internal or input (default: whole, or internal when -region is set)")
 	tests := fs.Int("tests", 0, "injections (0: statistical sizing at 95%/3%)")
 	seed := fs.Int64("seed", 1, "campaign seed")
-	direct := fs.Bool("direct", false, "replay every injection from step 0 instead of the checkpointed scheduler")
 	earlyStop := fs.Bool("earlystop", false, "stop sequentially once the 95% CI is within 3%")
 	staticPrune := fs.Bool("staticprune", false, "skip statically provable faults (benign -> success, never-fires -> not-applied) without running them; results are identical to an unpruned run")
 	stream := fs.Bool("stream", false, "print one line per fault outcome as the campaign runs")
@@ -313,15 +312,12 @@ func cmdCampaign(args []string) error {
 	defer cancel()
 
 	if *mpiMode {
-		return mpiCampaign(ctx, *app, *ranks, *faultRank, *tests, *seed, *direct, *earlyStop, *staticPrune, *stream, *analyze, *journalPath, *shards)
+		return mpiCampaign(ctx, *app, *ranks, *faultRank, *tests, *seed, *earlyStop, *staticPrune, *stream, *analyze, *journalPath, *shards)
 	}
 
 	an, err := core.NewAnalyzer(*app)
 	if err != nil {
 		return err
-	}
-	if *direct {
-		an.Scheduler = inject.ScheduleDirect
 	}
 	var pop core.Population
 	switch {
@@ -435,17 +431,14 @@ func cmdCampaign(args []string) error {
 
 // mpiCampaign runs a multi-rank campaign: every injection replays the
 // recorded fault-free world with one fault injected into faultRank
-// (resuming from a shared world checkpoint unless -direct), and each world
+// (resuming from a shared world checkpoint where one exists), and each world
 // classifies into a §II-A outcome plus a cross-rank propagation class.
-func mpiCampaign(ctx context.Context, app string, ranks, faultRank, tests int, seed int64, direct, earlyStop, staticPrune, stream, analyze bool, journalPath string, shards int) error {
+func mpiCampaign(ctx context.Context, app string, ranks, faultRank, tests int, seed int64, earlyStop, staticPrune, stream, analyze bool, journalPath string, shards int) error {
 	ma, err := core.NewMPIAnalyzer(app, ranks)
 	if err != nil {
 		return err
 	}
 	ma.FaultRank = faultRank
-	if direct {
-		ma.Scheduler = mpi.ScheduleDirect
-	}
 	n := tests
 	if n == 0 {
 		// Whole-program sizing over the injected rank's dynamic trace.
@@ -471,8 +464,8 @@ func mpiCampaign(ctx context.Context, app string, ranks, faultRank, tests int, s
 		}
 		copts = append(copts, mpi.WithJournalApp(app))
 	}
-	fmt.Printf("MPI campaign on %s: %d ranks, faults on rank %d, %d tests (%s scheduler)\n",
-		app, ranks, faultRank, n, ma.Scheduler)
+	fmt.Printf("MPI campaign on %s: %d ranks, faults on rank %d, %d tests\n",
+		app, ranks, faultRank, n)
 
 	var r inject.Result
 	propCounts := map[mpi.PropagationClass]int{}

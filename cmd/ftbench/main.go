@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"fliptracker/internal/experiments"
-	"fliptracker/internal/inject"
 )
 
 func main() {
@@ -30,7 +29,6 @@ func main() {
 	ranks := flag.Int("ranks", 8, "MPI world size for fig4 (paper: 64)")
 	runs := flag.Int("runs", 5, "timing repetitions for tab3 (paper: 20)")
 	seed := flag.Int64("seed", 20181111, "campaign seed")
-	direct := flag.Bool("direct", false, "replay every injection from step 0 instead of the checkpointed scheduler (same results, slower)")
 	earlyStop := flag.Bool("earlystop", true, "with -full, stop each campaign sequentially once its confidence interval meets the sizing margin (fewer injections, rate within margin); set to false for the fixed worst-case sample size")
 	fig7Data := flag.String("fig7data", "", "also write the Figure 7 ACL series as a gnuplot data file")
 	flag.Parse()
@@ -41,9 +39,6 @@ func main() {
 	opts.Runs = *runs
 	opts.Seed = *seed
 	opts.EarlyStop = *full && *earlyStop
-	if *direct {
-		opts.Scheduler = inject.ScheduleDirect
-	}
 
 	ids := experiments.IDs()
 	if *exp != "all" {

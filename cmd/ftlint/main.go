@@ -19,7 +19,7 @@ import (
 )
 
 // defaultDirs is the engine set: every package whose output feeds a golden
-// digest, a durable journal, or a byte-identical scheduler contract.
+// digest, a durable journal, or a byte-identical checkpoint contract.
 var defaultDirs = []string{
 	"internal/campaign",
 	"internal/inject",

@@ -12,8 +12,8 @@ import (
 
 // TestCoordinatorGoldenInject is the sharded-execution acceptance matrix
 // for single-process campaigns: the coordinator's merged stream is
-// FNV-identical to the plain campaign's own Stream at shard counts 1, 2,
-// and 4, under both schedulers, and the aggregate Results are equal.
+// FNV-identical to the from-scratch oracle (inject.RunOne on every drawn
+// fault) at shard counts 1, 2, and 4, and the aggregate Results are equal.
 func TestCoordinatorGoldenInject(t *testing.T) {
 	const tests = 24
 	an, err := fliptracker.NewAnalyzer("kmeans")
@@ -27,65 +27,52 @@ func TestCoordinatorGoldenInject(t *testing.T) {
 		}, extra...)
 	}
 
-	for _, sched := range []fliptracker.SchedulerKind{fliptracker.ScheduleCheckpointed, fliptracker.ScheduleDirect} {
-		// The reference digest: the plain in-process campaign.
-		var ref []string
-		c, err := an.NewCampaign(fliptracker.WholeProgram(), opts(fliptracker.WithScheduler(sched))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for fo, err := range c.Stream(ctx) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref = append(ref, digestFO(fo))
-		}
-		if len(ref) != tests {
-			t.Fatalf("reference run streamed %d outcomes, want %d", len(ref), tests)
-		}
-		want := fnv64(strings.Join(ref, "\n"))
-		wantRes, err := an.Campaign(ctx, fliptracker.WholeProgram(), opts(fliptracker.WithScheduler(sched))...)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// The reference digest: every drawn fault run from scratch.
+	c, err := an.NewCampaign(fliptracker.WholeProgram(), opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, wantRes := fromScratchInject(t, an, c)
+	if len(ref) != tests {
+		t.Fatalf("from-scratch reference ran %d faults, want %d", len(ref), tests)
+	}
+	want := fnv64(strings.Join(ref, "\n"))
 
-		for _, shards := range []int{1, 2, 4} {
-			name := fmt.Sprintf("%v/shards%d", sched, shards)
-			c, err := an.NewCampaign(fliptracker.WholeProgram(),
-				opts(fliptracker.WithScheduler(sched), fliptracker.WithParallelism(2))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			co, err := fliptracker.NewCoordinator(c, fliptracker.CoordWithShards(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []string
-			for fo, err := range co.Stream(ctx) {
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				got = append(got, digestFO(fo))
-			}
-			if g := fnv64(strings.Join(got, "\n")); g != want {
-				t.Errorf("%s: merged stream digest %#x (%d outcomes), want %#x (%d)",
-					name, g, len(got), want, len(ref))
-			}
-			res, err := co.Run(ctx)
+	for _, shards := range []int{1, 2, 4} {
+		name := fmt.Sprintf("shards%d", shards)
+		c, err := an.NewCampaign(fliptracker.WholeProgram(), opts(fliptracker.WithParallelism(2))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		co, err := fliptracker.NewCoordinator(c, fliptracker.CoordWithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for fo, err := range co.Stream(ctx) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if res != wantRes {
-				t.Errorf("%s: Run %+v, want %+v", name, res, wantRes)
-			}
+			got = append(got, digestFO(fo))
+		}
+		if g := fnv64(strings.Join(got, "\n")); g != want {
+			t.Errorf("%s: merged stream digest %#x (%d outcomes), want %#x (%d)",
+				name, g, len(got), want, len(ref))
+		}
+		res, err := co.Run(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res != wantRes {
+			t.Errorf("%s: Run %+v, want %+v", name, res, wantRes)
 		}
 	}
 }
 
 // TestCoordinatorGoldenMPI is the same matrix for world campaigns: merged
 // sharded world streams (outcome and cross-rank propagation included)
-// FNV-identical to the plain campaign at shard counts 1, 2, 4, under both
-// schedulers.
+// FNV-identical to the from-scratch oracle (MPIAnalyzer.AnalyzeWorld on
+// every drawn fault) at shard counts 1, 2, 4.
 func TestCoordinatorGoldenMPI(t *testing.T) {
 	const (
 		ranks = 3
@@ -97,53 +84,42 @@ func TestCoordinatorGoldenMPI(t *testing.T) {
 	}
 	ma.FaultRank = 1
 	ctx := context.Background()
-	digest := func(wo fliptracker.WorldOutcome) string {
-		return fmt.Sprintf("#%d %s -> %s %s", wo.Index, wo.Fault.String(), wo.Outcome, wo.Propagation)
-	}
 	opts := func(extra ...fliptracker.MPIOption) []fliptracker.MPIOption {
 		return append([]fliptracker.MPIOption{
 			fliptracker.MPIWithTests(tests), fliptracker.MPIWithSeed(20181111),
 		}, extra...)
 	}
 
-	for _, sched := range []fliptracker.SchedulerKind{fliptracker.ScheduleCheckpointed, fliptracker.ScheduleDirect} {
-		var ref []string
-		c, err := ma.NewCampaign(nil, opts(fliptracker.MPIWithScheduler(sched))...)
+	c, err := ma.NewCampaign(nil, opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := fromScratchMPI(t, ma, c)
+	if len(ref) != tests {
+		t.Fatalf("from-scratch reference ran %d worlds, want %d", len(ref), tests)
+	}
+	want := fnv64(strings.Join(ref, "\n"))
+
+	for _, shards := range []int{1, 2, 4} {
+		name := fmt.Sprintf("shards%d", shards)
+		c, err := ma.NewCampaign(nil, opts(fliptracker.MPIWithParallelism(2))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for wo, err := range c.Stream(ctx) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref = append(ref, digest(wo))
+		co, err := fliptracker.NewMPICoordinator(c, fliptracker.CoordWithShards(shards))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(ref) != tests {
-			t.Fatalf("reference run streamed %d worlds, want %d", len(ref), tests)
+		var got []string
+		for wo, err := range co.Stream(ctx) {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got = append(got, digestWO(wo))
 		}
-		want := fnv64(strings.Join(ref, "\n"))
-
-		for _, shards := range []int{1, 2, 4} {
-			name := fmt.Sprintf("%v/shards%d", sched, shards)
-			c, err := ma.NewCampaign(nil, opts(fliptracker.MPIWithScheduler(sched), fliptracker.MPIWithParallelism(2))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			co, err := fliptracker.NewMPICoordinator(c, fliptracker.CoordWithShards(shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []string
-			for wo, err := range co.Stream(ctx) {
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				got = append(got, digest(wo))
-			}
-			if g := fnv64(strings.Join(got, "\n")); g != want {
-				t.Errorf("%s: merged stream digest %#x (%d worlds), want %#x (%d)",
-					name, g, len(got), want, len(ref))
-			}
+		if g := fnv64(strings.Join(got, "\n")); g != want {
+			t.Errorf("%s: merged stream digest %#x (%d worlds), want %#x (%d)",
+				name, g, len(got), want, len(ref))
 		}
 	}
 }

@@ -30,7 +30,7 @@ func ExampleAnalyzer_Campaign() {
 
 // ExampleCampaign_Stream consumes a campaign fault by fault. Outcomes
 // arrive in deterministic fault-index order for a fixed seed, whatever the
-// parallelism or scheduler, and breaking out of the loop stops the workers.
+// parallelism, and breaking out of the loop stops the workers.
 func ExampleCampaign_Stream() {
 	an, err := fliptracker.NewAnalyzer("cg")
 	if err != nil {

@@ -54,23 +54,19 @@ func main() {
 		prop[fliptracker.PropagationPropagated],
 		prop[fliptracker.PropagationWorldCrash])
 
-	// The campaign above ran under the default checkpointed world scheduler:
-	// injected worlds resume from snapshots cut at collective boundaries
-	// instead of replaying every rank from step 0. Results are
-	// scheduler-independent — the direct scheduler reproduces the aggregate
-	// exactly, it just replays more.
-	direct, err := ma.NewCampaign(nil,
-		fliptracker.MPIWithTests(24),
-		fliptracker.MPIWithSeed(20180911),
-		fliptracker.MPIWithScheduler(fliptracker.ScheduleDirect))
-	if err != nil {
-		log.Fatal(err)
+	// The campaign above resumed injected worlds from snapshots cut at
+	// collective boundaries instead of replaying every rank from step 0. A
+	// sequential loop that replays each drawn fault from scratch reproduces
+	// the aggregate exactly, it just replays more.
+	var seq fliptracker.CampaignResult
+	for _, f := range c.Faults() {
+		wa, err := ma.AnalyzeWorld(f)
+		if err != nil {
+			log.Fatal(err)
+		}
+		seq.Count(wa.Outcome)
 	}
-	dagg, err := direct.Run(context.Background())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("direct scheduler agrees: %v\n", dagg == agg)
+	fmt.Printf("from-scratch loop agrees: %v\n", seq == agg)
 
 	// An analyzed world: per-rank ACL tables and pattern detection, with
 	// the world-level classification on top.

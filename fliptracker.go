@@ -125,20 +125,8 @@ type (
 	Population = core.Population
 	// Outcome is one fault manifestation (§II-A).
 	Outcome = inject.Outcome
-	// SchedulerKind selects the campaign execution strategy.
-	SchedulerKind = inject.SchedulerKind
 	// MachineSnapshot is a deep copy of a paused machine's resumable state.
 	MachineSnapshot = interp.Snapshot
-)
-
-// Campaign schedulers (WithScheduler, Analyzer.Scheduler).
-const (
-	// ScheduleCheckpointed shares fault-free prefix work across injections
-	// via machine snapshots; the default, and result-identical to
-	// ScheduleDirect for a fixed seed.
-	ScheduleCheckpointed = inject.ScheduleCheckpointed
-	// ScheduleDirect replays every injection run from dynamic step 0.
-	ScheduleDirect = inject.ScheduleDirect
 )
 
 // Fault target kinds.
@@ -241,7 +229,7 @@ type (
 	// WorldSnapshot is a deep copy of a whole world at a consistent cut
 	// (a collective boundary): every rank machine plus in-flight network
 	// state. Taken by SnapshotWorld, resumed by RestoreWorld — the
-	// substrate of the checkpointed MPI scheduler.
+	// substrate of checkpointed MPI campaigns.
 	WorldSnapshot = mpi.WorldSnapshot
 )
 
@@ -296,12 +284,8 @@ func NewCampaign(mk func() (*Machine, error), verify func(*Trace) bool, targets 
 func WithTests(n int) CampaignOption { return inject.WithTests(n) }
 
 // WithSeed seeds the pre-drawn fault stream; for a fixed seed the outcomes
-// are identical whatever the parallelism or scheduler.
+// are identical whatever the parallelism.
 func WithSeed(seed int64) CampaignOption { return inject.WithSeed(seed) }
-
-// WithScheduler selects the campaign execution strategy; the default is
-// ScheduleCheckpointed.
-func WithScheduler(k SchedulerKind) CampaignOption { return inject.WithScheduler(k) }
 
 // WithParallelism caps campaign worker goroutines; 0 means GOMAXPROCS.
 func WithParallelism(n int) CampaignOption { return inject.WithParallelism(n) }
@@ -343,8 +327,8 @@ func WithDropTraces() CampaignOption { return inject.WithDropTraces() }
 // replaying the committed outcomes from disk, truncating any torn or
 // bit-flipped tail to the last committed record, and executing only the
 // remaining faults. A killed campaign resumed this way produces a Result
-// byte-identical to an uninterrupted run. Parallelism and scheduler may
-// differ between the original run and the resume.
+// byte-identical to an uninterrupted run. Parallelism may differ between
+// the original run and the resume.
 func WithJournal(path string) CampaignOption { return inject.WithJournal(path) }
 
 // WithJournalApp labels a campaign journal's header with the application
@@ -383,8 +367,8 @@ func SnapshotWorld(ctx context.Context, p *Program, cfg MPIConfig, clean *MPIRes
 
 // RestoreWorld resumes a snapshotted world to completion — with cfg.Fault
 // injected into cfg.FaultRank when set — with per-rank outputs, step counts,
-// statuses and the §II-A/propagation classification identical to a direct
-// replay of the same configuration. Traced restores (cfg.Mode TraceFull)
+// statuses and the §II-A/propagation classification identical to a
+// from-step-0 replay of the same configuration. Traced restores (cfg.Mode TraceFull)
 // record only the post-cut suffix; full stitched traces are what analyzed
 // MPI campaigns produce (MPIAnalyzer.NewAnalyzedCampaign), which prime each
 // rank's clean prefix before resuming.
@@ -407,12 +391,6 @@ func MPIWithSeed(seed int64) MPIOption { return mpi.WithSeed(seed) }
 
 // MPIWithParallelism caps concurrently executing worlds; 0 means GOMAXPROCS.
 func MPIWithParallelism(n int) MPIOption { return mpi.WithParallelism(n) }
-
-// MPIWithScheduler selects the MPI campaign execution strategy; the default
-// is ScheduleCheckpointed, which shares the fault-free world prefix across
-// injections via world snapshots cut at collective boundaries. Outcomes are
-// scheduler-independent.
-func MPIWithScheduler(k SchedulerKind) MPIOption { return mpi.WithScheduler(k) }
 
 // MPIWithEarlyStop enables sequential early stopping for an MPI campaign on
 // the world outcome stream, exactly as WithEarlyStop does for single-process

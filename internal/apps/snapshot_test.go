@@ -8,7 +8,7 @@ import (
 	"fliptracker/internal/trace"
 )
 
-// The checkpointed campaign scheduler is only sound if a run resumed from a
+// Checkpointed campaigns are only sound if a run resumed from a
 // snapshot is bit-identical to a from-scratch run. These tests pin that on
 // real workloads: clean and faulty runs, across several apps, comparing
 // outcome-relevant state (status, step count, every output word,

@@ -54,6 +54,3 @@ func mpiSetup(p *ir.Program, mpiMode bool) func(b *ir.FuncBuilder, val ir.Reg) {
 		b.Host(mpi.HostAllreduceSum, 2, false, b.ConstI(ckbuf.Addr), b.ConstI(1))
 	}
 }
-
-// emitChecksumF emits one float value at full precision.
-func emitChecksumF(b *ir.FuncBuilder, v ir.Reg) { b.Emit(ir.F64, v) }

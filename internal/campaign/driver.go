@@ -169,9 +169,9 @@ func (c *Campaign[O]) Faults() []interp.Fault { return slices.Clone(c.faults) }
 // Header identifies the campaign for the durable journal: engine, app
 // label, seed, test count, and a fingerprint of the configuration that
 // determines per-index outcomes — the engine's Config, the population
-// (picker type and parameters) and the stopping rule. Parallelism,
-// scheduler, pruning and sharding are result-invariant and stay out, so a
-// journal resumes under different ones.
+// (picker type and parameters) and the stopping rule. Parallelism, pruning
+// and sharding are result-invariant and stay out, so a journal resumes
+// under different ones.
 func (c *Campaign[O]) Header() journal.Header {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|targets=%T%+v|earlystop=%v:%g:%g",

@@ -42,10 +42,9 @@ type Config struct {
 	// First and Last bound the window of indices actually executed:
 	// [First, Last). Indices below First were already delivered by the
 	// caller (e.g. replayed from a durable journal), so the engine
-	// schedules only the window and Progress counts the skipped prefix as
-	// done; indices at or above Last belong to other shards of the same
-	// campaign (a coordinator runs each shard through its own Run and
-	// merges the ordered streams). A non-positive or oversized Last means
+	// schedules only the window; indices at or above Last belong to other
+	// shards of the same campaign (a coordinator runs each shard through
+	// its own Run and merges the ordered streams). A non-positive or oversized Last means
 	// Items — so the plain "resume" case is just the Last == Items window.
 	First int
 	// Last is the exclusive end of the executed window; see First.
@@ -62,10 +61,6 @@ type Config struct {
 	// — so the lowest unemitted item always already holds a slot and emission
 	// is never blocked behind slot acquisition (no deadlock).
 	Window int
-	// Progress, when non-nil, is invoked after each emitted result with the
-	// number delivered so far and the planned total. It is called
-	// sequentially (never concurrently) in index order.
-	Progress func(done, total int)
 }
 
 // Run fans the work items out over the pool and delivers results to emit in
@@ -181,9 +176,6 @@ func Run[R any](ctx context.Context, cfg Config, work func(index int) (R, error)
 				// Every pending entry came from a worker holding a slot;
 				// this receive never blocks.
 				<-window
-			}
-			if cfg.Progress != nil {
-				cfg.Progress(next, n)
 			}
 			if !emit(head.res) {
 				stopped = true

@@ -11,18 +11,12 @@ import (
 )
 
 // TestRunOrdersResults: whatever order workers finish in, emit sees results
-// in index order, exactly once each, with progress counting alongside.
+// in index order, exactly once each.
 func TestRunOrdersResults(t *testing.T) {
 	const n = 50
-	var prog []int
 	var got []int
 	err := Run(context.Background(),
-		Config{Items: n, Workers: 8, Progress: func(done, total int) {
-			if total != n {
-				t.Errorf("progress total = %d, want %d", total, n)
-			}
-			prog = append(prog, done)
-		}},
+		Config{Items: n, Workers: 8},
 		func(i int) (int, error) {
 			// Reverse the natural completion bias so the reorder buffer works.
 			time.Sleep(time.Duration((n-i)%7) * time.Millisecond)
@@ -35,15 +29,12 @@ func TestRunOrdersResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != n || len(prog) != n {
-		t.Fatalf("emitted %d results, %d progress calls, want %d", len(got), len(prog), n)
+	if len(got) != n {
+		t.Fatalf("emitted %d results, want %d", len(got), n)
 	}
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("result %d = %d, want %d", i, v, i*i)
-		}
-		if prog[i] != i+1 {
-			t.Fatalf("progress %d = %d, want %d", i, prog[i], i+1)
 		}
 	}
 }
@@ -205,18 +196,13 @@ func TestRunReentrant(t *testing.T) {
 }
 
 // TestRunFirst: a resume offset schedules only First..Items-1 — work is
-// never called below First — while progress keeps counting whole-campaign
-// positions, so a resumed campaign reports "k/n" not "k-First/n".
+// never called below First — and emit sees exactly the resumed suffix, in
+// order.
 func TestRunFirst(t *testing.T) {
 	const n, first = 30, 12
-	var got, prog []int
+	var got []int
 	err := Run(context.Background(),
-		Config{Items: n, First: first, Workers: 4, Progress: func(done, total int) {
-			if total != n {
-				t.Errorf("progress total = %d, want %d", total, n)
-			}
-			prog = append(prog, done)
-		}},
+		Config{Items: n, First: first, Workers: 4},
 		func(i int) (int, error) {
 			if i < first {
 				t.Errorf("work called with replayed index %d", i)
@@ -236,9 +222,6 @@ func TestRunFirst(t *testing.T) {
 	for k, v := range got {
 		if v != first+k {
 			t.Fatalf("result %d = %d, want %d", k, v, first+k)
-		}
-		if prog[k] != first+k+1 {
-			t.Fatalf("progress %d = %d, want %d", k, prog[k], first+k+1)
 		}
 	}
 }
@@ -263,18 +246,13 @@ func TestRunFirstDone(t *testing.T) {
 }
 
 // TestRunWindow: a [First, Last) window executes exactly its own indices in
-// order — work is never called outside the window — while progress keeps
-// counting whole-campaign positions, so a shard reports global "k/n".
+// order — work is never called outside the window — and emit sees exactly
+// the window, in order.
 func TestRunWindow(t *testing.T) {
 	const n, first, last = 40, 12, 29
-	var got, prog []int
+	var got []int
 	err := Run(context.Background(),
-		Config{Items: n, First: first, Last: last, Workers: 4, Progress: func(done, total int) {
-			if total != n {
-				t.Errorf("progress total = %d, want %d", total, n)
-			}
-			prog = append(prog, done)
-		}},
+		Config{Items: n, First: first, Last: last, Workers: 4},
 		func(i int) (int, error) {
 			if i < first || i >= last {
 				t.Errorf("work called with index %d outside window [%d, %d)", i, first, last)
@@ -294,9 +272,6 @@ func TestRunWindow(t *testing.T) {
 	for k, v := range got {
 		if v != first+k {
 			t.Fatalf("result %d = %d, want %d", k, v, first+k)
-		}
-		if prog[k] != first+k+1 {
-			t.Fatalf("progress %d = %d, want %d", k, prog[k], first+k+1)
 		}
 	}
 }

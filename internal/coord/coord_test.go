@@ -117,50 +117,48 @@ func TestPlan(t *testing.T) {
 }
 
 // TestCoordinatorMatchesStream: the merged sharded stream is identical to
-// the engine's own Stream for shard counts 1, 2, 4 and 7 (uneven), under
-// both schedulers, and Run aggregates to the same Result.
+// the engine's own Stream for shard counts 1, 2, 4 and 7 (uneven), and Run
+// aggregates to the same Result.
 func TestCoordinatorMatchesStream(t *testing.T) {
 	const tests = 60
-	for _, sched := range []inject.SchedulerKind{inject.ScheduleCheckpointed, inject.ScheduleDirect} {
-		ref := collectRef(t, testCampaign(t, tests, inject.WithScheduler(sched)))
-		if len(ref) != tests {
-			t.Fatalf("reference stream yielded %d outcomes, want %d", len(ref), tests)
-		}
-		wantRes, err := testCampaign(t, tests, inject.WithScheduler(sched)).Run(context.Background())
+	ref := collectRef(t, testCampaign(t, tests))
+	if len(ref) != tests {
+		t.Fatalf("reference stream yielded %d outcomes, want %d", len(ref), tests)
+	}
+	wantRes, err := testCampaign(t, tests).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 4, 7} {
+		h, err := coord.Inject(testCampaign(t, tests, inject.WithParallelism(2)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 2, 4, 7} {
-			h, err := coord.Inject(testCampaign(t, tests, inject.WithScheduler(sched), inject.WithParallelism(2)))
+		co, err := coord.New(h, coord.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for fo, err := range co.Stream(context.Background()) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			co, err := coord.New(h, coord.WithShards(shards))
-			if err != nil {
-				t.Fatal(err)
+			got = append(got, digest(fo))
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("shards=%d: %d outcomes, want %d", shards, len(got), len(ref))
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Errorf("shards=%d outcome %d:\nsharded: %s\nengine:  %s", shards, i, got[i], ref[i])
 			}
-			var got []string
-			for fo, err := range co.Stream(context.Background()) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, digest(fo))
-			}
-			if len(got) != len(ref) {
-				t.Fatalf("%v shards=%d: %d outcomes, want %d", sched, shards, len(got), len(ref))
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Errorf("%v shards=%d outcome %d:\nsharded: %s\nengine:  %s", sched, shards, i, got[i], ref[i])
-				}
-			}
-			gotRes, err := co.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotRes != wantRes {
-				t.Errorf("%v shards=%d: Run %+v, engine %+v", sched, shards, gotRes, wantRes)
-			}
+		}
+		gotRes, err := co.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotRes != wantRes {
+			t.Errorf("shards=%d: Run %+v, engine %+v", shards, gotRes, wantRes)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"sync"
 
 	"fliptracker/internal/acl"
@@ -19,8 +20,7 @@ import (
 // DefaultGraphCacheBound is the default cap on cached clean DDDGs per
 // CleanIndex. It comfortably covers every registered workload (the largest
 // splits into ~220 region instances, so current analyses never evict) while
-// bounding memory on large-application indexes; tune per index with
-// SetGraphCacheBound.
+// bounding memory on large-application indexes.
 const DefaultGraphCacheBound = 512
 
 // CleanIndex is the once-per-analyzer immutable index over the fault-free
@@ -97,19 +97,6 @@ func newCleanIndex(newMachine func() (*interp.Machine, error), verify func(*trac
 // FaultyTrace and Analyze need a machine factory and return an error.
 func NewTraceIndex(prog *ir.Program, clean *trace.Trace, verify func(*trace.Trace) bool) *CleanIndex {
 	return newCleanIndex(nil, verify, prog, clean)
-}
-
-// SetGraphCacheBound caps the clean DDDGs (and their input-location sets)
-// the index keeps, evicting least-recently-touched instances beyond n.
-// The zero index uses DefaultGraphCacheBound; n < 1 is clamped to 1.
-func (ix *CleanIndex) SetGraphCacheBound(n int) {
-	if n < 1 {
-		n = 1
-	}
-	ix.mu.Lock()
-	ix.bound = n
-	ix.evictLocked()
-	ix.mu.Unlock()
 }
 
 // evictLocked trims the LRU to the bound. Callers must hold mu.
@@ -354,7 +341,7 @@ func (ix *CleanIndex) AnalysisOption() inject.Option {
 }
 
 // NewAnalyzedCampaign builds an analyzed campaign over a typed population:
-// the same schedulers, worker pool, deterministic fault-index order, early
+// the same checkpointing, worker pool, deterministic fault-index order, early
 // stopping and cancellation as NewCampaign, but every injection runs fully
 // traced and yields a *FaultAnalysis on FaultOutcome.Analysis. Per-fault
 // analyses execute inside the worker pool, so WithParallelism(N) parallelizes
@@ -371,13 +358,12 @@ func (an *Analyzer) NewAnalyzedCampaign(pop Population, opts ...inject.Option) (
 	// The analysis option goes last so a stray WithAnalysis among opts
 	// cannot replace the index's hook (StreamAnalysis depends on the
 	// payload type).
-	copts := append([]inject.Option{inject.WithScheduler(an.Scheduler)}, opts...)
-	return inject.NewCampaign(an.App.NewMachine, an.App.Verify, picker, append(copts, ix.AnalysisOption())...)
+	return inject.NewCampaign(an.App.NewMachine, an.App.Verify, picker, slices.Concat(opts, []inject.Option{ix.AnalysisOption()})...)
 }
 
 // StreamAnalysis runs an analyzed campaign and yields one *FaultAnalysis
 // per injection in fault-index order (deterministic for a fixed seed,
-// whatever the parallelism or scheduler). Breaking out of the loop stops
+// whatever the parallelism). Breaking out of the loop stops
 // the workers promptly; on failure — including context cancellation — the
 // final pair carries the error.
 func (an *Analyzer) StreamAnalysis(ctx context.Context, pop Population, opts ...inject.Option) iter.Seq2[*FaultAnalysis, error] {

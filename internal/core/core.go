@@ -25,12 +25,11 @@ type Analyzer struct {
 	App  *apps.App
 	Prog *ir.Program
 
-	// Scheduler is the default campaign execution strategy for Campaign
-	// and NewCampaign (overridable per campaign with
-	// inject.WithScheduler). The zero value is
-	// inject.ScheduleCheckpointed, which shares fault-free prefix work
-	// across injections; inject.ScheduleDirect replays every run from
-	// step 0. Results are identical for a fixed seed either way.
+	// Scheduler is ignored: every campaign runs checkpointed.
+	//
+	// Deprecated: kept only for the campaign benchmark's
+	// inject.WithScheduler call; the benchmark change that drops that call
+	// removes it.
 	Scheduler inject.SchedulerKind
 
 	cleanOnce sync.Once
@@ -207,9 +206,8 @@ func (an *Analyzer) PopulationSize(pop Population) (uint64, error) {
 
 // NewCampaign builds a fault-injection campaign over one of the analyzer's
 // typed populations, wired to the application's machine factory and
-// verifier. The analyzer's Scheduler is the default; options may override
-// it and add the rest of the campaign configuration (tests, seed, early
-// stopping, progress, ...). The returned campaign exposes both Run and the
+// verifier. Options add the rest of the campaign configuration (tests,
+// seed, early stopping, progress, ...). The returned campaign exposes both Run and the
 // per-fault Stream.
 func (an *Analyzer) NewCampaign(pop Population, opts ...inject.Option) (*inject.Campaign, error) {
 	picker, _, err := an.resolvePopulation(pop)
@@ -220,10 +218,7 @@ func (an *Analyzer) NewCampaign(pop Population, opts ...inject.Option) (*inject.
 	// journal recorded for one benchmark refuses to resume another; later
 	// options may still override it.
 	return inject.NewCampaign(an.App.NewMachine, an.App.Verify, picker,
-		append([]inject.Option{
-			inject.WithScheduler(an.Scheduler),
-			inject.WithJournalApp(an.App.Name),
-		}, opts...)...)
+		append([]inject.Option{inject.WithJournalApp(an.App.Name)}, opts...)...)
 }
 
 // Campaign measures a population's success rate (Equation 1): it builds the

@@ -55,13 +55,6 @@ type MPIAnalyzer struct {
 	// the single process where the fault is injected", §IV-A). Set it
 	// before building campaigns or analyzing worlds; the default is 0.
 	FaultRank int
-	// Scheduler is the default campaign execution strategy for NewCampaign
-	// and NewAnalyzedCampaign (overridable per campaign with
-	// mpi.WithScheduler). The zero value is mpi.ScheduleCheckpointed, which
-	// shares the fault-free world prefix across injections via world
-	// snapshots cut at collective boundaries; results are identical to
-	// mpi.ScheduleDirect for the same seed.
-	Scheduler mpi.SchedulerKind
 
 	clean  *mpi.Result
 	index  []*CleanIndex
@@ -118,9 +111,6 @@ func (ma *MPIAnalyzer) worldConfig() mpi.Config {
 // Clean returns the fault-free fully traced world.
 func (ma *MPIAnalyzer) Clean() *mpi.Result { return ma.clean }
 
-// RankIndex returns rank r's CleanIndex over its fault-free trace.
-func (ma *MPIAnalyzer) RankIndex(r int) *CleanIndex { return ma.index[r] }
-
 // verifyWorld is the §II-A verification phase over a whole world: every
 // rank's outputs must match its clean outputs within the app's tolerance.
 func (ma *MPIAnalyzer) verifyWorld(faulty *mpi.Result) bool {
@@ -166,7 +156,6 @@ func (ma *MPIAnalyzer) NewCampaign(targets inject.TargetPicker, opts ...mpi.Opti
 	copts := append([]mpi.Option{
 		mpi.WithClean(ma.clean),
 		mpi.WithVerify(ma.verifyWorld),
-		mpi.WithScheduler(ma.Scheduler),
 	}, opts...)
 	return mpi.NewCampaign(ma.Prog, ma.worldConfig(), targets, copts...)
 }
@@ -187,7 +176,6 @@ func (ma *MPIAnalyzer) NewAnalyzedCampaign(targets inject.TargetPicker, opts ...
 	copts := append([]mpi.Option{
 		mpi.WithClean(ma.clean),
 		mpi.WithVerify(ma.verifyWorld),
-		mpi.WithScheduler(ma.Scheduler),
 	}, opts...)
 	copts = append(copts, mpi.WithWorldAnalysis(
 		func(_ int, f interp.Fault, faulty *mpi.Result, outcome inject.Outcome, prop mpi.Propagation) (any, error) {

@@ -8,11 +8,11 @@ import (
 )
 
 // TestCampaignSchedulerEquivalence pins the wiring guarantee: for a fixed
-// seed, every Analyzer campaign returns the same Result whether it runs
-// under the default checkpointed scheduler or the direct replay scheduler —
-// and that Result is exactly what the v1 API (RegionCampaign /
-// WholeProgramCampaign / HybridCampaign) produced before the v2 redesign
-// (golden values captured from the pre-redesign implementation).
+// seed, every Analyzer campaign returns the same Result as the from-scratch
+// oracle — inject.RunOne on each of the campaign's drawn faults — and that
+// Result is exactly what the v1 API (RegionCampaign / WholeProgramCampaign /
+// HybridCampaign) produced before the v2 redesign (golden values captured
+// from the pre-redesign implementation).
 func TestCampaignSchedulerEquivalence(t *testing.T) {
 	pops := []struct {
 		name string
@@ -24,27 +24,29 @@ func TestCampaignSchedulerEquivalence(t *testing.T) {
 		{"region-inputs", RegionInputs("cg_b", 0), inject.Result{Tests: 40, Success: 36, Failed: 4}},
 		{"hybrid", Hybrid(), inject.Result{Tests: 40, Success: 20, Failed: 11, Crashed: 4, NotApplied: 5}},
 	}
-	run := func(sched inject.SchedulerKind) []inject.Result {
-		an := newCG(t)
-		an.Scheduler = sched
-		var out []inject.Result
-		for _, p := range pops {
-			res, err := an.Campaign(context.Background(), p.pop, inject.WithTests(40), inject.WithSeed(17))
+	an := newCG(t)
+	for _, p := range pops {
+		c, err := an.NewCampaign(p.pop, inject.WithTests(40), inject.WithSeed(17))
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		ck, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		var direct inject.Result
+		for _, f := range c.Faults() {
+			o, err := inject.RunOne(an.App.NewMachine, an.App.Verify, f)
 			if err != nil {
 				t.Fatalf("%s: %v", p.name, err)
 			}
-			out = append(out, res)
+			direct.Count(o)
 		}
-		return out
-	}
-	ck := run(inject.ScheduleCheckpointed)
-	direct := run(inject.ScheduleDirect)
-	for i, p := range pops {
-		if ck[i] != direct[i] {
-			t.Errorf("%s campaign: checkpointed %+v vs direct %+v", p.name, ck[i], direct[i])
+		if ck != direct {
+			t.Errorf("%s campaign: checkpointed %+v vs from-scratch %+v", p.name, ck, direct)
 		}
-		if ck[i] != p.want {
-			t.Errorf("%s campaign: %+v, want v1 golden %+v", p.name, ck[i], p.want)
+		if ck != p.want {
+			t.Errorf("%s campaign: %+v, want v1 golden %+v", p.name, ck, p.want)
 		}
 	}
 }

@@ -124,8 +124,11 @@ func (ma *MPIAnalyzer) StaticPruner() (*irstatic.Pruner, error) {
 }
 
 // rankSIDLog replays the fault-free world under the clean recording with
-// instruction-id logging enabled on one rank (the same replay
-// mpi.Campaign.RankSIDLog performs, against this analyzer's clean world).
+// instruction-id logging enabled on one rank and returns that rank's
+// step-indexed static-id log — the step→instruction mapping
+// irstatic.NewPruner needs. The replay is pinned to the clean Recording, so
+// the log is exactly the instruction sequence every injected world executes
+// on that rank up to its fault step.
 func (ma *MPIAnalyzer) rankSIDLog(rank int) ([]int32, error) {
 	cfg := ma.worldConfig()
 	cfg.Mode = interp.TraceOff

@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 
-	"fliptracker/internal/core"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/stats"
 )
@@ -28,10 +27,6 @@ type Options struct {
 	Ranks int
 	// Runs is the number of timing repetitions for Table III.
 	Runs int
-	// Scheduler selects the injection-campaign execution strategy; the
-	// zero value is the checkpointed scheduler. Campaign results are
-	// scheduler-independent, so this only changes regeneration time.
-	Scheduler inject.SchedulerKind
 	// EarlyStop enables sequential early stopping for the sized campaigns:
 	// each campaign ends as soon as its success-rate confidence interval
 	// is within the sizing rule's margin instead of always running
@@ -44,16 +39,6 @@ type Options struct {
 // DefaultOptions returns quick-mode defaults.
 func DefaultOptions() Options {
 	return Options{Quick: true, Seed: 20181111, Ranks: 8, Runs: 5}
-}
-
-// newAnalyzer builds an analyzer with the options' campaign scheduler.
-func (o Options) newAnalyzer(name string) (*core.Analyzer, error) {
-	an, err := core.NewAnalyzer(name)
-	if err != nil {
-		return nil, err
-	}
-	an.Scheduler = o.Scheduler
-	return an, nil
 }
 
 // campaignTests picks the number of injections per target.
@@ -71,13 +56,12 @@ func (o Options) campaignTests(population uint64, confidence, margin float64) in
 
 // campaignOptions assembles the v2 campaign options for a statistically
 // sized campaign: the test count (a cap under early stopping), the seed,
-// the options' scheduler, and — when EarlyStop is set — the sequential
+// and — when EarlyStop is set — the sequential
 // stopping rule at the same confidence/margin the sizing used.
 func (o Options) campaignOptions(tests int, seed int64, confidence, margin float64) []inject.Option {
 	copts := []inject.Option{
 		inject.WithTests(tests),
 		inject.WithSeed(seed),
-		inject.WithScheduler(o.Scheduler),
 	}
 	if o.EarlyStop {
 		copts = append(copts, inject.WithEarlyStop(confidence, margin))

@@ -40,7 +40,7 @@ func PerRegionSuccessRates(opts Options) (*Fig5Result, error) {
 	ctx := context.Background()
 	res := &Fig5Result{}
 	for _, name := range apps.Fig5Names() {
-		an, err := opts.newAnalyzer(name)
+		an, err := core.NewAnalyzer(name)
 		if err != nil {
 			return nil, err
 		}

@@ -35,7 +35,7 @@ func PerIterationSuccessRates(opts Options) (*Fig6Result, error) {
 	ctx := context.Background()
 	res := &Fig6Result{}
 	for _, name := range apps.Fig5Names() {
-		an, err := opts.newAnalyzer(name)
+		an, err := core.NewAnalyzer(name)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"fliptracker/internal/core"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
 	"fliptracker/internal/trace"
@@ -32,7 +33,7 @@ type Fig7Result struct {
 // mirroring the paper's setup; the series shows corruption rising inside
 // LagrangeNodal and collapsing as temporaries die.
 func ACLSeries(opts Options) (*Fig7Result, error) {
-	an, err := opts.newAnalyzer("lulesh")
+	an, err := core.NewAnalyzer("lulesh")
 	if err != nil {
 		return nil, err
 	}

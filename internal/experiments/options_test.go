@@ -30,11 +30,11 @@ func TestDefaultOptions(t *testing.T) {
 
 func TestCampaignOptionsWiring(t *testing.T) {
 	o := Options{}
-	if n := len(o.campaignOptions(10, 1, 0.95, 0.03)); n != 3 {
-		t.Errorf("campaign options = %d, want tests+seed+scheduler", n)
+	if n := len(o.campaignOptions(10, 1, 0.95, 0.03)); n != 2 {
+		t.Errorf("campaign options = %d, want tests+seed", n)
 	}
 	o.EarlyStop = true
-	if n := len(o.campaignOptions(10, 1, 0.95, 0.03)); n != 4 {
-		t.Errorf("campaign options with early stop = %d, want 4", n)
+	if n := len(o.campaignOptions(10, 1, 0.95, 0.03)); n != 3 {
+		t.Errorf("campaign options with early stop = %d, want 3", n)
 	}
 }

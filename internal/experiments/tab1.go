@@ -47,7 +47,7 @@ func PatternInventory(opts Options) (*Tab1Result, error) {
 	}
 	res := &Tab1Result{}
 	for _, name := range apps.Fig5Names() {
-		an, err := opts.newAnalyzer(name)
+		an, err := core.NewAnalyzer(name)
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +100,6 @@ func PatternInventory(opts Options) (*Tab1Result, error) {
 				c, err := inject.NewCampaign(an.App.NewMachine, an.App.Verify,
 					inject.FaultList{Faults: faults},
 					inject.WithTests(len(faults)),
-					inject.WithScheduler(opts.Scheduler),
 					ix.AnalysisOption())
 				if err != nil {
 					return nil, err

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"fliptracker/internal/acl"
+	"fliptracker/internal/core"
 	"fliptracker/internal/dddg"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
@@ -37,7 +38,7 @@ type Tab2Result struct {
 // element's error magnitude after each of the four invocations as the
 // repeated additions of the smoother amortize the corruption.
 func RepeatedAdditionsMagnitude(opts Options) (*Tab2Result, error) {
-	an, err := opts.newAnalyzer("mg")
+	an, err := core.NewAnalyzer("mg")
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func ResilienceAwareCG(opts Options) (*Tab3Result, error) {
 	}
 	res := &Tab3Result{}
 	for _, v := range variants {
-		an, err := opts.newAnalyzer(v.name)
+		an, err := core.NewAnalyzer(v.name)
 		if err != nil {
 			return nil, err
 		}

@@ -54,7 +54,7 @@ func Prediction(opts Options) (*Tab4Result, error) {
 	var samples []predict.Sample
 	res := &Tab4Result{FeatureNames: patterns.FeatureNames()}
 	for _, name := range apps.TableIVNames() {
-		an, err := opts.newAnalyzer(name)
+		an, err := core.NewAnalyzer(name)
 		if err != nil {
 			return nil, err
 		}

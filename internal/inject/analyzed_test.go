@@ -50,77 +50,72 @@ func directFaultyTrace(t *testing.T, p *ir.Program, f interp.Fault) *trace.Trace
 }
 
 // TestAnalyzedCampaignTracesMatchDirectRuns pins the stitching guarantee:
-// under every scheduler and parallelism, the faulty trace an analyzed
-// campaign hands to its TraceAnalyzer is byte-identical to a from-step-0
-// TraceFull run of the same fault — including under the checkpointed
-// scheduler, where the pre-checkpoint prefix is copied from the clean trace
-// instead of being re-recorded.
+// at every parallelism, the faulty trace an analyzed campaign hands to its
+// TraceAnalyzer is byte-identical to a from-step-0 TraceFull run of the
+// same fault, although the pre-checkpoint prefix is copied from the clean
+// trace instead of being re-recorded.
 func TestAnalyzedCampaignTracesMatchDirectRuns(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	clean := cleanFullTrace(t, p)
 	const tests = 60
-	for _, sched := range []SchedulerKind{ScheduleDirect, ScheduleCheckpointed} {
-		for _, par := range []int{1, 4} {
-			analyzed := 0
-			c, err := NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: steps},
-				WithTests(tests), WithSeed(9), WithScheduler(sched), WithParallelism(par),
-				WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
-					return faulty, nil
-				}))
+	for _, par := range []int{1, 4} {
+		analyzed := 0
+		c, err := NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: steps},
+			WithTests(tests), WithSeed(9), WithParallelism(par),
+			WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
+				return faulty, nil
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fo, err := range c.Stream(context.Background()) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for fo, err := range c.Stream(context.Background()) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				faulty := fo.Analysis.(*trace.Trace)
-				want := directFaultyTrace(t, p, fo.Fault)
-				if faulty.Status != want.Status || faulty.Steps != want.Steps {
-					t.Fatalf("%v par=%d fault %d: status/steps %v/%d, want %v/%d",
-						sched, par, fo.Index, faulty.Status, faulty.Steps, want.Status, want.Steps)
-				}
-				if !reflect.DeepEqual(faulty.Recs, want.Recs) {
-					t.Fatalf("%v par=%d fault %d (%v): stitched records differ from direct traced run (%d vs %d recs)",
-						sched, par, fo.Index, fo.Fault, faulty.Recs.Len(), want.Recs.Len())
-				}
-				if !reflect.DeepEqual(faulty.Output, want.Output) {
-					t.Fatalf("%v par=%d fault %d: outputs differ", sched, par, fo.Index)
-				}
-				analyzed++
+			faulty := fo.Analysis.(*trace.Trace)
+			want := directFaultyTrace(t, p, fo.Fault)
+			if faulty.Status != want.Status || faulty.Steps != want.Steps {
+				t.Fatalf("par=%d fault %d: status/steps %v/%d, want %v/%d",
+					par, fo.Index, faulty.Status, faulty.Steps, want.Status, want.Steps)
 			}
-			if analyzed != tests {
-				t.Fatalf("%v par=%d: analyzed %d faults, want %d", sched, par, analyzed, tests)
+			if !reflect.DeepEqual(faulty.Recs, want.Recs) {
+				t.Fatalf("par=%d fault %d (%v): stitched records differ from direct traced run (%d vs %d recs)",
+					par, fo.Index, fo.Fault, faulty.Recs.Len(), want.Recs.Len())
 			}
+			if !reflect.DeepEqual(faulty.Output, want.Output) {
+				t.Fatalf("par=%d fault %d: outputs differ", par, fo.Index)
+			}
+			analyzed++
+		}
+		if analyzed != tests {
+			t.Fatalf("par=%d: analyzed %d faults, want %d", par, analyzed, tests)
 		}
 	}
 }
 
 // TestAnalyzedCampaignOutcomesMatchUntraced checks that turning analysis on
-// does not perturb the campaign's outcomes: same seed, same Result.
+// does not perturb the campaign's outcomes: same seed, same Result as the
+// untraced campaign and as the untraced from-scratch oracle.
 func TestAnalyzedCampaignOutcomesMatchUntraced(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	clean := cleanFullTrace(t, p)
-	for _, sched := range []SchedulerKind{ScheduleDirect, ScheduleCheckpointed} {
-		plain := mustRun(t, p, UniformDst{TotalSteps: steps},
-			WithTests(200), WithSeed(3), WithScheduler(sched))
-		c, err := NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: steps},
-			WithTests(200), WithSeed(3), WithScheduler(sched),
-			WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
-				return nil, nil
-			}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		traced, err := c.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if traced != plain {
-			t.Errorf("%v: analyzed campaign result %+v, untraced %+v", sched, traced, plain)
-		}
+	plain := runBothTolerance(t, p, UniformDst{TotalSteps: steps}, WithTests(200), WithSeed(3))
+	c, err := NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: steps},
+		WithTests(200), WithSeed(3),
+		WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
+			return nil, nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced != plain {
+		t.Errorf("analyzed campaign result %+v, untraced %+v", traced, plain)
 	}
 }
 
@@ -292,8 +287,7 @@ func TestAnalyzedCampaignBoundsInFlightTraces(t *testing.T) {
 // step but emitted at return time, after the callee's higher-step records,
 // so the clean trace's record steps are not monotonic and a Step-keyed
 // prefix cut would corrupt stitched traces. Such programs must fall back
-// to from-step-0 traced runs — byte-identical to direct traced runs —
-// under the checkpointed scheduler too.
+// to from-step-0 traced runs — byte-identical to direct traced runs.
 func TestAnalyzedCampaignNonMonotonicTrace(t *testing.T) {
 	p := ir.NewProgram("callret")
 	g := p.AllocGlobal("g", 4, ir.F64)
@@ -321,7 +315,7 @@ func TestAnalyzedCampaignNonMonotonicTrace(t *testing.T) {
 	verify := func(tr *trace.Trace) bool { return len(tr.Output) == 1 }
 	const tests = 30
 	c, err := NewCampaign(makeMachine(p), verify, UniformDst{TotalSteps: totalSteps(t, p)},
-		WithTests(tests), WithSeed(4), WithScheduler(ScheduleCheckpointed), WithParallelism(2),
+		WithTests(tests), WithSeed(4), WithParallelism(2),
 		WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
 			return faulty, nil
 		}))

@@ -18,8 +18,7 @@ import (
 // draws the fault stream once, at construction, and owns the journal, early
 // stopping and sharding; the engine supplies only how one fault runs. A
 // Campaign is immutable after construction and safe to run multiple times:
-// for a fixed seed the outcomes are identical whatever the parallelism or
-// scheduler.
+// for a fixed seed the outcomes are identical whatever the parallelism.
 type Campaign struct {
 	*campaign.Campaign[FaultOutcome]
 
@@ -27,7 +26,6 @@ type Campaign struct {
 	mk     func() (*interp.Machine, error)
 	verify func(*trace.Trace) bool
 
-	scheduler SchedulerKind
 	// maxCheckpoints overrides DefaultMaxCheckpoints when positive; only
 	// the package's own tests set it.
 	maxCheckpoints int
@@ -37,7 +35,7 @@ type Campaign struct {
 	analyze    TraceAnalyzer
 	dropTraces bool
 	clean      *trace.Trace
-	// stitch permits clean-prefix reuse for analyzed checkpointed runs; it
+	// stitch permits clean-prefix reuse for analyzed runs; it
 	// requires the clean trace's record steps to be monotonic (see
 	// NewCampaign), else analyzed injections replay traced from step 0.
 	stitch bool
@@ -53,13 +51,15 @@ type Option func(*Campaign)
 func WithTests(n int) Option { return func(c *Campaign) { c.cfg.Tests = n } }
 
 // WithSeed makes the campaign reproducible: faults are pre-drawn from a
-// single stream seeded here, so results do not depend on parallelism or
-// scheduler. The default seed is 0.
+// single stream seeded here, so results do not depend on parallelism. The
+// default seed is 0.
 func WithSeed(seed int64) Option { return func(c *Campaign) { c.cfg.Seed = seed } }
 
-// WithScheduler selects the execution strategy; the default is
-// ScheduleCheckpointed. Outcomes are scheduler-independent.
-func WithScheduler(k SchedulerKind) Option { return func(c *Campaign) { c.scheduler = k } }
+// WithScheduler does nothing: every campaign runs checkpointed.
+//
+// Deprecated: kept only for the campaign benchmark's call; the benchmark
+// change that drops that call removes it.
+func WithScheduler(SchedulerKind) Option { return func(*Campaign) {} }
 
 // WithParallelism caps worker goroutines; 0 (the default) means GOMAXPROCS.
 func WithParallelism(n int) Option { return func(c *Campaign) { c.cfg.Parallelism = n } }
@@ -84,8 +84,8 @@ type TraceAnalyzer func(index int, f interp.Fault, faulty *trace.Trace, outcome 
 // analyze on the worker that ran it, so per-fault analyses parallelize with
 // the injections themselves. clean must be the fault-free full trace of the
 // campaign program; it serves two jobs. Its record count preallocates every
-// faulty record buffer (no append growth), and under the checkpointed
-// scheduler each restored run's shared fault-free prefix is copied out of it
+// faulty record buffer (no append growth), and each run restored from a
+// checkpoint has its shared fault-free prefix copied out of it
 // instead of being re-recorded — prefix snapshots stay record-free, and a
 // stitched faulty trace is byte-identical to a from-step-0 traced run.
 // Outcomes, ordering, early stopping, and cancellation behave exactly as in
@@ -129,9 +129,8 @@ func WithDropTraces() Option { return func(c *Campaign) { c.dropTraces = true } 
 // A torn or bit-flipped tail — the signature of a kill mid-write — is
 // detected by per-record CRC and cleanly truncated to the last committed
 // record, so a resumed campaign's merged Result is byte-identical to an
-// uninterrupted run. Parallelism and scheduler may differ between the
-// original run and the resume; they are result-invariant and excluded from
-// the fingerprint. Incompatible with WithAnalysis (analysis payloads are
+// uninterrupted run. Parallelism may differ between the original run and
+// the resume; it is result-invariant and excluded from the fingerprint. Incompatible with WithAnalysis (analysis payloads are
 // not journaled).
 func WithJournal(path string) Option { return func(c *Campaign) { c.cfg.Journal = path } }
 
@@ -172,8 +171,8 @@ const EarlyStopMinTests = campaign.EarlyStopMinTests
 // interval is Agresti–Coull adjusted (stats.AdjustedProportionCI) so an
 // all-success prefix cannot collapse it to zero width and stop the campaign
 // on a biased estimate. The stop decision is evaluated on the outcome
-// stream in fault-index order, so for a fixed seed it is deterministic and
-// scheduler-independent.
+// stream in fault-index order, so for a fixed seed it is deterministic
+// whatever the parallelism.
 func WithEarlyStop(confidence, margin float64) Option {
 	return func(c *Campaign) {
 		c.cfg.EarlyStop = true
@@ -187,7 +186,7 @@ func WithEarlyStop(confidence, margin float64) Option {
 // seeded); runs must be deterministic apart from the fault. Verify
 // classifies a completed run's output as pass/fail; it is only consulted
 // when the run status is RunOK. Campaign runs execute untraced (machine
-// Mode forced to TraceOff) under every scheduler — unless WithAnalysis is
+// Mode forced to TraceOff) — unless WithAnalysis is
 // set, which forces TraceFull — so Verify must classify from the run's
 // output, never from its trace records.
 func NewCampaign(mk func() (*interp.Machine, error), verify func(*trace.Trace) bool, targets TargetPicker, opts ...Option) (*Campaign, error) {
@@ -240,7 +239,7 @@ func NewCampaign(mk func() (*interp.Machine, error), verify func(*trace.Trace) b
 // fault (step, bit, kind and — for memory faults — address) and its §II-A
 // outcome. Index is the fault's position in the pre-drawn stream; Stream
 // yields outcomes in increasing Index order, so for a fixed seed the
-// sequence is deterministic whatever the parallelism or scheduler.
+// sequence is deterministic whatever the parallelism.
 type FaultOutcome struct {
 	Index   int
 	Fault   interp.Fault
@@ -252,14 +251,14 @@ type FaultOutcome struct {
 }
 
 // plan is the engine's window planner (campaign.Executor.Plan): the
-// checkpoint forward pass over the window's faults under the checkpointed
-// scheduler, then the per-fault runner. Checkpoints are useless for an
+// checkpoint forward pass over the window's faults, then the per-fault
+// runner. Checkpoints are useless for an
 // analyzed campaign that cannot stitch the clean prefix (non-monotonic
 // record steps): such runs replay traced from step 0, so the planning pass
 // is skipped entirely.
 func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first, last int) (func(int) (FaultOutcome, error), error) {
 	var plan *checkpointPlan
-	if c.scheduler == ScheduleCheckpointed && (c.analyze == nil || c.stitch) {
+	if c.analyze == nil || c.stitch {
 		var err error
 		if plan, err = c.planCheckpoints(ctx, faults, first, last); err != nil {
 			return nil, err
@@ -274,9 +273,9 @@ func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first, last 
 	}, nil
 }
 
-// runFault executes one injection under the planned scheduler — unless the
-// static pruner already proved its outcome, in which case the injection is
-// recorded without running.
+// runFault executes one injection from its planned checkpoint — from step 0
+// when plan is nil — unless the static pruner already proved its outcome,
+// in which case the injection is recorded without running.
 func (c *Campaign) runFault(i int, f interp.Fault, plan *checkpointPlan) (Outcome, any, error) {
 	if c.pruner != nil {
 		switch c.pruner.Classify(f) {

@@ -12,8 +12,8 @@ import (
 // TestGoldenV1Equivalence pins the v2 Campaign API to the exact Results the
 // v1 Spec/Run API produced (captured from the pre-redesign implementation
 // for the tolerance program): same seed, same fault stream, same outcomes,
-// under both schedulers. Early stopping is disabled, so the counts must be
-// byte-identical.
+// checkpointed and from scratch. Early stopping is disabled, so the counts
+// must be byte-identical.
 func TestGoldenV1Equivalence(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
@@ -28,12 +28,9 @@ func TestGoldenV1Equivalence(t *testing.T) {
 		{20181111, Result{Tests: 400, Success: 164, Failed: 78, Crashed: 90, NotApplied: 68}},
 	}
 	for _, g := range golden {
-		for _, sched := range []SchedulerKind{ScheduleDirect, ScheduleCheckpointed} {
-			got := mustRun(t, p, UniformDst{TotalSteps: steps},
-				WithTests(400), WithSeed(g.seed), WithScheduler(sched))
-			if got != g.want {
-				t.Errorf("seed %d %v: %+v, want v1 golden %+v", g.seed, sched, got, g.want)
-			}
+		got := runBothTolerance(t, p, UniformDst{TotalSteps: steps}, WithTests(400), WithSeed(g.seed))
+		if got != g.want {
+			t.Errorf("seed %d: %+v, want v1 golden %+v", g.seed, got, g.want)
 		}
 	}
 	// Memory population golden (UniformMem over the program's 8 data words).
@@ -47,13 +44,14 @@ func TestGoldenV1Equivalence(t *testing.T) {
 
 // TestStreamDeterministicOrder checks that Stream yields outcomes in fault-
 // index order, that the sequence is identical across parallelism levels and
-// schedulers, and that aggregating the stream reproduces Run's Result.
+// to the from-scratch oracle, and that aggregating the stream reproduces
+// Run's Result.
 func TestStreamDeterministicOrder(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
-	collect := func(par int, sched SchedulerKind) ([]FaultOutcome, Result) {
+	collect := func(par int) ([]FaultOutcome, Result) {
 		c := mustCampaign(t, p, UniformDst{TotalSteps: steps},
-			WithTests(150), WithSeed(5), WithParallelism(par), WithScheduler(sched))
+			WithTests(150), WithSeed(5), WithParallelism(par))
 		var seq []FaultOutcome
 		var res Result
 		for fo, err := range c.Stream(context.Background()) {
@@ -65,7 +63,8 @@ func TestStreamDeterministicOrder(t *testing.T) {
 		}
 		return seq, res
 	}
-	ref, refRes := collect(1, ScheduleDirect)
+	ref := fromScratch(t, mustCampaign(t, p, UniformDst{TotalSteps: steps}, WithTests(150), WithSeed(5)))
+	refRes := tally(ref)
 	if len(ref) != 150 {
 		t.Fatalf("stream yielded %d outcomes, want 150", len(ref))
 	}
@@ -74,17 +73,14 @@ func TestStreamDeterministicOrder(t *testing.T) {
 			t.Fatalf("outcome %d has index %d: stream out of order", i, fo.Index)
 		}
 	}
-	for _, alt := range []struct {
-		par   int
-		sched SchedulerKind
-	}{{8, ScheduleDirect}, {1, ScheduleCheckpointed}, {8, ScheduleCheckpointed}} {
-		seq, res := collect(alt.par, alt.sched)
+	for _, par := range []int{1, 8} {
+		seq, res := collect(par)
 		if res != refRes {
-			t.Fatalf("par=%d %v: aggregate %+v, want %+v", alt.par, alt.sched, res, refRes)
+			t.Fatalf("par=%d: aggregate %+v, want %+v", par, res, refRes)
 		}
 		for i := range ref {
 			if seq[i] != ref[i] {
-				t.Fatalf("par=%d %v: outcome %d = %+v, want %+v", alt.par, alt.sched, i, seq[i], ref[i])
+				t.Fatalf("par=%d: outcome %d = %+v, want %+v", par, i, seq[i], ref[i])
 			}
 		}
 	}
@@ -118,18 +114,16 @@ func TestStreamBreakStopsWorkers(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// testCancellation cancels a campaign mid-flight under the given scheduler
-// and requires a prompt ctx.Err(), a well-formed partial Result, and no
-// leaked goroutines.
-func testCancellation(t *testing.T, sched SchedulerKind) {
-	t.Helper()
+// TestCancellationCheckpointed cancels a campaign mid-flight and requires a
+// prompt ctx.Err(), a well-formed partial Result, and no leaked goroutines.
+func TestCancellationCheckpointed(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c := mustCampaign(t, p, UniformDst{TotalSteps: steps},
-		WithTests(400), WithSeed(3), WithScheduler(sched),
+		WithTests(400), WithSeed(3),
 		// Cancel from the progress callback after the 5th delivered
 		// outcome: deterministically mid-campaign.
 		WithProgress(func(done, total int) {
@@ -161,9 +155,6 @@ func testCancellation(t *testing.T, sched SchedulerKind) {
 	}
 	waitGoroutines(t, before)
 }
-
-func TestCancellationDirect(t *testing.T)       { testCancellation(t, ScheduleDirect) }
-func TestCancellationCheckpointed(t *testing.T) { testCancellation(t, ScheduleCheckpointed) }
 
 func TestPreCancelledContext(t *testing.T) {
 	p := buildToleranceProg(t)
@@ -220,19 +211,16 @@ func TestEarlyStopFewerTestsSameRate(t *testing.T) {
 	targets := UniformMem{TotalSteps: steps, FirstAddr: 1, LastAddr: p.MemWords}
 	const tests, margin = 400, 0.03
 	fixed := mustRun(t, p, targets, WithTests(tests), WithSeed(7))
-	for _, sched := range []SchedulerKind{ScheduleDirect, ScheduleCheckpointed} {
-		early := mustRun(t, p, targets, WithTests(tests), WithSeed(7),
-			WithScheduler(sched), WithEarlyStop(0.95, margin))
-		if early.Tests >= fixed.Tests {
-			t.Fatalf("%v: early stop ran %d of %d tests, want fewer", sched, early.Tests, fixed.Tests)
-		}
-		if early.Tests < EarlyStopMinTests {
-			t.Fatalf("%v: early stop ran %d tests, below the %d minimum", sched, early.Tests, EarlyStopMinTests)
-		}
-		if d := math.Abs(early.SuccessRate() - fixed.SuccessRate()); d > margin {
-			t.Fatalf("%v: early-stop rate %.3f vs fixed %.3f differs by %.3f > margin %.3f",
-				sched, early.SuccessRate(), fixed.SuccessRate(), d, margin)
-		}
+	early := mustRun(t, p, targets, WithTests(tests), WithSeed(7), WithEarlyStop(0.95, margin))
+	if early.Tests >= fixed.Tests {
+		t.Fatalf("early stop ran %d of %d tests, want fewer", early.Tests, fixed.Tests)
+	}
+	if early.Tests < EarlyStopMinTests {
+		t.Fatalf("early stop ran %d tests, below the %d minimum", early.Tests, EarlyStopMinTests)
+	}
+	if d := math.Abs(early.SuccessRate() - fixed.SuccessRate()); d > margin {
+		t.Fatalf("early-stop rate %.3f vs fixed %.3f differs by %.3f > margin %.3f",
+			early.SuccessRate(), fixed.SuccessRate(), d, margin)
 	}
 	// The stop point is part of the deterministic contract: same seed, same
 	// prefix, same decision — so Stream under early stopping is reproducible

@@ -10,9 +10,8 @@ import (
 	"fliptracker/internal/trace"
 )
 
-// DefaultMaxCheckpoints bounds the prefix snapshots the checkpointed
-// scheduler keeps live. Snapshots are
-// copy-on-write page tables, so a checkpoint costs O(pages) pointers up
+// DefaultMaxCheckpoints bounds the prefix snapshots a campaign keeps live.
+// Snapshots are copy-on-write page tables, so a checkpoint costs O(pages) pointers up
 // front and pins only the pages the machine dirties between neighboring
 // checkpoints — the budget is a backstop against pathological fault
 // populations, not a memory-thinning knob, and is set high enough that
@@ -20,7 +19,7 @@ import (
 // checkpoint.
 const DefaultMaxCheckpoints = 4096
 
-// checkpointPlan is the checkpointed scheduler's shared state: the prefix
+// checkpointPlan is a campaign window's shared state: the prefix
 // snapshots laid down by one forward pass of the fault-free run, and the
 // per-fault assignment of the nearest snapshot at or before its step.
 type checkpointPlan struct {
@@ -31,7 +30,7 @@ type checkpointPlan struct {
 
 // planCheckpoints shares fault-free prefix work across injections. For a
 // fault at dynamic step N, the first N steps are identical to the fault-free
-// run; the direct scheduler re-executes them for every injection. Here the
+// run; a from-scratch run re-executes them for every injection. Here the
 // pre-drawn faults are sorted by target step, one machine runs the
 // fault-free prefix forward exactly once — pausing to lay checkpoints at
 // adaptive intervals (dense where faults cluster, absent where none land) —
@@ -42,7 +41,7 @@ type checkpointPlan struct {
 //
 // Because restored runs are bit-identical to from-scratch runs and the fault
 // stream is drawn before scheduling, the outcomes — and thus the Result —
-// are exactly those of the direct scheduler for the same seed.
+// are exactly those of from-scratch runs (RunOne) of the same faults.
 //
 // The forward pass honors ctx between checkpoints, so cancellation during
 // planning is prompt.

@@ -9,25 +9,46 @@ import (
 	"fliptracker/internal/trace"
 )
 
-// runBoth executes the same campaign under both schedulers and requires
-// identical results — the core guarantee of the checkpointed scheduler.
+// fromScratch is the campaign's test oracle: every drawn fault run in index
+// order through the per-fault runner with no checkpoint plan, so each
+// injection replays from dynamic step 0.
+func fromScratch(t *testing.T, c *Campaign) []FaultOutcome {
+	t.Helper()
+	faults := c.Faults()
+	out := make([]FaultOutcome, len(faults))
+	for i, f := range faults {
+		o, payload, err := c.runFault(i, f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = FaultOutcome{Index: i, Fault: f, Outcome: o, Analysis: payload}
+	}
+	return out
+}
+
+// tally aggregates outcomes the way Run does.
+func tally(fos []FaultOutcome) Result {
+	var r Result
+	for _, fo := range fos {
+		r.Count(fo.Outcome)
+	}
+	return r
+}
+
+// runBoth executes the campaign and requires the Result of the from-scratch
+// oracle — the core guarantee of checkpointing.
 func runBoth(t *testing.T, mk func() (*interp.Machine, error), verify func(*trace.Trace) bool, targets TargetPicker, opts ...Option) Result {
 	t.Helper()
-	run := func(k SchedulerKind) Result {
-		c, err := NewCampaign(mk, verify, targets, append(opts, WithScheduler(k))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := c.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	c, err := NewCampaign(mk, verify, targets, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	direct := run(ScheduleDirect)
-	ck := run(ScheduleCheckpointed)
-	if direct != ck {
-		t.Fatalf("schedulers disagree: direct %+v vs checkpointed %+v", direct, ck)
+	ck, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tally(fromScratch(t, c)); ck != want {
+		t.Fatalf("checkpointed %+v vs from-scratch %+v", ck, want)
 	}
 	return ck
 }
@@ -74,10 +95,9 @@ func TestCheckpointedCheckpointBudgets(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	targets := UniformDst{TotalSteps: steps}
-	want := mustRun(t, p, targets, WithTests(150), WithSeed(3), WithScheduler(ScheduleDirect))
+	want := tally(fromScratch(t, mustCampaign(t, p, targets, WithTests(150), WithSeed(3))))
 	for _, budget := range []int{1, 2, 16, 10_000} {
-		got := mustRun(t, p, targets, WithTests(150), WithSeed(3),
-			WithScheduler(ScheduleCheckpointed), withMaxCheckpoints(budget))
+		got := mustRun(t, p, targets, WithTests(150), WithSeed(3), withMaxCheckpoints(budget))
 		if got != want {
 			t.Errorf("budget %d: %+v, want %+v", budget, got, want)
 		}
@@ -85,8 +105,8 @@ func TestCheckpointedCheckpointBudgets(t *testing.T) {
 }
 
 func TestCheckpointedFaultBeyondProgramEnd(t *testing.T) {
-	// Faults past the program end never fire under either scheduler; the
-	// checkpointed base run terminates before reaching them.
+	// Faults past the program end never fire, checkpointed or not; the
+	// checkpoint forward pass terminates before reaching them.
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	res := runBothTolerance(t, p, StepRangeDst{Lo: steps - 2, Hi: steps + 50}, WithTests(60), WithSeed(11))
@@ -109,7 +129,7 @@ func TestCheckpointedSerialMatchesParallel(t *testing.T) {
 func TestCheckpointedFallbackFreshProgramPerMachine(t *testing.T) {
 	// A MakeMachine that rebuilds its program per call defeats snapshot
 	// sharing (snapshots restore only into the same sealed instance); the
-	// scheduler must fall back to from-scratch replays and still match.
+	// campaign must fall back to from-scratch replays and still match.
 	steps := totalSteps(t, buildToleranceProg(t))
 	mkFresh := func() (*interp.Machine, error) {
 		p, err := newToleranceProg()
@@ -126,18 +146,4 @@ func TestCheckpointedFallbackFreshProgramPerMachine(t *testing.T) {
 		return m, nil
 	}
 	runBoth(t, mkFresh, verifyNear10, UniformDst{TotalSteps: steps}, WithTests(50), WithSeed(9))
-}
-
-func TestSchedulerKindStrings(t *testing.T) {
-	if ScheduleCheckpointed.String() != "checkpointed" || ScheduleDirect.String() != "direct" {
-		t.Errorf("scheduler names: %v %v", ScheduleCheckpointed, ScheduleDirect)
-	}
-	if SchedulerKind(9).String() == "" {
-		t.Error("unknown scheduler should stringify")
-	}
-	p := buildToleranceProg(t)
-	c := mustCampaign(t, p, UniformDst{TotalSteps: 10}, WithTests(5))
-	if c.scheduler != ScheduleCheckpointed {
-		t.Error("campaigns must default to the checkpointed scheduler")
-	}
 }

@@ -6,14 +6,13 @@
 //
 // A campaign is built with NewCampaign from a machine factory, a verifier
 // and a TargetPicker, configured by functional options (WithTests, WithSeed,
-// WithScheduler, WithParallelism, WithProgress, WithEarlyStop, ...), and
-// executed with Run or consumed fault by fault with Stream. Both accept a
-// context.Context and stop promptly when it is cancelled.
+// WithParallelism, WithProgress, WithEarlyStop, ...), and executed with Run
+// or consumed fault by fault with Stream. Both accept a context.Context and
+// stop promptly when it is cancelled.
 //
-// Campaigns run under one of two schedulers with identical results: the
-// default checkpointed scheduler shares fault-free prefix work across
-// injections via machine snapshots (see checkpoint.go), while the direct
-// scheduler replays every run from dynamic step 0.
+// Campaigns share fault-free prefix work across injections via machine
+// snapshots (see checkpoint.go); outcomes are those of from-step-0 runs
+// (RunOne) of the same faults.
 package inject
 
 import (
@@ -53,7 +52,7 @@ const (
 
 // FaultList replays a fixed, hand-constructed fault sequence through the
 // campaign engine — deterministic targeted studies (Table I's per-region
-// spreads) get the schedulers, the worker pool, and per-fault analysis for
+// spreads) get checkpointing, the worker pool, and per-fault analysis for
 // free. Fault i of the stream is Faults[i mod len(Faults)]; WithTests
 // normally matches len(Faults).
 type FaultList struct {
@@ -248,31 +247,13 @@ func (m MemAtStep) Validate() error {
 	return nil
 }
 
-// SchedulerKind selects how a campaign executes its injection runs.
-type SchedulerKind uint8
-
-const (
-	// ScheduleCheckpointed shares fault-free prefix work across injections:
-	// faults are sorted by target step, prefix checkpoints are laid down at
-	// adaptive intervals by one forward pass, and every injection run
-	// restores from the nearest checkpoint at or before its fault instead
-	// of replaying from dynamic step 0. Results are identical to
-	// ScheduleDirect for the same Seed. This is the default.
-	ScheduleCheckpointed SchedulerKind = iota
-	// ScheduleDirect replays every injection run from dynamic step 0.
-	ScheduleDirect
-)
-
-// String names the scheduler.
-func (k SchedulerKind) String() string {
-	switch k {
-	case ScheduleCheckpointed:
-		return "checkpointed"
-	case ScheduleDirect:
-		return "direct"
-	}
-	return fmt.Sprintf("scheduler(%d)", uint8(k))
-}
+// SchedulerKind once selected between the checkpointed and the
+// from-step-0 scheduler. Every campaign now runs checkpointed, so there is
+// nothing left to select.
+//
+// Deprecated: kept only for the campaign benchmark's WithScheduler call;
+// the benchmark change that drops that call removes it.
+type SchedulerKind struct{}
 
 // RunOne performs a single injection run from step 0 and classifies it.
 func RunOne(mk func() (*interp.Machine, error), verify func(*trace.Trace) bool, f interp.Fault) (Outcome, error) {

@@ -12,42 +12,26 @@ import (
 	"fliptracker/internal/trace"
 )
 
-// journalOutcomes collects the campaign's full outcome stream.
-func journalOutcomes(t *testing.T, c *Campaign) []FaultOutcome {
-	t.Helper()
-	var out []FaultOutcome
-	for fo, err := range c.Stream(context.Background()) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, fo)
-	}
-	return out
-}
-
 // TestJournalResumeAfterBreak: break out of a journaled Stream at fault
 // index k (the polite form of a kill — records 0..k are committed), then
 // resume with a fresh campaign; the concatenated outcome stream and the
-// merged Result must equal an uninterrupted run's exactly. Resume runs
-// under the other scheduler and a different parallelism, pinning that both
-// stay result-invariant across the journal boundary.
+// merged Result must equal the from-scratch oracle's exactly. Resume runs
+// at a different parallelism, pinning that it stays result-invariant across
+// the journal boundary.
 func TestJournalResumeAfterBreak(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	targets := UniformDst{TotalSteps: steps}
 	base := []Option{WithTests(40), WithSeed(20181111)}
 
-	want := journalOutcomes(t, mustCampaign(t, p, targets, append(base, WithParallelism(4))...))
-	wantRes, err := mustCampaign(t, p, targets, base...).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := fromScratch(t, mustCampaign(t, p, targets, base...))
+	wantRes := tally(want)
 
 	for _, k := range []int{0, 3, 17} {
 		path := filepath.Join(t.TempDir(), "c.journal")
 		var got []FaultOutcome
 		c := mustCampaign(t, p, targets,
-			append(base, WithJournal(path), WithParallelism(4), WithScheduler(ScheduleCheckpointed))...)
+			append(base, WithJournal(path), WithParallelism(4))...)
 		for fo, err := range c.Stream(context.Background()) {
 			if err != nil {
 				t.Fatal(err)
@@ -59,7 +43,7 @@ func TestJournalResumeAfterBreak(t *testing.T) {
 		}
 
 		c2 := mustCampaign(t, p, targets,
-			append(base, WithJournal(path), WithParallelism(1), WithScheduler(ScheduleDirect))...)
+			append(base, WithJournal(path), WithParallelism(1))...)
 		for fo, err := range c2.Stream(context.Background()) {
 			if err != nil {
 				t.Fatal(err)
@@ -75,7 +59,7 @@ func TestJournalResumeAfterBreak(t *testing.T) {
 			got = append(got, fo)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("k=%d: resumed outcome stream diverges from uninterrupted run", k)
+			t.Fatalf("k=%d: resumed outcome stream diverges from the from-scratch oracle", k)
 		}
 
 		res, err := mustCampaign(t, p, targets, append(base, WithJournal(path))...).Run(context.Background())

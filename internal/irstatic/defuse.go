@@ -162,8 +162,3 @@ func (d *DefUse) Reaching(i int, r ir.Reg) []Def {
 	}
 	return out
 }
-
-// UsesAt returns the registers instruction i reads.
-func (d *DefUse) UsesAt(i int) []ir.Reg {
-	return AppendUses(&d.F.Code[i], nil)
-}

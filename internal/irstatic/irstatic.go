@@ -336,9 +336,6 @@ func (a *Analysis) updateSummary(i int) bool {
 	return changed
 }
 
-// CFGOf returns the control-flow graph of function index fi.
-func (a *Analysis) CFGOf(fi int) *CFG { return a.flows[fi].cfg }
-
 // RetDanger reports whether function fi's return value may reach a sink in
 // some caller.
 func (a *Analysis) RetDanger(fi int) bool { return a.retDanger[fi] }

@@ -1,6 +1,6 @@
 // Package lint is FlipTracker's determinism linter: static checks that keep
 // nondeterminism out of the engine packages whose outputs are pinned by
-// golden FNV digests, durable journals, and byte-identical scheduler
+// golden FNV digests, durable journals, and byte-identical checkpoint
 // contracts.
 //
 // Two checks, both purely static and dependency-free (go/ast + go/types,

@@ -38,7 +38,6 @@ type Campaign struct {
 	base    Config
 	targets inject.TargetPicker
 
-	scheduler SchedulerKind
 	// maxCheckpoints overrides DefaultMaxWorldCheckpoints when positive;
 	// only the package's own tests set it.
 	maxCheckpoints int
@@ -49,28 +48,11 @@ type Campaign struct {
 
 	clean *Result
 	hint  uint64
-	// stitch permits clean-prefix reuse for analyzed checkpointed worlds; it
+	// stitch permits clean-prefix reuse for analyzed worlds; it
 	// requires every rank's clean record steps to be monotonic (see
 	// NewCampaign), else analyzed injections replay traced from step 0.
 	stitch bool
 }
-
-// SchedulerKind selects how a campaign executes its injected worlds; MPI
-// campaigns share inject's kinds, so ScheduleCheckpointed and ScheduleDirect
-// mean the same thing in both engines and one CLI knob drives both.
-type SchedulerKind = inject.SchedulerKind
-
-// Campaign schedulers. ScheduleCheckpointed — the default — shares
-// fault-free world-prefix work across injections: one forward pass replays
-// the clean world, pausing at collective boundaries to lay WorldSnapshots
-// (every rank machine plus in-flight network state at a consistent cut), and
-// each injected world restores from the nearest snapshot at or before its
-// fault instead of replaying every rank from step 0. Results are identical
-// to ScheduleDirect for the same seed.
-const (
-	ScheduleCheckpointed = inject.ScheduleCheckpointed
-	ScheduleDirect       = inject.ScheduleDirect
-)
 
 // Option configures a Campaign at construction time.
 type Option func(*Campaign)
@@ -90,10 +72,6 @@ func WithSeed(seed int64) Option { return func(c *Campaign) { c.cfg.Seed = seed 
 // ceiling is lower than in single-process campaigns.
 func WithParallelism(n int) Option { return func(c *Campaign) { c.cfg.Parallelism = n } }
 
-// WithScheduler selects the execution strategy; the default is
-// ScheduleCheckpointed. Outcomes are scheduler-independent.
-func WithScheduler(k SchedulerKind) Option { return func(c *Campaign) { c.scheduler = k } }
-
 // WithEarlyStop enables sequential early stopping, exactly as in
 // single-process campaigns (inject.WithEarlyStop): the campaign ends as soon
 // as the world success rate's Agresti–Coull confidence interval half-width
@@ -101,7 +79,7 @@ func WithScheduler(k SchedulerKind) Option { return func(c *Campaign) { c.schedu
 // margin, instead of always running the full WithTests count — never before
 // inject.EarlyStopMinTests completed worlds. The stop decision is evaluated
 // on the world outcome stream in fault-index order, so for a fixed seed it
-// is deterministic whatever the parallelism or scheduler.
+// is deterministic whatever the parallelism.
 func WithEarlyStop(confidence, margin float64) Option {
 	return func(c *Campaign) {
 		c.cfg.EarlyStop = true
@@ -155,10 +133,10 @@ func WithDropTraces() Option { return func(c *Campaign) { c.dropTraces = true } 
 // reaches no sink on the injected rank can never cross a message or
 // collective — and Live faults replay their world as before. The pruner must
 // pair the campaign program's analysis with the SID log of the injected
-// rank's fault-free run (see SIDLog), and the clean world must pass the
-// campaign verifier (core checks this when it builds the pruner). Pruning is
-// result-invariant and stays out of the journal fingerprint. Incompatible
-// with WithWorldAnalysis.
+// rank's fault-free run (core.MPIAnalyzer.StaticPruner builds one), and the
+// clean world must pass the campaign verifier (core checks this when it
+// builds the pruner). Pruning is result-invariant and stays out of the
+// journal fingerprint. Incompatible with WithWorldAnalysis.
 func WithStaticPrune(p *irstatic.Pruner) Option { return func(c *Campaign) { c.pruner = p } }
 
 // WithJournal makes the campaign durable, exactly as inject.WithJournal
@@ -169,8 +147,7 @@ func WithStaticPrune(p *irstatic.Pruner) Option { return func(c *Campaign) { c.p
 // (app, seeds, world shape, population fingerprint — journal.ErrMismatch
 // on any difference), replay the committed worlds from disk, and execute
 // only the remaining index range; a torn or bit-flipped tail is truncated
-// to the last committed record. Parallelism and scheduler may change
-// between runs. Incompatible with WithWorldAnalysis.
+// to the last committed record. Parallelism may change between runs. Incompatible with WithWorldAnalysis.
 func WithJournal(path string) Option { return func(c *Campaign) { c.cfg.Journal = path } }
 
 // WithJournalApp labels the journal header with an application name;
@@ -311,12 +288,6 @@ func outputsEqual(clean, faulty *Result) bool {
 	return true
 }
 
-// Ranks returns the world size.
-func (c *Campaign) Ranks() int { return c.base.Ranks }
-
-// FaultRank returns the rank every fault is injected into.
-func (c *Campaign) FaultRank() int { return c.base.FaultRank }
-
 // Clean returns the fault-free fully traced world every injection replays.
 func (c *Campaign) Clean() *Result { return c.clean }
 
@@ -325,48 +296,6 @@ func (c *Campaign) Clean() *Result { return c.clean }
 // minus the fault. The Figure 4 tracing-overhead study times this.
 func (c *Campaign) ReplayClean(mode interp.TraceMode) (*Result, error) {
 	return c.runWorld(nil, mode)
-}
-
-// RankSIDLog replays the fault-free world once with instruction-id logging
-// (interp.Machine.RecordSIDs) enabled on the given rank and returns that
-// rank's step-indexed static-id log — the step→instruction mapping
-// irstatic.NewPruner needs to classify this campaign's faults, which are all
-// injected into FaultRank. The replay is pinned to the clean Recording, so
-// the log is exactly the instruction sequence every injected world executes
-// on that rank up to its fault step.
-func (c *Campaign) RankSIDLog(rank int) ([]int32, error) {
-	if rank < 0 || rank >= c.base.Ranks {
-		return nil, fmt.Errorf("mpi: SID log rank %d outside world [0, %d)", rank, c.base.Ranks)
-	}
-	cfg := c.base
-	cfg.Mode = interp.TraceOff
-	cfg.Fault = nil
-	cfg.Replay = c.clean.Recording
-	var target *interp.Machine
-	inner := cfg.ExtraBind
-	// Run joins every rank goroutine before returning, so reading the
-	// captured machine after it is race-free.
-	cfg.ExtraBind = func(m *interp.Machine, r int) error {
-		if r == rank {
-			m.RecordSIDs = true
-			target = m
-		}
-		if inner != nil {
-			return inner(m, r)
-		}
-		return nil
-	}
-	res, err := Run(c.prog, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("mpi: SID log replay: %w", err)
-	}
-	if res.Status() != trace.RunOK {
-		return nil, fmt.Errorf("mpi: SID log replay %v", res.Status())
-	}
-	if target == nil || len(target.SIDLog()) == 0 {
-		return nil, fmt.Errorf("mpi: SID log replay recorded nothing for rank %d", rank)
-	}
-	return target.SIDLog(), nil
 }
 
 func (c *Campaign) runWorld(f *interp.Fault, mode interp.TraceMode) (*Result, error) {
@@ -409,14 +338,13 @@ type WorldOutcome struct {
 }
 
 // plan is the engine's window planner (campaign.Executor.Plan): world
-// checkpoints for the window's faults under the checkpointed scheduler,
-// then the per-fault runner. World checkpoints need collective boundaries
+// checkpoints for the window's faults, then the per-fault runner. World checkpoints need collective boundaries
 // to cut at, and analyzed campaigns additionally need stitchable
 // (per-rank monotonic) clean traces; planWorldCheckpoints degrades to a nil
-// plan (direct replay) when either is missing.
+// plan (replay from step 0) when either is missing.
 func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first, last int) (func(int) (WorldOutcome, error), error) {
 	var plan *worldPlan
-	if c.scheduler == inject.ScheduleCheckpointed && (c.analyze == nil || c.stitch) {
+	if c.analyze == nil || c.stitch {
 		var err error
 		if plan, err = c.planWorldCheckpoints(ctx, faults, first, last); err != nil {
 			return nil, err

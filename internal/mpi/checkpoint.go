@@ -10,16 +10,15 @@ import (
 	"fliptracker/internal/trace"
 )
 
-// DefaultMaxWorldCheckpoints bounds the world snapshots the checkpointed
-// scheduler keeps live. A world snapshot is
-// a copy-on-write page table per rank (O(ranks × pages) pointers; dirty
+// DefaultMaxWorldCheckpoints bounds the world snapshots a campaign keeps
+// live. A world snapshot is a copy-on-write page table per rank (O(ranks × pages) pointers; dirty
 // pages are shared between neighboring checkpoints), so the bound is a
 // backstop against pathological cut counts rather than a memory-thinning
 // knob: at the default, every collective round a fault wants gets its own
 // checkpoint and the even-thinning path below is effectively retired.
 const DefaultMaxWorldCheckpoints = 256
 
-// worldPlan is the checkpointed MPI scheduler's shared state: the world
+// worldPlan is an MPI campaign window's shared state: the world
 // snapshots laid down by one forward pass of the fault-free world, and the
 // per-fault assignment of the nearest snapshot at or before its step on the
 // injected rank.
@@ -30,10 +29,10 @@ type worldPlan struct {
 }
 
 // planWorldCheckpoints shares fault-free world-prefix work across
-// injections — PR 1's checkpointed scheduler ported to the multi-rank path.
+// injections — inject's checkpoint planner ported to the multi-rank path.
 // For a fault at dynamic step N of the injected rank, every rank's execution
 // up to the world cut preceding N is identical to the fault-free world; the
-// direct scheduler re-executes all of it for every injection. Here the
+// from-scratch replay re-executes all of it for every injection. Here the
 // candidate cuts are the clean world's collective boundaries (Result.Cuts —
 // the only points where a consistent world snapshot is cheap: no rank inside
 // a primitive, no collective state in flight), one forward pass replays the
@@ -41,14 +40,15 @@ type worldPlan struct {
 // them, evenly thinned when faults want more), and each injection restores
 // the nearest snapshot at or before its fault step and resumes from there.
 //
-// Because restored worlds are bit-identical to direct replays (the world
+// Because restored worlds are bit-identical to from-scratch replays (the world
 // substrate is deterministic and WorldSnapshot captures all of it) and the
 // fault stream is drawn before scheduling, the outcomes — and thus the
-// Result — are exactly those of the direct scheduler for the same seed.
+// Result — are exactly those of from-scratch replays of the same faults.
 //
 // A nil plan (with nil error) means checkpointing cannot help: the program
 // has no collective rounds, the clean world's cut counts are ragged, or
-// every fault lands before the first cut. Such campaigns replay directly.
+// every fault lands before the first cut. Such campaigns replay every
+// world from step 0.
 //
 // Only the window [first, last) is planned: indices outside it belong to
 // other shards (or a journal's replayed prefix) and never run here, so they
@@ -58,7 +58,7 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 	if len(c.clean.Cuts) != c.base.Ranks {
 		// An adopted clean Result without cut logs (WithClean on a Result
 		// assembled outside mpi.Run, e.g. rebuilt from persisted traces):
-		// no boundaries to cut at, so replay directly.
+		// no boundaries to cut at, so replay from step 0.
 		return nil, nil
 	}
 	rounds := len(c.clean.Cuts[c.base.FaultRank])
@@ -148,10 +148,9 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 	return plan, nil
 }
 
-// runPlanned executes one injected world under the planned scheduler:
-// restored from its assigned world snapshot when one exists, replayed from
-// step 0 otherwise (direct scheduler, no plan, or a fault before the first
-// cut).
+// runPlanned executes one injected world: restored from its assigned world
+// snapshot when one exists, replayed from step 0 otherwise (no plan, or a
+// fault before the first cut).
 func (c *Campaign) runPlanned(i int, f *interp.Fault, plan *worldPlan) (*Result, error) {
 	mode := c.worldMode()
 	if plan == nil || plan.assign[i] < 0 {
@@ -168,7 +167,7 @@ func (c *Campaign) runPlanned(i int, f *interp.Fault, plan *worldPlan) (*Result,
 		// buffer with its clean prefix (the records a from-step-0 traced run
 		// laid down before the cut — the pre-fault prefix is fault-free and
 		// deterministic), so the stitched per-rank traces are byte-identical
-		// to direct traced replays. NewCampaign only plans checkpoints for
+		// to from-step-0 traced replays. NewCampaign only plans checkpoints for
 		// analyzed campaigns when every rank's clean records are stitchable
 		// (c.stitch).
 		prime = func(m *interp.Machine, rank int) {

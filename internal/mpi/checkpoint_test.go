@@ -12,7 +12,7 @@ import (
 // TestPlanWorldCheckpoints exercises the planner directly: cuts exist for
 // the campaign workload, every fault at or past the first cut is assigned
 // the nearest selected snapshot at or before its step, earlier faults replay
-// directly, and the checkpoint budget thins the snapshot set without
+// from step 0, and the checkpoint budget thins the snapshot set without
 // breaking the at-or-before invariant.
 func TestPlanWorldCheckpoints(t *testing.T) {
 	c := testCampaign(t, 4)
@@ -41,7 +41,7 @@ func TestPlanWorldCheckpoints(t *testing.T) {
 		si := plan.assign[i]
 		if f.Step < cuts[0] {
 			if si != -1 {
-				t.Errorf("fault %d (step %d) assigned snapshot %d, want direct replay", i, f.Step, si)
+				t.Errorf("fault %d (step %d) assigned snapshot %d, want a from-step-0 replay", i, f.Step, si)
 			}
 			continue
 		}
@@ -77,10 +77,27 @@ func TestPlanWorldCheckpoints(t *testing.T) {
 // backstop.
 func withMaxCheckpoints(n int) Option { return func(c *Campaign) { c.maxCheckpoints = n } }
 
+// fromScratch is the campaign's test oracle: every drawn fault run in index
+// order through the per-fault runner with no checkpoint plan, so each world
+// replays from step 0.
+func fromScratch(t *testing.T, c *Campaign) []WorldOutcome {
+	t.Helper()
+	faults := c.Faults()
+	out := make([]WorldOutcome, len(faults))
+	for i, f := range faults {
+		wo, err := c.runFault(i, f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = wo
+	}
+	return out
+}
+
 // TestCampaignAdoptedCleanWithoutCuts: a WithClean Result assembled outside
-// mpi.Run carries no collective cut log; the checkpointed scheduler must
-// degrade to direct replay (nil plan), not panic, and the campaign must
-// still produce the same outcomes as a direct campaign.
+// mpi.Run carries no collective cut log; the planner must degrade to
+// from-step-0 replay (nil plan), not panic, and the campaign must still
+// produce the outcomes of the from-scratch oracle.
 func TestCampaignAdoptedCleanWithoutCuts(t *testing.T) {
 	ref := testCampaign(t, 8)
 	stripped := &Result{Ranks: ref.clean.Ranks, Recording: ref.clean.Recording} // no Cuts
@@ -102,40 +119,38 @@ func TestCampaignAdoptedCleanWithoutCuts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := testCampaign(t, 8, WithScheduler(ScheduleDirect)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	var want inject.Result
+	for _, wo := range fromScratch(t, testCampaign(t, 8)) {
+		want.Count(wo.Outcome)
 	}
 	if got != want {
-		t.Fatalf("cut-less campaign %+v, direct reference %+v", got, want)
+		t.Fatalf("cut-less campaign %+v, from-scratch reference %+v", got, want)
 	}
 }
 
-// TestCheckpointedCampaignMatchesDirect pins the two schedulers against each
-// other inside the engine package (the facade golden test does the same for
-// analyzed campaigns on a real app): identical outcome and propagation
-// streams for the same seed, and the aggregate Results equal.
+// TestCheckpointedCampaignMatchesDirect pins the checkpointed campaign
+// against the from-scratch oracle inside the engine package (the facade
+// golden test does the same for analyzed campaigns on a real app):
+// identical outcome and propagation streams for the same seed.
 func TestCheckpointedCampaignMatchesDirect(t *testing.T) {
 	const tests = 24
-	collect := func(k SchedulerKind) []string {
-		c := testCampaign(t, tests, WithScheduler(k), WithParallelism(2))
-		var out []string
-		for wo, err := range c.Stream(context.Background()) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, digestOutcome(wo))
-		}
-		return out
+	c := testCampaign(t, tests, WithParallelism(2))
+	var direct, checkpointed []string
+	for _, wo := range fromScratch(t, c) {
+		direct = append(direct, digestOutcome(wo))
 	}
-	direct := collect(ScheduleDirect)
-	checkpointed := collect(ScheduleCheckpointed)
+	for wo, err := range c.Stream(context.Background()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkpointed = append(checkpointed, digestOutcome(wo))
+	}
 	if len(direct) != tests || len(checkpointed) != tests {
 		t.Fatalf("streams yielded %d/%d worlds, want %d", len(direct), len(checkpointed), tests)
 	}
 	for i := range direct {
 		if direct[i] != checkpointed[i] {
-			t.Errorf("world %d:\ndirect:       %s\ncheckpointed: %s", i, direct[i], checkpointed[i])
+			t.Errorf("world %d:\nfrom scratch: %s\ncheckpointed: %s", i, direct[i], checkpointed[i])
 		}
 	}
 }
@@ -144,7 +159,7 @@ func TestCheckpointedCampaignMatchesDirect(t *testing.T) {
 // outcome stream: for the fixed seed the campaign stops at exactly the world
 // the Agresti–Coull rule fires on — computed independently from a full
 // no-early-stop stream and pinned literally — identically at parallelism 1
-// and 4 and under both schedulers.
+// and 4.
 func TestCampaignEarlyStop(t *testing.T) {
 	const (
 		cap        = 64
@@ -178,26 +193,24 @@ func TestCampaignEarlyStop(t *testing.T) {
 		t.Fatalf("rule fires at %d for seed 7, want the pinned 50 (outcome stream changed?)", expected)
 	}
 
-	for _, k := range []SchedulerKind{ScheduleCheckpointed, ScheduleDirect} {
-		for _, par := range []int{1, 4} {
-			c := testCampaign(t, cap, WithEarlyStop(confidence, margin), WithScheduler(k), WithParallelism(par))
-			got, err := c.Run(ctx)
+	for _, par := range []int{1, 4} {
+		c := testCampaign(t, cap, WithEarlyStop(confidence, margin), WithParallelism(par))
+		got, err := c.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Tests != expected {
+			t.Errorf("par=%d: stopped after %d worlds, want %d", par, got.Tests, expected)
+		}
+		n := 0
+		for _, err := range c.Stream(ctx) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Tests != expected {
-				t.Errorf("%v par=%d: stopped after %d worlds, want %d", k, par, got.Tests, expected)
-			}
-			n := 0
-			for _, err := range c.Stream(ctx) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				n++
-			}
-			if n != expected {
-				t.Errorf("%v par=%d: stream yielded %d worlds, want %d", k, par, n, expected)
-			}
+			n++
+		}
+		if n != expected {
+			t.Errorf("par=%d: stream yielded %d worlds, want %d", par, n, expected)
 		}
 	}
 }

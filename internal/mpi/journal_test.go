@@ -10,23 +10,20 @@ import (
 )
 
 // TestJournalResumeWorlds: a journaled world campaign broken at world k
-// resumes to the exact uninterrupted outcome stream — fault, §II-A
+// resumes to the from-scratch oracle's outcome stream — fault, §II-A
 // classification AND cross-rank propagation (class plus diverged-rank set)
 // all round-tripping through the on-disk records. Resume deliberately
-// changes parallelism and scheduler.
+// changes parallelism.
 func TestJournalResumeWorlds(t *testing.T) {
 	const tests = 16
 	var want []string
-	for wo, err := range testCampaign(t, tests, WithParallelism(4)).Stream(context.Background()) {
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, wo := range fromScratch(t, testCampaign(t, tests)) {
 		want = append(want, digestOutcome(wo))
 	}
 
 	for _, k := range []int{0, 4, 11} {
 		path := filepath.Join(t.TempDir(), "w.journal")
-		c := testCampaign(t, tests, WithJournal(path), WithParallelism(4), WithScheduler(ScheduleCheckpointed))
+		c := testCampaign(t, tests, WithJournal(path), WithParallelism(4))
 		for wo, err := range c.Stream(context.Background()) {
 			if err != nil {
 				t.Fatal(err)
@@ -40,7 +37,7 @@ func TestJournalResumeWorlds(t *testing.T) {
 		}
 
 		var got []string
-		c2 := testCampaign(t, tests, WithJournal(path), WithParallelism(1), WithScheduler(ScheduleDirect))
+		c2 := testCampaign(t, tests, WithJournal(path), WithParallelism(1))
 		for wo, err := range c2.Stream(context.Background()) {
 			if err != nil {
 				t.Fatal(err)

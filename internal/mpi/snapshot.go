@@ -254,7 +254,7 @@ func (w *world) snapshot(machines []*interp.Machine, round int, clean *Result) (
 }
 
 // RestoreWorld resumes a snapshotted world to completion, result-identical
-// to a direct replay of the same configuration: every rank's machine is
+// to a from-step-0 replay of the same configuration: every rank's machine is
 // rebuilt and restored from its snapshot, the undelivered messages and
 // wildcard-receive cursors are reinstated, and the ranks run to their own
 // deterministic conclusions exactly as in Run.

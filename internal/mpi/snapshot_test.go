@@ -148,7 +148,7 @@ func sameWorld(t *testing.T, label string, got, want *mpi.Result) {
 }
 
 // cleanPrefix returns rank's clean records below step, the stitching prefix
-// the checkpointed scheduler would prime a traced restored rank with.
+// a checkpointed campaign would prime a traced restored rank with.
 func cleanPrefix(clean *mpi.Result, rank int, step uint64) trace.Recs {
 	recs := &clean.Ranks[rank].Trace.Recs
 	k := sort.Search(recs.Len(), func(i int) bool { return recs.Step(i) >= step })
@@ -237,7 +237,7 @@ func TestSnapshotWorldRestoreCleanBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSnapshotWorldRestoreFaultyBitIdentical is the core scheduler property:
+// TestSnapshotWorldRestoreFaultyBitIdentical is the core checkpointing property:
 // a faulty world resumed from a collective-cut snapshot is bit-identical to
 // the same fault replayed directly from step 0 — for faults that stay
 // contained, corrupt other ranks, crash the world, or never fire, on every
@@ -290,7 +290,7 @@ func TestSnapshotWorldRestoreFaultyBitIdentical(t *testing.T) {
 				statuses[want.Status()] = true
 				for _, snap := range snaps {
 					if snap.CutStep(faultRank) > f.Step {
-						continue // the fault precedes this cut; the scheduler never pairs them
+						continue // the fault precedes this cut; the planner never pairs them
 					}
 					got, err := mpi.RestoreWorld(p, dcfg, snap, func(m *interp.Machine, rank int) {
 						m.PrimeTrace(cleanPrefix(clean, rank, snap.CutStep(rank)), 0)

@@ -75,7 +75,7 @@ const (
 
 // Spec is the POST /campaigns request body: everything that determines a
 // campaign's outcome stream, plus result-invariant execution knobs
-// (parallelism, scheduler, shards).
+// (parallelism, shards). Unknown fields are refused with 400.
 type Spec struct {
 	// ID names the campaign; one is generated when empty. Re-submitting an
 	// untracked ID against a durable server resumes its journal — the
@@ -93,11 +93,9 @@ type Spec struct {
 	Population *PopulationSpec `json:"population,omitempty"`
 	Seed       int64           `json:"seed"`
 	Tests      int             `json:"tests"`
-	// Parallelism, Scheduler ("checkpointed" or "direct", default
-	// checkpointed) and Shards are result-invariant execution knobs.
-	Parallelism int    `json:"parallelism,omitempty"`
-	Scheduler   string `json:"scheduler,omitempty"`
-	Shards      int    `json:"shards,omitempty"`
+	// Parallelism and Shards are result-invariant execution knobs.
+	Parallelism int `json:"parallelism,omitempty"`
+	Shards      int `json:"shards,omitempty"`
 	// EarlyStop, when set, enables the sequential stopping rule.
 	EarlyStop *EarlyStopSpec `json:"early_stop,omitempty"`
 	// StaticPrune short-circuits statically provable faults
@@ -359,11 +357,6 @@ func (s *Spec) validate() error {
 	if s.Parallelism < 0 || s.Shards < 0 {
 		return fmt.Errorf("parallelism and shards must be non-negative")
 	}
-	switch s.Scheduler {
-	case "", "checkpointed", "direct":
-	default:
-		return fmt.Errorf("scheduler must be %q or %q", "checkpointed", "direct")
-	}
 	if s.Engine == "mpi" {
 		if s.Ranks < 1 {
 			return fmt.Errorf("mpi engine needs ranks >= 1")
@@ -396,7 +389,9 @@ func (s *Spec) validate() error {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		code := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -701,13 +696,6 @@ func (s *Server) mpiAnalyzer(app string, ranks, faultRank int) (*core.MPIAnalyze
 	return e.ma, e.err
 }
 
-func schedulerKind(name string) inject.SchedulerKind {
-	if name == "direct" {
-		return inject.ScheduleDirect
-	}
-	return inject.ScheduleCheckpointed
-}
-
 func (p *PopulationSpec) population() core.Population {
 	if p == nil {
 		return core.WholeProgram()
@@ -741,7 +729,6 @@ func (s *Server) buildRunner(spec Spec) (coord.Runner, error) {
 			inject.WithTests(spec.Tests),
 			inject.WithSeed(spec.Seed),
 			inject.WithParallelism(spec.Parallelism),
-			inject.WithScheduler(schedulerKind(spec.Scheduler)),
 		}
 		if es := spec.EarlyStop; es != nil {
 			opts = append(opts, inject.WithEarlyStop(es.Confidence, es.Margin))
@@ -771,7 +758,6 @@ func (s *Server) buildRunner(spec Spec) (coord.Runner, error) {
 			mpi.WithTests(spec.Tests),
 			mpi.WithSeed(spec.Seed),
 			mpi.WithParallelism(spec.Parallelism),
-			mpi.WithScheduler(schedulerKind(spec.Scheduler)),
 		}
 		if es := spec.EarlyStop; es != nil {
 			opts = append(opts, mpi.WithEarlyStop(es.Confidence, es.Margin))

@@ -120,7 +120,7 @@ func TestServerCampaignMatchesEngine(t *testing.T) {
 	for i, tune := range []func(*Spec){
 		func(s *Spec) { s.Shards = 1 },
 		func(s *Spec) { s.Shards = 4; s.Parallelism = 2 },
-		func(s *Spec) { s.Shards = 3; s.Scheduler = "direct" },
+		func(s *Spec) { s.Shards = 3 },
 	} {
 		id := fmt.Sprintf("m%d", i)
 		resp, st := postSpec(t, ts, injectSpec(id, tune))
@@ -215,11 +215,28 @@ func TestServerValidation(t *testing.T) {
 		t.Errorf("oversized body: status %d, want 413", resp.StatusCode)
 	}
 
+	// Unknown fields → 400 naming the field: a retired knob and a typo
+	// must not be silently ignored.
+	for field, body := range map[string]string{
+		"scheduler": `{"app":"kmeans","engine":"inject","tests":5,"scheduler":"direct"}`,
+		"shard":     `{"app":"kmeans","engine":"inject","tests":5,"shard":4}`,
+	} {
+		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorJSON
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"`+field+`"`) {
+			t.Errorf("unknown field %q: status %d, error %q; want 400 naming the field", field, resp.StatusCode, e.Error)
+		}
+	}
+
 	for name, spec := range map[string]Spec{
 		"no app":       {Engine: "inject", Tests: 5},
 		"bad engine":   {App: testApp, Engine: "spark", Tests: 5},
 		"no tests":     {App: testApp, Engine: "inject"},
-		"bad sched":    {App: testApp, Engine: "inject", Tests: 5, Scheduler: "fifo"},
 		"mpi no ranks": {App: "is", Engine: "mpi", Tests: 5},
 		"bad rank":     {App: "is", Engine: "mpi", Tests: 5, Ranks: 3, FaultRank: 3},
 		"mpi pop":      {App: "is", Engine: "mpi", Tests: 5, Ranks: 3, Population: &PopulationSpec{Kind: "hybrid"}},
@@ -277,7 +294,7 @@ func TestServerCancel(t *testing.T) {
 	ts := httptest.NewServer(New(Options{MaxRunning: 1}))
 	defer ts.Close()
 	// A large sequential campaign so the cancel lands mid-run.
-	resp, _ := postSpec(t, ts, injectSpec("big", func(s *Spec) { s.Tests = 5000; s.Parallelism = 1; s.Scheduler = "direct" }))
+	resp, _ := postSpec(t, ts, injectSpec("big", func(s *Spec) { s.Tests = 5000; s.Parallelism = 1 }))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST status %d", resp.StatusCode)
 	}

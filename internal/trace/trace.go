@@ -168,8 +168,7 @@ func (t *Trace) SplitRegions() []Span {
 // is what makes cutting a trace's records by Step sound; a value-returning
 // call breaks it, because its OpRet record is stamped with the call-site's
 // step but emitted at return time, after the callee's higher-step records.
-// The checkpointed schedulers (inject and mpi) gate clean-prefix stitching
-// on it.
+// Both campaign engines (inject and mpi) gate clean-prefix stitching on it.
 func StepsMonotonic(recs Recs) bool {
 	for i := 1; i < recs.Len(); i++ {
 		if recs.Step(i) < recs.Step(i-1) {

@@ -111,14 +111,14 @@ func TestMPICampaignMatchesSequentialLoop(t *testing.T) {
 	}
 }
 
-// TestCheckpointedMPICampaignMatchesDirect is the checkpointed-scheduler
-// golden test: for a fixed seed, an analyzed MPI campaign under
-// ScheduleCheckpointed — worlds resumed from collective-boundary snapshots,
-// per-rank traces stitched from the clean prefix — yields per-world results
-// byte-identical (FNV-compared digests) to the same campaign under
-// ScheduleDirect, world outcome, propagation, and every rank's full
+// TestCheckpointedMPICampaignMatchesDirect is the checkpointed-campaign
+// golden test: for a fixed seed, an analyzed MPI campaign — worlds resumed
+// from collective-boundary snapshots, per-rank traces stitched from the
+// clean prefix — yields per-world results byte-identical (FNV-compared
+// digests) to the from-scratch oracle, one MPIAnalyzer.AnalyzeWorld per
+// drawn fault, world outcome, propagation, and every rank's full
 // FaultAnalysis included, at parallelism 1 and 4. This is the acceptance
-// bar for mpi.ScheduleCheckpointed: a pure speedup, invisible in results.
+// bar for world checkpoints: a pure speedup, invisible in results.
 func TestCheckpointedMPICampaignMatchesDirect(t *testing.T) {
 	const (
 		ranks = 3
@@ -130,60 +130,58 @@ func TestCheckpointedMPICampaignMatchesDirect(t *testing.T) {
 	}
 	ma.FaultRank = 1
 	ctx := context.Background()
-	collect := func(k fliptracker.SchedulerKind, par int) []string {
-		var out []string
-		for wa, err := range ma.StreamWorldAnalysis(ctx, nil,
+	opts := func(par int) []fliptracker.MPIOption {
+		return []fliptracker.MPIOption{
 			fliptracker.MPIWithTests(tests),
 			fliptracker.MPIWithSeed(20181111),
-			fliptracker.MPIWithScheduler(k),
-			fliptracker.MPIWithParallelism(par)) {
+			fliptracker.MPIWithParallelism(par),
+		}
+	}
+	plain, err := ma.NewCampaign(nil, opts(0)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref, refRow []string
+	for _, f := range plain.Faults() {
+		wa, err := ma.AnalyzeWorld(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref, digestWA(wa))
+		refRow = append(refRow, fmt.Sprintf("%v|%v|%v", wa.Fault, wa.Outcome, wa.Propagation))
+	}
+	if len(ref) != tests {
+		t.Fatalf("from-scratch reference yielded %d analyses, want %d", len(ref), tests)
+	}
+	for _, par := range []int{1, 4} {
+		var got []string
+		for wa, err := range ma.StreamWorldAnalysis(ctx, nil, opts(par)...) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, digestWA(wa))
+			got = append(got, digestWA(wa))
 		}
-		return out
-	}
-	ref := collect(fliptracker.ScheduleDirect, 1)
-	if len(ref) != tests {
-		t.Fatalf("direct campaign yielded %d analyses, want %d", len(ref), tests)
-	}
-	for _, par := range []int{1, 4} {
-		got := collect(fliptracker.ScheduleCheckpointed, par)
 		if len(got) != tests {
 			t.Fatalf("checkpointed par=%d yielded %d analyses, want %d", par, len(got), tests)
 		}
 		for i := range ref {
 			if fnv64(got[i]) != fnv64(ref[i]) {
-				t.Errorf("par=%d world %d: checkpointed differs from direct\ncheckpointed: %s\ndirect:       %s",
+				t.Errorf("par=%d world %d: checkpointed differs from from-scratch\ncheckpointed: %s\nfrom scratch: %s",
 					par, i, got[i], ref[i])
 			}
 		}
 	}
 
-	// Plain (untraced) campaigns agree across schedulers too.
-	plainRow := func(k fliptracker.SchedulerKind) []string {
-		c, err := ma.NewCampaign(nil,
-			fliptracker.MPIWithTests(tests),
-			fliptracker.MPIWithSeed(20181111),
-			fliptracker.MPIWithScheduler(k))
+	// Plain (untraced) campaigns agree with the oracle too.
+	i := 0
+	for wo, err := range plain.Stream(ctx) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []string
-		for wo, err := range c.Stream(ctx) {
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, fmt.Sprintf("%v|%v|%v", wo.Fault, wo.Outcome, wo.Propagation))
+		if row := fmt.Sprintf("%v|%v|%v", wo.Fault, wo.Outcome, wo.Propagation); row != refRow[i] {
+			t.Errorf("plain world %d: from-scratch %s vs checkpointed %s", i, refRow[i], row)
 		}
-		return out
-	}
-	d, c := plainRow(fliptracker.ScheduleDirect), plainRow(fliptracker.ScheduleCheckpointed)
-	for i := range d {
-		if d[i] != c[i] {
-			t.Errorf("plain world %d: direct %s vs checkpointed %s", i, d[i], c[i])
-		}
+		i++
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 	"fliptracker"
 	"fliptracker/internal/apps"
-	"fliptracker/internal/interp"
+	"fliptracker/internal/inject"
 )
 
 // digestResult renders a campaign Result for FNV comparison (the acceptance
@@ -22,10 +22,10 @@ func digestResult(r fliptracker.CampaignResult) string {
 // the single-process engine, swept over all ten Table IV applications:
 //
 //   - Invariance: a whole-program campaign with WithStaticPrune produces a
-//     Result FNV-identical to the unpruned campaign of the same seed, under
-//     both the direct and the checkpointed scheduler.
-//   - Soundness: every fault the unpruned campaign actually ran is
-//     cross-checked against its static class — no statically-benign site may
+//     Result FNV-identical to the unpruned campaign of the same seed, and
+//     both equal the from-scratch oracle (inject.RunOne on every drawn
+//     fault).
+//   - Soundness: every fault the oracle ran is cross-checked against its static class — no statically-benign site may
 //     manifest as SDC/crash/NotApplied dynamically, and no statically
 //     never-fires site may manifest at all (CrossCheckStaticOutcome).
 //   - Coverage: the measured prune rate is > 0 on at least three apps, so
@@ -52,56 +52,44 @@ func TestStaticPruneSoundnessMatrix(t *testing.T) {
 		}
 		pop := fliptracker.WholeProgram()
 
-		// Reference: stream the unpruned campaign once to learn the drawn
-		// faults and dynamic outcomes, cross-checking each against its
-		// static class.
+		// Reference: run every drawn fault from scratch, cross-checking each
+		// dynamic outcome against its static class.
 		c, err := an.NewCampaign(pop, base...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var faults []interp.Fault
+		faults := c.Faults()
 		var unpruned fliptracker.CampaignResult
-		for fo, err := range c.Stream(ctx) {
+		for _, f := range faults {
+			o, err := inject.RunOne(an.App.NewMachine, an.App.Verify, f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			faults = append(faults, fo.Fault)
-			unpruned.Count(fo.Outcome)
-			if err := fliptracker.CrossCheckStaticOutcome(pruner, fo.Fault, fo.Outcome); err != nil {
+			unpruned.Count(o)
+			if err := fliptracker.CrossCheckStaticOutcome(pruner, f, o); err != nil {
 				t.Errorf("%s: %v", name, err)
 			}
 		}
 		if unpruned.Tests != tests {
-			t.Fatalf("%s: unpruned campaign ran %d tests, want %d", name, unpruned.Tests, tests)
+			t.Fatalf("%s: from-scratch reference ran %d tests, want %d", name, unpruned.Tests, tests)
 		}
 
-		// Invariance under both schedulers, pruned and unpruned.
-		for _, sched := range []struct {
-			name string
-			kind fliptracker.SchedulerKind
-		}{
-			{"direct", fliptracker.ScheduleDirect},
-			{"checkpointed", fliptracker.ScheduleCheckpointed},
-		} {
-			plain, err := an.Campaign(ctx, pop, append(base[:len(base):len(base)],
-				fliptracker.WithScheduler(sched.kind))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pruned, err := an.Campaign(ctx, pop, append(base[:len(base):len(base)],
-				fliptracker.WithScheduler(sched.kind),
-				fliptracker.WithStaticPrune(pruner))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fnv64(digestResult(plain)) != fnv64(digestResult(unpruned)) {
-				t.Errorf("%s/%s: unpruned Run %s != streamed reference %s",
-					name, sched.name, digestResult(plain), digestResult(unpruned))
-			}
-			if fnv64(digestResult(pruned)) != fnv64(digestResult(plain)) {
-				t.Errorf("%s/%s: pruned Result diverges\npruned:   %s\nunpruned: %s",
-					name, sched.name, digestResult(pruned), digestResult(plain))
-			}
+		// Invariance, pruned and unpruned.
+		plain, err := c.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned, err := an.Campaign(ctx, pop, append(base, fliptracker.WithStaticPrune(pruner))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fnv64(digestResult(plain)) != fnv64(digestResult(unpruned)) {
+			t.Errorf("%s: unpruned Run %s != from-scratch reference %s",
+				name, digestResult(plain), digestResult(unpruned))
+		}
+		if fnv64(digestResult(pruned)) != fnv64(digestResult(plain)) {
+			t.Errorf("%s: pruned Result diverges\npruned:   %s\nunpruned: %s",
+				name, digestResult(pruned), digestResult(plain))
 		}
 
 		stats := pruner.StatsFor(faults)
@@ -119,8 +107,9 @@ func TestStaticPruneSoundnessMatrix(t *testing.T) {
 // TestStaticPruneSoundnessMatrixMPI is the same acceptance contract for the
 // MPI engine over all ten Table IV applications' SPMD variants: pruned world
 // campaigns (MPIWithStaticPrune) must be Result-identical to unpruned ones
-// under both world schedulers, and every world the unpruned campaign
-// replayed must satisfy the static soundness contract.
+// and to the from-scratch oracle (MPIAnalyzer.AnalyzeWorld on every drawn
+// fault), and every world the oracle replayed must satisfy the static
+// soundness contract.
 func TestStaticPruneSoundnessMatrixMPI(t *testing.T) {
 	const (
 		ranks = 2
@@ -142,55 +131,46 @@ func TestStaticPruneSoundnessMatrixMPI(t *testing.T) {
 			fliptracker.MPIWithSeed(seed),
 		}
 
-		// Reference stream with per-world soundness cross-check.
+		// Reference: replay every drawn fault's world from scratch, with
+		// the per-world soundness cross-check.
 		c, err := ma.NewCampaign(nil, base...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var unpruned fliptracker.CampaignResult
-		for wo, err := range c.Stream(ctx) {
+		for _, f := range c.Faults() {
+			wa, err := ma.AnalyzeWorld(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			unpruned.Count(wo.Outcome)
-			if err := fliptracker.CrossCheckStaticOutcome(pruner, wo.Fault, wo.Outcome); err != nil {
+			unpruned.Count(wa.Outcome)
+			if err := fliptracker.CrossCheckStaticOutcome(pruner, f, wa.Outcome); err != nil {
 				t.Errorf("%s: %v", name, err)
 			}
 		}
 		if unpruned.Tests != tests {
-			t.Fatalf("%s: unpruned campaign ran %d worlds, want %d", name, unpruned.Tests, tests)
+			t.Fatalf("%s: from-scratch reference ran %d worlds, want %d", name, unpruned.Tests, tests)
 		}
 
-		for _, sched := range []struct {
-			name string
-			kind fliptracker.SchedulerKind
-		}{
-			{"direct", fliptracker.ScheduleDirect},
-			{"checkpointed", fliptracker.ScheduleCheckpointed},
-		} {
-			run := func(opts ...fliptracker.MPIOption) fliptracker.CampaignResult {
-				t.Helper()
-				c, err := ma.NewCampaign(nil, append(append(base[:len(base):len(base)],
-					fliptracker.MPIWithScheduler(sched.kind)), opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := c.Run(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			plain := run()
-			pruned := run(fliptracker.MPIWithStaticPrune(pruner))
-			if fnv64(digestResult(plain)) != fnv64(digestResult(unpruned)) {
-				t.Errorf("%s/%s: unpruned Run %s != streamed reference %s",
-					name, sched.name, digestResult(plain), digestResult(unpruned))
-			}
-			if fnv64(digestResult(pruned)) != fnv64(digestResult(plain)) {
-				t.Errorf("%s/%s: pruned Result diverges\npruned:   %s\nunpruned: %s",
-					name, sched.name, digestResult(pruned), digestResult(plain))
-			}
+		plain, err := c.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc, err := ma.NewCampaign(nil, append(base, fliptracker.MPIWithStaticPrune(pruner))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pruned, err := pc.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fnv64(digestResult(plain)) != fnv64(digestResult(unpruned)) {
+			t.Errorf("%s: unpruned Run %s != from-scratch reference %s",
+				name, digestResult(plain), digestResult(unpruned))
+		}
+		if fnv64(digestResult(pruned)) != fnv64(digestResult(plain)) {
+			t.Errorf("%s: pruned Result diverges\npruned:   %s\nunpruned: %s",
+				name, digestResult(pruned), digestResult(plain))
 		}
 	}
 }
