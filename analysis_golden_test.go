@@ -2,7 +2,11 @@ package fliptracker_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -48,6 +52,17 @@ func fnv64(s string) uint64 {
 	return h
 }
 
+// goldenFaults is the named fault set of the AnalyzeFault goldens, placed
+// relative to the clean run's step count.
+func goldenFaults(steps uint64) map[string]fliptracker.Fault {
+	return map[string]fliptracker.Fault{
+		"mid-dst-40":    {Step: steps / 2, Bit: 40, Kind: fliptracker.FaultDst},
+		"third-dst-30":  {Step: steps / 3, Bit: 30, Kind: fliptracker.FaultDst},
+		"late-dst-12":   {Step: steps - steps/10, Bit: 12, Kind: fliptracker.FaultDst},
+		"early-high-62": {Step: steps / 10, Bit: 62, Kind: fliptracker.FaultDst},
+	}
+}
+
 // TestAnalyzeFaultGolden pins AnalyzeFault to digests captured from the
 // pre-CleanIndex implementation (which re-derived every clean-run artifact
 // per fault): the v2 pipeline — shared spans, cached clean DDDGs,
@@ -74,14 +89,6 @@ func TestAnalyzeFaultGolden(t *testing.T) {
 		{"mg", "late-dst-12", 0xf47f5be9b5b73dff},
 		{"mg", "early-high-62", 0x1839f6e829136229},
 	}
-	faults := func(steps uint64) map[string]fliptracker.Fault {
-		return map[string]fliptracker.Fault{
-			"mid-dst-40":    {Step: steps / 2, Bit: 40, Kind: fliptracker.FaultDst},
-			"third-dst-30":  {Step: steps / 3, Bit: 30, Kind: fliptracker.FaultDst},
-			"late-dst-12":   {Step: steps - steps/10, Bit: 12, Kind: fliptracker.FaultDst},
-			"early-high-62": {Step: steps / 10, Bit: 62, Kind: fliptracker.FaultDst},
-		}
-	}
 	analyzers := map[string]*fliptracker.Analyzer{}
 	for _, g := range golden {
 		an, ok := analyzers[g.app]
@@ -97,7 +104,7 @@ func TestAnalyzeFaultGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fa, err := an.AnalyzeFault(faults(clean.Steps)[g.name])
+		fa, err := an.AnalyzeFault(goldenFaults(clean.Steps)[g.name])
 		if err != nil {
 			t.Fatalf("%s/%s: %v", g.app, g.name, err)
 		}
@@ -165,6 +172,97 @@ func TestAnalyzedCampaignMatchesAnalyzeFaultLoop(t *testing.T) {
 			if d := digestFA(fa); d != ref[i] {
 				t.Errorf("par=%d: fault %d digest mismatch\ngot:  %s\nwant: %s", par, i, d, ref[i])
 			}
+		}
+	}
+}
+
+// digestFAFull hashes the full content of an analysis, where digestFA
+// hashes only counts and maxima: the whole ACL Series, every Event and
+// Interval, every region comparison delta (values, types and the ErrMag
+// bits) and every pattern's evidence, sorted so that evidence order does
+// not matter. A value-level change in any per-fault analysis kernel moves
+// this digest even when every count stays the same.
+func digestFAFull(fa *fliptracker.FaultAnalysis) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "outcome=%s\n", fa.Outcome)
+	r := fa.ACL
+	fmt.Fprintf(h, "inj=%d div=%d peak=%d n=%d\n", r.InjectionIndex, r.DivergenceIndex, r.Peak, len(r.Series))
+	var buf [4]byte
+	for _, v := range r.Series {
+		binary.LittleEndian.PutUint32(buf[:], uint32(v))
+		h.Write(buf[:])
+	}
+	for _, e := range r.Events {
+		fmt.Fprintf(h, "e %d %d %d %d\n", e.RecIndex, e.Loc, e.Kind, e.SID)
+	}
+	for _, iv := range r.Intervals {
+		fmt.Fprintf(h, "i %d %d %d %v\n", iv.Loc, iv.Begin, iv.End, iv.ByOverwrite)
+	}
+	for _, rr := range fa.Regions {
+		c := rr.Comparison
+		fmt.Fprintf(h, "region %s#%d div=%d c1=%v c2=%v maxin=%x maxout=%x drop=%d\n",
+			rr.Region.Name, rr.Instance, c.DivergedAt, c.Case1, c.Case2,
+			math.Float64bits(c.MaxInputErr), math.Float64bits(c.MaxOutputErr), rr.ACLDrop)
+		for _, d := range c.CorruptedInputs {
+			fmt.Fprintf(h, "in %d %d %d %d %x\n", d.Loc, d.Correct, d.Faulty, d.Typ, math.Float64bits(d.ErrMag))
+		}
+		for _, d := range c.CorruptedOutputs {
+			fmt.Fprintf(h, "out %d %d %d %d %x\n", d.Loc, d.Correct, d.Faulty, d.Typ, math.Float64bits(d.ErrMag))
+		}
+		fmt.Fprintf(h, "found %v\n", rr.Patterns.Found)
+		ev := make([]string, len(rr.Patterns.Evidence))
+		for i, e := range rr.Patterns.Evidence {
+			ev[i] = fmt.Sprintf("%020d %d %d %d %d %s", e.Loc, e.Pattern, e.RecIndex, e.SID, e.Line, e.Note)
+		}
+		sort.Strings(ev)
+		for _, s := range ev {
+			fmt.Fprintln(h, s)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestAnalyzeFaultFullContentGolden pins the full content of
+// TestAnalyzeFaultGolden's analyses (digestFAFull), captured before the
+// analysis kernels read the columnar trace directly: the one-pass region
+// comparison, the narrowed ACL read postings and the column-read
+// repeated-additions scan must reproduce the graph-based originals value
+// for value.
+func TestAnalyzeFaultFullContentGolden(t *testing.T) {
+	golden := []struct {
+		app, name string
+		want      uint64
+	}{
+		{"cg", "mid-dst-40", 0x4027173585f9dc1a},
+		{"cg", "third-dst-30", 0xe3e3948b09de98f3},
+		{"cg", "late-dst-12", 0x1688d26ff3857a03},
+		{"cg", "early-high-62", 0xe628a2fcfcf9ead3},
+		{"mg", "mid-dst-40", 0xccfb094f77ec9630},
+		{"mg", "third-dst-30", 0xd097157fea403335},
+		{"mg", "late-dst-12", 0x09834957c2ee42cb},
+		{"mg", "early-high-62", 0xb7a35687425e720a},
+	}
+	analyzers := map[string]*fliptracker.Analyzer{}
+	for _, g := range golden {
+		an, ok := analyzers[g.app]
+		if !ok {
+			var err error
+			an, err = fliptracker.NewAnalyzer(g.app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			analyzers[g.app] = an
+		}
+		clean, err := an.CleanTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fa, err := an.AnalyzeFault(goldenFaults(clean.Steps)[g.name])
+		if err != nil {
+			t.Fatalf("%s/%s: %v", g.app, g.name, err)
+		}
+		if got := digestFAFull(fa); got != g.want {
+			t.Errorf("%s/%s: full-content digest %#x, want %#x", g.app, g.name, got, g.want)
 		}
 	}
 }

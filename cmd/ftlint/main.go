@@ -31,6 +31,9 @@ var defaultDirs = []string{
 	"internal/irstatic",
 	"internal/coord",
 	"internal/server",
+	"internal/acl",
+	"internal/dddg",
+	"internal/patterns",
 }
 
 func main() {

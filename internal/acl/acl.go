@@ -103,31 +103,52 @@ type Options struct {
 	SkipLiveness bool
 }
 
-// scratch is the pooled per-analysis working set: the read-posting map, the
-// flat arena its lists are carved from, and finishSeries' sweep buffer.
-// Together these were the analysis' dominant allocations (~8MB per fault on
-// MG); pooling reuses them across the faults a campaign worker analyzes.
-// Nothing in a Result aliases scratch memory, so returning one to the pool
-// after the Result is built is safe.
+// scratch is the pooled per-analysis working set: the taint map, the
+// liveness pass' last-read table, the filter fronting whichever of the two
+// maps is in use, and finishSeries' sweep buffer. Pooling reuses them across
+// the faults a campaign worker analyzes. Nothing in a Result aliases scratch
+// memory, so returning one to the pool after the Result is built is safe.
 type scratch struct {
-	readCount map[trace.Loc]int32
-	reads     map[trace.Loc][]int32
-	arena     []int32
-	diff      []int32
+	tainted map[trace.Loc]int   // loc -> open interval index
+	pending map[trace.Loc]int32 // loc -> slot in last, liveness pass only
+	filter  locFilter
+	last    []int32
+	diff    []int32
 }
+
+// locFilter is a one-hash Bloom filter over locations. The taint set and
+// the liveness pass' pending set are small next to the locations a trace
+// touches, so most per-record lookups in them miss; the filter answers
+// those without probing the map. Bits are never cleared: a location that
+// left the set only costs a map probe.
+type locFilter [1024]uint64
+
+func (f *locFilter) add(l trace.Loc) {
+	h := filterHash(l)
+	f[h>>6] |= 1 << (h & 63)
+}
+
+func (f *locFilter) mayHave(l trace.Loc) bool {
+	h := filterHash(l)
+	return f[h>>6]&(1<<(h&63)) != 0
+}
+
+// filterHash is a Fibonacci hash of the location onto the filter's 2^16
+// bits.
+func filterHash(l trace.Loc) uint64 { return uint64(l) * 0x9E3779B97F4A7C15 >> 48 }
 
 var scratchPool = sync.Pool{New: func() any {
 	return &scratch{
-		readCount: map[trace.Loc]int32{},
-		reads:     map[trace.Loc][]int32{},
+		tainted: map[trace.Loc]int{},
+		pending: map[trace.Loc]int32{},
 	}
 }}
 
 // release clears the maps (retaining their buckets) and returns the scratch
 // to the pool.
 func (sc *scratch) release() {
-	clear(sc.readCount)
-	clear(sc.reads)
+	clear(sc.tainted)
+	clear(sc.pending)
 	scratchPool.Put(sc)
 }
 
@@ -150,78 +171,34 @@ func AnalyzeWith(faulty, clean *trace.Trace, opts Options) *Result {
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
 
-	// Pre-pass: per-location read indices in the faulty trace, for the
-	// liveness computation. Two passes carve the posting lists out of one
-	// pooled arena — counting first, then filling — so the lists cost no
-	// allocations at all once the pool is warm, instead of one growing
-	// slice per location per fault.
-	frecs := &faulty.Recs
-	total := 0
-	for i := 0; i < n; i++ {
-		for s := 0; s < frecs.NSrc(i); s++ {
-			if loc := frecs.Src(i, s); loc != 0 {
-				sc.readCount[loc]++
-				total++
-			}
-		}
-	}
-	if cap(sc.arena) < total {
-		sc.arena = make([]int32, total)
-	}
-	arena := sc.arena[:total]
-	off := 0
-	for loc, cnt := range sc.readCount {
-		sc.reads[loc] = arena[off : off : off+int(cnt)]
-		off += int(cnt)
-	}
-	reads := sc.reads
-	for i := 0; i < n; i++ {
-		for s := 0; s < frecs.NSrc(i); s++ {
-			if loc := frecs.Src(i, s); loc != 0 {
-				reads[loc] = append(reads[loc], int32(i))
-			}
-		}
-	}
-
-	// Forward value-aware taint.
-	tainted := map[trace.Loc]int{} // loc -> interval index (open)
+	// Forward value-aware taint, reading the record columns directly.
+	tainted, filter := sc.tainted, &sc.filter
+	clear(filter[:])
+	// Callers open only untainted locations and close only tainted ones.
 	openInterval := func(loc trace.Loc, at int, sid int32) {
-		if _, already := tainted[loc]; already {
-			return
-		}
 		res.Intervals = append(res.Intervals, Interval{Loc: loc, Begin: at, End: n})
 		tainted[loc] = len(res.Intervals) - 1
+		filter.add(loc)
 		res.Events = append(res.Events, Event{RecIndex: at, Loc: loc, Kind: Corrupted, SID: sid})
 	}
-	closeInterval := func(loc trace.Loc, at int, sid int32, overwrite bool) {
-		ii, ok := tainted[loc]
-		if !ok {
-			return
-		}
+	// Intervals close during the forward pass only by an overwrite; the
+	// rest stay open to the end of the trace until liveness trims them.
+	closeByOverwrite := func(loc trace.Loc, at int, sid int32) {
+		ii := tainted[loc]
 		delete(tainted, loc)
 		res.Intervals[ii].End = at
-		res.Intervals[ii].ByOverwrite = overwrite
-		kind := DeadUnused
-		if overwrite {
-			kind = DeadOverwrite
-		}
-		res.Events = append(res.Events, Event{RecIndex: at, Loc: loc, Kind: kind, SID: sid})
+		res.Intervals[ii].ByOverwrite = true
+		res.Events = append(res.Events, Event{RecIndex: at, Loc: loc, Kind: DeadOverwrite, SID: sid})
 	}
 
-	matched := clean.Recs.Len()
-	if n < matched {
-		matched = n
-	}
+	fr, cr := &faulty.Recs, &clean.Recs
+	matched := min(cr.Len(), n)
 	for i := 0; i < n; i++ {
-		fr := frecs.At(i)
+		sid := fr.SID(i)
 		valueAware := res.DivergenceIndex < 0 && i < matched
-		var cr trace.Rec
-		if valueAware {
-			cr = clean.Recs.At(i)
-			if cr.SID != fr.SID {
-				res.DivergenceIndex = i
-				valueAware = false
-			}
+		if valueAware && cr.SID(i) != sid {
+			res.DivergenceIndex = i
+			valueAware = false
 		}
 
 		// Detect corrupted sources. With value-awareness, a source whose
@@ -229,17 +206,19 @@ func AnalyzeWith(faulty, clean *trace.Trace, opts Options) *Result {
 		// not reached it yet (this is how memory-targeted faults surface:
 		// the flipped cell first appears as a load source).
 		anyTaintedSrc := false
-		for s := 0; s < int(r2n(fr.NSrc)); s++ {
-			loc := fr.Src[s]
+		for s := range fr.NSrc(i) {
+			loc := fr.Src(i, s)
 			if loc == 0 {
 				continue
 			}
-			if _, ok := tainted[loc]; ok {
-				anyTaintedSrc = true
-				continue
+			if filter.mayHave(loc) {
+				if _, ok := tainted[loc]; ok {
+					anyTaintedSrc = true
+					continue
+				}
 			}
-			if valueAware && fr.SrcVal[s] != cr.SrcVal[s] {
-				openInterval(loc, i, fr.SID)
+			if valueAware && fr.SrcVal(i, s) != cr.SrcVal(i, s) {
+				openInterval(loc, i, sid)
 				if res.InjectionIndex < 0 {
 					res.InjectionIndex = i
 				}
@@ -250,77 +229,112 @@ func AnalyzeWith(faulty, clean *trace.Trace, opts Options) *Result {
 		// Conditional statements have no destination, but a tainted
 		// condition that still takes the correct direction is the
 		// conditional-statement resilience pattern (pattern 3).
-		if fr.Op == ir.OpCondBr && anyTaintedSrc && valueAware && fr.Taken == cr.Taken {
-			res.Events = append(res.Events, Event{RecIndex: i, Loc: fr.Src[0], Kind: Masked, SID: fr.SID})
+		if anyTaintedSrc && valueAware && fr.Op(i) == ir.OpCondBr && fr.Taken(i) == cr.Taken(i) {
+			res.Events = append(res.Events, Event{RecIndex: i, Loc: fr.Src(i, 0), Kind: Masked, SID: sid})
 		}
 
-		if fr.HasDst() {
-			switch {
-			case valueAware && fr.DstVal != cr.DstVal:
-				// Destination is wrong (whether or not taint explains it
-				// — covers FaultDst injections directly).
-				if res.InjectionIndex < 0 {
-					res.InjectionIndex = i
-				}
-				if _, ok := tainted[fr.Dst]; !ok {
-					openInterval(fr.Dst, i, fr.SID)
-				}
-			case valueAware && fr.DstVal == cr.DstVal:
-				// Correct value written. If the destination was tainted it
-				// has been overwritten clean; if sources were tainted the
-				// operation masked the error.
-				if _, ok := tainted[fr.Dst]; ok {
-					closeInterval(fr.Dst, i, fr.SID, true)
-				}
-				if anyTaintedSrc {
-					res.Events = append(res.Events, Event{RecIndex: i, Loc: fr.Dst, Kind: Masked, SID: fr.SID})
-				}
-			case !valueAware && anyTaintedSrc:
-				// Conservative taint after divergence.
-				if _, ok := tainted[fr.Dst]; !ok {
-					openInterval(fr.Dst, i, fr.SID)
-				}
-			case !valueAware:
-				if _, ok := tainted[fr.Dst]; ok {
-					closeInterval(fr.Dst, i, fr.SID, true)
-				}
+		dst := fr.Dst(i)
+		if dst == 0 {
+			continue
+		}
+		dstTainted := false
+		if filter.mayHave(dst) {
+			_, dstTainted = tainted[dst]
+		}
+		switch {
+		case valueAware && fr.DstVal(i) != cr.DstVal(i):
+			// Destination is wrong (whether or not taint explains it
+			// — covers FaultDst injections directly).
+			if res.InjectionIndex < 0 {
+				res.InjectionIndex = i
+			}
+			if !dstTainted {
+				openInterval(dst, i, sid)
+			}
+		case valueAware:
+			// Correct value written. If the destination was tainted it
+			// has been overwritten clean; if sources were tainted the
+			// operation masked the error.
+			if dstTainted {
+				closeByOverwrite(dst, i, sid)
+			}
+			if anyTaintedSrc {
+				res.Events = append(res.Events, Event{RecIndex: i, Loc: dst, Kind: Masked, SID: sid})
+			}
+		case anyTaintedSrc:
+			// Conservative taint after divergence.
+			if !dstTainted {
+				openInterval(dst, i, sid)
+			}
+		case dstTainted:
+			closeByOverwrite(dst, i, sid)
+		}
+	}
+
+	if !opts.SkipLiveness {
+		refineLiveness(res, fr, sc)
+	}
+	return finishSeries(res, n, sc)
+}
+
+// refineLiveness trims every interval not closed by an overwrite to the
+// last read of its location: such an interval ends at that read, or, with
+// no read at all while corrupted, right after Begin (dead on arrival).
+//
+// Only these intervals need reads, and each is still open at the end of the
+// trace, so a location has at most one and its last read in the whole trace
+// decides it: after Begin, the interval ends there; at or before Begin, it
+// was never read while corrupted. One backward scan finds each location's
+// last read and stops once every location is resolved, or at the earliest
+// Begin+1, below which no read decides anything.
+func refineLiveness(res *Result, fr *trace.Recs, sc *scratch) {
+	n := fr.Len()
+	pending, filter := sc.pending, &sc.filter
+	clear(filter[:])
+	last := sc.last[:0]
+	lo := n
+	for _, iv := range res.Intervals {
+		if iv.ByOverwrite {
+			continue
+		}
+		pending[iv.Loc] = int32(len(last))
+		filter.add(iv.Loc)
+		last = append(last, -1)
+		lo = min(lo, iv.Begin+1)
+	}
+	sc.last = last
+	for i := n - 1; i >= lo && len(pending) > 0; i-- {
+		for s := range fr.NSrc(i) {
+			loc := fr.Src(i, s)
+			if !filter.mayHave(loc) {
+				continue
+			}
+			if k, ok := pending[loc]; ok {
+				last[k] = int32(i)
+				delete(pending, loc)
 			}
 		}
 	}
 
-	// Liveness refinement: an interval not closed by an overwrite actually
-	// ends at the last read of the location within it; with no read at
-	// all, the corrupted value was dead on arrival.
-	if opts.SkipLiveness {
-		return finishSeries(res, n, sc)
-	}
+	k := 0
 	for ii := range res.Intervals {
 		iv := &res.Intervals[ii]
 		if iv.ByOverwrite {
 			continue
 		}
-		rs := reads[iv.Loc]
-		// Find the last read in (iv.Begin, iv.End).
-		lo := sort.Search(len(rs), func(k int) bool { return rs[k] > int32(iv.Begin) })
-		hi := sort.Search(len(rs), func(k int) bool { return rs[k] >= int32(iv.End) })
-		if lo >= hi {
+		r := int(last[k])
+		k++
+		if r <= iv.Begin {
 			// Never read while corrupted: dead immediately after Begin.
-			end := iv.Begin + 1
-			if end > n {
-				end = n
-			}
-			iv.End = end
-			res.Events = append(res.Events, Event{RecIndex: iv.Begin, Loc: iv.Loc, Kind: DeadUnused, SID: frecs.SID(iv.Begin)})
+			iv.End = min(iv.Begin+1, n)
+			res.Events = append(res.Events, Event{RecIndex: iv.Begin, Loc: iv.Loc, Kind: DeadUnused, SID: fr.SID(iv.Begin)})
 			continue
 		}
-		last := int(rs[hi-1])
-		if last+1 < iv.End {
-			iv.End = last + 1
-			res.Events = append(res.Events, Event{RecIndex: last, Loc: iv.Loc, Kind: DeadUnused, SID: frecs.SID(last)})
+		if r+1 < iv.End {
+			iv.End = r + 1
+			res.Events = append(res.Events, Event{RecIndex: r, Loc: iv.Loc, Kind: DeadUnused, SID: fr.SID(r)})
 		}
 	}
-
-	return finishSeries(res, n, sc)
 }
 
 // finishSeries materializes Series/Peak from the intervals and sorts events.
@@ -351,8 +365,6 @@ func finishSeries(res *Result, n int, sc *scratch) *Result {
 	sort.SliceStable(res.Events, func(a, b int) bool { return res.Events[a].RecIndex < res.Events[b].RecIndex })
 	return res
 }
-
-func r2n(n uint8) int { return int(n) }
 
 // SeriesInSpan extracts the ACL sub-series covering one region-instance span.
 func (r *Result) SeriesInSpan(s trace.Span) []int32 {

@@ -2,6 +2,7 @@ package dddg
 
 import (
 	"math"
+	"sync"
 
 	"fliptracker/internal/ir"
 	"fliptracker/internal/trace"
@@ -80,20 +81,26 @@ func CompareRegion(clean *trace.Trace, cs trace.Span, faulty *trace.Trace, fs tr
 // reused across every per-fault comparison instead of being reconstructed
 // per call. The graph remembers the trace and span it was built from, so
 // only the faulty side is passed.
+//
+// The faulty side needs no graph of its own: the comparison reads only the
+// first-read values of the clean graph's InputMemLocs and the final values
+// of its WrittenMemLocs, so one pass over the faulty span fills those into
+// dense per-location tables, with the same version rules as Build.
 func CompareRegionWith(gClean *Graph, faulty *trace.Trace, fs trace.Span) *RegionComparison {
-	gFaulty := Build(faulty, fs)
+	cx := gClean.compareIndex()
+	tab := faultyValues(cx, faulty, fs)
+	defer slotPool.Put(tab)
 
 	res := &RegionComparison{DivergedAt: Diverged(gClean.src, gClean.span, faulty, fs)}
 
 	// Inputs: memory locations read-before-written in the clean region.
-	for _, loc := range gClean.InputMemLocs() {
-		cv, _ := inputValue(gClean, loc)
-		fv, ok := inputValue(gFaulty, loc)
-		if !ok {
+	for _, c := range cx.inputs {
+		st := &(*tab)[c.slot]
+		if !st.input {
 			continue // control-flow divergence removed the read
 		}
-		if cv != fv {
-			d := LocDelta{Loc: loc, Correct: cv, Faulty: fv, Typ: inputType(gClean, loc), ErrMag: ErrMag(cv, fv, inputType(gClean, loc))}
+		if fv := st.in; c.val != fv {
+			d := LocDelta{Loc: c.loc, Correct: c.val, Faulty: fv, Typ: c.typ, ErrMag: ErrMag(c.val, fv, c.typ)}
 			res.CorruptedInputs = append(res.CorruptedInputs, d)
 			if !math.IsInf(d.ErrMag, 1) && d.ErrMag > res.MaxInputErr {
 				res.MaxInputErr = d.ErrMag
@@ -103,17 +110,13 @@ func CompareRegionWith(gClean *Graph, faulty *trace.Trace, fs trace.Span) *Regio
 
 	// Outputs: memory locations written in the clean region, compared at
 	// their final values.
-	for _, loc := range gClean.WrittenMemLocs() {
-		cv, _ := gClean.FinalValue(loc)
-		fv, ok := gFaulty.FinalValue(loc)
-		if !ok {
-			// The faulty run never wrote it: treat the incoming faulty
-			// value as its final value if present, else skip.
-			continue
+	for _, c := range cx.outputs {
+		st := &(*tab)[c.slot]
+		if !st.seen {
+			continue // the faulty span neither read nor wrote it
 		}
-		if cv != fv {
-			t := finalType(gClean, loc)
-			d := LocDelta{Loc: loc, Correct: cv, Faulty: fv, Typ: t, ErrMag: ErrMag(cv, fv, t)}
+		if fv := st.final; c.val != fv {
+			d := LocDelta{Loc: c.loc, Correct: c.val, Faulty: fv, Typ: c.typ, ErrMag: ErrMag(c.val, fv, c.typ)}
 			res.CorruptedOutputs = append(res.CorruptedOutputs, d)
 			if !math.IsInf(d.ErrMag, 1) && d.ErrMag > res.MaxOutputErr {
 				res.MaxOutputErr = d.ErrMag
@@ -131,24 +134,98 @@ func CompareRegionWith(gClean *Graph, faulty *trace.Trace, fs trace.Span) *Regio
 	return res
 }
 
-func inputValue(g *Graph, loc trace.Loc) (ir.Word, bool) {
-	id, ok := g.externals[loc]
-	if !ok {
-		return 0, false
-	}
-	return g.Nodes[id].Val, true
+// compareIndex is the clean-side half of a comparison, derived once per
+// clean graph: the locations a comparison reads, each with its clean value
+// and type and a dense slot in the faulty-side table.
+type compareIndex struct {
+	// slot numbers every location of inputs and outputs (a location that
+	// is both shares one slot).
+	slot map[trace.Loc]int32
+	// inputs are the graph's InputMemLocs with their first-read values;
+	// outputs its WrittenMemLocs with their final values. Both sorted.
+	inputs, outputs []compareLoc
 }
 
-func inputType(g *Graph, loc trace.Loc) ir.Type {
-	if id, ok := g.externals[loc]; ok {
-		return g.Nodes[id].Typ
-	}
-	return ir.F64
+type compareLoc struct {
+	loc  trace.Loc
+	slot int32
+	val  ir.Word
+	typ  ir.Type
 }
 
-func finalType(g *Graph, loc trace.Loc) ir.Type {
-	if id, ok := g.final[loc]; ok {
-		return g.Nodes[id].Typ
+// compareIndex returns the graph's comparison index, deriving it on first
+// use. Graphs are shared read-only across goroutines, hence the Once.
+func (g *Graph) compareIndex() *compareIndex {
+	g.cmpOnce.Do(func() {
+		cx := &compareIndex{slot: map[trace.Loc]int32{}}
+		add := func(loc trace.Loc, id NodeID) compareLoc {
+			s, ok := cx.slot[loc]
+			if !ok {
+				s = int32(len(cx.slot))
+				cx.slot[loc] = s
+			}
+			return compareLoc{loc: loc, slot: s, val: g.Nodes[id].Val, typ: g.Nodes[id].Typ}
+		}
+		for _, loc := range g.InputMemLocs() {
+			cx.inputs = append(cx.inputs, add(loc, g.externals[loc]))
+		}
+		for _, loc := range g.WrittenMemLocs() {
+			cx.outputs = append(cx.outputs, add(loc, g.final[loc]))
+		}
+		g.cmp = cx
+	})
+	return g.cmp
+}
+
+// slotState is what a faulty span did to one compared location.
+type slotState struct {
+	// in is the value of the span's first access when that access was a
+	// read (input set): the location's external version in Build's terms.
+	in ir.Word
+	// final is the location's last version: its last write, or in when it
+	// was only read (seen set).
+	final       ir.Word
+	seen, input bool
+}
+
+// slotPool recycles the faulty-side tables across comparisons.
+var slotPool = sync.Pool{New: func() any { return new([]slotState) }}
+
+// faultyValues makes one pass over the faulty span and records, for each
+// location of cx, the values Build would give its external and final
+// versions: region markers are skipped, a record's sources resolve before
+// its destination, and a read defines the external version only if the
+// span has not read or written the location before.
+func faultyValues(cx *compareIndex, faulty *trace.Trace, fs trace.Span) *[]slotState {
+	tab := slotPool.Get().(*[]slotState)
+	if cap(*tab) < len(cx.slot) {
+		*tab = make([]slotState, len(cx.slot))
 	}
-	return ir.F64
+	*tab = (*tab)[:len(cx.slot)]
+	clear(*tab)
+	t := *tab
+	recs := &faulty.Recs
+	end := min(fs.End, recs.Len())
+	for i := fs.Start; i < end; i++ {
+		if op := recs.Op(i); op == ir.OpRegionEnter || op == ir.OpRegionExit {
+			continue
+		}
+		for s := range recs.NSrc(i) {
+			loc := recs.Src(i, s)
+			if !loc.IsMem() {
+				continue
+			}
+			if p, ok := cx.slot[loc]; ok && !t[p].seen {
+				v := recs.SrcVal(i, s)
+				t[p] = slotState{in: v, final: v, seen: true, input: true}
+			}
+		}
+		if dst := recs.Dst(i); dst.IsMem() {
+			if p, ok := cx.slot[dst]; ok {
+				t[p].seen = true
+				t[p].final = recs.DstVal(i)
+			}
+		}
+	}
+	return tab
 }

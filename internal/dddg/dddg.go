@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"fliptracker/internal/ir"
 	"fliptracker/internal/trace"
@@ -53,6 +54,10 @@ type Graph struct {
 	outDegree []int32
 	span      trace.Span
 	src       *trace.Trace
+
+	// cmp is the comparison index CompareRegionWith derives once per graph.
+	cmpOnce sync.Once
+	cmp     *compareIndex
 }
 
 // Build constructs the DDDG for the given span of t. Records outside the
@@ -173,7 +178,7 @@ func (g *Graph) WrittenMemLocs() []trace.Loc {
 // (the true region inputs among globals), sorted.
 func (g *Graph) InputMemLocs() []trace.Loc {
 	seen := map[trace.Loc]bool{}
-	for loc := range g.externals {
+	for loc := range g.externals { //ftlint:ok fills a set that sortedLocs returns sorted
 		if loc.IsMem() {
 			seen[loc] = true
 		}
@@ -207,7 +212,7 @@ func (g *Graph) OutputLocs(t *trace.Trace) []trace.Loc {
 
 func sortedLocs(set map[trace.Loc]bool) []trace.Loc {
 	out := make([]trace.Loc, 0, len(set))
-	for l := range set {
+	for l := range set { //ftlint:ok out is sorted below
 		out = append(out, l)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -200,6 +200,7 @@ func TestDirsOnRealEnginePackages(t *testing.T) {
 	dirs := []string{
 		"../campaign", "../inject", "../mpi", "../journal",
 		"../trace", "../core", "../interp", "../irstatic", "../coord", "../server",
+		"../acl", "../dddg", "../patterns",
 	}
 	fs, err := Dirs(dirs)
 	if err != nil {

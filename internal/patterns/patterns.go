@@ -236,44 +236,57 @@ func DetectRepeatedAdditions(faulty, clean *trace.Trace, span trace.Span) []RAEv
 // spans of the same region: the amortization usually plays out across
 // *instances* (MG's psinv is re-invoked every V-cycle; the per-invocation
 // error decay is exactly Table II), so the write history of a location is
-// accumulated across all given spans.
+// accumulated across all given spans. Hits are returned sorted by Loc.
 func DetectRepeatedAdditionsInSpans(faulty, clean *trace.Trace, spans []trace.Span) []RAEvidence {
+	// hist summarizes the error-magnitude history of one stored location:
+	// all the verdict needs is its first nonzero magnitude, its last one,
+	// and the number of writes from the first corrupted one on (0 until
+	// one is corrupted).
 	type hist struct {
-		mags    []float64
-		lastIdx int
-		isAccum bool
+		loc              trace.Loc
+		writes           int
+		firstMag, endMag float64
+		lastIdx          int
+		isAccum          bool
 	}
-	hs := map[trace.Loc]*hist{}
+	var hs []hist
+	at := map[trace.Loc]int{}
+	fr, cr := &faulty.Recs, &clean.Recs
 	for _, span := range spans {
-		n := span.End
-		if n > faulty.Recs.Len() {
-			n = faulty.Recs.Len()
-		}
-		if n > clean.Recs.Len() {
-			n = clean.Recs.Len()
-		}
+		n := min(span.End, fr.Len(), cr.Len())
 		for i := span.Start; i < n; i++ {
-			fr, cr := faulty.Recs.At(i), clean.Recs.At(i)
-			if fr.SID != cr.SID {
+			if fr.SID(i) != cr.SID(i) {
 				break
 			}
-			if fr.Op != ir.OpStore || !fr.Dst.IsMem() {
+			if fr.Op(i) != ir.OpStore {
 				continue
 			}
-			h := hs[fr.Dst]
-			if h == nil {
-				h = &hist{}
-				hs[fr.Dst] = h
+			dst := fr.Dst(i)
+			if !dst.IsMem() {
+				continue
 			}
-			h.mags = append(h.mags, dddg.ErrMag(cr.DstVal, fr.DstVal, fr.Typ))
+			k, ok := at[dst]
+			if !ok {
+				k = len(hs)
+				at[dst] = k
+				hs = append(hs, hist{loc: dst})
+			}
+			h := &hs[k]
+			m := dddg.ErrMag(cr.DstVal(i), fr.DstVal(i), fr.Typ(i))
+			if h.writes > 0 {
+				h.writes++
+			} else if m > 0 {
+				h.writes, h.firstMag = 1, m
+			}
+			h.endMag = m
 			h.lastIdx = i
 			// Accumulation heuristic: the stored value chain includes an
 			// FAdd in the preceding records of this store (checked cheaply
 			// by looking back a short window for an fadd writing the
 			// source reg).
+			src := fr.Src(i, 0)
 			for j := i - 1; j >= span.Start && j > i-8; j-- {
-				pr := faulty.Recs.At(j)
-				if pr.Op == ir.OpFAdd && pr.HasDst() && pr.Dst == fr.Src[0] {
+				if fr.Op(j) == ir.OpFAdd && fr.HasDst(j) && fr.Dst(j) == src {
 					h.isAccum = true
 					break
 				}
@@ -281,32 +294,21 @@ func DetectRepeatedAdditionsInSpans(faulty, clean *trace.Trace, spans []trace.Sp
 		}
 	}
 	var out []RAEvidence
-	for loc, h := range hs {
-		if !h.isAccum || len(h.mags) < 2 {
+	for _, h := range hs {
+		// Require an accumulation, a corrupted write followed by at least
+		// one more, and a final magnitude strictly smaller than the first
+		// nonzero one.
+		if !h.isAccum || h.writes < 2 || !(h.endMag < h.firstMag) {
 			continue
 		}
-		// Find the first corrupted write; require the final magnitude to
-		// be finite, nonzero-error history, and strictly smaller.
-		first := -1
-		for i, m := range h.mags {
-			if m > 0 {
-				first = i
-				break
-			}
-		}
-		if first < 0 || first == len(h.mags)-1 {
-			continue
-		}
-		last := h.mags[len(h.mags)-1]
-		if last < h.mags[first] {
-			out = append(out, RAEvidence{
-				Loc:          loc,
-				Writes:       len(h.mags) - first,
-				FirstMag:     h.mags[first],
-				LastMag:      last,
-				LastRecIndex: h.lastIdx,
-			})
-		}
+		out = append(out, RAEvidence{
+			Loc:          h.loc,
+			Writes:       h.writes,
+			FirstMag:     h.firstMag,
+			LastMag:      h.endMag,
+			LastRecIndex: h.lastIdx,
+		})
 	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Loc < out[b].Loc })
 	return out
 }

@@ -115,7 +115,7 @@ func CountRates(t *trace.Trace) Rates {
 		}
 	}
 	// Versions still live at program end that were never read are dead too.
-	for loc := range lastWrite {
+	for loc := range lastWrite { //ftlint:ok only counts; the totals do not depend on order
 		versions++
 		if !readSince[loc] {
 			deadVersions++
