@@ -959,93 +959,41 @@ func BenchmarkAblationTraceSplitting(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationTraceCodecs compares the gob+gzip trace encoding against
-// the compact varint/delta binary codec (the §IV-A trace-compression
-// direction) on a real CG trace.
-func BenchmarkAblationTraceCodecs(b *testing.B) {
-	_, tr := cleanCG(b)
-	sub := &trace.Trace{ProgName: tr.ProgName, Recs: tr.Recs.Slice(0, 50000), Output: tr.Output, Status: tr.Status, Steps: tr.Steps}
-	b.Run("gob-gzip", func(b *testing.B) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := sub.Write(&buf); err != nil {
-				b.Fatal(err)
-			}
-			n = buf.Len()
-		}
-		b.ReportMetric(float64(n)/float64(sub.Recs.Len()), "bytes/rec")
-	})
-	b.Run("binary", func(b *testing.B) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := sub.WriteBinary(&buf); err != nil {
-				b.Fatal(err)
-			}
-			n = buf.Len()
-		}
-		b.ReportMetric(float64(n)/float64(sub.Recs.Len()), "bytes/rec")
-	})
-	b.Run("binary-decode", func(b *testing.B) {
-		var buf bytes.Buffer
-		if err := sub.WriteBinary(&buf); err != nil {
-			b.Fatal(err)
-		}
-		raw := buf.Bytes()
-		for i := 0; i < b.N; i++ {
-			if _, err := trace.ReadBinary(bytes.NewReader(raw)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkTraceCodec measures the trace codecs: encode and decode
-// throughput (MB/s of the wire format) plus bytes/record
-// for both the legacy row-interleaved FTRC1 and the columnar FTRC2, over a
-// real CG clean trace.
+// BenchmarkTraceCodec measures the FTRC2 codec (the §IV-A trace-compression
+// direction): encode and decode throughput (MB/s of the wire format) plus
+// bytes/record, over a real CG clean trace.
 func BenchmarkTraceCodec(b *testing.B) {
 	_, tr := cleanCG(b)
 	sub := &trace.Trace{ProgName: tr.ProgName, Recs: tr.Recs.Slice(0, 50000), Output: tr.Output, Status: tr.Status, Steps: tr.Steps}
-	codecs := []struct {
-		name   string
-		encode func(*trace.Trace, *bytes.Buffer) error
-	}{
-		{"ftrc1", func(tr *trace.Trace, buf *bytes.Buffer) error { return tr.WriteBinaryV1(buf) }},
-		{"ftrc2", func(tr *trace.Trace, buf *bytes.Buffer) error { return tr.WriteBinary(buf) }},
+	var wire bytes.Buffer
+	if err := sub.WriteBinary(&wire); err != nil {
+		b.Fatal(err)
 	}
-	for _, c := range codecs {
-		var wire bytes.Buffer
-		if err := c.encode(sub, &wire); err != nil {
-			b.Fatal(err)
+	raw := wire.Bytes()
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(int64(len(raw)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var buf bytes.Buffer
+			buf.Grow(len(raw))
+			if err := sub.WriteBinary(&buf); err != nil {
+				b.Fatal(err)
+			}
 		}
-		raw := wire.Bytes()
-		b.Run("encode/"+c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var buf bytes.Buffer
-				buf.Grow(len(raw))
-				if err := c.encode(sub, &buf); err != nil {
-					b.Fatal(err)
-				}
+		b.ReportMetric(float64(len(raw))/float64(sub.Recs.Len()), "bytes/rec")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(raw)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			got, err := trace.ReadBinary(bytes.NewReader(raw))
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(raw))/float64(sub.Recs.Len()), "bytes/rec")
-		})
-		b.Run("decode/"+c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				got, err := trace.ReadBinary(bytes.NewReader(raw))
-				if err != nil {
-					b.Fatal(err)
-				}
-				trace.PutRecs(got.Recs)
-			}
-			b.ReportMetric(float64(len(raw))/float64(sub.Recs.Len()), "bytes/rec")
-		})
-	}
+			trace.PutRecs(got.Recs)
+		}
+		b.ReportMetric(float64(len(raw))/float64(sub.Recs.Len()), "bytes/rec")
+	})
 }
 
 // BenchmarkAblationSelectiveTracing measures §V-B's selective tracing: full

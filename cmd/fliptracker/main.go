@@ -147,7 +147,6 @@ func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	app := fs.String("app", "cg", "application name")
 	out := fs.String("out", "", "output trace file")
-	format := fs.String("format", "gob", "trace format: gob (gzip-compressed) or binary (varint/delta)")
 	funcs := fs.String("funcs", "", "comma-separated function names to trace selectively (default: all)")
 	fs.Parse(args)
 	if *out == "" {
@@ -184,19 +183,11 @@ func cmdTrace(args []string) error {
 			return err
 		}
 	}
-	switch *format {
-	case "gob":
-		err = tr.WriteFile(*out)
-	case "binary":
-		err = tr.WriteBinaryFile(*out)
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
+	if err := tr.WriteBinaryFile(*out); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d records (%d dynamic steps, %s format) to %s\n",
-		tr.Recs.Len(), tr.Steps, *format, *out)
+	fmt.Printf("wrote %d records (%d dynamic steps, FTRC2 format) to %s\n",
+		tr.Recs.Len(), tr.Steps, *out)
 	return nil
 }
 

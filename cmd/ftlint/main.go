@@ -28,6 +28,7 @@ var defaultDirs = []string{
 	"internal/trace",
 	"internal/core",
 	"internal/interp",
+	"internal/ir",
 	"internal/irstatic",
 	"internal/coord",
 	"internal/server",

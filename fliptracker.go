@@ -549,10 +549,10 @@ func UniformDstPicker(totalSteps uint64) inject.TargetPicker {
 // fault-free trace.
 func AnalyzeACL(faulty, clean *Trace) *ACLResult { return acl.Analyze(faulty, clean) }
 
-// ReadTraceFile loads a binary trace written by Trace.WriteBinaryFile (or
-// the `fliptracker trace -format binary` CLI). Both the columnar FTRC2
-// format and the legacy FTRC1 format decode; the magic line picks the
-// codec.
+// ReadTraceFile loads a binary trace written by Trace.WriteBinaryFile, the
+// `fliptracker trace` CLI or MPIResult.WriteRankTraces. Both the columnar
+// FTRC2 format and the legacy, read-only FTRC1 format decode; the magic line
+// picks the codec.
 func ReadTraceFile(path string) (*Trace, error) { return trace.ReadBinaryFile(path) }
 
 // BuildDDDG builds the dynamic data dependence graph of one region-instance

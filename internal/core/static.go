@@ -91,14 +91,6 @@ func (an *Analyzer) StaticPruner() (*irstatic.Pruner, error) {
 	}, func() (*irstatic.Analysis, error) { return irstatic.Analyze(an.Prog) })
 }
 
-// StaticAnalysis returns the cached whole-program dependence analysis of the
-// application's MPI program.
-func (ma *MPIAnalyzer) StaticAnalysis() (*irstatic.Analysis, error) {
-	return ma.static.analysis(func() (*irstatic.Analysis, error) {
-		return irstatic.Analyze(ma.Prog)
-	})
-}
-
 // StaticPruner returns the cached fault pruner for the analyzer's current
 // FaultRank: the MPI program's static analysis paired with the injected
 // rank's step-indexed instruction log, obtained by replaying the fault-free

@@ -37,9 +37,6 @@ type (
 	// Validator lets a TargetPicker reject an empty population at campaign
 	// construction time.
 	Validator = campaign.Validator
-	// IndexedPicker lets a TargetPicker draw by position in the pre-drawn
-	// fault stream.
-	IndexedPicker = campaign.IndexedPicker
 )
 
 // The fault manifestations.
@@ -68,7 +65,7 @@ func (l FaultList) PickAt(i int, r *rand.Rand) interp.Fault {
 }
 
 // Pick draws uniformly from the list — the fallback for engines unaware of
-// IndexedPicker. An empty list yields a never-firing fault.
+// campaign.IndexedPicker. An empty list yields a never-firing fault.
 func (l FaultList) Pick(r *rand.Rand) interp.Fault {
 	if len(l.Faults) == 0 {
 		return interp.Fault{Step: neverStep, Bit: uint8(r.Intn(64)), Kind: interp.FaultDst}

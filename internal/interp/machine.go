@@ -161,9 +161,6 @@ func (m *Machine) Steps() uint64 { return m.steps }
 // instruction executed at dynamic step s. Nil unless RecordSIDs was set.
 func (m *Machine) SIDLog() []int32 { return m.sidLog }
 
-// Output returns the emitted output values.
-func (m *Machine) Output() []trace.OutVal { return m.output }
-
 // CrashMessage returns the crash description after a RunCrashed result.
 func (m *Machine) CrashMessage() string { return m.crashMsg }
 

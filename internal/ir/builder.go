@@ -62,9 +62,6 @@ func (b *FuncBuilder) NewReg() Reg {
 // instructions. Apps use this to mimic the paper's Table I line ranges.
 func (b *FuncBuilder) SetLine(n int) { b.line = int32(n) }
 
-// Line returns the current pseudo source line.
-func (b *FuncBuilder) Line() int { return int(b.line) }
-
 func (b *FuncBuilder) emit(in Instr) int {
 	if b.done {
 		panic("ir: emit after Done")
@@ -192,11 +189,6 @@ func (b *FuncBuilder) Load(t Type, addr Reg) Reg {
 	d := b.NewReg()
 	b.emit(Instr{Op: OpLoad, Type: t, Dst: d, A: addr, B: NoReg})
 	return d
-}
-
-// LoadTo reads mem[addr] into dst.
-func (b *FuncBuilder) LoadTo(t Type, dst, addr Reg) {
-	b.emit(Instr{Op: OpLoad, Type: t, Dst: dst, A: addr, B: NoReg})
 }
 
 // Store writes val to mem[addr].

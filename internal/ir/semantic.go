@@ -2,10 +2,9 @@ package ir
 
 import "fmt"
 
-// This file upgrades Validate from structural to semantic checking, powered
-// by the same instruction-level control-flow view internal/irstatic builds
-// (duplicated here in miniature: irstatic imports ir, so ir cannot import it
-// back). Three properties are enforced on every function:
+// This file upgrades Validate from structural to semantic checking over the
+// control-flow facts in flow.go. Three properties are enforced on every
+// function:
 //
 //  1. No unreachable code. Instructions no path from the entry can execute
 //     are dead weight and usually a builder bug (a branch over real work).
@@ -23,50 +22,6 @@ import "fmt"
 //     linear depth scan accepted marker pairings that diverged across
 //     branches; trace region accounting assumes they cannot.
 
-// instrSuccs appends the instruction-level control-flow successors of
-// f.Code[i] to dst and returns it.
-func instrSuccs(f *Function, i int, dst []int) []int {
-	in := &f.Code[i]
-	switch in.Op {
-	case OpBr:
-		return append(dst, int(in.Imm.Int()))
-	case OpCondBr:
-		t, e := int(in.Imm.Int()), int(in.Imm2.Int())
-		dst = append(dst, t)
-		if e != t {
-			dst = append(dst, e)
-		}
-		return dst
-	case OpRet:
-		return dst
-	default:
-		return append(dst, i+1)
-	}
-}
-
-// instrUses appends every register f.Code[i] reads to dst and returns it.
-func instrUses(in *Instr, dst []Reg) []Reg {
-	switch {
-	case in.Op.IsBinary():
-		return append(dst, in.A, in.B)
-	case in.Op.IsUnary():
-		return append(dst, in.A)
-	}
-	switch in.Op {
-	case OpStore:
-		return append(dst, in.A, in.B)
-	case OpCondBr, OpEmit, OpEmitSci6:
-		return append(dst, in.A)
-	case OpRet:
-		if in.A != NoReg {
-			return append(dst, in.A)
-		}
-	case OpCall, OpHost:
-		return append(dst, in.Args...)
-	}
-	return dst
-}
-
 // validateSemanticFunc runs the dataflow checks. It assumes validateFunc
 // passed (all indices in range).
 func (p *Program) validateSemanticFunc(f *Function) error {
@@ -75,25 +30,7 @@ func (p *Program) validateSemanticFunc(f *Function) error {
 		return fmt.Errorf("instr %d (%s): %s", i, f.Code[i], fmt.Sprintf(format, args...))
 	}
 
-	// Reachability and predecessor lists, entry-first DFS. Edges are only
-	// enumerated from reachable instructions, so every predecessor list
-	// contains reachable sources only.
-	reach := make([]bool, n)
-	preds := make([][]int, n)
-	var succBuf [2]int
-	stack := []int{0}
-	reach[0] = true
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range instrSuccs(f, i, succBuf[:0]) {
-			preds[s] = append(preds[s], i)
-			if !reach[s] {
-				reach[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
+	reach := f.Reachable()
 
 	// 1. Unreachable code (modulo builder padding).
 	for i := range f.Code {
@@ -135,6 +72,7 @@ func (p *Program) validateSemanticFunc(f *Function) error {
 		}
 	}
 	out := make([]uint64, words)
+	var succBuf [2]int
 	for changed := true; changed; {
 		changed = false
 		for i := 0; i < n; i++ {
@@ -142,10 +80,10 @@ func (p *Program) validateSemanticFunc(f *Function) error {
 				continue
 			}
 			copy(out, assigned[i])
-			if in := &f.Code[i]; in.Op.HasDst() && in.Dst != NoReg {
-				out[in.Dst>>6] |= 1 << (uint(in.Dst) & 63)
+			if d, ok := f.Code[i].Def(); ok {
+				out[d>>6] |= 1 << (uint(d) & 63)
 			}
-			for _, s := range instrSuccs(f, i, succBuf[:0]) {
+			for _, s := range f.Succs(i, succBuf[:0]) {
 				for j := range out {
 					if nw := assigned[s][j] & out[j]; nw != assigned[s][j] {
 						assigned[s][j] = nw
@@ -160,7 +98,7 @@ func (p *Program) validateSemanticFunc(f *Function) error {
 		if !reach[i] {
 			continue
 		}
-		for _, r := range instrUses(&f.Code[i], useBuf[:0]) {
+		for _, r := range f.Code[i].uses(useBuf[:0]) {
 			if r == NoReg {
 				continue
 			}
@@ -178,7 +116,7 @@ func (p *Program) validateSemanticFunc(f *Function) error {
 		depth[i] = -1
 	}
 	depth[0] = 0
-	stack = append(stack[:0], 0)
+	stack := []int{0}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -196,7 +134,7 @@ func (p *Program) validateSemanticFunc(f *Function) error {
 				return fail(i, "return inside region (depth %d)", d)
 			}
 		}
-		for _, s := range instrSuccs(f, i, succBuf[:0]) {
+		for _, s := range f.Succs(i, succBuf[:0]) {
 			switch depth[s] {
 			case -1:
 				depth[s] = d

@@ -7,15 +7,7 @@ func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// set sets bit i and reports whether it was previously clear.
-func (b bitset) set(i int) bool {
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	if b[w]&m != 0 {
-		return false
-	}
-	b[w] |= m
-	return true
-}
+func (b bitset) set(i int) { b[i>>6] |= uint64(1) << (uint(i) & 63) }
 
 func (b bitset) clear(i int) { b[i>>6] &^= uint64(1) << (uint(i) & 63) }
 
@@ -30,7 +22,3 @@ func (b bitset) or(o bitset) bool {
 	}
 	return changed
 }
-
-func (b bitset) copyFrom(o bitset) { copy(b, o) }
-
-func (b bitset) clone() bitset { return append(bitset(nil), b...) }

@@ -1,7 +1,6 @@
-// Package irstatic is the static-analysis counterpart of the dynamic DDDG:
-// control-flow graphs, dominator trees, reaching-definitions/def-use chains,
-// and a whole-program value-dependence analysis over internal/ir that proves
-// fault sites benign without executing them.
+// Package irstatic is the static-analysis counterpart of the dynamic DDDG: a
+// whole-program value-dependence analysis over internal/ir that proves fault
+// sites benign without executing them.
 //
 // The dynamic pipeline answers "did this flip matter?" by running the fault
 // and diffing traces (§III of the paper). This package answers a weaker
@@ -73,8 +72,7 @@ const (
 // (before instruction i) and register r, whether r's value may reach a sink
 // (sinkIn) or the function's return value (retIn).
 type flow struct {
-	f   *ir.Function
-	cfg *CFG
+	f *ir.Function
 	// sinkIn[i]/retIn[i] are bitsets over the function's registers at the
 	// point just before instruction i executes.
 	sinkIn []bitset
@@ -115,7 +113,7 @@ func Analyze(p *ir.Program) (*Analysis, error) {
 		retDanger: make([]bool, len(p.Funcs)),
 	}
 	for i, f := range p.Funcs {
-		fl := &flow{f: f, cfg: BuildCFG(f)}
+		fl := &flow{f: f}
 		n := len(f.Code)
 		fl.sinkIn = make([]bitset, n)
 		fl.retIn = make([]bitset, n)
@@ -123,7 +121,7 @@ func Analyze(p *ir.Program) (*Analysis, error) {
 			fl.sinkIn[j] = newBitset(f.NumRegs)
 			fl.retIn[j] = newBitset(f.NumRegs)
 		}
-		fl.rets = retShape(f, fl.cfg)
+		fl.rets = retShape(f)
 		a.flows[i] = fl
 		a.sums[i] = summary{
 			paramSink: make([]bool, f.NumArgs),
@@ -171,11 +169,12 @@ func Analyze(p *ir.Program) (*Analysis, error) {
 }
 
 // retShape classifies the reachable returns of f.
-func retShape(f *ir.Function, cfg *CFG) retKind {
+func retShape(f *ir.Function) retKind {
 	var value, void bool
+	reach := f.Reachable()
 	for i := range f.Code {
 		in := &f.Code[i]
-		if in.Op != ir.OpRet || !cfg.Reachable(cfg.BlockOf[i]) {
+		if in.Op != ir.OpRet || !reach[i] {
 			continue
 		}
 		if in.A != ir.NoReg {
@@ -200,7 +199,7 @@ func retShape(f *ir.Function, cfg *CFG) retKind {
 // entry-point bits.
 func (fl *flow) outBits(i int, r ir.Reg) (sink, ret bool) {
 	var succBuf [2]int
-	for _, s := range InstrSuccs(fl.f, i, succBuf[:0]) {
+	for _, s := range fl.f.Succs(i, succBuf[:0]) {
 		if fl.sinkIn[s].get(int(r)) {
 			sink = true
 		}
@@ -229,7 +228,7 @@ func (a *Analysis) solveFunc(fl *flow) {
 				outRet[j] = 0
 			}
 			var succBuf [2]int
-			for _, s := range InstrSuccs(fl.f, i, succBuf[:0]) {
+			for _, s := range fl.f.Succs(i, succBuf[:0]) {
 				outSink.or(fl.sinkIn[s])
 				outRet.or(fl.retIn[s])
 			}
@@ -237,7 +236,7 @@ func (a *Analysis) solveFunc(fl *flow) {
 			// Kill: the defined register's pre-state is independent of its
 			// post-state; capture the post bits first, they flow to uses.
 			dstSink, dstRet := false, false
-			if d, ok := DefReg(in); ok {
+			if d, ok := in.Def(); ok {
 				dstSink, dstRet = outSink.get(int(d)), outRet.get(int(d))
 				outSink.clear(int(d))
 				outRet.clear(int(d))

@@ -8,147 +8,63 @@ import (
 	"fliptracker/internal/irstatic"
 )
 
-// buildDiamond constructs the canonical branchy function:
+// TestUnreachablePaddingRet checks that only reachable returns shape a
+// callee's return kind. ir.Validate tolerates unreachable ret padding, so
+// both callees below seal with one reachable and one dead return of the other
+// kind:
 //
-//	0: r0 = const 1          ; branch condition
-//	1: condbr r0 @2 @4
-//	2: r1 = const 10         ; then
-//	3: br @6
-//	4: r1 = const 20         ; else
-//	5: br @6
-//	6: emit r1               ; join
-//	7: ret
-func buildDiamond(t *testing.T) (*ir.Program, *ir.Function, ir.Reg) {
-	t.Helper()
-	p := ir.NewProgram("diamond")
+//	val(x): ret x; ret      ; value-returning, void padding
+//	void(x): ret; ret x     ; void, value padding
+//	main:
+//	  r0 = const 3
+//	  r1 = call val(r0)     ; result discarded → benign (would be live if mixed)
+//	  r2 = call void(r0)    ; no value returned → never fires (live if mixed)
+//	  ret
+func TestUnreachablePaddingRet(t *testing.T) {
+	p := ir.NewProgram("padding")
+	vb := p.NewFunc("val", 1)
+	vb.Ret(vb.Arg(0))
+	vb.RetVoid()
+	vf := vb.Done()
+	ub := p.NewFunc("void", 1)
+	ub.RetVoid()
+	ub.Ret(ub.Arg(0))
+	uf := ub.Done()
 	b := p.NewFunc("main", 0)
-	c := b.ConstI(1)
-	r := b.NewReg()
-	thenL, elseL, join := b.NewLabel(), b.NewLabel(), b.NewLabel()
-	b.CondBr(c, thenL, elseL)
-	b.Bind(thenL)
-	b.ConstITo(r, 10)
-	b.Br(join)
-	b.Bind(elseL)
-	b.ConstITo(r, 20)
-	b.Br(join)
-	b.Bind(join)
-	b.Emit(ir.I64, r)
+	a := b.ConstI(3)
+	_ = b.Call("val", a)
+	_ = b.Call("void", a)
 	b.RetVoid()
-	f := b.Done()
+	mf := b.Done()
 	if err := p.Seal(); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
-	return p, f, r
-}
-
-func TestCFGDiamond(t *testing.T) {
-	_, f, _ := buildDiamond(t)
-	cfg := irstatic.BuildCFG(f)
-	if len(cfg.Blocks) != 4 {
-		t.Fatalf("blocks = %d, want 4: %+v", len(cfg.Blocks), cfg.Blocks)
-	}
-	// Entry [0,2), then [2,4), else [4,6), join [6,8).
-	wantStarts := []int{0, 2, 4, 6}
-	for i, w := range wantStarts {
-		if cfg.Blocks[i].Start != w {
-			t.Errorf("block %d start = %d, want %d", i, cfg.Blocks[i].Start, w)
+	for _, f := range []*ir.Function{vf, uf} {
+		if len(f.Code) != 2 || f.Code[1].Op != ir.OpRet {
+			t.Fatalf("%s: code %v, want two rets", f.Name, f.Code)
+		}
+		if reach := f.Reachable(); !reach[0] || reach[1] {
+			t.Fatalf("%s: reachable %v, want [true false]", f.Name, reach)
 		}
 	}
-	if got := cfg.Blocks[0].Succs; len(got) != 2 {
-		t.Errorf("entry succs = %v, want 2", got)
+	an, err := irstatic.Analyze(p)
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
 	}
-	if got := cfg.Blocks[3].Preds; len(got) != 2 {
-		t.Errorf("join preds = %v, want 2", got)
-	}
-	// The entry dominates everything; neither arm dominates the join.
-	for b := 0; b < 4; b++ {
-		if !cfg.Dominates(0, b) {
-			t.Errorf("entry should dominate block %d", b)
+	want := map[int32]irstatic.Class{int32(vf.Index): irstatic.Benign, int32(uf.Index): irstatic.NeverFires}
+	calls := 0
+	for i := range mf.Code {
+		in := &mf.Code[i]
+		if in.Op != ir.OpCall {
+			continue
+		}
+		calls++
+		if got := an.ClassifyDst(mf.Base + i); got != want[in.Callee] {
+			t.Errorf("call %s = %s, want %s", p.Funcs[in.Callee].Name, got, want[in.Callee])
 		}
 	}
-	if cfg.Dominates(1, 3) || cfg.Dominates(2, 3) {
-		t.Errorf("branch arms must not dominate the join")
-	}
-	if cfg.Idom[3] != 0 {
-		t.Errorf("idom(join) = %d, want 0 (entry)", cfg.Idom[3])
-	}
-	for b := 0; b < 4; b++ {
-		if !cfg.Reachable(b) {
-			t.Errorf("block %d should be reachable", b)
-		}
-	}
-}
-
-func TestCFGUnreachable(t *testing.T) {
-	p := ir.NewProgram("unreach")
-	b := p.NewFunc("main", 0)
-	end := b.NewLabel()
-	b.Br(end)
-	b.ConstI(42) // skipped over: never executed
-	b.Bind(end)
-	b.RetVoid()
-	// Not sealed: semantic validation rejects unreachable non-padding code,
-	// and BuildCFG needs only the function body.
-	f := b.Done()
-	cfg := irstatic.BuildCFG(f)
-	dead := cfg.BlockOf[1]
-	if cfg.Reachable(dead) {
-		t.Errorf("block of skipped instruction should be unreachable")
-	}
-	if !cfg.Reachable(cfg.BlockOf[2]) {
-		t.Errorf("branch target should be reachable")
-	}
-}
-
-func TestDefUseDiamond(t *testing.T) {
-	_, f, r := buildDiamond(t)
-	du := irstatic.BuildDefUse(f, nil)
-
-	// Both arms' defs of r reach the join's emit.
-	defs := du.Reaching(6, r)
-	if len(defs) != 2 {
-		t.Fatalf("reaching defs of r%d at join = %+v, want 2", r, defs)
-	}
-	got := map[int]bool{defs[0].Instr: true, defs[1].Instr: true}
-	if !got[2] || !got[4] {
-		t.Errorf("reaching defs = %+v, want instrs 2 and 4", defs)
-	}
-
-	// Inside the then-arm the local def shadows.
-	defs = du.Reaching(3, r)
-	if len(defs) != 1 || defs[0].Instr != 2 {
-		t.Errorf("reaching defs at instr 3 = %+v, want [{2 -1}]", defs)
-	}
-
-	// The condition register's only def is instruction 0.
-	defs = du.Reaching(1, f.Code[1].A)
-	if len(defs) != 1 || defs[0].Instr != 0 {
-		t.Errorf("reaching defs of cond at condbr = %+v, want [{0 -1}]", defs)
-	}
-}
-
-func TestDefUseParams(t *testing.T) {
-	p := ir.NewProgram("params")
-	b := p.NewFunc("main", 0)
-	b.RetVoid()
-	b.Done()
-	g := p.NewFunc("g", 1)
-	x := g.Arg(0)
-	over := g.NewLabel()
-	cond := g.ConstI(0)
-	g.CondBr(cond, over, over) // single successor both ways
-	g.Bind(over)
-	g.Ret(x)
-	gf := g.Done()
-	if err := p.Seal(); err != nil {
-		t.Fatalf("seal: %v", err)
-	}
-	du := irstatic.BuildDefUse(gf, nil)
-	retIdx := len(gf.Code) - 1
-	defs := du.Reaching(retIdx, x)
-	if len(defs) != 1 || defs[0].Instr != -1 || defs[0].Arg != 0 {
-		t.Errorf("reaching defs of arg at ret = %+v, want the parameter def", defs)
+	if calls != 2 {
+		t.Fatalf("main has %d calls, want 2", calls)
 	}
 }
 

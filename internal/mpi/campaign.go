@@ -166,7 +166,7 @@ func WithClean(clean *Result) Option { return func(c *Campaign) { c.clean = clea
 // FaultRank — the rank each drawn fault is injected into); its Fault and
 // Replay fields must be nil, and Mode is ignored (plain campaigns run worlds
 // untraced, analyzed campaigns fully traced). targets draws the fault stream
-// exactly as in inject.NewCampaign, including IndexedPicker support.
+// exactly as in inject.NewCampaign, including campaign.IndexedPicker support.
 //
 // A nil targets with zero tests builds a replay-only campaign: Run and
 // Stream fail, but Clean and ReplayClean expose the recorded world — the

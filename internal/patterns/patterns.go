@@ -224,19 +224,14 @@ type RAEvidence struct {
 	LastRecIndex int
 }
 
-// DetectRepeatedAdditions finds memory locations inside the span that are
-// written multiple times with corrupted values whose relative error shrinks
-// — the Table II signature. The traces must still be control-flow matched in
-// the span.
-func DetectRepeatedAdditions(faulty, clean *trace.Trace, span trace.Span) []RAEvidence {
-	return DetectRepeatedAdditionsInSpans(faulty, clean, []trace.Span{span})
-}
-
-// DetectRepeatedAdditionsInSpans is DetectRepeatedAdditions across several
-// spans of the same region: the amortization usually plays out across
-// *instances* (MG's psinv is re-invoked every V-cycle; the per-invocation
-// error decay is exactly Table II), so the write history of a location is
-// accumulated across all given spans. Hits are returned sorted by Loc.
+// DetectRepeatedAdditionsInSpans finds memory locations inside the spans
+// that are written multiple times with corrupted values whose relative error
+// shrinks — the Table II signature. The traces must still be control-flow
+// matched in the spans. The amortization usually plays out across
+// *instances* of a region (MG's psinv is re-invoked every V-cycle; the
+// per-invocation error decay is exactly Table II), so the write history of a
+// location is accumulated across all given spans. Hits are returned sorted
+// by Loc.
 func DetectRepeatedAdditionsInSpans(faulty, clean *trace.Trace, spans []trace.Span) []RAEvidence {
 	// hist summarizes the error-magnitude history of one stored location:
 	// all the verdict needs is its first nonzero magnitude, its last one,

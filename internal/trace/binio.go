@@ -23,9 +23,9 @@ import (
 // one flag bit in the meta byte instead of eight bytes. Unpredicted words
 // are raw 8-byte floats or zigzag varints depending on the record type.
 //
-// FTRC1 (the legacy interleaved record format) remains readable forever;
-// ReadBinary sniffs the magic and dispatches. WriteBinaryV1 keeps the v1
-// encoder alive for fixtures, size comparisons, and cross-version tests.
+// FTRC1 (the legacy interleaved record format) is read-only: nothing writes
+// it any more, but ReadBinary sniffs the magic and still decodes it, pinned
+// by the checked-in testdata/v1_fixture.ftrc.
 
 const (
 	binMagicV1 = "FTRC1\n"
@@ -70,12 +70,9 @@ func (bw *binWriter) str(s string) error {
 	return err
 }
 
-// writeHeader emits the fields shared by both format versions. Output flags
-// pack the type and the Sci6 marker collision-free as Typ<<1 | sci6; the v1
-// format instead packed them as Typ | sci6<<1, which silently corrupts any
-// type value >= 2 (see WriteBinaryV1).
-func (t *Trace) writeHeader(bw *binWriter, magic string) error {
-	if _, err := bw.w.WriteString(magic); err != nil {
+// writeHeader emits the magic and the fields both format versions share.
+func (t *Trace) writeHeader(bw *binWriter) error {
+	if _, err := bw.w.WriteString(binMagicV2); err != nil {
 		return err
 	}
 	if err := bw.str(t.ProgName); err != nil {
@@ -93,13 +90,15 @@ func (t *Trace) writeHeader(bw *binWriter, magic string) error {
 // WriteBinary serializes the trace in the columnar FTRC2 format.
 func (t *Trace) WriteBinary(w io.Writer) error {
 	bw := &binWriter{w: bufio.NewWriterSize(w, 1<<16)}
-	if err := t.writeHeader(bw, binMagicV2); err != nil {
+	if err := t.writeHeader(bw); err != nil {
 		return err
 	}
 	if err := bw.uvarint(uint64(len(t.Output))); err != nil {
 		return err
 	}
 	for _, o := range t.Output {
+		// Typ<<1 | sci6 keeps any type clear of the marker bit, which v1's
+		// Typ | sci6<<1 did not.
 		flags := uint64(o.Typ) << 1
 		if o.Sci6 {
 			flags |= 1
@@ -263,93 +262,6 @@ func (t *Trace) WriteBinary(w io.Writer) error {
 	return bw.w.Flush()
 }
 
-// WriteBinaryV1 serializes the trace in the legacy interleaved FTRC1 format.
-// Kept for cross-version fixtures and size comparisons; new traces should
-// use WriteBinary. The v1 flag bytes give the type a single bit (output
-// flags pack Sci6 into bit 1, record flags pack Taken there), so any type
-// value >= 2 cannot round-trip — that was a silent corruption in the
-// original encoder and is a hard error here.
-func (t *Trace) WriteBinaryV1(w io.Writer) error {
-	bw := &binWriter{w: bufio.NewWriterSize(w, 1<<16)}
-	if err := t.writeHeader(bw, binMagicV1); err != nil {
-		return err
-	}
-	if err := bw.uvarint(uint64(len(t.Output))); err != nil {
-		return err
-	}
-	for i, o := range t.Output {
-		if o.Typ > 1 {
-			return fmt.Errorf("trace: output %d: type %d collides with the FTRC1 sci6 flag bit", i, o.Typ)
-		}
-		flags := uint64(o.Typ)
-		if o.Sci6 {
-			flags |= 2
-		}
-		if err := bw.uvarint(flags); err != nil {
-			return err
-		}
-		if err := bw.word(o.Val); err != nil {
-			return err
-		}
-	}
-	recs := &t.Recs
-	if err := bw.uvarint(uint64(recs.Len())); err != nil {
-		return err
-	}
-	var prevStep, prevSID uint64
-	for i, n := 0, recs.Len(); i < n; i++ {
-		r := recs.At(i)
-		if r.Typ > 1 {
-			return fmt.Errorf("trace: record %d: type %d collides with the FTRC1 taken flag bit", i, r.Typ)
-		}
-		// Header byte: op. Flags byte: type, taken, nsrc, has-region.
-		flags := uint64(r.Typ) // bit 0
-		if r.Taken {
-			flags |= 1 << 1
-		}
-		flags |= uint64(r.NSrc) << 2 // bits 2-3
-		if r.RegionID >= 0 {
-			flags |= 1 << 4
-		}
-		if err := bw.uvarint(uint64(r.Op)); err != nil {
-			return err
-		}
-		if err := bw.uvarint(flags); err != nil {
-			return err
-		}
-		if err := bw.uvarint(r.Step - prevStep); err != nil {
-			return err
-		}
-		prevStep = r.Step
-		if err := bw.uvarint(Zigzag(int64(r.SID) - int64(prevSID))); err != nil {
-			return err
-		}
-		prevSID = uint64(r.SID)
-		if r.RegionID >= 0 {
-			if err := bw.uvarint(uint64(r.RegionID)); err != nil {
-				return err
-			}
-		}
-		if err := bw.uvarint(uint64(r.Dst)); err != nil {
-			return err
-		}
-		if r.Dst != 0 {
-			if err := bw.word(r.DstVal); err != nil {
-				return err
-			}
-		}
-		for s := 0; s < int(r.NSrc); s++ {
-			if err := bw.uvarint(uint64(r.Src[s])); err != nil {
-				return err
-			}
-			if err := bw.word(r.SrcVal[s]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.w.Flush()
-}
-
 // binReader bundles the shared decode helpers over a buffered stream.
 type binReader struct {
 	br *bufio.Reader
@@ -403,7 +315,7 @@ func (rd *binReader) bytesBounded(n uint64) ([]byte, error) {
 }
 
 // ReadBinary deserializes a trace written by WriteBinary (FTRC2) or by the
-// legacy v1 encoder (FTRC1).
+// retired v1 encoder (FTRC1).
 func ReadBinary(r io.Reader) (*Trace, error) {
 	rd := &binReader{br: bufio.NewReaderSize(r, 1<<16)}
 	magic := make([]byte, len(binMagicV1))
@@ -478,7 +390,7 @@ func readBodyV1(rd *binReader, t *Trace) error {
 		if flags&^3 != 0 {
 			// The v1 output flags hold one type bit and the sci6 bit; any
 			// higher bit means the encoder packed a type value >= 2 into
-			// them (the collision WriteBinaryV1 now refuses) or the stream
+			// them (a silent collision in the old v1 encoder) or the stream
 			// is corrupt. Either way the type cannot be recovered.
 			return 0, false, fmt.Errorf("trace: v1 output flags %#x: type bits collide with sci6", flags)
 		}

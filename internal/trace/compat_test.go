@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,7 +9,9 @@ import (
 	"fliptracker/internal/ir"
 )
 
-var updateFixtures = flag.Bool("update", false, "regenerate checked-in trace fixtures")
+// fixturePath is the checked-in FTRC1 file, written by the retired v1
+// encoder.
+var fixturePath = filepath.Join("testdata", "v1_fixture.ftrc")
 
 // fixtureTrace is the deterministic trace behind testdata/v1_fixture.ftrc.
 // It exercises every v1 feature: markers, 0/1/2-source records, absent dsts,
@@ -21,24 +22,11 @@ func fixtureTrace() *Trace {
 
 // TestFTRC1FixtureStillDecodes reads a byte-for-byte checked-in FTRC1 file
 // written by an earlier version of the codec. It must keep decoding exactly
-// even as the writer moves on to FTRC2 — old campaign archives outlive code.
+// now that only FTRC2 is written — old campaign archives outlive code.
 func TestFTRC1FixtureStillDecodes(t *testing.T) {
-	path := filepath.Join("testdata", "v1_fixture.ftrc")
-	if *updateFixtures {
-		var buf bytes.Buffer
-		if err := fixtureTrace().WriteBinaryV1(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(fixturePath)
 	if err != nil {
-		t.Fatalf("read fixture (regenerate with -update): %v", err)
+		t.Fatalf("read fixture: %v", err)
 	}
 	if !bytes.HasPrefix(raw, []byte(binMagicV1)) {
 		t.Fatalf("fixture does not start with %q", binMagicV1)
@@ -62,37 +50,6 @@ func TestFTRC1FixtureStillDecodes(t *testing.T) {
 		if got.Output[i] != want.Output[i] {
 			t.Fatalf("fixture output %d differs", i)
 		}
-	}
-}
-
-// TestWriteBinaryV1RejectsWideTypes pins the fix for the v1 flag-packing
-// collision: Typ was packed as the low bit(s) of the flags byte, so any
-// type value >= 2 silently bled into the sci6 (outputs) or taken (records)
-// bit. The v1 encoder must refuse rather than corrupt.
-func TestWriteBinaryV1RejectsWideTypes(t *testing.T) {
-	out := &Trace{Output: []OutVal{{Val: ir.I64Word(1), Typ: ir.Type(2)}}}
-	if err := out.WriteBinaryV1(&bytes.Buffer{}); err == nil {
-		t.Error("output with Typ=2 encoded without error under FTRC1")
-	}
-
-	rec := &Trace{}
-	rec.Recs.Append(Rec{SID: 1, Op: ir.OpAdd, Typ: ir.Type(3), Step: 1})
-	if err := rec.WriteBinaryV1(&bytes.Buffer{}); err == nil {
-		t.Error("record with Typ=3 encoded without error under FTRC1")
-	}
-
-	// FTRC2 shifts the type clear of the flag bits; the same traces encode
-	// and round-trip fine there.
-	var buf bytes.Buffer
-	if err := rec.WriteBinary(&buf); err != nil {
-		t.Fatalf("FTRC2 encode of Typ=3 record: %v", err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("FTRC2 decode: %v", err)
-	}
-	if got.Recs.Len() != 1 || got.Recs.Typ(0) != ir.Type(3) {
-		t.Fatalf("FTRC2 lost the wide type: %+v", got.Recs.At(0))
 	}
 }
 
@@ -130,30 +87,4 @@ func TestReadBinaryV1RejectsCorruptFlags(t *testing.T) {
 			t.Error("v1 record with NSrc=3 accepted")
 		}
 	})
-}
-
-// Both codecs must agree: anything FTRC1 can express, FTRC2 round-trips to
-// the identical trace.
-func TestV1V2Agree(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		orig := randomTrace(seed, 120)
-		var b1, b2 bytes.Buffer
-		if err := orig.WriteBinaryV1(&b1); err != nil {
-			t.Fatal(err)
-		}
-		if err := orig.WriteBinary(&b2); err != nil {
-			t.Fatal(err)
-		}
-		got1, err := ReadBinary(&b1)
-		if err != nil {
-			t.Fatalf("seed %d: v1 decode: %v", seed, err)
-		}
-		got2, err := ReadBinary(&b2)
-		if err != nil {
-			t.Fatalf("seed %d: v2 decode: %v", seed, err)
-		}
-		if !got1.Recs.Equal(&got2.Recs) {
-			t.Fatalf("seed %d: v1 and v2 decode to different records", seed)
-		}
-	}
 }

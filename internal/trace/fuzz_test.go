@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 // traceFromBytes derives a valid Trace from fuzz input, honouring the
-// codec's structural invariants: Typ is one bit, NSrc at most two, DstVal
+// codec's structural invariants: Typ fits two bits, NSrc at most two, DstVal
 // only meaningful when Dst is set, unused Src slots zero, RegionID -1 or
 // non-negative.
 func traceFromBytes(data []byte) *Trace {
@@ -33,7 +34,7 @@ func traceFromBytes(data []byte) *Trace {
 	}
 	for i := uint64(0); i < next()%6; i++ {
 		t.Output = append(t.Output, OutVal{
-			Typ:  ir.Type(next() & 1),
+			Typ:  ir.Type(next() & 3),
 			Sci6: next()&1 != 0,
 			Val:  ir.Word(next()<<32 | next()),
 		})
@@ -44,7 +45,7 @@ func traceFromBytes(data []byte) *Trace {
 		r := Rec{
 			SID:      int32(next()<<8|next()) - 1<<14, // negative SIDs too
 			Op:       ir.Opcode(next()),
-			Typ:      ir.Type(next() & 1),
+			Typ:      ir.Type(next() & 3),
 			RegionID: -1,
 			NSrc:     uint8(next() % 3),
 			Taken:    next()&1 != 0,
@@ -66,59 +67,52 @@ func traceFromBytes(data []byte) *Trace {
 	return t
 }
 
-// FuzzTraceBinaryRoundTrip: any structurally valid trace must survive both
-// the columnar FTRC2 encoder (WriteBinary) and the legacy FTRC1 encoder
-// (WriteBinaryV1) through ReadBinary unchanged.
+// FuzzTraceBinaryRoundTrip: any structurally valid trace, wide types
+// included, must survive WriteBinary through ReadBinary unchanged.
 func FuzzTraceBinaryRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add(bytes.Repeat([]byte{0x00, 0x80, 0x01}, 30))
-	// Shapes that stress the v2 column codec: long constant runs (region
+	// Shapes that stress the column codec: long constant runs (region
 	// RLE), alternating dst presence, repeated operand locations (the
 	// last-value predictor's hot path).
 	f.Add(bytes.Repeat([]byte{7, 7, 7, 7}, 40))
 	f.Add(bytes.Repeat([]byte{1, 0, 255, 0, 1, 128}, 25))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want := traceFromBytes(data)
-		for _, enc := range []struct {
-			name  string
-			write func(*Trace, *bytes.Buffer) error
-		}{
-			{"v2", func(tr *Trace, b *bytes.Buffer) error { return tr.WriteBinary(b) }},
-			{"v1", func(tr *Trace, b *bytes.Buffer) error { return tr.WriteBinaryV1(b) }},
-		} {
-			var buf bytes.Buffer
-			if err := enc.write(want, &buf); err != nil {
-				t.Fatalf("%s write: %v", enc.name, err)
-			}
-			got, err := ReadBinary(&buf)
-			if err != nil {
-				t.Fatalf("%s read back: %v", enc.name, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s round trip mismatch:\ngot  %+v\nwant %+v", enc.name, got, want)
-			}
+		var buf bytes.Buffer
+		if err := want.WriteBinary(&buf); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		got, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatalf("read back: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
 		}
 	})
 }
 
 // FuzzTraceReadBinary: arbitrary input must produce a trace or an error,
-// never a panic or unbounded allocation. Seeds include a valid encoding so
-// mutations explore near-valid corruption.
+// never a panic or unbounded allocation. Seeds include a valid encoding of
+// each format (FTRC1 from the checked-in fixture) so mutations explore
+// near-valid corruption.
 func FuzzTraceReadBinary(f *testing.F) {
 	valid := traceFromBytes([]byte{3, 4, 1, 2, 3, 4, 2, 9, 9, 1, 1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
-	var buf, bufV1 bytes.Buffer
+	var buf bytes.Buffer
 	if err := valid.WriteBinary(&buf); err != nil {
 		f.Fatal(err)
 	}
-	if err := valid.WriteBinaryV1(&bufV1); err != nil {
+	v1, err := os.ReadFile(fixturePath)
+	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()-2])
-	f.Add(bufV1.Bytes())
-	f.Add(bufV1.Bytes()[:bufV1.Len()-2])
+	f.Add(v1)
+	f.Add(v1[:len(v1)-2])
 	f.Add([]byte(binMagicV1))
 	f.Add([]byte(binMagicV2))
 	f.Add([]byte{})

@@ -1,12 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
-	"fliptracker/internal/ir"
-)
+import "fliptracker/internal/ir"
 
 // Recs is the columnar (struct-of-arrays) record store of a trace. Where the
 // old array-of-structs layout paid ~88 padded bytes per record, the columns
@@ -276,54 +270,4 @@ func equalCol[T comparable](a, b []T) bool {
 		}
 	}
 	return true
-}
-
-// recsWire mirrors Recs with exported fields for gob transport (the gzip'd
-// gob codec in io.go). The src/srcVal stride-2 layout is carried as-is.
-type recsWire struct {
-	SID    []int32
-	Op     []ir.Opcode
-	Typ    []ir.Type
-	NSrc   []uint8
-	Taken  []bool
-	Region []int32
-	Step   []uint64
-	Dst    []Loc
-	DstVal []ir.Word
-	Src    []Loc
-	SrcVal []ir.Word
-}
-
-// GobEncode serializes the columns (gob cannot see unexported fields).
-func (r Recs) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	w := recsWire{
-		SID: r.sid, Op: r.op, Typ: r.typ, NSrc: r.nsrc, Taken: r.taken,
-		Region: r.region, Step: r.step, Dst: r.dst, DstVal: r.dstVal,
-		Src: r.src, SrcVal: r.srcVal,
-	}
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode inverts GobEncode, validating that the columns agree on length.
-func (r *Recs) GobDecode(b []byte) error {
-	var w recsWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return err
-	}
-	n := len(w.SID)
-	if len(w.Op) != n || len(w.Typ) != n || len(w.NSrc) != n || len(w.Taken) != n ||
-		len(w.Region) != n || len(w.Step) != n || len(w.Dst) != n || len(w.DstVal) != n ||
-		len(w.Src) != 2*n || len(w.SrcVal) != 2*n {
-		return fmt.Errorf("trace: gob columns disagree on record count")
-	}
-	*r = Recs{
-		sid: w.SID, op: w.Op, typ: w.Typ, nsrc: w.NSrc, taken: w.Taken,
-		region: w.Region, step: w.Step, dst: w.Dst, dstVal: w.DstVal,
-		src: w.Src, srcVal: w.SrcVal,
-	}
-	return nil
 }

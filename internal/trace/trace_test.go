@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"math"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -139,47 +137,6 @@ func TestSplitRegionsStrayExit(t *testing.T) {
 	spans := tr.SplitRegions()
 	if len(spans) != 1 {
 		t.Fatalf("stray exit mishandled: %+v", spans)
-	}
-}
-
-func TestTraceIO(t *testing.T) {
-	tr := &Trace{
-		ProgName: "demo",
-		Recs: MakeRecs(
-			Rec{SID: 1, Op: ir.OpFAdd, Typ: ir.F64, RegionID: -1, NSrc: 2,
-				Dst: RegLoc(0, 1), DstVal: ir.F64Word(2.5),
-				Src:    [2]Loc{RegLoc(0, 2), RegLoc(0, 3)},
-				SrcVal: [2]ir.Word{ir.F64Word(1), ir.F64Word(1.5)}},
-		),
-		Output: []OutVal{{Val: ir.F64Word(2.5), Typ: ir.F64}},
-		Status: RunOK,
-		Steps:  99,
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ProgName != "demo" || got.Steps != 99 || got.Recs.Len() != 1 || got.Recs.At(0) != tr.Recs.At(0) {
-		t.Errorf("round trip mismatch: %+v", got)
-	}
-
-	path := filepath.Join(t.TempDir(), "t.trace")
-	if err := tr.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Output[0].Float() != 2.5 {
-		t.Errorf("file round trip output = %v", got2.Output[0].Float())
-	}
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("ReadFile of missing path should fail")
 	}
 }
 

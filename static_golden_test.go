@@ -3,11 +3,14 @@ package fliptracker_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"fliptracker"
 	"fliptracker/internal/apps"
 	"fliptracker/internal/inject"
+	"fliptracker/internal/ir"
+	"fliptracker/internal/irstatic"
 )
 
 // digestResult renders a campaign Result for FNV comparison (the acceptance
@@ -171,6 +174,84 @@ func TestStaticPruneSoundnessMatrixMPI(t *testing.T) {
 		if fnv64(digestResult(pruned)) != fnv64(digestResult(plain)) {
 			t.Errorf("%s: pruned Result diverges\npruned:   %s\nunpruned: %s",
 				name, digestResult(pruned), digestResult(plain))
+		}
+	}
+}
+
+// staticClassDigest renders every static verdict of one program: the
+// FaultDst class of each instruction, the FaultReg class of each of its
+// frame's registers, each function's return danger, and the per-function
+// SiteStats.
+func staticClassDigest(t *testing.T, p *ir.Program) string {
+	t.Helper()
+	an, err := irstatic.Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, f := range p.Funcs {
+		fmt.Fprintf(&sb, "%s retdanger=%v\n", f.Name, an.RetDanger(f.Index))
+		for off := range f.Code {
+			sid := f.Base + off
+			fmt.Fprintf(&sb, "%d %s", sid, an.ClassifyDst(sid))
+			for r := 0; r < f.NumRegs; r++ {
+				sb.WriteByte("LBN"[an.ClassifyReg(sid, ir.Reg(r))])
+			}
+			sb.WriteByte('\n')
+		}
+	}
+	for _, s := range an.Stats() {
+		fmt.Fprintf(&sb, "%s live=%d benign=%d never=%d\n", s.Func, s.Live, s.Benign, s.NeverFires)
+	}
+	return sb.String()
+}
+
+// TestStaticClassificationGolden pins the static verdicts themselves. The
+// soundness matrices prove pruned == unpruned, which a change that moves
+// sites between Live and Benign could still pass; this digest of every
+// site's class over every app's single-process and MPI program cannot.
+func TestStaticClassificationGolden(t *testing.T) {
+	want := map[string]uint64{
+		"cg/single":     0x4d1fd75d492a6a06,
+		"cg/mpi":        0x77653a95a4fbe07d,
+		"mg/single":     0xcd76263f968157e3,
+		"mg/mpi":        0xa6b470462441ccbf,
+		"lu/single":     0xff45829641a0b204,
+		"lu/mpi":        0x74ab972e11a88b98,
+		"bt/single":     0x3f33b82e2c8c4060,
+		"bt/mpi":        0x7d5ac54d9d1fe49,
+		"is/single":     0x59c389ac655f1579,
+		"is/mpi":        0xde3a0f424e4b26f4,
+		"dc/single":     0xf72b39c752ad7bef,
+		"dc/mpi":        0xc765dd85128a41e0,
+		"sp/single":     0xdffe29c1be8d1ecd,
+		"sp/mpi":        0x3009d46174410337,
+		"ft/single":     0xc44f47e1b7778eb3,
+		"ft/mpi":        0xca86a7b4a9b6fd78,
+		"kmeans/single": 0xe337114d908b3229,
+		"kmeans/mpi":    0xfc3180ba87704921,
+		"lulesh/single": 0x3e7b32dbd9ebe9af,
+		"lulesh/mpi":    0x7e779522ab4dfaed,
+	}
+	for _, name := range apps.TableIVNames() {
+		app, ok := apps.Get(name)
+		if !ok {
+			t.Fatalf("unknown app %s", name)
+		}
+		for _, variant := range []string{"single", "mpi"} {
+			build := app.Program
+			if variant == "mpi" {
+				build = app.MPIProgram
+			}
+			p, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := name + "/" + variant
+			got := fnv64(staticClassDigest(t, p))
+			if got != want[key] {
+				t.Errorf("%s: static classification digest %#x, want %#x", key, got, want[key])
+			}
 		}
 	}
 }
