@@ -146,35 +146,35 @@ func cleanCG(b *testing.B) (*fliptracker.Analyzer, *trace.Trace) {
 	return an, tr
 }
 
-func BenchmarkInterpreterUntraced(b *testing.B) {
-	an, tr := cleanCG(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := an.App.NewMachine()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tr.Steps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msteps/s")
-}
+func BenchmarkInterpreterUntraced(b *testing.B) { benchInterpreter(b, interp.TraceOff) }
 
-func BenchmarkInterpreterFullTrace(b *testing.B) {
-	an, tr := cleanCG(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := an.App.NewMachine()
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.Mode = interp.TraceFull
-		if _, err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkInterpreterFullTrace(b *testing.B) { benchInterpreter(b, interp.TraceFull) }
+
+// benchInterpreter runs each registered app's clean program from step 0 in
+// the given trace mode, one sub-benchmark per app, and reports dispatch
+// throughput in dynamic steps per second.
+func benchInterpreter(b *testing.B, mode interp.TraceMode) {
+	for _, name := range apps.Names() {
+		b.Run(name, func(b *testing.B) {
+			a, _ := apps.Get(name)
+			tr, err := a.CleanTrace(interp.TraceOff)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := a.NewMachine()
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Mode = mode
+				if _, err := m.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(tr.Steps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msteps/s")
+		})
 	}
-	b.ReportMetric(float64(tr.Steps)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msteps/s")
 }
 
 func BenchmarkDDDGBuild(b *testing.B) {

@@ -39,6 +39,10 @@ type HostFn func(m *Machine, args []ir.Word) (ir.Word, error)
 // be deep-copied (Snapshot), and continue from a copied state (Restore +
 // Resume). This is what lets injection campaigns share fault-free prefix
 // work across thousands of runs instead of replaying every run from step 0.
+//
+// Fault, StepLimit and RecordSIDs are read when Run, RunUntil or Resume
+// starts executing, and folded into the loop's one per-step event check;
+// changing them from a host call has no effect until the next such call.
 type Machine struct {
 	Prog *ir.Program
 	// StepLimit bounds dynamic instructions; exceeding it reports RunHang.
@@ -164,7 +168,9 @@ func (m *Machine) SIDLog() []int32 { return m.sidLog }
 // CrashMessage returns the crash description after a RunCrashed result.
 func (m *Machine) CrashMessage() string { return m.crashMsg }
 
-func (m *Machine) crash(format string, args ...any) {
+// crash ends the run as RunCrashed after steps dynamic instructions.
+func (m *Machine) crash(steps uint64, format string, args ...any) {
+	m.steps = steps
 	m.crashMsg = fmt.Sprintf(format, args...)
 	panic(runTerminated{trace.RunCrashed})
 }
@@ -311,358 +317,495 @@ func (m *Machine) releaseFrame(f []ir.Word) {
 	m.framePool = append(m.framePool, f)
 }
 
+// nextEvent returns the first step, at or after steps, at which the loop
+// must leave its hot path: the pause point, the StepLimit hang or the
+// pending fault's step. Under RecordSIDs every step is an event, so every
+// step is logged.
+func (m *Machine) nextEvent(steps, pauseAt uint64) uint64 {
+	if m.RecordSIDs {
+		return steps
+	}
+	next := min(pauseAt, m.StepLimit)
+	if f := m.Fault; f != nil && !m.FaultApplied && f.Step >= steps && f.Step < next {
+		next = f.Step
+	}
+	return next
+}
+
+// applyFault applies a fault drawn at step that strikes registers or memory
+// before the step's instruction runs. It reports whether the fault instead
+// strikes the instruction's result (FaultDst), which the op applies.
+func (m *Machine) applyFault(step uint64, regs []ir.Word) (flipDst bool) {
+	f := m.Fault
+	if f == nil || m.FaultApplied || step != f.Step {
+		return false
+	}
+	switch f.Kind {
+	case FaultReg:
+		if f.Reg >= 0 && int(f.Reg) < len(regs) {
+			regs[f.Reg] ^= ir.Word(1) << f.Bit
+			m.FaultApplied = true
+		}
+	case FaultMem:
+		if f.Addr >= 0 && f.Addr < m.mem.words {
+			*m.mem.writable(f.Addr) ^= ir.Word(1) << f.Bit
+			m.FaultApplied = true
+		}
+	case FaultDst:
+		return true
+	}
+	return false
+}
+
 // loop is the interpreter core: it executes the top frame instruction by
 // instruction, pushing and popping frames on call/return. It returns true
 // when it paused at pauseAt, false when the entry function returned.
-// The hot frame is mirrored in locals and resynced on call/return/pause.
+//
+// The top frame is mirrored in locals while it runs; call and return go
+// back to the outer loop to switch frames, so those locals stay fixed in
+// the instruction loop and the compiler does not shuffle them through the
+// stack on every step. The step counter is a local too, written back to
+// m.steps before every host call and on every way out (pause, return,
+// crash, hang). Each step makes one event check: the pause
+// point, StepLimit and the pending fault step are folded into next when the
+// loop is entered, and the cold path under that check handles whichever
+// fires (and logs SIDs, since RecordSIDs makes every step an event).
+//
+// Untraced frames dispatch on the function's decoded codes (ir.Function.
+// Dispatch), whose fused codes run a whole hot sequence per dispatch.
+// Traced frames dispatch on the plain opcodes, so every record comes from a
+// plain handler. A fused handler runs its instructions 2..k only when no
+// event falls on their steps (steps+k-1 <= next); otherwise it runs its
+// first instruction alone and the next iteration takes the event.
 func (m *Machine) loop(pauseAt uint64) bool {
-	cur := &m.stack[len(m.stack)-1]
-	f, code, pc, regs, fid, full := cur.f, cur.f.Code, cur.pc, cur.regs, cur.fid, cur.full
 	// The page tables are hoisted like the hot frame: own() and host-side
 	// WriteMem mutate entries in place (never reallocating the tables), so
 	// the local slice headers stay valid for the whole run.
 	pages, wpages, memWords := m.mem.pages, m.mem.wpages, m.mem.words
+	steps := m.steps
+	next := m.nextEvent(steps, pauseAt)
+frames:
 	for {
-		if m.steps >= pauseAt {
-			m.stack[len(m.stack)-1].pc = pc
-			return true
-		}
-		if pc < 0 || pc >= len(code) {
-			m.crash("pc %d out of range in %s", pc, f.Name)
-		}
-		in := &code[pc]
-		if m.RecordSIDs {
-			m.sidLog = append(m.sidLog, int32(f.Base+pc))
-		}
-		step := m.steps
-		m.steps++
-		if m.steps > m.StepLimit {
-			panic(runTerminated{trace.RunHang})
-		}
-
-		// Pre-execution fault application (register/memory targets).
-		flipDst := false
-		if m.Fault != nil && !m.FaultApplied && step == m.Fault.Step {
-			switch m.Fault.Kind {
-			case FaultReg:
-				if int(m.Fault.Reg) < len(regs) {
-					regs[m.Fault.Reg] ^= ir.Word(1) << m.Fault.Bit
-					m.FaultApplied = true
+		cur := &m.stack[len(m.stack)-1]
+		f, code, disp, pc, regs, fid, full := cur.f, cur.f.Code, cur.f.Dispatch, cur.pc, cur.regs, cur.fid, cur.full
+		for {
+			if uint(pc) >= uint(len(code)) {
+				m.crash(steps, "pc %d out of range in %s", pc, f.Name)
+			}
+			in := &code[pc]
+			op, flipDst := in.Op, false
+			if steps >= next {
+				if steps >= pauseAt {
+					m.steps = steps
+					m.stack[len(m.stack)-1].pc = pc
+					return true
 				}
-			case FaultMem:
-				if m.Fault.Addr >= 0 && m.Fault.Addr < m.mem.words {
-					*m.mem.writable(m.Fault.Addr) ^= ir.Word(1) << m.Fault.Bit
-					m.FaultApplied = true
+				if m.RecordSIDs {
+					m.sidLog = append(m.sidLog, int32(f.Base+pc))
 				}
-			case FaultDst:
-				flipDst = true
-			}
-		}
-
-		// Trace records are appended column-at-a-time inside each op's
-		// `if full` block through the shape-specialized appenders
-		// (Append0/1/2, AppendCondBr, AppendMarker): building a Rec row
-		// here would zero the (large) struct on every step of untraced
-		// runs, which profiles as a top cost of the hot loop.
-
-		switch in.Op {
-		case ir.OpNop:
-			pc++
-			continue
-
-		case ir.OpConst:
-			v := in.Imm
-			if flipDst {
-				v ^= ir.Word(1) << m.Fault.Bit
-				m.FaultApplied = true
-			}
-			regs[in.Dst] = v
-			if full {
-				m.recs.Append0(int32(f.Base+pc), in.Op, in.Type, step,
-					trace.RegLoc(fid, in.Dst), v)
-			}
-			pc++
-			continue
-
-		case ir.OpLoad:
-			addr := regs[in.A].Int()
-			if addr < 0 || addr >= memWords {
-				m.crash("load from invalid address %d (sid %d)", addr, f.Base+pc)
-			}
-			raw := pages[addr>>pageShift][addr&pageMask]
-			v := raw
-			if flipDst {
-				v ^= ir.Word(1) << m.Fault.Bit
-				m.FaultApplied = true
-			}
-			regs[in.Dst] = v
-			if full {
-				m.recs.Append2(int32(f.Base+pc), in.Op, in.Type, step,
-					trace.RegLoc(fid, in.Dst), v,
-					trace.MemLoc(addr), raw,
-					trace.RegLoc(fid, in.A), regs[in.A])
-			}
-			pc++
-			continue
-
-		case ir.OpStore:
-			addr := regs[in.A].Int()
-			if addr < 0 || addr >= memWords {
-				m.crash("store to invalid address %d (sid %d)", addr, f.Base+pc)
-			}
-			v := regs[in.B]
-			if flipDst {
-				v ^= ir.Word(1) << m.Fault.Bit
-				m.FaultApplied = true
-			}
-			pg := wpages[addr>>pageShift]
-			if pg == nil {
-				pg = m.mem.own(int(addr >> pageShift))
-			}
-			pg[addr&pageMask] = v
-			if full {
-				m.recs.Append2(int32(f.Base+pc), in.Op, in.Type, step,
-					trace.MemLoc(addr), v,
-					trace.RegLoc(fid, in.B), regs[in.B],
-					trace.RegLoc(fid, in.A), regs[in.A])
-			}
-			pc++
-			continue
-
-		case ir.OpBr:
-			pc = int(in.Imm.Int())
-			continue
-
-		case ir.OpCondBr:
-			taken := regs[in.A] != 0
-			if full {
-				m.recs.AppendCondBr(int32(f.Base+pc), in.Type, step,
-					trace.RegLoc(fid, in.A), regs[in.A], taken)
-			}
-			if taken {
-				pc = int(in.Imm.Int())
-			} else {
-				pc = int(in.Imm2.Int())
-			}
-			continue
-
-		case ir.OpCall:
-			callee := m.Prog.Funcs[in.Callee]
-			m.frames++
-			nfid := m.frames
-			nregs := m.grabFrame(callee.NumRegs)
-			for i, a := range in.Args {
-				nregs[i] = regs[a]
-				if full {
-					m.recs.Append1(int32(f.Base+pc), ir.OpCall, in.Type, step,
-						trace.RegLoc(nfid, ir.Reg(i)), regs[a],
-						trace.RegLoc(fid, a), regs[a])
+				if steps >= m.StepLimit {
+					m.steps = steps + 1
+					panic(runTerminated{trace.RunHang})
 				}
+				flipDst = m.applyFault(steps, regs)
+				next = m.nextEvent(steps+1, pauseAt)
+			} else if !full {
+				op = disp[pc]
 			}
-			if len(m.stack) >= m.MaxDepth {
-				m.crash("call depth %d exceeded in %s", len(m.stack)+1, callee.Name)
-			}
-			top := &m.stack[len(m.stack)-1]
-			top.pc = pc
-			top.retFlip = flipDst
-			if flipDst {
-				top.retBit = m.Fault.Bit
-			}
-			top.retStep = step
-			nfull := m.fullTrace(callee)
-			m.stack = append(m.stack, frame{f: callee, fid: nfid, regs: nregs, full: nfull})
-			f, code, pc, regs, fid, full = callee, callee.Code, 0, nregs, nfid, nfull
-			continue
+			step := steps
+			steps++
 
-		case ir.OpHost:
-			d := m.Prog.HostDecls[in.Callee]
-			var argv [8]ir.Word
-			args := argv[:0]
-			for _, a := range in.Args {
-				args = append(args, regs[a])
-			}
-			ret, err := m.hosts[in.Callee](m, args)
-			if err != nil {
-				m.crash("host %s: %v", d.Name, err)
-			}
-			if d.HasRet {
+			// Trace records are appended column-at-a-time inside each op's
+			// `if full` block through the shape-specialized appenders
+			// (Append0/1/2, AppendCondBr, AppendMarker): building a Rec row
+			// here would zero the (large) struct on every step of untraced
+			// runs, which profiles as a top cost of the hot loop.
+
+			var v ir.Word
+			switch op {
+			case ir.OpNop:
+				pc++
+				continue
+
+			case ir.OpConst:
+				v = in.Imm
 				if flipDst {
-					ret ^= ir.Word(1) << m.Fault.Bit
+					v ^= ir.Word(1) << m.Fault.Bit
 					m.FaultApplied = true
 				}
-				regs[in.Dst] = ret
+				regs[in.Dst] = v
 				if full {
-					if len(in.Args) > 0 {
-						m.recs.Append1(int32(f.Base+pc), in.Op, in.Type, step,
-							trace.RegLoc(fid, in.Dst), ret,
-							trace.RegLoc(fid, in.Args[0]), regs[in.Args[0]])
-					} else {
-						m.recs.Append0(int32(f.Base+pc), in.Op, in.Type, step,
-							trace.RegLoc(fid, in.Dst), ret)
+					m.recs.Append0(int32(f.Base+pc), in.Op, in.Type, step,
+						trace.RegLoc(fid, in.Dst), v)
+				}
+				pc++
+				continue
+
+			case ir.OpLoad:
+				addr := regs[in.A].Int()
+				if addr < 0 || addr >= memWords {
+					m.crash(steps, "load from invalid address %d (sid %d)", addr, f.Base+pc)
+				}
+				raw := pages[addr>>pageShift][addr&pageMask]
+				v = raw
+				if flipDst {
+					v ^= ir.Word(1) << m.Fault.Bit
+					m.FaultApplied = true
+				}
+				regs[in.Dst] = v
+				if full {
+					m.recs.Append2(int32(f.Base+pc), in.Op, in.Type, step,
+						trace.RegLoc(fid, in.Dst), v,
+						trace.MemLoc(addr), raw,
+						trace.RegLoc(fid, in.A), regs[in.A])
+				}
+				pc++
+				continue
+
+			case ir.OpStore:
+				addr := regs[in.A].Int()
+				if addr < 0 || addr >= memWords {
+					m.crash(steps, "store to invalid address %d (sid %d)", addr, f.Base+pc)
+				}
+				v = regs[in.B]
+				if flipDst {
+					v ^= ir.Word(1) << m.Fault.Bit
+					m.FaultApplied = true
+				}
+				pg := wpages[addr>>pageShift]
+				if pg == nil {
+					pg = m.mem.own(int(addr >> pageShift))
+				}
+				pg[addr&pageMask] = v
+				if full {
+					m.recs.Append2(int32(f.Base+pc), in.Op, in.Type, step,
+						trace.MemLoc(addr), v,
+						trace.RegLoc(fid, in.B), regs[in.B],
+						trace.RegLoc(fid, in.A), regs[in.A])
+				}
+				pc++
+				continue
+
+			case ir.OpBr:
+				pc = int(in.Imm.Int())
+				continue
+
+			case ir.OpCondBr:
+				taken := regs[in.A] != 0
+				if full {
+					m.recs.AppendCondBr(int32(f.Base+pc), in.Type, step,
+						trace.RegLoc(fid, in.A), regs[in.A], taken)
+				}
+				if taken {
+					pc = int(in.Imm.Int())
+				} else {
+					pc = int(in.Imm2.Int())
+				}
+				continue
+
+			case ir.OpCall:
+				callee := m.Prog.Funcs[in.Callee]
+				m.frames++
+				nfid := m.frames
+				nregs := m.grabFrame(callee.NumRegs)
+				for i, a := range in.Args {
+					nregs[i] = regs[a]
+					if full {
+						m.recs.Append1(int32(f.Base+pc), ir.OpCall, in.Type, step,
+							trace.RegLoc(nfid, ir.Reg(i)), regs[a],
+							trace.RegLoc(fid, a), regs[a])
 					}
 				}
-			}
-			pc++
-			continue
-
-		case ir.OpRet:
-			var ret ir.Word
-			hasRet := in.A != ir.NoReg
-			if hasRet {
-				ret = regs[in.A]
-			}
-			child := m.stack[len(m.stack)-1]
-			m.stack = m.stack[:len(m.stack)-1]
-			m.releaseFrame(child.regs)
-			if len(m.stack) == 0 {
-				return false // entry returned: program complete
-			}
-			top := &m.stack[len(m.stack)-1]
-			cin := &top.f.Code[top.pc]
-			if cin.Dst != ir.NoReg && hasRet {
-				v := ret
-				if top.retFlip {
-					v ^= ir.Word(1) << top.retBit
-					m.FaultApplied = true
+				if len(m.stack) >= m.MaxDepth {
+					m.crash(steps, "call depth %d exceeded in %s", len(m.stack)+1, callee.Name)
 				}
-				top.regs[cin.Dst] = v
-				if top.full {
-					m.recs.Append1(int32(top.f.Base+top.pc), ir.OpRet, cin.Type, top.retStep,
-						trace.RegLoc(top.fid, cin.Dst), v,
-						trace.RegLoc(child.fid, ir.Reg(0)), ret)
+				top := &m.stack[len(m.stack)-1]
+				top.pc = pc
+				top.retFlip = flipDst
+				if flipDst {
+					top.retBit = m.Fault.Bit
 				}
-			}
-			top.pc++
-			f, code, pc, regs, fid, full = top.f, top.f.Code, top.pc, top.regs, top.fid, top.full
-			continue
+				top.retStep = step
+				nfull := m.fullTrace(callee)
+				m.stack = append(m.stack, frame{f: callee, fid: nfid, regs: nregs, full: nfull})
+				continue frames
 
-		case ir.OpEmit, ir.OpEmitSci6:
-			v := regs[in.A]
-			sci := in.Op == ir.OpEmitSci6
-			if sci {
-				v = truncSci6(v)
+			case ir.OpHost:
+				d := m.Prog.HostDecls[in.Callee]
+				var argv [8]ir.Word
+				args := argv[:0]
+				for _, a := range in.Args {
+					args = append(args, regs[a])
+				}
+				m.steps = steps
+				ret, err := m.hosts[in.Callee](m, args)
+				if err != nil {
+					m.crash(steps, "host %s: %v", d.Name, err)
+				}
+				if d.HasRet {
+					if flipDst {
+						ret ^= ir.Word(1) << m.Fault.Bit
+						m.FaultApplied = true
+					}
+					regs[in.Dst] = ret
+					if full {
+						if len(in.Args) > 0 {
+							m.recs.Append1(int32(f.Base+pc), in.Op, in.Type, step,
+								trace.RegLoc(fid, in.Dst), ret,
+								trace.RegLoc(fid, in.Args[0]), regs[in.Args[0]])
+						} else {
+							m.recs.Append0(int32(f.Base+pc), in.Op, in.Type, step,
+								trace.RegLoc(fid, in.Dst), ret)
+						}
+					}
+				}
+				pc++
+				continue
+
+			case ir.OpRet:
+				var ret ir.Word
+				hasRet := in.A != ir.NoReg
+				if hasRet {
+					ret = regs[in.A]
+				}
+				child := m.stack[len(m.stack)-1]
+				m.stack = m.stack[:len(m.stack)-1]
+				m.releaseFrame(child.regs)
+				if len(m.stack) == 0 {
+					m.steps = steps
+					return false // entry returned: program complete
+				}
+				top := &m.stack[len(m.stack)-1]
+				cin := &top.f.Code[top.pc]
+				if cin.Dst != ir.NoReg && hasRet {
+					v := ret
+					if top.retFlip {
+						v ^= ir.Word(1) << top.retBit
+						m.FaultApplied = true
+					}
+					top.regs[cin.Dst] = v
+					if top.full {
+						m.recs.Append1(int32(top.f.Base+top.pc), ir.OpRet, cin.Type, top.retStep,
+							trace.RegLoc(top.fid, cin.Dst), v,
+							trace.RegLoc(child.fid, ir.Reg(0)), ret)
+					}
+				}
+				top.pc++
+				continue frames
+
+			case ir.OpEmit, ir.OpEmitSci6:
+				v = regs[in.A]
+				sci := in.Op == ir.OpEmitSci6
+				if sci {
+					v = truncSci6(v)
+				}
+				if full {
+					m.recs.Append1(int32(f.Base+pc), in.Op, in.Type, step,
+						trace.OutLoc(len(m.output)), v,
+						trace.RegLoc(fid, in.A), regs[in.A])
+				}
+				m.output = append(m.output, trace.OutVal{Val: v, Typ: in.Type, Sci6: sci})
+				pc++
+				continue
+
+			case ir.OpRegionEnter, ir.OpRegionExit:
+				if m.Mode != TraceOff {
+					m.recs.AppendMarker(int32(f.Base+pc), in.Op, in.Type,
+						int32(in.Imm.Int()), step)
+				}
+				pc++
+				continue
+
+			// Fused sequences (untraced frames only, so no records and no
+			// fault: a fault's step is an event). The sub-instructions repeat
+			// their plain handlers' semantics exactly.
+			case ir.OpFuseConstAdd:
+				regs[in.Dst] = in.Imm
+				pc++
+				if steps+1 <= next {
+					add := &code[pc]
+					regs[add.Dst] = ir.I64Word(regs[add.A].Int() + regs[add.B].Int())
+					pc++
+					steps++
+				}
+				continue
+
+			case ir.OpFuseConstAddLoad:
+				regs[in.Dst] = in.Imm
+				pc++
+				if steps+2 <= next {
+					add, ld := &code[pc], &code[pc+1]
+					regs[add.Dst] = ir.I64Word(regs[add.A].Int() + regs[add.B].Int())
+					pc++
+					steps++
+					// A wild address stops the sequence before the load; the
+					// plain handler then crashes at the load's own step.
+					if addr := regs[ld.A].Int(); addr >= 0 && addr < memWords {
+						regs[ld.Dst] = pages[addr>>pageShift][addr&pageMask]
+						pc++
+						steps++
+					}
+				}
+				continue
+
+			case ir.OpFuseConstAddStore:
+				regs[in.Dst] = in.Imm
+				pc++
+				if steps+2 <= next {
+					add, st := &code[pc], &code[pc+1]
+					regs[add.Dst] = ir.I64Word(regs[add.A].Int() + regs[add.B].Int())
+					pc++
+					steps++
+					if addr := regs[st.A].Int(); addr >= 0 && addr < memWords {
+						pg := wpages[addr>>pageShift]
+						if pg == nil {
+							pg = m.mem.own(int(addr >> pageShift))
+						}
+						pg[addr&pageMask] = regs[st.B]
+						pc++
+						steps++
+					}
+				}
+				continue
+
+			case ir.OpFuseConstAddBr:
+				regs[in.Dst] = in.Imm
+				pc++
+				if steps+2 <= next {
+					add := &code[pc]
+					regs[add.Dst] = ir.I64Word(regs[add.A].Int() + regs[add.B].Int())
+					pc = int(code[pc+1].Imm.Int())
+					steps += 2
+				}
+				continue
+
+			case ir.OpFuseConstMulAdd:
+				regs[in.Dst] = in.Imm
+				pc++
+				if steps+2 <= next {
+					mul, add := &code[pc], &code[pc+1]
+					regs[mul.Dst] = ir.I64Word(regs[mul.A].Int() * regs[mul.B].Int())
+					regs[add.Dst] = ir.I64Word(regs[add.A].Int() + regs[add.B].Int())
+					pc += 2
+					steps += 2
+				}
+				continue
+
+			case ir.OpFuseICmpSLTCondBr:
+				regs[in.Dst] = boolWord(regs[in.A].Int() < regs[in.B].Int())
+				pc++
+				if steps+1 <= next {
+					br := &code[pc]
+					if regs[br.A] != 0 {
+						pc = int(br.Imm.Int())
+					} else {
+						pc = int(br.Imm2.Int())
+					}
+					steps++
+				}
+				continue
+
+			// The rest are register-to-register compute ops, unary or binary,
+			// sharing the result tail below the switch.
+			case ir.OpAdd:
+				v = ir.I64Word(regs[in.A].Int() + regs[in.B].Int())
+			case ir.OpSub:
+				v = ir.I64Word(regs[in.A].Int() - regs[in.B].Int())
+			case ir.OpMul:
+				v = ir.I64Word(regs[in.A].Int() * regs[in.B].Int())
+			case ir.OpSDiv:
+				a, b := regs[in.A].Int(), regs[in.B].Int()
+				if b == 0 || (a == math.MinInt64 && b == -1) {
+					m.crash(steps, "integer division fault at sid %d", f.Base+pc)
+				}
+				v = ir.I64Word(a / b)
+			case ir.OpSRem:
+				a, b := regs[in.A].Int(), regs[in.B].Int()
+				if b == 0 || (a == math.MinInt64 && b == -1) {
+					m.crash(steps, "integer remainder fault at sid %d", f.Base+pc)
+				}
+				v = ir.I64Word(a % b)
+			case ir.OpFAdd:
+				v = ir.F64Word(regs[in.A].Float() + regs[in.B].Float())
+			case ir.OpFSub:
+				v = ir.F64Word(regs[in.A].Float() - regs[in.B].Float())
+			case ir.OpFMul:
+				v = ir.F64Word(regs[in.A].Float() * regs[in.B].Float())
+			case ir.OpFDiv:
+				v = ir.F64Word(regs[in.A].Float() / regs[in.B].Float())
+			case ir.OpFNeg:
+				v = ir.F64Word(-regs[in.A].Float())
+			case ir.OpFAbs:
+				v = ir.F64Word(math.Abs(regs[in.A].Float()))
+			case ir.OpFSqrt:
+				v = ir.F64Word(math.Sqrt(regs[in.A].Float()))
+			case ir.OpShl:
+				v = regs[in.A] << (uint64(regs[in.B]) & 63)
+			case ir.OpLShr:
+				v = regs[in.A] >> (uint64(regs[in.B]) & 63)
+			case ir.OpAShr:
+				v = ir.I64Word(regs[in.A].Int() >> (uint64(regs[in.B]) & 63))
+			case ir.OpAnd:
+				v = regs[in.A] & regs[in.B]
+			case ir.OpOr:
+				v = regs[in.A] | regs[in.B]
+			case ir.OpXor:
+				v = regs[in.A] ^ regs[in.B]
+			case ir.OpICmpEQ:
+				v = boolWord(regs[in.A] == regs[in.B])
+			case ir.OpICmpNE:
+				v = boolWord(regs[in.A] != regs[in.B])
+			case ir.OpICmpSLT:
+				v = boolWord(regs[in.A].Int() < regs[in.B].Int())
+			case ir.OpICmpSLE:
+				v = boolWord(regs[in.A].Int() <= regs[in.B].Int())
+			case ir.OpICmpSGT:
+				v = boolWord(regs[in.A].Int() > regs[in.B].Int())
+			case ir.OpICmpSGE:
+				v = boolWord(regs[in.A].Int() >= regs[in.B].Int())
+			case ir.OpFCmpEQ:
+				v = boolWord(regs[in.A].Float() == regs[in.B].Float())
+			case ir.OpFCmpNE:
+				v = boolWord(regs[in.A].Float() != regs[in.B].Float())
+			case ir.OpFCmpLT:
+				v = boolWord(regs[in.A].Float() < regs[in.B].Float())
+			case ir.OpFCmpLE:
+				v = boolWord(regs[in.A].Float() <= regs[in.B].Float())
+			case ir.OpFCmpGT:
+				v = boolWord(regs[in.A].Float() > regs[in.B].Float())
+			case ir.OpFCmpGE:
+				v = boolWord(regs[in.A].Float() >= regs[in.B].Float())
+			case ir.OpSIToFP:
+				v = ir.F64Word(float64(regs[in.A].Int()))
+			case ir.OpFPToSI:
+				v = fpToSI(regs[in.A].Float())
+			case ir.OpFPTrunc:
+				v = ir.F64Word(float64(float32(regs[in.A].Float())))
+			case ir.OpTruncI32:
+				v = ir.I64Word(int64(int32(regs[in.A].Int())))
+			default:
+				m.crash(steps, "unimplemented opcode %s at sid %d", in.Op, f.Base+pc)
+			}
+			if flipDst {
+				v ^= ir.Word(1) << m.Fault.Bit
+				m.FaultApplied = true
 			}
 			if full {
-				m.recs.Append1(int32(f.Base+pc), in.Op, in.Type, step,
-					trace.OutLoc(len(m.output)), v,
-					trace.RegLoc(fid, in.A), regs[in.A])
+				// Operands are read before the result lands: Dst may alias A or B.
+				if in.Op.IsBinary() {
+					m.recs.Append2(int32(f.Base+pc), in.Op, in.Type, step,
+						trace.RegLoc(fid, in.Dst), v,
+						trace.RegLoc(fid, in.A), regs[in.A],
+						trace.RegLoc(fid, in.B), regs[in.B])
+				} else {
+					m.recs.Append1(int32(f.Base+pc), in.Op, in.Type, step,
+						trace.RegLoc(fid, in.Dst), v,
+						trace.RegLoc(fid, in.A), regs[in.A])
+				}
 			}
-			m.output = append(m.output, trace.OutVal{Val: v, Typ: in.Type, Sci6: sci})
+			regs[in.Dst] = v
 			pc++
-			continue
-
-		case ir.OpRegionEnter, ir.OpRegionExit:
-			if m.Mode != TraceOff {
-				m.recs.AppendMarker(int32(f.Base+pc), in.Op, in.Type,
-					int32(in.Imm.Int()), step)
-			}
-			pc++
-			continue
 		}
-
-		// Remaining ops are register-to-register compute: unary or binary.
-		var v ir.Word
-		a := regs[in.A]
-		var bv ir.Word
-		if in.Op.IsBinary() {
-			bv = regs[in.B]
-		}
-		switch in.Op {
-		case ir.OpAdd:
-			v = ir.I64Word(a.Int() + bv.Int())
-		case ir.OpSub:
-			v = ir.I64Word(a.Int() - bv.Int())
-		case ir.OpMul:
-			v = ir.I64Word(a.Int() * bv.Int())
-		case ir.OpSDiv:
-			if bv.Int() == 0 || (a.Int() == math.MinInt64 && bv.Int() == -1) {
-				m.crash("integer division fault at sid %d", f.Base+pc)
-			}
-			v = ir.I64Word(a.Int() / bv.Int())
-		case ir.OpSRem:
-			if bv.Int() == 0 || (a.Int() == math.MinInt64 && bv.Int() == -1) {
-				m.crash("integer remainder fault at sid %d", f.Base+pc)
-			}
-			v = ir.I64Word(a.Int() % bv.Int())
-		case ir.OpFAdd:
-			v = ir.F64Word(a.Float() + bv.Float())
-		case ir.OpFSub:
-			v = ir.F64Word(a.Float() - bv.Float())
-		case ir.OpFMul:
-			v = ir.F64Word(a.Float() * bv.Float())
-		case ir.OpFDiv:
-			v = ir.F64Word(a.Float() / bv.Float())
-		case ir.OpFNeg:
-			v = ir.F64Word(-a.Float())
-		case ir.OpFAbs:
-			v = ir.F64Word(math.Abs(a.Float()))
-		case ir.OpFSqrt:
-			v = ir.F64Word(math.Sqrt(a.Float()))
-		case ir.OpShl:
-			v = ir.Word(uint64(a) << (uint64(bv) & 63))
-		case ir.OpLShr:
-			v = ir.Word(uint64(a) >> (uint64(bv) & 63))
-		case ir.OpAShr:
-			v = ir.I64Word(a.Int() >> (uint64(bv) & 63))
-		case ir.OpAnd:
-			v = a & bv
-		case ir.OpOr:
-			v = a | bv
-		case ir.OpXor:
-			v = a ^ bv
-		case ir.OpICmpEQ:
-			v = boolWord(a.Int() == bv.Int())
-		case ir.OpICmpNE:
-			v = boolWord(a.Int() != bv.Int())
-		case ir.OpICmpSLT:
-			v = boolWord(a.Int() < bv.Int())
-		case ir.OpICmpSLE:
-			v = boolWord(a.Int() <= bv.Int())
-		case ir.OpICmpSGT:
-			v = boolWord(a.Int() > bv.Int())
-		case ir.OpICmpSGE:
-			v = boolWord(a.Int() >= bv.Int())
-		case ir.OpFCmpEQ:
-			v = boolWord(a.Float() == bv.Float())
-		case ir.OpFCmpNE:
-			v = boolWord(a.Float() != bv.Float())
-		case ir.OpFCmpLT:
-			v = boolWord(a.Float() < bv.Float())
-		case ir.OpFCmpLE:
-			v = boolWord(a.Float() <= bv.Float())
-		case ir.OpFCmpGT:
-			v = boolWord(a.Float() > bv.Float())
-		case ir.OpFCmpGE:
-			v = boolWord(a.Float() >= bv.Float())
-		case ir.OpSIToFP:
-			v = ir.F64Word(float64(a.Int()))
-		case ir.OpFPToSI:
-			v = fpToSI(a.Float())
-		case ir.OpFPTrunc:
-			v = ir.F64Word(float64(float32(a.Float())))
-		case ir.OpTruncI32:
-			v = ir.I64Word(int64(int32(a.Int())))
-		default:
-			m.crash("unimplemented opcode %s at sid %d", in.Op, f.Base+pc)
-		}
-		if flipDst {
-			v ^= ir.Word(1) << m.Fault.Bit
-			m.FaultApplied = true
-		}
-		regs[in.Dst] = v
-		if full {
-			if in.Op.IsBinary() {
-				m.recs.Append2(int32(f.Base+pc), in.Op, in.Type, step,
-					trace.RegLoc(fid, in.Dst), v,
-					trace.RegLoc(fid, in.A), a,
-					trace.RegLoc(fid, in.B), bv)
-			} else {
-				m.recs.Append1(int32(f.Base+pc), in.Op, in.Type, step,
-					trace.RegLoc(fid, in.Dst), v,
-					trace.RegLoc(fid, in.A), a)
-			}
-		}
-		pc++
 	}
 }
 

@@ -75,13 +75,15 @@ func TestFaultRegKind(t *testing.T) {
 
 func TestFaultRegOutOfRangeNeverFires(t *testing.T) {
 	p, _ := buildSum(4)
-	m, _ := NewMachine(p)
-	m.Fault = &Fault{Step: 5, Bit: 1, Kind: FaultReg, Reg: 10_000}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.FaultApplied {
-		t.Fatal("out-of-range register fault should not fire")
+	for _, reg := range []ir.Reg{10_000, ir.NoReg} {
+		m, _ := NewMachine(p)
+		m.Fault = &Fault{Step: 5, Bit: 1, Kind: FaultReg, Reg: reg}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if m.FaultApplied {
+			t.Fatalf("out-of-range register r%d fault should not fire", reg)
+		}
 	}
 }
 

@@ -119,6 +119,13 @@ func (op Opcode) String() string {
 	if int(op) < len(opcodeNames) && opcodeNames[op] != "" {
 		return opcodeNames[op]
 	}
+	if seq := op.Fused(); seq != nil {
+		name := seq[0].String()
+		for _, o := range seq[1:] {
+			name += "+" + o.String()
+		}
+		return name
+	}
 	return fmt.Sprintf("opcode(%d)", uint8(op))
 }
 

@@ -13,6 +13,10 @@ type Function struct {
 	// Base is the global static id of Code[0]; instruction i in this
 	// function has global static id Base+i. Assigned by Program.Seal.
 	Base int
+	// Dispatch is Code decoded for untraced execution, filled in by
+	// Program.Seal: Dispatch[i] is a fused code when a hot sequence starts
+	// at Code[i] (see fuse.go), else Code[i].Op.
+	Dispatch []Opcode
 }
 
 // Global describes a named span of program memory, the analog of a C global
@@ -157,8 +161,9 @@ func (p *Program) RegionByName(name string) (Region, bool) {
 }
 
 // Seal freezes the program: assigns global static instruction ids, fixes the
-// entry point to the function named "main", and validates the module. A
-// program must be sealed before execution.
+// entry point to the function named "main", validates the module, and
+// decodes every function's dispatch codes. A program must be sealed before
+// execution.
 func (p *Program) Seal() error {
 	if p.sealed {
 		return nil
@@ -182,6 +187,9 @@ func (p *Program) Seal() error {
 	}
 	if err := p.Validate(); err != nil {
 		return err
+	}
+	for _, f := range p.Funcs {
+		f.decode()
 	}
 	p.Entry = entry
 	p.sealed = true

@@ -3,7 +3,8 @@ package ir
 import "fmt"
 
 // Validate checks every function, in two layers. The structural layer:
-// register indices in range, branch targets in range, call arities matching,
+// instruction opcodes only (no fused dispatch codes), register indices in
+// range, branch targets in range, call arities matching,
 // region markers balanced within each function, and terminators present. The
 // semantic layer (see semantic.go): no unreachable code, definite assignment
 // of every register on all paths, and region markers that balance
@@ -34,6 +35,9 @@ func (p *Program) validateFunc(f *Function) error {
 	for i, in := range f.Code {
 		fail := func(format string, args ...any) error {
 			return fmt.Errorf("instr %d (%s): %s", i, in, fmt.Sprintf(format, args...))
+		}
+		if in.Op >= opcodeCount {
+			return fail("not an instruction opcode")
 		}
 		if in.Op.HasDst() && in.Dst != NoReg && !regOK(in.Dst) {
 			return fail("dst r%d out of range (%d regs)", in.Dst, f.NumRegs)
