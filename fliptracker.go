@@ -443,9 +443,9 @@ var (
 type (
 	// StaticAnalysis is the whole-program static dependence analysis of a
 	// sealed program: per-site fault classification (Live / Benign /
-	// NeverFires), per-function CFGs and dominator trees, and def-use
-	// chains. Build it with AnalyzeProgram or get the cached one from
-	// Analyzer.StaticAnalysis / MPIAnalyzer.StaticAnalysis.
+	// NeverFires), per-function site statistics and an annotated
+	// disassembly. Build it with AnalyzeProgram or get the cached one from
+	// Analyzer.StaticAnalysis.
 	StaticAnalysis = irstatic.Analysis
 	// StaticPruner maps dynamic fault sites (step, target) to static
 	// classes through a clean run's step-indexed instruction log. Get one

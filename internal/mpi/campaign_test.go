@@ -262,10 +262,9 @@ func TestCampaignValidation(t *testing.T) {
 
 // TestDeadlockWithStrandedMessageDetected: rank 0 exits immediately, rank 1
 // sends it a message nobody will ever receive and then recv-blocks on rank
-// 2, which recv-blocks on rank 1 — a live cycle plus a stranded in-flight
-// message. The world must terminate (the stranded count is retired when the
-// dead rank's inbox is drained) with both live ranks failed, identically on
-// every run.
+// 2, which recv-blocks on rank 1 — a live cycle plus a message to an exited
+// rank. The world must terminate (the send to the exited rank is dropped)
+// with both live ranks failed, identically on every run.
 func TestDeadlockWithStrandedMessageDetected(t *testing.T) {
 	p := ir.NewProgram("strand")
 	DeclareHosts(p)
@@ -280,7 +279,7 @@ func TestDeadlockWithStrandedMessageDetected(t *testing.T) {
 	}, func() {
 		isOne := b.ICmp(ir.OpICmpEQ, rank, b.ConstI(1))
 		b.IfElse(isOne, func() {
-			// Rank 1: strand a message in rank 0's inbox, then wait on 2.
+			// Rank 1: send to the exited rank 0, then wait on 2.
 			b.Host(HostSend, 3, false, b.ConstI(0), addr, one)
 			b.Host(HostRecv, 3, false, b.ConstI(2), addr, one)
 		}, func() {

@@ -132,376 +132,197 @@ func (r *Result) Status() trace.RunStatus {
 	return worst
 }
 
-type message struct {
-	src  int
-	data []ir.Word
-}
+// message is one point-to-point payload. It is owned by the queue once sent
+// and read-only afterwards (receives copy out of it).
+type message []ir.Word
+
+// queueCap bounds each (sender, receiver) queue: a send waits while its
+// queue holds this many unreceived messages.
+const queueCap = 1024
 
 type rankState struct {
-	inbox   chan message
-	pending map[int][]message
+	pending [][]message // pending[src] is the FIFO queue from src to this rank
 	anyLog  []int32
 	anyNext int      // replay cursor
 	cutLog  []uint64 // machine step after each completed collective
 }
 
-// waitKind classifies what a blocked rank is waiting inside.
-type waitKind uint8
-
-const (
-	waitNone waitKind = iota
-	// waitInbox: blocked in awaitInbox — the rank consumes any message that
-	// lands in its inbox and re-evaluates its wait.
-	waitInbox
-	// waitCollective: blocked in an allreduce round — deaf to its inbox
-	// until the round completes.
-	waitCollective
-)
-
+// world is the state the ranks of one run share. Ranks run on their own
+// goroutines; every primitive takes mu, evaluates its condition, and either
+// acts or awaits a change.
+//
+// Determinism follows from the structure. Messages travel in one FIFO queue
+// per (sender, receiver) pair, receives name their source, and reductions
+// sum contributions in rank index order, so no rank's action can disable
+// another rank's pending one: the outcome of a world is the same whatever
+// order its ranks run in (Kahn's determinacy argument). Wildcard receives
+// are the exception, and the Recording pins those (§V-B).
+//
+// Termination follows from one rule: a world is dead when every live rank
+// is waiting and nothing has changed since each one last looked. No event
+// can then ever occur again, so every waiter fails with errAborted. That
+// terminal configuration is a fact of the program, not of the schedule, so
+// crashed worlds tear down identically on every replay.
 type world struct {
 	size   int
 	ranks  []*rankState
 	replay *Recording
 
-	// allreduce barrier state. Contributions are kept per rank and reduced
-	// in rank index order once the round is complete, so the floating-point
-	// sum is independent of arrival order — replayed worlds stay
-	// bit-identical, extending the §V-B record-and-replay guarantee from
-	// wildcard receives to collectives.
-	mu    sync.Mutex
-	cond  *sync.Cond
-	parts [][]float64 // parts[rank] is rank's current-round contribution
+	mu   sync.Mutex
+	cond *sync.Cond
+	// parts[rank] is rank's contribution to the current allreduce round
+	// (non-nil once it contributed); bufN is the round's element count.
+	parts [][]float64
 	bufN  int
-	gen   uint64
-	// exited[rank] is set when a rank's goroutine ends (normally or not):
-	// it will never send a message or contribute to a collective again, so
-	// peers blocked on it fail deterministically — a collective round
-	// missing a dead rank's contribution aborts, a receive from an exited
-	// rank that sent nothing fails, and only those; a round every rank
-	// contributed to still completes, whenever the exit is noticed.
-	exited map[int]bool
-	// exitCh is closed and replaced on every rank exit, waking blocked
-	// receivers so they re-evaluate whether their peer can still deliver.
-	exitCh chan struct{}
-	// blocked counts ranks waiting inside a world primitive, waiting records
-	// what each is waiting inside, and inFlight / inFlightTo[rank] count
-	// sent-but-undelivered messages (total and per destination). When every
-	// live rank is blocked and no undelivered message can still be consumed,
-	// no event can ever occur again — a global deadlock (e.g. a corrupted
-	// rank stuck in recv while clean ranks wait for it in a collective).
-	// That terminal configuration is a deterministic fact of the program, so
-	// detecting it and failing every blocked rank keeps faulty worlds
-	// deterministic AND terminating. See maybeDeadlockLocked for the
-	// wait-for-graph rule that decides "can still be consumed".
-	blocked    int
-	waiting    []waitKind
-	inFlight   int
-	inFlightTo []int
-	deadlocked bool
-	// result holds the completed round's sums. It is only replaced when a
-	// round completes, which cannot happen before every waiter of the
-	// previous round has read it (each reader holds mu while reading).
+	// gen counts completed rounds; result holds the last one's sums. It is
+	// only replaced when a round completes, which needs every rank, so each
+	// waiter of the previous round has read it by then.
+	gen    uint64
 	result []float64
+	// exited[rank] is set when rank's goroutine ends: it will never send or
+	// contribute again.
+	exited []bool
+	// live counts ranks that have neither exited nor paused at a snapshot
+	// cut (paused counts the latter). changes is bumped by every send,
+	// receive, completed round and exit; waiting counts live ranks that
+	// found their primitive unsatisfiable since the last change.
+	live, paused int
+	changes      uint64
+	waiting      int
+	dead         bool
 }
 
 var errAborted = fmt.Errorf("mpi: world deadlocked (every live rank blocked on another)")
 
 func newWorld(size int, replay *Recording) *world {
 	w := &world{
-		size:       size,
-		replay:     replay,
-		parts:      make([][]float64, size),
-		exited:     make(map[int]bool),
-		exitCh:     make(chan struct{}),
-		waiting:    make([]waitKind, size),
-		inFlightTo: make([]int, size),
+		size:   size,
+		replay: replay,
+		parts:  make([][]float64, size),
+		exited: make([]bool, size),
+		live:   size,
 	}
 	w.cond = sync.NewCond(&w.mu)
 	for i := 0; i < size; i++ {
-		w.ranks = append(w.ranks, &rankState{
-			inbox:   make(chan message, 1024),
-			pending: make(map[int][]message),
-		})
+		w.ranks = append(w.ranks, &rankState{pending: make([][]message, size)})
 	}
 	return w
 }
 
-// rankExit publishes that rank's goroutine ended (normally or not). Every
-// send the rank made completed before this call, so once a peer observes the
-// exit, all of the rank's messages are already in their destination inboxes.
-// There is deliberately no world-wide kill on failure: each remaining rank
-// runs to its own deterministic conclusion — completion, its own fault, or a
-// dependency that can never be satisfied — so per-rank traces of a crashed
-// world are identical on every replay.
-func (w *world) rankExit(rank int) {
-	w.mu.Lock()
-	w.exited[rank] = true
-	close(w.exitCh)
-	w.exitCh = make(chan struct{})
+// changed records an event that may satisfy a waiter: every waiter looks
+// again. Callers hold mu.
+func (w *world) changed() {
+	w.changes++
+	w.waiting = 0
 	w.cond.Broadcast()
-	w.mu.Unlock()
-	// Messages stranded in the dead rank's inbox can never be received;
-	// retire their in-flight counts so the deadlock detector still sees a
-	// quiescent world (an unretired count would mask a real deadlock), then
-	// re-evaluate: this exit may leave only blocked ranks behind.
-	w.drainDead(rank)
-	w.mu.Lock()
-	w.maybeDeadlockLocked()
-	w.mu.Unlock()
 }
 
-// drainDead discards every message queued for an exited rank, retiring the
-// in-flight counts. Safe to call from any goroutine (it touches only the
-// channel and the counters, not the dead rank's pending map), and safe to
-// call repeatedly — senders that race a peer's exit call it again after
-// enqueueing, so a message landing between the exit's drain and the send's
-// completion is still retired by whichever drain runs last.
-func (w *world) drainDead(rank int) {
-	for {
-		select {
-		case <-w.ranks[rank].inbox:
-			w.mu.Lock()
-			w.inFlight--
-			w.inFlightTo[rank]--
-			w.mu.Unlock()
-		default:
-			return
-		}
+// await is called, with mu held, by a live rank whose primitive cannot
+// proceed. It returns once something has changed, or errAborted if the
+// world is dead: this rank was the last live one to find nothing to do.
+func (w *world) await() error {
+	w.waiting++
+	w.dieIfStuck()
+	for c := w.changes; c == w.changes && !w.dead; {
+		w.cond.Wait()
 	}
+	if w.dead {
+		return errAborted
+	}
+	return nil
 }
 
-// maybeDeadlockLocked declares a global deadlock when every live rank is
-// blocked in a primitive and no undelivered message can ever be consumed,
-// waking everyone so they fail deterministically. Returns whether the world
-// is (now) deadlocked. Callers must hold mu.
-//
-// This is a wait-for-graph check collapsed to its one decidable edge: with
-// every live rank blocked, the only event that can still occur is an
-// inbox-waiter draining an undelivered message (it wakes, queues the
-// message, and re-evaluates — possibly unblocking, possibly re-blocking with
-// the deadlock check re-run). A message bound for a rank waiting in a
-// collective is stranded: collective waiters are deaf to their inboxes, and
-// the round they wait on cannot complete while its missing contributors are
-// blocked elsewhere. Messages bound for exited ranks are equally dead
-// (drainDead retires their counts). So partial wait-for cycles among live
-// ranks are terminal even when undelivered messages remain for uninvolved
-// parties — previously such worlds (cycle + a message stranded at a
-// collective-blocked rank) hung forever because any nonzero in-flight count
-// vetoed the deadlock declaration.
-func (w *world) maybeDeadlockLocked() bool {
-	if w.deadlocked {
-		return true
-	}
-	if w.blocked == 0 || w.blocked != w.size-len(w.exited) {
-		return false
-	}
-	for r := 0; r < w.size; r++ {
-		if w.inFlightTo[r] > 0 && w.waiting[r] == waitInbox {
-			return false // r will wake, drain, and re-evaluate
-		}
-	}
-	w.deadlocked = true
-	close(w.exitCh) // wake blocked receivers
-	w.exitCh = make(chan struct{})
-	w.cond.Broadcast() // wake collective waiters
-	return true
-}
-
-// abort marks the world dead, failing every rank currently blocked (or about
-// to block) in a world primitive with the deterministic abort error. It is
-// the teardown path for abandoned worlds — e.g. a snapshot forward pass
-// cancelled mid-phase — not part of normal execution, which only ever aborts
-// through maybeDeadlockLocked.
-func (w *world) abort() {
-	w.mu.Lock()
-	if !w.deadlocked {
-		w.deadlocked = true
-		close(w.exitCh)
-		w.exitCh = make(chan struct{})
+// dieIfStuck applies the deadlock rule. Callers hold mu.
+func (w *world) dieIfStuck() {
+	if w.live > 0 && w.waiting == w.live {
+		w.dead = true
 		w.cond.Broadcast()
 	}
-	w.mu.Unlock()
 }
 
-// peerState snapshots whether rank has exited and whether the world is
-// deadlocked, plus the channel that will signal the next membership change.
-// Callers snapshot BEFORE draining their inbox: if the snapshot says exited,
-// every message that rank ever sent is already drainable, making "exited and
-// nothing pending" a deterministic fact.
-func (w *world) peerState(rank int) (exited, dead bool, next chan struct{}) {
+// exit publishes that rank's goroutine ended (normally or not). There is no
+// world-wide kill on failure: each remaining rank runs to its own
+// conclusion — completion, its own fault, or a dependency that can never be
+// satisfied.
+func (w *world) exit(rank int) {
 	w.mu.Lock()
-	exited, dead, next = w.exited[rank], w.deadlocked, w.exitCh
+	w.exited[rank] = true
+	w.live--
+	w.changed()
 	w.mu.Unlock()
-	return exited, dead, next
 }
 
-// othersExited reports whether every rank but self has exited.
-func (w *world) othersExited(self int) (all, dead bool, next chan struct{}) {
+// pause takes a rank parked at a snapshot cut out of the live set. Ranks
+// still waiting on it can then be stuck, which ends the pass's phase.
+func (w *world) pause() {
 	w.mu.Lock()
-	all = true
-	for r := 0; r < w.size; r++ {
-		if r != self && !w.exited[r] {
-			all = false
-			break
-		}
-	}
-	dead, next = w.deadlocked, w.exitCh
+	w.live--
+	w.paused++
+	w.dieIfStuck()
 	w.mu.Unlock()
-	return all, dead, next
 }
 
+// unpauseAll returns every paused rank to the live set; the snapshot pass
+// calls it before releasing any rank into the next phase.
+func (w *world) unpauseAll() {
+	w.mu.Lock()
+	w.live += w.paused
+	w.paused = 0
+	w.mu.Unlock()
+}
+
+// send queues data (which the world takes ownership of) for dst. A send to
+// an exited rank is dropped: nobody will ever receive it.
 func (w *world) send(src, dst int, data []ir.Word) error {
 	if dst < 0 || dst >= w.size {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
 	}
-	cp := make([]ir.Word, len(data))
-	copy(cp, data)
 	w.mu.Lock()
-	w.inFlight++
-	w.inFlightTo[dst]++
-	w.mu.Unlock()
-	m := message{src: src, data: cp}
-	for {
-		exited, dead, exitCh := w.peerState(dst)
-		select {
-		case w.ranks[dst].inbox <- m:
-			w.retireIfDead(dst)
-			return nil
-		default:
-		}
-		// Inbox full: an exited receiver will never drain it, and in a dead
-		// (deadlocked or aborted) world nobody will.
-		if exited || dead {
-			w.mu.Lock()
-			w.inFlight--
-			w.inFlightTo[dst]--
-			w.mu.Unlock()
-			if dead {
-				return errAborted
-			}
-			return fmt.Errorf("mpi: send to rank %d, which exited with a full inbox", dst)
-		}
-		select {
-		case w.ranks[dst].inbox <- m:
-			w.retireIfDead(dst)
-			return nil
-		case <-exitCh:
+	defer w.mu.Unlock()
+	q := &w.ranks[dst].pending[src]
+	for len(*q) >= queueCap && !w.exited[dst] {
+		if err := w.await(); err != nil {
+			return err
 		}
 	}
-}
-
-// retireIfDead re-checks a send target after enqueueing: if dst exited
-// meanwhile, the message (and any others stranded with it) will never be
-// received, so their in-flight counts are retired immediately instead of
-// masking a later deadlock. Delivery to a dead inbox is indistinguishable
-// from delivery just before the death on every replay, so this keeps
-// crashed worlds deterministic.
-func (w *world) retireIfDead(dst int) {
-	if exited, _, _ := w.peerState(dst); exited {
-		w.drainDead(dst)
+	if !w.exited[dst] {
+		*q = append(*q, data)
+		w.changed()
 	}
+	return nil
 }
 
-// delivered queues one received message and retires its in-flight count;
-// wasBlocked additionally retires the receiver's blocked count in the same
-// critical section, so no evaluation of the deadlock condition can observe
-// "still blocked" together with "nothing in flight" for a receiver that
-// just got its message.
-func (w *world) delivered(rank int, m message, wasBlocked bool) {
-	st := w.ranks[rank]
-	st.pending[m.src] = append(st.pending[m.src], m)
-	w.mu.Lock()
-	w.inFlight--
-	w.inFlightTo[rank]--
-	if wasBlocked {
-		w.blocked--
-		w.waiting[rank] = waitNone
-	}
-	w.mu.Unlock()
+// take dequeues the oldest message from src to rank. Callers hold mu.
+func (w *world) take(rank, src int) message {
+	q := &w.ranks[rank].pending[src]
+	m := (*q)[0]
+	*q = (*q)[1:]
+	w.changed()
+	return m
 }
 
-// unblocked retires a blocked count after a message-less wakeup.
-func (w *world) unblocked(rank int) {
-	w.mu.Lock()
-	w.blocked--
-	w.waiting[rank] = waitNone
-	w.mu.Unlock()
-}
-
-// drainInbox moves every already-delivered message into the per-source
-// pending queues without blocking.
-func (w *world) drainInbox(rank int) {
-	st := w.ranks[rank]
-	for {
-		select {
-		case m := <-st.inbox:
-			w.delivered(rank, m, false)
-		default:
-			return
-		}
-	}
-}
-
-// awaitInbox blocks until a new message lands in the inbox (queued to
-// pending) or the world's membership changes (exitCh: a rank exited or a
-// global deadlock was declared), after which the caller re-evaluates its
-// wait. Deliberately deaf to world failure: a rank blocked on a message a
-// live peer will still send must receive it on every replay — killing it
-// early would make crashed-world traces depend on abort timing. Ranks only
-// fail on their own unsatisfiable dependencies, so faulty worlds stay
-// deterministic rank by rank.
-func (w *world) awaitInbox(rank int, exitCh chan struct{}) {
-	st := w.ranks[rank]
-	select {
-	case m := <-st.inbox:
-		w.delivered(rank, m, false)
-		return
-	default:
-	}
-	w.mu.Lock()
-	w.blocked++
-	w.waiting[rank] = waitInbox
-	w.maybeDeadlockLocked()
-	w.mu.Unlock()
-	select {
-	case m := <-st.inbox:
-		w.delivered(rank, m, true)
-	case <-exitCh:
-		w.unblocked(rank)
-	}
-}
-
-// recvFrom blocks until a message from src arrives at rank. It fails
-// deterministically when src can never deliver: src is not a rank, or src
-// already exited with nothing queued.
+// recvFrom waits for a message from src to rank. It fails when src can
+// never deliver: src is not a rank, or src exited with nothing queued.
 func (w *world) recvFrom(rank, src int) ([]ir.Word, error) {
 	if src < 0 || src >= w.size {
 		return nil, fmt.Errorf("mpi: recv from invalid rank %d", src)
 	}
-	st := w.ranks[rank]
-	for {
-		// Snapshot the exit state BEFORE draining: if src had already
-		// exited, everything it ever sent is drainable afterwards, so an
-		// empty queue then proves nothing more will come.
-		exited, dead, exitCh := w.peerState(src)
-		w.drainInbox(rank)
-		if q := st.pending[src]; len(q) > 0 {
-			st.pending[src] = q[1:]
-			return q[0].data, nil
-		}
-		if exited {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for len(w.ranks[rank].pending[src]) == 0 {
+		if w.exited[src] {
 			return nil, fmt.Errorf("mpi: recv from rank %d, which exited without sending", src)
 		}
-		if dead {
-			return nil, errAborted
+		if err := w.await(); err != nil {
+			return nil, err
 		}
-		w.awaitInbox(rank, exitCh)
 	}
+	return w.take(rank, src), nil
 }
 
 // recvAny receives the next message from any source; in replay mode it
 // follows the recorded source order. With every peer exited and nothing
-// queued it fails deterministically.
+// queued it fails.
 func (w *world) recvAny(rank int) (int, []ir.Word, error) {
 	st := w.ranks[rank]
 	if w.replay != nil && rank < len(w.replay.AnySources) {
@@ -516,26 +337,26 @@ func (w *world) recvAny(rank int) (int, []ir.Word, error) {
 			return src, data, err
 		}
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for {
-		allExited, dead, exitCh := w.othersExited(rank)
-		w.drainInbox(rank)
-		// Natural order: queued messages in ascending source order. Inbox
-		// arrival order is the one source of nondeterminism left in a
-		// world — it is exactly what the Recording pins down.
-		for src := 0; src < w.size; src++ {
-			if q := st.pending[src]; len(q) > 0 {
-				st.pending[src] = q[1:]
+		// Natural order: the lowest source with a queued message. Which
+		// messages have arrived is the one schedule-dependent fact in a
+		// world — exactly what the Recording pins down.
+		allExited := true
+		for src, q := range st.pending {
+			if len(q) > 0 {
 				st.anyLog = append(st.anyLog, int32(src))
-				return src, q[0].data, nil
+				return src, w.take(rank, src), nil
 			}
+			allExited = allExited && (src == rank || w.exited[src])
 		}
 		if allExited {
 			return 0, nil, fmt.Errorf("mpi: wildcard recv with every peer exited")
 		}
-		if dead {
-			return 0, nil, errAborted
+		if err := w.await(); err != nil {
+			return 0, nil, err
 		}
-		w.awaitInbox(rank, exitCh)
 	}
 }
 
@@ -543,10 +364,6 @@ func (w *world) recvAny(rank int) (int, []ir.Word, error) {
 // rank must call it with the same count. The reduction is evaluated in rank
 // index order whatever the arrival order, so results are deterministic.
 func (w *world) allreduceSum(rank int, local []float64) ([]float64, error) {
-	// Queue any already-delivered messages (they are for later receives)
-	// before possibly waiting: a rank blocked in a collective must not hold
-	// in-flight counts that would mask the deadlock detector.
-	w.drainInbox(rank)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.parts[rank] != nil {
@@ -569,13 +386,6 @@ func (w *world) allreduceSum(rank int, local []float64) ([]float64, error) {
 	copy(cp, local)
 	w.parts[rank] = cp
 	if arrived+1 == w.size {
-		// Round complete: reduce in rank order and wake the waiters. Every
-		// co-contributor is in cond.Wait right now (contributing and
-		// waiting happen in one critical section), so their blocked counts
-		// are retired here, at satisfaction time — a satisfied-but-not-yet-
-		// scheduled waiter must not look "blocked" to the deadlock check.
-		// (All size ranks contributed, so nobody is blocked anywhere else:
-		// clearing every waiting entry is exact.)
 		sum := make([]float64, w.bufN)
 		for _, p := range w.parts {
 			for i, v := range p {
@@ -587,41 +397,23 @@ func (w *world) allreduceSum(rank int, local []float64) ([]float64, error) {
 		}
 		w.result = sum
 		w.gen++
-		w.blocked -= w.size - 1
-		for i := range w.waiting {
-			w.waiting[i] = waitNone
-		}
-		w.cond.Broadcast()
+		w.changed()
 		return w.result, nil
 	}
-	gen := w.gen
-	for {
-		if w.roundDead() || w.deadlocked {
+	for gen := w.gen; w.gen == gen; {
+		if w.roundDead() {
 			return nil, errAborted
 		}
-		w.blocked++
-		w.waiting[rank] = waitCollective
-		if w.maybeDeadlockLocked() {
-			w.blocked--
-			w.waiting[rank] = waitNone
-			return nil, errAborted
+		if err := w.await(); err != nil {
+			return nil, err
 		}
-		w.cond.Wait()
-		if w.gen != gen {
-			// Satisfied: the completer already retired our blocked count.
-			return w.result, nil
-		}
-		w.blocked-- // woken without a result (exit/abort): re-evaluate
-		w.waiting[rank] = waitNone
 	}
+	return w.result, nil
 }
 
 // roundDead reports whether the current allreduce round can never complete:
-// some rank has neither contributed nor any chance of contributing (its
-// goroutine already ended — crashed, hung, or returned without joining the
-// collective). Completion and death are both deterministic facts of the
-// program, so waiters abort identically on every replay. Callers must hold
-// mu.
+// some rank has not contributed and has exited (crashed, hung, or returned
+// without joining the collective). Callers hold mu.
 func (w *world) roundDead() bool {
 	for r, p := range w.parts {
 		if p == nil && w.exited[r] {
@@ -653,7 +445,7 @@ func Run(p *ir.Program, cfg Config) (*Result, error) {
 }
 
 // runRanks launches one goroutine per rank, each executing runOne to its own
-// deterministic conclusion (rankExit publishes the end either way), and
+// deterministic conclusion (exit publishes the end either way), and
 // assembles the world Result — the spine shared by fresh runs (Run) and
 // world-snapshot resumes (RestoreWorld).
 func (w *world) runRanks(n int, runOne func(rank int) (*trace.Trace, bool, error)) (*Result, error) {
@@ -667,7 +459,7 @@ func (w *world) runRanks(n int, runOne func(rank int) (*trace.Trace, bool, error
 			tr, applied, err := runOne(rank)
 			results[rank] = RankResult{Rank: rank, Trace: tr, FaultApplied: applied}
 			errs[rank] = err
-			w.rankExit(rank)
+			w.exit(rank)
 		}(rank)
 	}
 	wg.Wait()

@@ -19,11 +19,10 @@ import (
 // one world-wide moment, so pausing every rank right after the same round
 // leaves no rank inside a primitive and no collective state to capture —
 // the only cross-rank state is point-to-point messages sent before the cut
-// and not yet received, which the snapshot carries (drained into the
-// per-source pending queues, so nothing is "on the wire"). Snapshots are
-// immutable once taken: one snapshot can seed any number of divergent
-// restored worlds (RestoreWorld), which is what lets checkpointed MPI
-// campaigns share the fault-free world prefix across injections. Message
+// and not yet received, which the snapshot carries in the per-pair queues.
+// Snapshots are immutable once taken: one snapshot can seed any number of
+// divergent restored worlds (RestoreWorld), which is what lets checkpointed
+// MPI campaigns share the fault-free world prefix across injections. Message
 // payloads are shared between the snapshot and restored worlds — they are
 // read-only by construction (receives copy out of them) — while all queue
 // and machine state is deep-copied.
@@ -36,7 +35,7 @@ type WorldSnapshot struct {
 
 // rankSnap is one rank's world-side state at the cut.
 type rankSnap struct {
-	pending map[int][]message
+	pending [][]message
 	anyLog  []int32
 	anyNext int
 	cutLog  []uint64
@@ -71,10 +70,12 @@ func (s *WorldSnapshot) Words() int {
 // snapshots are record-free and restored traced runs stitch the clean prefix
 // instead (see RestoreWorld's prime hook).
 //
-// The pass honors ctx between rounds and while collecting each round's
-// pauses, so cancellation during a long prefix is prompt. One forward pass
-// serves any number of snapshots: the world keeps running from cut to cut,
-// never restarting from step 0.
+// The pass honors ctx between rounds. A pass that does not replay clean (a
+// rank ends, or waits on a rank parked at its cut) ends its phase in an
+// error, never a hang: a parked rank is not live, so the world's deadlock
+// rule fails whoever waits on it. One forward pass serves any number of
+// snapshots: the world keeps running from cut to cut, never restarting from
+// step 0.
 func SnapshotWorld(ctx context.Context, p *ir.Program, cfg Config, clean *Result, rounds []int) ([]*WorldSnapshot, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -113,7 +114,6 @@ func SnapshotWorld(ctx context.Context, p *ir.Program, cfg Config, clean *Result
 	machines := make([]*interp.Machine, cfg.Ranks)
 	targets := make([]chan uint64, cfg.Ranks)
 	type report struct {
-		rank   int
 		paused bool
 		err    error
 	}
@@ -134,31 +134,25 @@ func SnapshotWorld(ctx context.Context, p *ir.Program, cfg Config, clean *Result
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			exited := false
 			for t := range targets[rank] {
 				paused, err := machines[rank].RunUntil(t)
-				if (!paused || err != nil) && !exited {
-					// The rank ended (terminated or errored) instead of
-					// pausing — the pass is not replaying the clean world.
-					// Publish the exit so peers blocked on this rank fail
-					// deterministically instead of waiting forever; the
-					// divergence then surfaces as a phase error, not a hang.
-					exited = true
-					w.rankExit(rank)
+				if paused && err == nil {
+					w.pause()
+				} else {
+					// The rank ended instead of pausing: the pass is not
+					// replaying the clean world, and it stops after this
+					// phase, so no rank runs again.
+					w.exit(rank)
 				}
-				reports <- report{rank: rank, paused: paused, err: err}
+				reports <- report{paused: paused, err: err}
 			}
 		}(rank)
 	}
 	// The world is abandoned wholesale once the last snapshot is taken (or
-	// on failure): abort unsticks any rank still blocked inside a world
-	// primitive mid-phase (it fails with the deterministic abort error, the
-	// machine crashes, RunUntil returns), closing the target channels
-	// releases the parked goroutines, and the wait ensures none outlive the
-	// call. Abandoning at a cut is clean — nobody is blocked there — and
-	// abandoned machines are simply dropped.
+	// on failure). Every return below happens between phases, with every
+	// rank parked or ended, so closing the target channels releases the
+	// goroutines; the wait ensures none outlive the call.
 	defer func() {
-		w.abort()
 		for _, ch := range targets {
 			close(ch)
 		}
@@ -170,26 +164,19 @@ func SnapshotWorld(ctx context.Context, p *ir.Program, cfg Config, clean *Result
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		w.unpauseAll()
 		for rank := 0; rank < cfg.Ranks; rank++ {
 			targets[rank] <- clean.Cuts[rank][round]
 		}
 		var phaseErr error
 		paused := true
 		for i := 0; i < cfg.Ranks; i++ {
-			select {
-			case rep := <-reports:
-				if rep.err != nil && phaseErr == nil {
-					phaseErr = rep.err
-				}
-				if !rep.paused {
-					paused = false
-				}
-			case <-ctx.Done():
-				// A rank stuck mid-phase (possible only when the pass is not
-				// actually replaying clean — a divergent WithClean misuse)
-				// would otherwise block this receive forever. The deferred
-				// abort fails every blocked rank so the goroutines drain.
-				return nil, ctx.Err()
+			rep := <-reports
+			if rep.err != nil && phaseErr == nil {
+				phaseErr = rep.err
+			}
+			if !rep.paused {
+				paused = false
 			}
 		}
 		if phaseErr != nil {
@@ -207,10 +194,9 @@ func SnapshotWorld(ctx context.Context, p *ir.Program, cfg Config, clean *Result
 	return snaps, nil
 }
 
-// snapshot deep-copies the paused world. All rank goroutines are parked
-// between phases when this runs, so the world is quiescent: every send has
-// completed, nobody is blocked, and draining the inboxes moves every
-// undelivered message into the per-source pending queues.
+// snapshot deep-copies the paused world. Every rank is parked at its cut
+// when this runs, so nobody is inside a primitive and the queues hold
+// exactly the messages crossing the cut.
 func (w *world) snapshot(machines []*interp.Machine, round int, clean *Result) (*WorldSnapshot, error) {
 	s := &WorldSnapshot{
 		round:    round,
@@ -219,7 +205,6 @@ func (w *world) snapshot(machines []*interp.Machine, round int, clean *Result) (
 		ranks:    make([]rankSnap, w.size),
 	}
 	for rank, m := range machines {
-		w.drainInbox(rank)
 		if got, want := m.Steps(), clean.Cuts[rank][round]; got != want {
 			return nil, fmt.Errorf("mpi: rank %d paused at step %d, cut %d expects %d (replay diverged)", rank, got, round, want)
 		}
@@ -230,27 +215,25 @@ func (w *world) snapshot(machines []*interp.Machine, round int, clean *Result) (
 		s.machines[rank] = ms
 		s.cuts[rank] = m.Steps()
 		st := w.ranks[rank]
-		rs := rankSnap{anyNext: st.anyNext}
-		for src, q := range st.pending { //ftlint:ok per-source deep copy into a map; order has no effect
-			if len(q) == 0 {
-				continue
-			}
-			if rs.pending == nil {
-				rs.pending = make(map[int][]message, len(st.pending))
-			}
-			rs.pending[src] = append([]message(nil), q...)
+		s.ranks[rank] = rankSnap{
+			pending: clonePending(st.pending),
+			anyLog:  append([]int32(nil), st.anyLog...),
+			anyNext: st.anyNext,
+			cutLog:  append([]uint64(nil), st.cutLog...),
 		}
-		rs.anyLog = append([]int32(nil), st.anyLog...)
-		rs.cutLog = append([]uint64(nil), st.cutLog...)
-		s.ranks[rank] = rs
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.inFlight != 0 || w.blocked != 0 || len(w.exited) != 0 || w.deadlocked {
-		return nil, fmt.Errorf("mpi: world not quiescent at cut %d (inflight %d, blocked %d, exited %d)",
-			round, w.inFlight, w.blocked, len(w.exited))
 	}
 	return s, nil
+}
+
+// clonePending copies every per-source queue into a fresh backing array
+// (len == cap), so one world's queue growth never touches another's;
+// message payloads stay shared, read-only.
+func clonePending(pending [][]message) [][]message {
+	cp := make([][]message, len(pending))
+	for src, q := range pending {
+		cp[src] = append([]message(nil), q...)
+	}
+	return cp
 }
 
 // RestoreWorld resumes a snapshotted world to completion, result-identical
@@ -283,12 +266,7 @@ func RestoreWorld(p *ir.Program, cfg Config, snap *WorldSnapshot, prime func(m *
 	for rank := range snap.ranks {
 		rs := &snap.ranks[rank]
 		st := w.ranks[rank]
-		for src, q := range rs.pending { //ftlint:ok per-source deep copy into a map; order has no effect
-			// Fresh backing arrays per restore (len == cap), so a restored
-			// world's own queue growth never touches the snapshot; message
-			// payloads stay shared, read-only.
-			st.pending[src] = append([]message(nil), q...)
-		}
+		st.pending = clonePending(rs.pending)
 		st.anyLog = append([]int32(nil), rs.anyLog...)
 		st.anyNext = rs.anyNext
 		st.cutLog = append([]uint64(nil), rs.cutLog...)
