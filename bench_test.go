@@ -582,8 +582,8 @@ func BenchmarkMPICampaign(b *testing.B) {
 				n := 0
 				for wa, err := range ma.StreamWorldAnalysis(context.Background(),
 					fliptracker.FaultList{Faults: faults},
-					fliptracker.MPIWithTests(tests),
-					fliptracker.MPIWithParallelism(par)) {
+					fliptracker.WithTests(tests),
+					fliptracker.WithParallelism(par)) {
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -656,8 +656,8 @@ func BenchmarkCheckpointedMPICampaign(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c, err := ma.NewCampaign(
 				fliptracker.FaultList{Faults: faults},
-				fliptracker.MPIWithTests(tests),
-				fliptracker.MPIWithParallelism(1))
+				fliptracker.WithTests(tests),
+				fliptracker.WithParallelism(1))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"fliptracker/internal/apps"
-	"fliptracker/internal/coord"
 	"fliptracker/internal/core"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
@@ -274,11 +273,38 @@ func cmdCampaign(args []string) error {
 	shards := fs.Int("shards", 0, "split the fault-index space into N ranges run concurrently and merged in index order (0 or 1: one range); the merged stream and results are identical either way")
 	fs.Parse(args)
 
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative")
+	// The flags fill the campaign service's Spec, so both front ends check
+	// and build a campaign the same way.
+	spec := core.Spec{App: *app, Engine: "inject", Seed: *seed, Tests: *tests, Shards: *shards, StaticPrune: *staticPrune}
+	if *earlyStop {
+		spec.EarlyStop = &core.EarlyStopSpec{Confidence: 0.95, Margin: 0.03}
 	}
-	if *shards > 0 && *analyze {
-		return fmt.Errorf("-shards does not combine with -analyze (the coordinator merges outcome streams, not analysis payloads)")
+	if *mpiMode {
+		spec.Engine, spec.Ranks, spec.FaultRank = "mpi", *ranks, *faultRank
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["target"] || set["region"] || set["instance"] {
+		kind, ok := map[string]string{"": "whole-program", "whole": "whole-program", "hybrid": "hybrid", "internal": "region-internal", "input": "region-inputs"}[*target]
+		if !ok {
+			return fmt.Errorf("unknown target %q (want whole, hybrid, internal or input)", *target)
+		}
+		if *target == "" && *region != "" {
+			kind = "region-internal"
+		}
+		spec.Population = &core.PopulationSpec{Kind: kind, Region: *region, Instance: *instance}
+	}
+	// -tests 0 asks for statistical sizing, which needs the analyzer; the
+	// rest of the spec is checked before anything is built or printed.
+	check := spec
+	if check.Tests == 0 {
+		check.Tests = 1
+	}
+	if err := check.Validate(); err != nil {
+		return err
+	}
+	if *analyze && (*staticPrune || *journalPath != "" || *shards > 0) {
+		return fmt.Errorf("-analyze does not combine with -staticprune, -journal or -shards (analysis payloads are neither pruned, journaled nor merged)")
 	}
 
 	// A journaled campaign is resumable by construction; -resume only
@@ -302,229 +328,128 @@ func cmdCampaign(args []string) error {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	if *mpiMode {
-		return mpiCampaign(ctx, *app, *ranks, *faultRank, *tests, *seed, *earlyStop, *staticPrune, *stream, *analyze, *journalPath, *shards)
+	var (
+		analyzers core.Analyzers
+		an        *core.Analyzer
+		ma        *core.MPIAnalyzer
+		size      uint64
+		err       error
+	)
+	pop := spec.Population.Population()
+	header := fmt.Sprintf("campaign on %s (%s): ", spec.App, pop)
+	if spec.Engine == "mpi" {
+		ma, err = analyzers.MPIAnalyzer(spec.App, spec.Ranks, spec.FaultRank)
+		if err == nil {
+			// Whole-program sizing over the injected rank's dynamic trace.
+			size = ma.InjectedSteps() * 64
+			header = fmt.Sprintf("MPI campaign on %s: %d ranks, faults on rank %d, ", spec.App, spec.Ranks, spec.FaultRank)
+		}
+	} else if an, err = analyzers.Analyzer(spec.App); err == nil {
+		size, err = an.PopulationSize(pop)
 	}
-
-	an, err := core.NewAnalyzer(*app)
 	if err != nil {
 		return err
 	}
-	var pop core.Population
-	switch {
-	case *target == "whole" || (*target == "" && *region == ""):
-		pop = core.WholeProgram()
-	case *target == "hybrid":
-		pop = core.Hybrid()
-	case *target == "internal" || (*target == "" && *region != ""):
-		pop = core.RegionInternal(*region, *instance)
-	case *target == "input":
-		pop = core.RegionInputs(*region, *instance)
-	default:
-		return fmt.Errorf("unknown target %q (want whole, hybrid, internal or input)", *target)
+	if spec.Tests == 0 {
+		spec.Tests = stats.SampleSize(size, 0.95, 0.03)
 	}
-	n := *tests
-	if n == 0 {
-		size, err := an.PopulationSize(pop)
-		if err != nil {
-			return err
-		}
-		n = stats.SampleSize(size, 0.95, 0.03)
-	}
-	copts := []inject.Option{inject.WithTests(n), inject.WithSeed(*seed)}
-	if *earlyStop {
-		copts = append(copts, inject.WithEarlyStop(0.95, 0.03))
-	}
-	if *staticPrune {
-		if *analyze {
-			return fmt.Errorf("-staticprune does not combine with -analyze (pruned faults produce no trace to analyze)")
-		}
-		pruner, err := an.StaticPruner()
-		if err != nil {
-			return err
-		}
-		copts = append(copts, inject.WithStaticPrune(pruner))
-	}
-	if *journalPath != "" {
-		if *analyze {
-			return fmt.Errorf("-journal does not combine with -analyze (analysis payloads are not journaled)")
-		}
-		copts = append(copts, inject.WithJournalApp(*app))
-	}
+	fmt.Printf("%s%d tests\n", header, spec.Tests)
 
-	fmt.Printf("campaign on %s (%s): %d tests\n", *app, pop, n)
 	var r inject.Result
+	propCounts := map[mpi.PropagationClass]int{}
 	var runErr error
+	var patternCounts [patterns.NumPatterns]int
+	patternsOver := ""
 	switch {
-	case *analyze:
+	case *analyze && an != nil:
 		// Analyzed campaign: every injection runs fully traced and the
 		// complete per-fault analysis streams back in fault-index order.
-		var patternCounts [patterns.NumPatterns]int
-		i := 0
-		for fa, err := range an.StreamAnalysis(ctx, pop, copts...) {
+		patternsOver = "analyzed faults"
+		for fa, err := range an.StreamAnalysis(ctx, pop, spec.Options()...) {
 			if err != nil {
 				runErr = err
 				break
-			}
-			r.Count(fa.Outcome)
-			found := fa.PatternsFound()
-			var names []string
-			for p := 0; p < patterns.NumPatterns; p++ {
-				if found[p] {
-					patternCounts[p]++
-					names = append(names, patterns.Pattern(p).Short())
-				}
 			}
 			fmt.Printf("#%-6d %-32s -> %-8s peak-ACL %-5d regions %-3d %s\n",
-				i, fa.Fault.String(), fa.Outcome, fa.ACL.Peak, len(fa.Regions), strings.Join(names, ","))
-			i++
+				r.Tests, fa.Fault.String(), fa.Outcome, fa.ACL.Peak, len(fa.Regions), tally(fa.PatternsFound(), &patternCounts))
+			r.Count(fa.Outcome)
 		}
-		if r.Tests > 0 {
-			fmt.Println("patterns across analyzed faults:")
-			for p := 0; p < patterns.NumPatterns; p++ {
-				fmt.Printf("  %-25s %d\n", patterns.Pattern(p), patternCounts[p])
-			}
-		}
-	default:
-		c, err := an.NewCampaign(pop, copts...)
-		if err != nil {
-			return err
-		}
-		co, err := coord.New(c.Campaign, coord.WithShards(*shards), coord.WithJournal(*journalPath))
-		if err != nil {
-			return err
-		}
-		if !*stream {
-			r, runErr = co.Run(ctx)
-			break
-		}
-		for fo, err := range co.Stream(ctx) {
+	case *analyze:
+		patternsOver = "analyzed worlds (any rank)"
+		for wa, err := range ma.StreamWorldAnalysis(ctx, nil, spec.Options()...) {
 			if err != nil {
 				runErr = err
 				break
 			}
-			r.Count(fo.Outcome)
-			fmt.Printf("#%-6d %-32s -> %s\n", fo.Index, fo.Fault.String(), fo.Outcome)
+			propCounts[wa.Propagation.Class]++
+			var found [patterns.NumPatterns]bool
+			for _, fa := range wa.Ranks {
+				for p, f := range fa.PatternsFound() {
+					found[p] = found[p] || f
+				}
+			}
+			fmt.Printf("#%-6d %-32s -> %-8s %-18s inj-rank peak-ACL %-5d %s\n",
+				r.Tests, wa.Fault.String(), wa.Outcome, wa.Propagation,
+				wa.Ranks[spec.FaultRank].ACL.Peak, tally(found, &patternCounts))
+			r.Count(wa.Outcome)
+		}
+	default:
+		runner, err := spec.Build(&analyzers, *journalPath)
+		if err != nil {
+			return err
+		}
+		for rec, err := range runner.Records(ctx) {
+			if err != nil {
+				runErr = err
+				break
+			}
+			o := inject.Outcome(rec.Outcome)
+			r.Count(o)
+			prop := mpi.Propagation{Class: mpi.PropagationClass(rec.PropClass), Ranks: rec.PropRanks}
+			propCounts[prop.Class]++
+			switch {
+			case !*stream:
+			case ma != nil:
+				fmt.Printf("#%-6d %-32s -> %-8s %s\n", rec.Index, rec.Fault.String(), o, prop)
+			default:
+				fmt.Printf("#%-6d %-32s -> %s\n", rec.Index, rec.Fault.String(), o)
+			}
+		}
+	}
+	if *analyze && r.Tests > 0 {
+		fmt.Printf("patterns across %s:\n", patternsOver)
+		for p := 0; p < patterns.NumPatterns; p++ {
+			fmt.Printf("  %-25s %d\n", patterns.Pattern(p), patternCounts[p])
 		}
 	}
 	if runErr != nil {
 		fmt.Printf("campaign stopped early (%v); partial results over %d tests:\n", runErr, r.Tests)
-	} else if r.Tests < n {
-		fmt.Printf("early stop after %d of %d tests (CI within margin):\n", r.Tests, n)
+	} else if r.Tests < spec.Tests {
+		fmt.Printf("early stop after %d of %d tests (CI within margin):\n", r.Tests, spec.Tests)
 	}
 	if r.Tests > 0 {
 		fmt.Printf("success %d, failed %d, crashed %d, not-applied %d\n", r.Success, r.Failed, r.Crashed, r.NotApplied)
+		if spec.Engine == "mpi" {
+			fmt.Printf("propagation: contained %d, propagated %d, world-crash %d\n",
+				propCounts[mpi.Contained], propCounts[mpi.Propagated], propCounts[mpi.WorldCrash])
+		}
 		ci := stats.ProportionCI(r.SuccessRate(), r.Tests, 0.95)
 		fmt.Printf("success rate %.3f ± %.3f (95%% CI), crash rate %.3f\n", r.SuccessRate(), ci, r.CrashRate())
 	}
 	return runErr
 }
 
-// mpiCampaign runs a multi-rank campaign: every injection replays the
-// recorded fault-free world with one fault injected into faultRank
-// (resuming from a shared world checkpoint where one exists), and each world
-// classifies into a §II-A outcome plus a cross-rank propagation class.
-func mpiCampaign(ctx context.Context, app string, ranks, faultRank, tests int, seed int64, earlyStop, staticPrune, stream, analyze bool, journalPath string, shards int) error {
-	ma, err := core.NewMPIAnalyzer(app, ranks)
-	if err != nil {
-		return err
-	}
-	ma.FaultRank = faultRank
-	n := tests
-	if n == 0 {
-		// Whole-program sizing over the injected rank's dynamic trace.
-		n = stats.SampleSize(ma.InjectedSteps()*64, 0.95, 0.03)
-	}
-	copts := []mpi.Option{mpi.WithTests(n), mpi.WithSeed(seed)}
-	if earlyStop {
-		copts = append(copts, mpi.WithEarlyStop(0.95, 0.03))
-	}
-	if staticPrune {
-		if analyze {
-			return fmt.Errorf("-staticprune does not combine with -analyze (pruned worlds produce no traces to analyze)")
-		}
-		pruner, err := ma.StaticPruner()
-		if err != nil {
-			return err
-		}
-		copts = append(copts, mpi.WithStaticPrune(pruner))
-	}
-	if journalPath != "" {
-		if analyze {
-			return fmt.Errorf("-journal does not combine with -analyze (analysis payloads are not journaled)")
-		}
-		copts = append(copts, mpi.WithJournalApp(app))
-	}
-	fmt.Printf("MPI campaign on %s: %d ranks, faults on rank %d, %d tests\n",
-		app, ranks, faultRank, n)
-
-	var r inject.Result
-	propCounts := map[mpi.PropagationClass]int{}
-	var runErr error
-	switch {
-	case analyze:
-		var patternCounts [patterns.NumPatterns]int
-		i := 0
-		for wa, err := range ma.StreamWorldAnalysis(ctx, nil, copts...) {
-			if err != nil {
-				runErr = err
-				break
-			}
-			r.Count(wa.Outcome)
-			propCounts[wa.Propagation.Class]++
-			var names []string
-			for p := 0; p < patterns.NumPatterns; p++ {
-				for _, fa := range wa.Ranks {
-					if fa.PatternsFound()[p] {
-						patternCounts[p]++
-						names = append(names, patterns.Pattern(p).Short())
-						break
-					}
-				}
-			}
-			fmt.Printf("#%-6d %-32s -> %-8s %-18s inj-rank peak-ACL %-5d %s\n",
-				i, wa.Fault.String(), wa.Outcome, wa.Propagation,
-				wa.Ranks[faultRank].ACL.Peak, strings.Join(names, ","))
-			i++
-		}
-		if r.Tests > 0 {
-			fmt.Println("patterns across analyzed worlds (any rank):")
-			for p := 0; p < patterns.NumPatterns; p++ {
-				fmt.Printf("  %-25s %d\n", patterns.Pattern(p), patternCounts[p])
-			}
-		}
-	default:
-		c, err := ma.NewCampaign(nil, copts...)
-		if err != nil {
-			return err
-		}
-		co, err := coord.New(c.Campaign, coord.WithShards(shards), coord.WithJournal(journalPath))
-		if err != nil {
-			return err
-		}
-		for wo, err := range co.Stream(ctx) {
-			if err != nil {
-				runErr = err
-				break
-			}
-			r.Count(wo.Outcome)
-			propCounts[wo.Propagation.Class]++
-			if stream {
-				fmt.Printf("#%-6d %-32s -> %-8s %s\n", wo.Index, wo.Fault.String(), wo.Outcome, wo.Propagation)
-			}
+// tally counts the found patterns into counts and returns their short
+// names, comma-separated.
+func tally(found [patterns.NumPatterns]bool, counts *[patterns.NumPatterns]int) string {
+	var names []string
+	for p, f := range found {
+		if f {
+			counts[p]++
+			names = append(names, patterns.Pattern(p).Short())
 		}
 	}
-	if runErr != nil {
-		fmt.Printf("campaign stopped early (%v); partial results over %d tests:\n", runErr, r.Tests)
-	}
-	if r.Tests > 0 {
-		fmt.Printf("success %d, failed %d, crashed %d, not-applied %d\n", r.Success, r.Failed, r.Crashed, r.NotApplied)
-		fmt.Printf("propagation: contained %d, propagated %d, world-crash %d\n",
-			propCounts[mpi.Contained], propCounts[mpi.Propagated], propCounts[mpi.WorldCrash])
-		ci := stats.ProportionCI(r.SuccessRate(), r.Tests, 0.95)
-		fmt.Printf("success rate %.3f ± %.3f (95%% CI), crash rate %.3f\n", r.SuccessRate(), ci, r.CrashRate())
-	}
-	return runErr
+	return strings.Join(names, ",")
 }
 
 // cmdStatic reports the whole-program static dependence analysis: how many

@@ -1,7 +1,7 @@
 // Command ftlint runs FlipTracker's determinism linter (internal/lint) over
 // the engine packages whose outputs are pinned byte-identical across runs —
-// campaign engines, the journal, the trace model, the orchestration layer —
-// and exits nonzero on findings.
+// campaign engines, the journal, the trace model, the orchestration layer,
+// the fliptracker CLI — and exits nonzero on findings.
 //
 // Usage:
 //
@@ -19,7 +19,8 @@ import (
 )
 
 // defaultDirs is the engine set: every package whose output feeds a golden
-// digest, a durable journal, or a byte-identical checkpoint contract.
+// digest, a durable journal, or a byte-identical checkpoint contract, and
+// the fliptracker CLI, whose campaign stdout is pinned by golden files.
 var defaultDirs = []string{
 	"internal/campaign",
 	"internal/inject",
@@ -35,6 +36,7 @@ var defaultDirs = []string{
 	"internal/acl",
 	"internal/dddg",
 	"internal/patterns",
+	"cmd/fliptracker",
 }
 
 func main() {

@@ -86,7 +86,7 @@ func TestCoordinatorGoldenMPI(t *testing.T) {
 	ctx := context.Background()
 	opts := func(extra ...fliptracker.MPIOption) []fliptracker.MPIOption {
 		return append([]fliptracker.MPIOption{
-			fliptracker.MPIWithTests(tests), fliptracker.MPIWithSeed(20181111),
+			fliptracker.WithTests(tests), fliptracker.WithSeed(20181111),
 		}, extra...)
 	}
 
@@ -102,7 +102,7 @@ func TestCoordinatorGoldenMPI(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		name := fmt.Sprintf("shards%d", shards)
-		c, err := ma.NewCampaign(nil, opts(fliptracker.MPIWithParallelism(2))...)
+		c, err := ma.NewCampaign(nil, opts(fliptracker.WithParallelism(2))...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,9 +32,9 @@ func main() {
 	// A plain campaign: worlds replay untraced, outcomes and propagation
 	// stream in deterministic fault-index order.
 	c, err := ma.NewCampaign(nil,
-		fliptracker.MPIWithTests(24),
-		fliptracker.MPIWithSeed(20180911),
-		fliptracker.MPIWithParallelism(4))
+		fliptracker.WithTests(24),
+		fliptracker.WithSeed(20180911),
+		fliptracker.WithParallelism(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func main() {
 	// An analyzed world: per-rank ACL tables and pattern detection, with
 	// the world-level classification on top.
 	for wa, err := range ma.StreamWorldAnalysis(context.Background(), nil,
-		fliptracker.MPIWithTests(1), fliptracker.MPIWithSeed(7)) {
+		fliptracker.WithTests(1), fliptracker.WithSeed(7)) {
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -47,11 +47,11 @@
 // Multi-rank (MPI) campaigns replay a recorded fault-free world with each
 // fault injected into a single rank, classify the world-level outcome and
 // how far corruption spread across ranks, and run the per-rank analysis
-// against one CleanIndex per rank:
+// against one CleanIndex per rank. They take the same options:
 //
 //	ma, err := fliptracker.NewMPIAnalyzer("mg", 4)
 //	for wa, err := range ma.StreamWorldAnalysis(ctx, nil,
-//	    fliptracker.MPIWithTests(100), fliptracker.MPIWithParallelism(4)) {
+//	    fliptracker.WithTests(100), fliptracker.WithParallelism(4)) {
 //	    fmt.Println(wa.Fault, wa.Outcome, wa.Propagation)
 //	}
 //
@@ -64,6 +64,7 @@ import (
 
 	"fliptracker/internal/acl"
 	"fliptracker/internal/apps"
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/coord"
 	"fliptracker/internal/core"
 	"fliptracker/internal/dddg"
@@ -104,8 +105,11 @@ type (
 	// NewCampaign (or Analyzer.NewCampaign for a typed Population) and
 	// executed with Run(ctx) or consumed per fault with Stream(ctx).
 	Campaign = inject.Campaign
-	// CampaignOption configures a Campaign (WithTests, WithSeed, ...).
-	CampaignOption = inject.Option
+	// CampaignOption configures a Campaign or an MPICampaign: the shared
+	// options (WithTests, WithSeed, ...) configure both, WithAnalysis only a
+	// Campaign, MPIWithVerify and MPIWithWorldAnalysis only an MPICampaign.
+	// An option of the other kind makes the constructor fail.
+	CampaignOption = campaign.Option
 	// CampaignResult aggregates campaign outcomes.
 	CampaignResult = inject.Result
 	// FaultOutcome is one per-fault record of Campaign.Stream: the drawn
@@ -206,8 +210,8 @@ type (
 	// with NewMPICampaign (or MPIAnalyzer.NewCampaign /
 	// NewAnalyzedCampaign) and execute with Run(ctx) or Stream(ctx).
 	MPICampaign = mpi.Campaign
-	// MPIOption configures an MPICampaign (MPIWithTests, MPIWithSeed, ...).
-	MPIOption = mpi.Option
+	// MPIOption is CampaignOption, the option type of both campaign kinds.
+	MPIOption = CampaignOption
 	// WorldOutcome is one per-fault record of MPICampaign.Stream: the drawn
 	// fault, the world-level §II-A outcome, and the cross-rank Propagation.
 	WorldOutcome = mpi.WorldOutcome
@@ -280,24 +284,28 @@ func NewCampaign(mk func() (*Machine, error), verify func(*Trace) bool, targets 
 	return inject.NewCampaign(mk, verify, targets, opts...)
 }
 
-// WithTests sets the number of injections (the cap, under early stopping).
-func WithTests(n int) CampaignOption { return inject.WithTests(n) }
+// WithTests sets the number of injections, or of injected worlds (the cap,
+// under early stopping).
+func WithTests(n int) CampaignOption { return campaign.WithTests(n) }
 
 // WithSeed seeds the pre-drawn fault stream; for a fixed seed the outcomes
 // are identical whatever the parallelism.
-func WithSeed(seed int64) CampaignOption { return inject.WithSeed(seed) }
+func WithSeed(seed int64) CampaignOption { return campaign.WithSeed(seed) }
 
-// WithParallelism caps campaign worker goroutines; 0 means GOMAXPROCS.
-func WithParallelism(n int) CampaignOption { return inject.WithParallelism(n) }
+// WithParallelism caps concurrently running injections (machines or
+// worlds); 0 means GOMAXPROCS.
+func WithParallelism(n int) CampaignOption { return campaign.WithParallelism(n) }
 
 // WithProgress registers a per-injection progress callback.
-func WithProgress(fn func(done, total int)) CampaignOption { return inject.WithProgress(fn) }
+func WithProgress(fn func(done, total int)) CampaignOption { return campaign.WithProgress(fn) }
 
 // WithEarlyStop enables sequential early stopping: the campaign ends once
-// the success rate's confidence interval is within margin instead of
-// always running the full test count.
+// the success rate's Agresti–Coull confidence interval is within margin,
+// never before a minimum of 48 outcomes, instead of always running the
+// full test count. The rule reads the outcome stream in fault-index order,
+// so for a fixed seed it stops at the same index whatever the parallelism.
 func WithEarlyStop(confidence, margin float64) CampaignOption {
-	return inject.WithEarlyStop(confidence, margin)
+	return campaign.WithEarlyStop(confidence, margin)
 }
 
 // WithAnalysis turns a campaign into an analyzed campaign: every injection
@@ -313,27 +321,27 @@ func WithAnalysis(clean *Trace, analyze TraceAnalyzer) CampaignOption {
 }
 
 // WithDropTraces makes an analyzed campaign drop each injection's faulty
-// trace as soon as its analysis hook returns (the payload's DropTrace
+// traces as soon as its analysis hook returns (the payload's DropTrace
 // method), so collected results hold only summary artifacts — the knob for
-// memory-bounded analyzed sweeps. Requires WithAnalysis (or an analyzed
-// Analyzer campaign).
-func WithDropTraces() CampaignOption { return inject.WithDropTraces() }
+// memory-bounded analyzed sweeps. Requires an analyzed campaign.
+func WithDropTraces() CampaignOption { return campaign.WithDropTraces() }
 
-// WithJournal makes the campaign durable: every outcome is appended, in
-// fault-index order, to an append-only checksummed journal at path and
-// fsync'd before the next outcome is delivered, and Run/Stream on an
-// existing journal resume it — validating the header against this campaign
+// WithJournal makes the campaign durable: every outcome — with its
+// propagation classification, for a world — is appended, in fault-index
+// order, to an append-only checksummed journal at path and fsync'd before
+// the next outcome is delivered, and Run/Stream on an existing journal
+// resume it — validating the header against this campaign
 // (ErrJournalMismatch on a different seed, test count or population),
 // replaying the committed outcomes from disk, truncating any torn or
 // bit-flipped tail to the last committed record, and executing only the
 // remaining faults. A killed campaign resumed this way produces a Result
 // byte-identical to an uninterrupted run. Parallelism may differ between
 // the original run and the resume.
-func WithJournal(path string) CampaignOption { return inject.WithJournal(path) }
+func WithJournal(path string) CampaignOption { return campaign.WithJournal(path) }
 
 // WithJournalApp labels a campaign journal's header with the application
 // name, so a journal recorded for one app refuses to resume under another.
-func WithJournalApp(app string) CampaignOption { return inject.WithJournalApp(app) }
+func WithJournalApp(app string) CampaignOption { return campaign.WithJournalApp(app) }
 
 // NewMPIAnalyzer builds the per-rank pipeline for a registered application's
 // SPMD variant at the given world size: the fault-free world is recorded
@@ -383,47 +391,13 @@ func ClassifyPropagation(clean, faulty *MPIResult, faultRank int) Propagation {
 	return mpi.ClassifyPropagation(clean, faulty, faultRank)
 }
 
-// MPIWithTests sets an MPI campaign's injected-world count.
-func MPIWithTests(n int) MPIOption { return mpi.WithTests(n) }
-
-// MPIWithSeed seeds the pre-drawn fault stream of an MPI campaign.
-func MPIWithSeed(seed int64) MPIOption { return mpi.WithSeed(seed) }
-
-// MPIWithParallelism caps concurrently executing worlds; 0 means GOMAXPROCS.
-func MPIWithParallelism(n int) MPIOption { return mpi.WithParallelism(n) }
-
-// MPIWithEarlyStop enables sequential early stopping for an MPI campaign on
-// the world outcome stream, exactly as WithEarlyStop does for single-process
-// campaigns (Agresti–Coull interval within margin at the given confidence,
-// never before EarlyStopMinTests completed worlds).
-func MPIWithEarlyStop(confidence, margin float64) MPIOption {
-	return mpi.WithEarlyStop(confidence, margin)
-}
-
-// MPIWithProgress registers a per-world progress callback.
-func MPIWithProgress(fn func(done, total int)) MPIOption { return mpi.WithProgress(fn) }
-
 // MPIWithVerify replaces the campaign's world verifier.
 func MPIWithVerify(verify func(faulty *MPIResult) bool) MPIOption { return mpi.WithVerify(verify) }
 
 // MPIWithWorldAnalysis turns an MPI campaign into an analyzed campaign.
 func MPIWithWorldAnalysis(analyze WorldAnalyzer) MPIOption { return mpi.WithWorldAnalysis(analyze) }
 
-// MPIWithDropTraces releases each analyzed world's per-rank traces after its
-// analysis hook returns (WorldAnalysis keeps only summary artifacts).
-func MPIWithDropTraces() MPIOption { return mpi.WithDropTraces() }
-
-// MPIWithJournal makes an MPI campaign durable, exactly as WithJournal does
-// for single-process campaigns: world outcomes (with their propagation
-// classification) are committed to an append-only checksummed journal, and
-// Run/Stream on an existing journal resume from its last committed world.
-func MPIWithJournal(path string) MPIOption { return mpi.WithJournal(path) }
-
-// MPIWithJournalApp labels an MPI campaign journal's header with an
-// application name; defaults to the program's name.
-func MPIWithJournalApp(app string) MPIOption { return mpi.WithJournalApp(app) }
-
-// Durable-journal failure classes (see WithJournal / MPIWithJournal), for
+// Durable-journal failure classes (see WithJournal), for
 // errors.Is against Run/Stream errors.
 var (
 	// ErrJournalMismatch: the journal belongs to a different campaign
@@ -450,7 +424,7 @@ type (
 	// StaticPruner maps dynamic fault sites (step, target) to static
 	// classes through a clean run's step-indexed instruction log. Get one
 	// from Analyzer.StaticPruner / MPIAnalyzer.StaticPruner and pass it to
-	// WithStaticPrune / MPIWithStaticPrune.
+	// WithStaticPrune.
 	StaticPruner = irstatic.Pruner
 	// StaticClass is a static fault-site classification.
 	StaticClass = irstatic.Class
@@ -490,17 +464,12 @@ func NewStaticPruner(an *StaticAnalysis, sids []int32) (*StaticPruner, error) {
 }
 
 // WithStaticPrune skips statically provable faults in a campaign: Benign
-// sites record Success and NeverFires sites record NotApplied without
-// running. Result-invariant — the campaign Result is byte-identical to an
-// unpruned run of the same seed — and therefore excluded from journal
-// fingerprints. Incompatible with WithAnalysis (pruned runs produce no
-// trace to analyze).
-func WithStaticPrune(p *StaticPruner) CampaignOption { return inject.WithStaticPrune(p) }
-
-// MPIWithStaticPrune is WithStaticPrune for MPI campaigns: statically
-// provable faults record their outcome (with Contained propagation) without
-// replaying the world. Incompatible with MPIWithWorldAnalysis.
-func MPIWithStaticPrune(p *StaticPruner) MPIOption { return mpi.WithStaticPrune(p) }
+// sites record Success and NeverFires sites record NotApplied — with a
+// Contained propagation, for a world — without running. Result-invariant —
+// the campaign Result is byte-identical to an unpruned run of the same seed
+// — and therefore excluded from journal fingerprints. Incompatible with
+// analysis (pruned runs produce no trace to analyze).
+func WithStaticPrune(p *StaticPruner) CampaignOption { return campaign.WithStaticPrune(p) }
 
 // CrossCheckStaticOutcome asserts the static analysis's soundness contract
 // against one dynamically observed outcome: statically Benign must have

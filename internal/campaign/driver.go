@@ -12,14 +12,15 @@ import (
 	"sync/atomic"
 
 	"fliptracker/internal/interp"
+	"fliptracker/internal/irstatic"
 	"fliptracker/internal/journal"
 	"fliptracker/internal/stats"
 )
 
-// Settings are the engine-independent campaign settings. Each engine
-// exposes them through its own functional options (WithTests, WithSeed,
-// WithEarlyStop, WithJournal, ...); the shard coordinator (internal/coord)
-// sets the execution ones through Campaign.With.
+// Settings are the engine-independent campaign settings, set by the shared
+// options (WithTests, WithSeed, WithEarlyStop, WithJournal, ...); the shard
+// coordinator (internal/coord) sets the execution ones through
+// Campaign.With.
 type Settings struct {
 	// Tests is the number of injections (the cap, under early stopping).
 	Tests int
@@ -47,6 +48,12 @@ type Settings struct {
 	// Workers bounds concurrently running shards; 0 runs every shard at
 	// once.
 	Workers int
+	// DropTraces releases each analyzed injection's traces once its
+	// analysis returns; the engine does the releasing.
+	DropTraces bool
+	// Pruner, when non-nil, short-circuits statically proven faults before
+	// they reach the engine (see window).
+	Pruner *irstatic.Pruner
 }
 
 // Executor is one engine's share of a campaign: what a fault runs against
@@ -58,18 +65,22 @@ type Executor[O any] struct {
 	// Config describes the engine's outcome-determining configuration; it
 	// leads the journal fingerprint (see Campaign.Header).
 	Config string
-	// Heavy marks outcomes that pin large buffers (faulty traces, worlds):
-	// each window then bounds completed-but-unemitted outcomes to twice its
-	// worker count (Config.Window), so the reorder buffer cannot absorb the
-	// whole campaign behind one slow early fault.
-	Heavy bool
-	// Plan prepares the fault-index window [first, last) of faults — the
-	// checkpoint forward pass — and returns the function that runs fault i
-	// of the window, static-prune short-circuit included. That function is
-	// called from concurrent workers.
-	Plan func(ctx context.Context, faults []interp.Fault, first, last int) (func(i int) (O, error), error)
+	// Analyzed marks an analyzed campaign, whose outcomes carry analysis
+	// payloads that pin large buffers (faulty traces, worlds): each window
+	// then bounds completed-but-unemitted outcomes to twice its worker count
+	// (Config.Window), so the reorder buffer cannot absorb the whole campaign
+	// behind one slow early fault. DropTraces needs it; static pruning and
+	// the journal exclude it.
+	Analyzed bool
+	// Plan prepares the fault indices live of faults — the checkpoint
+	// forward pass — and returns the function that runs fault i of them.
+	// live lists one window's indices in increasing order, less those the
+	// static pruner proved, which never reach the engine; Plan may reorder
+	// it. The returned function is called from concurrent workers.
+	Plan func(ctx context.Context, faults []interp.Fault, live []int) (func(i int) (O, error), error)
 	// Record converts an outcome to its journal form; Replay converts a
-	// committed record back.
+	// committed record back, and builds a statically proven fault's outcome
+	// from its index, fault and outcome alone.
 	Record func(O) journal.Record
 	Replay func(journal.Record) O
 }
@@ -110,6 +121,9 @@ func New[O any](s Settings, targets TargetPicker, x Executor[O]) (*Campaign[O], 
 			}
 		}
 	}
+	if err := x.check(s); err != nil {
+		return nil, err
+	}
 	if s.EarlyStop {
 		if s.Confidence <= 0 || s.Confidence >= 1 {
 			return nil, fmt.Errorf("%v: early-stop confidence %v outside (0, 1)", x.Engine, s.Confidence)
@@ -143,12 +157,28 @@ func (c *Campaign[O]) With(set ...func(*Settings)) (*Campaign[O], error) {
 	for _, f := range set {
 		f(&s)
 	}
-	if s.Shards < 0 || s.Workers < 0 {
-		return nil, fmt.Errorf("%v: negative shard or worker count", c.x.Engine)
-	}
 	cp := *c
 	cp.s.Parallelism, cp.s.Progress, cp.s.Journal, cp.s.Shards, cp.s.Workers = s.Parallelism, s.Progress, s.Journal, s.Shards, s.Workers
+	if err := c.x.check(cp.s); err != nil {
+		return nil, err
+	}
 	return &cp, nil
+}
+
+// check rejects the setting combinations no campaign of the executor can
+// run.
+func (x *Executor[O]) check(s Settings) error {
+	switch {
+	case s.Shards < 0 || s.Workers < 0:
+		return fmt.Errorf("%v: negative shard or worker count", x.Engine)
+	case s.DropTraces && !x.Analyzed:
+		return fmt.Errorf("%v: WithDropTraces requires an analyzed campaign", x.Engine)
+	case s.Pruner != nil && x.Analyzed:
+		return fmt.Errorf("%v: WithStaticPrune cannot be combined with analysis (pruned injections produce no trace to analyze)", x.Engine)
+	case s.Journal != "" && x.Analyzed:
+		return fmt.Errorf("%v: WithJournal cannot be combined with analysis (analysis payloads are not journaled)", x.Engine)
+	}
+	return nil
 }
 
 // Tests returns the configured injection count (the cap, under early
@@ -412,18 +442,44 @@ merge:
 }
 
 // window plans the fault-index window [first, last) and fans it out over
-// the ordered worker pool (Run).
+// the ordered worker pool (Run). Under static pruning a fault site proven
+// Benign records Success, and one proven NeverFires records NotApplied,
+// without planning or running anything: a fault that never perturbs the
+// run leaves nothing to classify beyond its journal record (for a world, a
+// Contained propagation). Live faults run as without pruning, so the
+// outcome stream is identical either way.
 func (c *Campaign[O]) window(ctx context.Context, first, last int, emit func(O) bool) error {
 	if last <= first {
 		return nil
 	}
-	one, err := c.x.Plan(ctx, c.faults, first, last)
+	proven := make(map[int]Outcome)
+	live := make([]int, 0, last-first)
+	for i := first; i < last; i++ {
+		if c.s.Pruner != nil {
+			switch c.s.Pruner.Classify(c.faults[i]) {
+			case irstatic.Benign:
+				proven[i] = Success
+				continue
+			case irstatic.NeverFires:
+				proven[i] = NotApplied
+				continue
+			}
+		}
+		live = append(live, i)
+	}
+	run, err := c.x.Plan(ctx, c.faults, live)
 	if err != nil {
 		return err
 	}
+	one := func(i int) (O, error) {
+		if o, ok := proven[i]; ok {
+			return c.x.Replay(journal.Record{Index: uint64(i), Fault: c.faults[i], Outcome: uint8(o)}), nil
+		}
+		return run(i)
+	}
 	workers := Workers(c.s.Parallelism, last-first)
 	window := 0
-	if c.x.Heavy {
+	if c.x.Analyzed {
 		window = 2 * workers
 	}
 	return Run(ctx, Config{Items: len(c.faults), First: first, Last: last, Workers: workers, Window: window}, one, emit)

@@ -42,7 +42,7 @@ func fakeCampaign(t *testing.T, s Settings, failAt int) (*Campaign[fakeOutcome],
 	c, err := New(s, fakePicker{draws}, Executor[fakeOutcome]{
 		Engine: journal.EngineInject,
 		Config: "fake",
-		Plan: func(ctx context.Context, faults []interp.Fault, first, last int) (func(int) (fakeOutcome, error), error) {
+		Plan: func(ctx context.Context, faults []interp.Fault, live []int) (func(int) (fakeOutcome, error), error) {
 			return func(i int) (fakeOutcome, error) {
 				if i == failAt {
 					return fakeOutcome{}, fmt.Errorf("fault %d failed", i)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/coord"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
@@ -57,7 +58,7 @@ func testCampaign(t testing.TB, tests int, opts ...inject.Option) *inject.Campai
 		return len(tr.Output) == 1 && tr.Output[0].Float() > 9 && tr.Output[0].Float() < 11
 	}
 	c, err := inject.NewCampaign(mk, verify, inject.UniformDst{TotalSteps: tr.Steps},
-		append([]inject.Option{inject.WithTests(tests), inject.WithSeed(20181111)}, opts...)...)
+		append([]inject.Option{campaign.WithTests(tests), campaign.WithSeed(20181111)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestCoordinatorMatchesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4, 7} {
-		h, err := coord.Inject(testCampaign(t, tests, inject.WithParallelism(2)))
+		h, err := coord.Inject(testCampaign(t, tests, campaign.WithParallelism(2)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestCoordinatorMatchesStream(t *testing.T) {
 // whatever the shard count.
 func TestCoordinatorEarlyStop(t *testing.T) {
 	const cap = 120
-	opts := []inject.Option{inject.WithEarlyStop(0.95, 0.12)}
+	opts := []inject.Option{campaign.WithEarlyStop(0.95, 0.12)}
 	want, err := testCampaign(t, cap, opts...).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +226,7 @@ func TestFaultStreamDrawnOnce(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		var draws atomic.Int64
 		picker := countingPicker{UniformDst: inject.UniformDst{TotalSteps: clean.Steps}, draws: &draws}
-		c, err := inject.NewCampaign(mk, verify, picker, inject.WithTests(tests), inject.WithSeed(3))
+		c, err := inject.NewCampaign(mk, verify, picker, campaign.WithTests(tests), campaign.WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestFaultStreamDrawnOnce(t *testing.T) {
 // be sharded — its windows must not journal independently.
 func TestRejectsJournaledCampaign(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "own.journal")
-	if _, err := coord.Inject(testCampaign(t, 50, inject.WithJournal(path))); err == nil {
+	if _, err := coord.Inject(testCampaign(t, 50, campaign.WithJournal(path))); err == nil {
 		t.Fatal("coord.Inject accepted a journaled campaign")
 	}
 }
@@ -329,7 +330,7 @@ func TestCoordinatorJournalResume(t *testing.T) {
 	}
 
 	// A campaign with a different seed refuses the journal.
-	h3, err := coord.Inject(testCampaign(t, tests, inject.WithSeed(5)))
+	h3, err := coord.Inject(testCampaign(t, tests, campaign.WithSeed(5)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -351,14 +351,10 @@ func (an *Analyzer) NewAnalyzedCampaign(pop Population, opts ...inject.Option) (
 	if err != nil {
 		return nil, err
 	}
-	picker, _, err := an.resolvePopulation(pop)
-	if err != nil {
-		return nil, err
-	}
 	// The analysis option goes last so a stray WithAnalysis among opts
 	// cannot replace the index's hook (StreamAnalysis depends on the
 	// payload type).
-	return inject.NewCampaign(an.App.NewMachine, an.App.Verify, picker, slices.Concat(opts, []inject.Option{ix.AnalysisOption()})...)
+	return an.NewCampaign(pop, slices.Concat(opts, []inject.Option{ix.AnalysisOption()})...)
 }
 
 // StreamAnalysis runs an analyzed campaign and yields one *FaultAnalysis

@@ -12,6 +12,7 @@ import (
 
 	"fliptracker/internal/acl"
 	"fliptracker/internal/apps"
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/dddg"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
@@ -150,7 +151,7 @@ type FaultAnalysis struct {
 }
 
 // DropTrace releases the faulty trace, keeping only the analysis artifacts —
-// the inject.TraceDropper hook behind inject.WithDropTraces, for
+// the inject.TraceDropper hook behind campaign.WithDropTraces, for
 // memory-bounded analyzed sweeps whose collected results outlive the
 // campaign.
 func (fa *FaultAnalysis) DropTrace() { fa.Faulty = nil }
@@ -214,11 +215,11 @@ func (an *Analyzer) NewCampaign(pop Population, opts ...inject.Option) (*inject.
 	if err != nil {
 		return nil, err
 	}
-	// The app name labels any durable journal (inject.WithJournal), so a
+	// The app name labels any durable journal (campaign.WithJournal), so a
 	// journal recorded for one benchmark refuses to resume another; later
 	// options may still override it.
 	return inject.NewCampaign(an.App.NewMachine, an.App.Verify, picker,
-		append([]inject.Option{inject.WithJournalApp(an.App.Name)}, opts...)...)
+		append([]inject.Option{campaign.WithJournalApp(an.App.Name)}, opts...)...)
 }
 
 // Campaign measures a population's success rate (Equation 1): it builds the

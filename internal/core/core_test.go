@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
@@ -106,11 +107,11 @@ func TestCleanRunErrorPropagates(t *testing.T) {
 	if _, err := an.AnalyzeFault(interp.Fault{Step: 1, Bit: 1, Kind: interp.FaultDst}); !errors.Is(err, wantErr) {
 		t.Errorf("AnalyzeFault err = %v, want the clean-run error", err)
 	}
-	if _, err := an.NewAnalyzedCampaign(WholeProgram(), inject.WithTests(1)); !errors.Is(err, wantErr) {
+	if _, err := an.NewAnalyzedCampaign(WholeProgram(), campaign.WithTests(1)); !errors.Is(err, wantErr) {
 		t.Errorf("NewAnalyzedCampaign err = %v, want the clean-run error", err)
 	}
 	pairs := 0
-	for fa, err := range an.StreamAnalysis(context.Background(), WholeProgram(), inject.WithTests(1)) {
+	for fa, err := range an.StreamAnalysis(context.Background(), WholeProgram(), campaign.WithTests(1)) {
 		pairs++
 		if fa != nil || !errors.Is(err, wantErr) {
 			t.Errorf("StreamAnalysis pair = (%v, %v), want (nil, clean-run error)", fa, err)
@@ -208,31 +209,31 @@ func TestAnalyzeFaultOutcomesAndRegions(t *testing.T) {
 func TestRegionCampaignInternalVsInput(t *testing.T) {
 	an := newCG(t)
 	ctx := context.Background()
-	resInt, err := an.Campaign(ctx, RegionInternal("cg_b", 0), inject.WithTests(40), inject.WithSeed(11))
+	resInt, err := an.Campaign(ctx, RegionInternal("cg_b", 0), campaign.WithTests(40), campaign.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resInt.Tests != 40 {
 		t.Fatalf("tests = %d", resInt.Tests)
 	}
-	resIn, err := an.Campaign(ctx, RegionInputs("cg_b", 0), inject.WithTests(40), inject.WithSeed(11))
+	resIn, err := an.Campaign(ctx, RegionInputs("cg_b", 0), campaign.WithTests(40), campaign.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resIn.Tests != 40 {
 		t.Fatalf("tests = %d", resIn.Tests)
 	}
-	if _, err := an.Campaign(ctx, RegionInternal("zz", 0), inject.WithTests(10)); err == nil {
+	if _, err := an.Campaign(ctx, RegionInternal("zz", 0), campaign.WithTests(10)); err == nil {
 		t.Error("unknown region should fail")
 	}
-	if _, err := an.Campaign(ctx, Population{kind: 99}, inject.WithTests(10)); err == nil {
+	if _, err := an.Campaign(ctx, Population{kind: "everything"}, campaign.WithTests(10)); err == nil {
 		t.Error("unknown population kind should fail")
 	}
 }
 
 func TestWholeProgramCampaign(t *testing.T) {
 	an := newCG(t)
-	res, err := an.Campaign(context.Background(), WholeProgram(), inject.WithTests(60), inject.WithSeed(5))
+	res, err := an.Campaign(context.Background(), WholeProgram(), campaign.WithTests(60), campaign.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestWholeProgramCampaign(t *testing.T) {
 
 func TestCampaignStreamAndCancel(t *testing.T) {
 	an := newCG(t)
-	c, err := an.NewCampaign(RegionInputs("cg_b", 0), inject.WithTests(30), inject.WithSeed(11))
+	c, err := an.NewCampaign(RegionInputs("cg_b", 0), campaign.WithTests(30), campaign.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestCampaignStreamAndCancel(t *testing.T) {
 	// A cancelled analyzer campaign surfaces ctx.Err().
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := an.Campaign(ctx, WholeProgram(), inject.WithTests(30)); err != context.Canceled {
+	if _, err := an.Campaign(ctx, WholeProgram(), campaign.WithTests(30)); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -319,7 +320,7 @@ func TestPopulationStrings(t *testing.T) {
 			t.Errorf("population string %q, want %q", got, tc.want)
 		}
 	}
-	if Population(Population{kind: 42}).String() == "" {
+	if Population(Population{kind: "everything"}).String() == "" {
 		t.Error("unknown population should stringify")
 	}
 }

@@ -4,12 +4,12 @@ import (
 	"context"
 	"testing"
 
-	"fliptracker/internal/inject"
+	"fliptracker/internal/campaign"
 )
 
 func TestHybridCampaign(t *testing.T) {
 	an := newCG(t)
-	res, err := an.Campaign(context.Background(), Hybrid(), inject.WithTests(80), inject.WithSeed(21))
+	res, err := an.Campaign(context.Background(), Hybrid(), campaign.WithTests(80), campaign.WithSeed(21))
 	if err != nil {
 		t.Fatal(err)
 	}

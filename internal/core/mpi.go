@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 
 	"fliptracker/internal/apps"
 	"fliptracker/internal/inject"
@@ -35,7 +36,7 @@ type WorldAnalysis struct {
 }
 
 // DropTrace releases every rank's faulty trace, keeping only analysis
-// artifacts (the inject.TraceDropper hook behind mpi.WithDropTraces).
+// artifacts (the inject.TraceDropper hook behind campaign.WithDropTraces).
 func (wa *WorldAnalysis) DropTrace() {
 	for _, fa := range wa.Ranks {
 		fa.DropTrace()
@@ -153,11 +154,8 @@ func (ma *MPIAnalyzer) NewCampaign(targets inject.TargetPicker, opts ...mpi.Opti
 	if targets == nil {
 		targets = inject.UniformDst{TotalSteps: ma.InjectedSteps()}
 	}
-	copts := append([]mpi.Option{
-		mpi.WithClean(ma.clean),
-		mpi.WithVerify(ma.verifyWorld),
-	}, opts...)
-	return mpi.NewCampaign(ma.Prog, ma.worldConfig(), targets, copts...)
+	return mpi.NewCampaign(ma.Prog, ma.worldConfig(), targets,
+		slices.Concat([]mpi.Option{mpi.WithClean(ma.clean), mpi.WithVerify(ma.verifyWorld)}, opts)...)
 }
 
 // NewAnalyzedCampaign is NewCampaign plus the per-rank analysis hook: every
@@ -166,22 +164,11 @@ func (ma *MPIAnalyzer) NewCampaign(targets inject.TargetPicker, opts ...mpi.Opti
 // WithParallelism(N) parallelizes the analyses as well as the worlds. The
 // hook goes last so a stray WithWorldAnalysis among opts cannot replace it.
 func (ma *MPIAnalyzer) NewAnalyzedCampaign(targets inject.TargetPicker, opts ...mpi.Option) (*mpi.Campaign, error) {
-	if err := ma.checkFaultRank(); err != nil {
-		return nil, err
-	}
-	if targets == nil {
-		targets = inject.UniformDst{TotalSteps: ma.InjectedSteps()}
-	}
 	faultRank := ma.FaultRank
-	copts := append([]mpi.Option{
-		mpi.WithClean(ma.clean),
-		mpi.WithVerify(ma.verifyWorld),
-	}, opts...)
-	copts = append(copts, mpi.WithWorldAnalysis(
+	return ma.NewCampaign(targets, slices.Concat(opts, []mpi.Option{mpi.WithWorldAnalysis(
 		func(_ int, f interp.Fault, faulty *mpi.Result, outcome inject.Outcome, prop mpi.Propagation) (any, error) {
 			return ma.analyzeResult(f, faultRank, faulty, outcome, prop), nil
-		}))
-	return mpi.NewCampaign(ma.Prog, ma.worldConfig(), targets, copts...)
+		})})...)
 }
 
 // StreamWorldAnalysis runs an analyzed MPI campaign and yields one

@@ -3,8 +3,8 @@ package core
 import (
 	"testing"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
-	"fliptracker/internal/mpi"
 )
 
 // TestMPIAnalyzerFaultRankValidation: an out-of-range FaultRank must surface
@@ -20,10 +20,10 @@ func TestMPIAnalyzerFaultRankValidation(t *testing.T) {
 		if got := ma.InjectedSteps(); got != 0 {
 			t.Errorf("FaultRank %d: InjectedSteps = %d, want 0", bad, got)
 		}
-		if _, err := ma.NewCampaign(nil, mpi.WithTests(2)); err == nil {
+		if _, err := ma.NewCampaign(nil, campaign.WithTests(2)); err == nil {
 			t.Errorf("FaultRank %d: NewCampaign should fail", bad)
 		}
-		if _, err := ma.NewAnalyzedCampaign(nil, mpi.WithTests(2)); err == nil {
+		if _, err := ma.NewAnalyzedCampaign(nil, campaign.WithTests(2)); err == nil {
 			t.Errorf("FaultRank %d: NewAnalyzedCampaign should fail", bad)
 		}
 		if _, err := ma.AnalyzeWorld(f); err == nil {
@@ -34,7 +34,7 @@ func TestMPIAnalyzerFaultRankValidation(t *testing.T) {
 	if ma.InjectedSteps() == 0 {
 		t.Error("valid FaultRank: InjectedSteps = 0")
 	}
-	if _, err := ma.NewCampaign(nil, mpi.WithTests(2)); err != nil {
+	if _, err := ma.NewCampaign(nil, campaign.WithTests(2)); err != nil {
 		t.Errorf("valid FaultRank: NewCampaign failed: %v", err)
 	}
 }

@@ -11,60 +11,49 @@ import (
 // "internal"/"input" target. Build one with the constructors below and pass
 // it to Analyzer.Campaign, NewCampaign or PopulationSize; the analyzer
 // resolves it against the application's clean trace into a concrete
-// inject.TargetPicker.
+// inject.TargetPicker. The zero Population is whole-program.
 type Population struct {
-	kind     popKind
+	kind     string // a PopulationSpec kind
 	region   string
 	instance int
 }
 
-type popKind uint8
-
-const (
-	popWhole popKind = iota
-	popRegionInternal
-	popRegionInputs
-	popHybrid
-)
-
 // WholeProgram targets the result of a uniformly chosen dynamic instruction
 // across the full run — the application-level population behind the
 // Table IV "measured SR".
-func WholeProgram() Population { return Population{kind: popWhole} }
+func WholeProgram() Population { return Population{kind: "whole-program"} }
 
 // RegionInternal targets the internal locations of one code-region
 // instance: uniform dynamic instructions within the instance's clean-trace
 // span (§V-C, the Figure 5/6 "internal" bars).
 func RegionInternal(region string, instance int) Population {
-	return Population{kind: popRegionInternal, region: region, instance: instance}
+	return Population{kind: "region-internal", region: region, instance: instance}
 }
 
 // RegionInputs targets the memory input locations of one code-region
 // instance, flipped at region entry (§III-B's isolated injections; the
 // Figure 5/6 "input" bars).
 func RegionInputs(region string, instance int) Population {
-	return Population{kind: popRegionInputs, region: region, instance: instance}
+	return Population{kind: "region-inputs", region: region, instance: instance}
 }
 
 // Hybrid targets a mixed population: half instruction-result flips across
 // the run, half memory-word flips over the program's data (an ECC-escaped
 // memory SDC). The Table III use case uses this population because its
 // hardenings protect data at rest.
-func Hybrid() Population { return Population{kind: popHybrid} }
+func Hybrid() Population { return Population{kind: "hybrid"} }
 
 // String names the population.
 func (p Population) String() string {
 	switch p.kind {
-	case popWhole:
+	case "":
 		return "whole-program"
-	case popRegionInternal:
+	case "region-internal":
 		return fmt.Sprintf("region %s#%d internal", p.region, p.instance)
-	case popRegionInputs:
+	case "region-inputs":
 		return fmt.Sprintf("region %s#%d inputs", p.region, p.instance)
-	case popHybrid:
-		return "hybrid"
 	}
-	return fmt.Sprintf("population(%d)", uint8(p.kind))
+	return p.kind
 }
 
 // resolvePopulation turns a Population into a concrete picker plus its
@@ -80,9 +69,9 @@ func (an *Analyzer) resolvePopulation(pop Population) (inject.TargetPicker, uint
 		return nil, 0, err
 	}
 	switch pop.kind {
-	case popWhole:
+	case "", "whole-program":
 		return inject.UniformDst{TotalSteps: clean.Steps}, clean.Steps * 64, nil
-	case popRegionInternal:
+	case "region-internal":
 		s, err := an.RegionInstance(pop.region, pop.instance)
 		if err != nil {
 			return nil, 0, err
@@ -96,7 +85,7 @@ func (an *Analyzer) resolvePopulation(pop Population) (inject.TargetPicker, uint
 		lo := clean.Recs.Step(s.Start)
 		hi := clean.Recs.Step(s.End-1) + 1
 		return inject.StepRangeDst{Lo: lo, Hi: hi}, writes * 64, nil
-	case popRegionInputs:
+	case "region-inputs":
 		s, err := an.RegionInstance(pop.region, pop.instance)
 		if err != nil {
 			return nil, 0, err
@@ -113,7 +102,7 @@ func (an *Analyzer) resolvePopulation(pop Population) (inject.TargetPicker, uint
 			addrs[i] = l.Addr()
 		}
 		return inject.MemAtStep{Step: clean.Recs.Step(s.Start), Addrs: addrs}, uint64(len(locs)) * 64, nil
-	case popHybrid:
+	case "hybrid":
 		words := uint64(0)
 		if an.Prog.MemWords > 1 {
 			words = uint64(an.Prog.MemWords - 1)
@@ -123,5 +112,5 @@ func (an *Analyzer) resolvePopulation(pop Population) (inject.TargetPicker, uint
 			inject.UniformMem{TotalSteps: clean.Steps, FirstAddr: 1, LastAddr: an.Prog.MemWords},
 		}}, (clean.Steps + words) * 64, nil
 	}
-	return nil, 0, fmt.Errorf("core: unknown population %v", pop)
+	return nil, 0, fmt.Errorf("core: unknown population kind %q", pop.kind)
 }

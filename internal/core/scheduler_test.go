@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/inject"
 )
 
@@ -26,7 +27,7 @@ func TestCampaignSchedulerEquivalence(t *testing.T) {
 	}
 	an := newCG(t)
 	for _, p := range pops {
-		c, err := an.NewCampaign(p.pop, inject.WithTests(40), inject.WithSeed(17))
+		c, err := an.NewCampaign(p.pop, campaign.WithTests(40), campaign.WithSeed(17))
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}

@@ -68,7 +68,7 @@ func (an *Analyzer) StaticAnalysis() (*irstatic.Analysis, error) {
 // interp.Machine.RecordSIDs) and insists the fault-free run completes and
 // passes the app verifier — the Benign class promises "output identical to
 // the fault-free run", which only classifies Success when that output itself
-// verifies. Pass the result to inject.WithStaticPrune.
+// verifies. Pass the result to campaign.WithStaticPrune.
 func (an *Analyzer) StaticPruner() (*irstatic.Pruner, error) {
 	return an.static.pruner(-1, func(sa *irstatic.Analysis) (*irstatic.Pruner, error) {
 		m, err := an.App.NewMachine()
@@ -97,7 +97,7 @@ func (an *Analyzer) StaticPruner() (*irstatic.Pruner, error) {
 // world once under the clean recording. The clean world must pass the world
 // verifier for the same reason as in Analyzer.StaticPruner. Pruners are
 // cached per rank, so changing FaultRank and calling again is safe. Pass the
-// result to mpi.WithStaticPrune.
+// result to campaign.WithStaticPrune.
 func (ma *MPIAnalyzer) StaticPruner() (*irstatic.Pruner, error) {
 	if err := ma.checkFaultRank(); err != nil {
 		return nil, err

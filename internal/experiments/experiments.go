@@ -10,7 +10,7 @@ package experiments
 import (
 	"fmt"
 
-	"fliptracker/internal/inject"
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/stats"
 )
 
@@ -58,13 +58,10 @@ func (o Options) campaignTests(population uint64, confidence, margin float64) in
 // sized campaign: the test count (a cap under early stopping), the seed,
 // and — when EarlyStop is set — the sequential
 // stopping rule at the same confidence/margin the sizing used.
-func (o Options) campaignOptions(tests int, seed int64, confidence, margin float64) []inject.Option {
-	copts := []inject.Option{
-		inject.WithTests(tests),
-		inject.WithSeed(seed),
-	}
+func (o Options) campaignOptions(tests int, seed int64, confidence, margin float64) []campaign.Option {
+	copts := []campaign.Option{campaign.WithTests(tests), campaign.WithSeed(seed)}
 	if o.EarlyStop {
-		copts = append(copts, inject.WithEarlyStop(confidence, margin))
+		copts = append(copts, campaign.WithEarlyStop(confidence, margin))
 	}
 	return copts
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"fliptracker/internal/apps"
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/core"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
@@ -99,7 +100,7 @@ func PatternInventory(opts Options) (*Tab1Result, error) {
 			if len(faults) > 0 {
 				c, err := inject.NewCampaign(an.App.NewMachine, an.App.Verify,
 					inject.FaultList{Faults: faults},
-					inject.WithTests(len(faults)),
+					campaign.WithTests(len(faults)),
 					ix.AnalysisOption())
 				if err != nil {
 					return nil, err

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
 	"fliptracker/internal/trace"
@@ -62,7 +63,7 @@ func TestAnalyzedCampaignTracesMatchDirectRuns(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		analyzed := 0
 		c, err := NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: steps},
-			WithTests(tests), WithSeed(9), WithParallelism(par),
+			campaign.WithTests(tests), campaign.WithSeed(9), campaign.WithParallelism(par),
 			WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
 				return faulty, nil
 			}))
@@ -101,9 +102,9 @@ func TestAnalyzedCampaignOutcomesMatchUntraced(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	clean := cleanFullTrace(t, p)
-	plain := runBothTolerance(t, p, UniformDst{TotalSteps: steps}, WithTests(200), WithSeed(3))
+	plain := runBothTolerance(t, p, UniformDst{TotalSteps: steps}, campaign.WithTests(200), campaign.WithSeed(3))
 	c, err := NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: steps},
-		WithTests(200), WithSeed(3),
+		campaign.WithTests(200), campaign.WithSeed(3),
 		WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
 			return nil, nil
 		}))
@@ -127,7 +128,7 @@ func TestAnalyzerErrorAbortsCampaign(t *testing.T) {
 	clean := cleanFullTrace(t, p)
 	boom := errors.New("boom")
 	c, err := NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: steps},
-		WithTests(50), WithSeed(3),
+		campaign.WithTests(50), campaign.WithSeed(3),
 		WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
 			if i == 7 {
 				return nil, boom
@@ -147,14 +148,14 @@ func TestAnalyzerErrorAbortsCampaign(t *testing.T) {
 func TestAnalyzedCampaignNeedsCleanTrace(t *testing.T) {
 	p := buildToleranceProg(t)
 	_, err := NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: 10},
-		WithTests(10),
+		campaign.WithTests(10),
 		WithAnalysis(nil, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) { return nil, nil }))
 	if err == nil {
 		t.Fatal("analyzed campaign without a clean trace should fail to build")
 	}
 	// A markers-only trace (no records) is rejected too.
 	_, err = NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: 10},
-		WithTests(10),
+		campaign.WithTests(10),
 		WithAnalysis(&trace.Trace{}, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) { return nil, nil }))
 	if err == nil {
 		t.Fatal("analyzed campaign with an empty clean trace should fail to build")
@@ -176,7 +177,7 @@ func TestFaultListReplaysInOrder(t *testing.T) {
 			Kind: interp.FaultDst,
 		})
 	}
-	c := mustCampaign(t, p, FaultList{Faults: faults}, WithTests(len(faults)), WithParallelism(4))
+	c := mustCampaign(t, p, FaultList{Faults: faults}, campaign.WithTests(len(faults)), campaign.WithParallelism(4))
 	for run := 0; run < 2; run++ {
 		n := 0
 		for fo, err := range c.Stream(context.Background()) {
@@ -193,7 +194,7 @@ func TestFaultListReplaysInOrder(t *testing.T) {
 		}
 	}
 	// Empty lists are rejected at construction and degrade in Pick.
-	if _, err := NewCampaign(makeMachine(p), verifyNear10, FaultList{}, WithTests(5)); err == nil {
+	if _, err := NewCampaign(makeMachine(p), verifyNear10, FaultList{}, campaign.WithTests(5)); err == nil {
 		t.Fatal("empty FaultList should fail campaign validation")
 	}
 }
@@ -208,11 +209,11 @@ func TestAnalyzedCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c, err := NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: steps},
-		WithTests(300), WithSeed(3),
+		campaign.WithTests(300), campaign.WithSeed(3),
 		WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
 			return fmt.Sprintf("fa-%d", i), nil
 		}),
-		WithProgress(func(done, total int) {
+		campaign.WithProgress(func(done, total int) {
 			if done == 5 {
 				cancel()
 			}
@@ -244,7 +245,7 @@ func TestAnalyzedCampaignBoundsInFlightTraces(t *testing.T) {
 	)
 	var completed atomic.Int64
 	c, err := NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: steps},
-		WithTests(tests), WithSeed(11), WithParallelism(par),
+		campaign.WithTests(tests), campaign.WithSeed(11), campaign.WithParallelism(par),
 		WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
 			if i == 0 {
 				time.Sleep(200 * time.Millisecond) // stall the head of the stream
@@ -315,7 +316,7 @@ func TestAnalyzedCampaignNonMonotonicTrace(t *testing.T) {
 	verify := func(tr *trace.Trace) bool { return len(tr.Output) == 1 }
 	const tests = 30
 	c, err := NewCampaign(makeMachine(p), verify, UniformDst{TotalSteps: totalSteps(t, p)},
-		WithTests(tests), WithSeed(4), WithParallelism(2),
+		campaign.WithTests(tests), campaign.WithSeed(4), campaign.WithParallelism(2),
 		WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
 			return faulty, nil
 		}))

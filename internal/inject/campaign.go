@@ -30,44 +30,44 @@ type Campaign struct {
 	// the package's own tests set it.
 	maxCheckpoints int
 
-	pruner *irstatic.Pruner
-
-	analyze    TraceAnalyzer
-	dropTraces bool
-	clean      *trace.Trace
+	analyze TraceAnalyzer
+	clean   *trace.Trace
 	// stitch permits clean-prefix reuse for analyzed runs; it
 	// requires the clean trace's record steps to be monotonic (see
 	// NewCampaign), else analyzed injections replay traced from step 0.
 	stitch bool
 }
 
-// Option configures a Campaign at construction time.
-type Option func(*Campaign)
+// Option configures a Campaign at construction time: one of the options
+// both engines share (campaign.WithTests, WithSeed, WithParallelism,
+// WithProgress, WithEarlyStop, WithDropTraces, WithStaticPrune, WithJournal,
+// WithJournalApp, WithShards) or WithAnalysis. An MPI engine
+// option makes NewCampaign fail.
+type Option = campaign.Option
 
-// WithTests sets the number of injections (see stats.SampleSize for the
-// paper's sizing rule). With early stopping enabled this is the cap; the
-// campaign may finish sooner. Required: NewCampaign rejects a campaign
-// without a positive test count.
-func WithTests(n int) Option { return func(c *Campaign) { c.cfg.Tests = n } }
+// engineOption is an option of this engine only.
+type engineOption = campaign.EngineOption[Campaign]
 
-// WithSeed makes the campaign reproducible: faults are pre-drawn from a
-// single stream seeded here, so results do not depend on parallelism. The
-// default seed is 0.
-func WithSeed(seed int64) Option { return func(c *Campaign) { c.cfg.Seed = seed } }
+// WithTests is campaign.WithTests.
+//
+// Deprecated: use campaign.WithTests.
+func WithTests(n int) Option { return campaign.WithTests(n) }
+
+// WithSeed is campaign.WithSeed.
+//
+// Deprecated: use campaign.WithSeed.
+func WithSeed(seed int64) Option { return campaign.WithSeed(seed) }
+
+// WithParallelism is campaign.WithParallelism.
+//
+// Deprecated: use campaign.WithParallelism.
+func WithParallelism(n int) Option { return campaign.WithParallelism(n) }
 
 // WithScheduler does nothing: every campaign runs checkpointed.
 //
 // Deprecated: kept only for the campaign benchmark's call; the benchmark
 // change that drops that call removes it.
-func WithScheduler(SchedulerKind) Option { return func(*Campaign) {} }
-
-// WithParallelism caps worker goroutines; 0 (the default) means GOMAXPROCS.
-func WithParallelism(n int) Option { return func(c *Campaign) { c.cfg.Parallelism = n } }
-
-// WithProgress registers a callback invoked after each completed injection
-// with the number of outcomes delivered so far and the planned total. It is
-// called sequentially (never concurrently) in fault-index order.
-func WithProgress(fn func(done, total int)) Option { return func(c *Campaign) { c.cfg.Progress = fn } }
+func WithScheduler(SchedulerKind) Option { return engineOption(func(*Campaign) {}) }
 
 // TraceAnalyzer is a per-fault analysis hook for analyzed campaigns: it
 // receives the fault's stream index, the fault, the full faulty trace of
@@ -91,15 +91,12 @@ type TraceAnalyzer func(index int, f interp.Fault, faulty *trace.Trace, outcome 
 // Outcomes, ordering, early stopping, and cancellation behave exactly as in
 // an untraced campaign.
 func WithAnalysis(clean *trace.Trace, analyze TraceAnalyzer) Option {
-	return func(c *Campaign) {
-		c.clean = clean
-		c.analyze = analyze
-	}
+	return engineOption(func(c *Campaign) { c.clean, c.analyze = clean, analyze })
 }
 
 // TraceDropper is implemented by analysis payloads that can release their
 // faulty-trace reference once analysis is complete (core.FaultAnalysis drops
-// FaultAnalysis.Faulty). WithDropTraces invokes it right after the
+// FaultAnalysis.Faulty). campaign.WithDropTraces invokes it right after the
 // TraceAnalyzer returns. The contract is strict: after DropTrace returns,
 // the payload must hold no reference into the dropped trace's record
 // buffer — the campaign recycles it (trace.PutRecs) for later injections,
@@ -108,78 +105,25 @@ type TraceDropper interface {
 	DropTrace()
 }
 
-// WithDropTraces makes an analyzed campaign drop each injection's faulty
-// trace as soon as its TraceAnalyzer returns, by calling the payload's
-// DropTrace method when it implements TraceDropper. Collected FaultOutcomes
-// then hold only summary artifacts (outcome, ACL numbers, region reports),
-// not the O(trace) record buffers — the knob for memory-bounded sweeps whose
-// results outlive the campaign. Dropped record buffers are pooled and reused
-// by later injections in the same process (see TraceDropper's aliasing
-// contract). Requires WithAnalysis.
-func WithDropTraces() Option { return func(c *Campaign) { c.dropTraces = true } }
-
-// WithJournal makes the campaign durable: every emitted outcome is
-// appended, in fault-index order, to an append-only checksummed journal at
-// path and fsync'd before the next outcome is delivered. When path already
-// holds a journal, Run and Stream resume it instead: the header is
-// validated against this campaign (seed, test count, population
-// fingerprint — journal.ErrMismatch on any difference), the committed
-// outcomes are replayed from disk (each re-checked against the campaign's
-// own drawn fault stream), and only the remaining index range is executed.
-// A torn or bit-flipped tail — the signature of a kill mid-write — is
-// detected by per-record CRC and cleanly truncated to the last committed
-// record, so a resumed campaign's merged Result is byte-identical to an
-// uninterrupted run. Parallelism may differ between the original run and
-// the resume; it is result-invariant and excluded from the fingerprint. Incompatible with WithAnalysis (analysis payloads are
-// not journaled).
-func WithJournal(path string) Option { return func(c *Campaign) { c.cfg.Journal = path } }
-
-// WithJournalApp labels the journal header with an application name, so a
-// journal recorded for one app refuses to resume under another even when
-// their populations fingerprint alike. Optional; core.Analyzer and the CLI
-// set it automatically.
-func WithJournalApp(app string) Option { return func(c *Campaign) { c.cfg.App = app } }
-
-// WithStaticPrune short-circuits injections whose outcome the static
-// dependence analysis (internal/irstatic) has already proven. A fault site
-// classified Benign is recorded as Success, and one classified NeverFires as
-// NotApplied, without running the world; Live faults execute exactly as
-// before. The pruner must be built over this campaign's program and the
-// SID log of its fault-free run (irstatic.NewPruner), and the campaign's
-// clean run must pass Verify — the Benign guarantee is "output identical to
-// the fault-free run", which only classifies Success when the fault-free
-// output itself verifies (core checks this when it builds the pruner).
+// WithDropTraces is campaign.WithDropTraces.
 //
-// Pruning is result-invariant: for a fixed seed the Result is byte-identical
-// to the unpruned campaign's, so it stays out of the journal fingerprint and
-// a journal written by a pruned campaign resumes under an unpruned one (and
-// vice versa). Incompatible with WithAnalysis, whose per-fault payloads
-// require the faulty trace that a pruned injection never produces.
-func WithStaticPrune(p *irstatic.Pruner) Option { return func(c *Campaign) { c.pruner = p } }
+// Deprecated: use campaign.WithDropTraces.
+func WithDropTraces() Option { return campaign.WithDropTraces() }
+
+// WithJournalApp is campaign.WithJournalApp.
+//
+// Deprecated: use campaign.WithJournalApp.
+func WithJournalApp(app string) Option { return campaign.WithJournalApp(app) }
+
+// WithStaticPrune is campaign.WithStaticPrune.
+//
+// Deprecated: use campaign.WithStaticPrune.
+func WithStaticPrune(p *irstatic.Pruner) Option { return campaign.WithStaticPrune(p) }
 
 // EarlyStopMinTests is the minimum number of completed injections before
-// WithEarlyStop may end a campaign, guarding the normal-approximation
-// confidence interval against tiny samples.
+// early stopping (campaign.WithEarlyStop) may end a campaign, guarding the
+// normal-approximation confidence interval against tiny samples.
 const EarlyStopMinTests = campaign.EarlyStopMinTests
-
-// WithEarlyStop enables sequential early stopping: the campaign ends as
-// soon as the success rate's confidence interval half-width (at the given
-// confidence level) is within margin, instead of always running the full
-// WithTests count. The paper sizes campaigns with Leveugle et al.'s
-// worst-case rule (p = 0.5); when the observed rate is far from 0.5 the
-// sequential rule needs fewer injections for the same interval. The
-// interval is Agresti–Coull adjusted (stats.AdjustedProportionCI) so an
-// all-success prefix cannot collapse it to zero width and stop the campaign
-// on a biased estimate. The stop decision is evaluated on the outcome
-// stream in fault-index order, so for a fixed seed it is deterministic
-// whatever the parallelism.
-func WithEarlyStop(confidence, margin float64) Option {
-	return func(c *Campaign) {
-		c.cfg.EarlyStop = true
-		c.cfg.Confidence = confidence
-		c.cfg.Margin = margin
-	}
-}
 
 // NewCampaign builds a campaign over the given fault population.
 // MakeMachine builds a fresh machine per injection (hosts bound, RNG
@@ -191,17 +135,17 @@ func WithEarlyStop(confidence, margin float64) Option {
 // output, never from its trace records.
 func NewCampaign(mk func() (*interp.Machine, error), verify func(*trace.Trace) bool, targets TargetPicker, opts ...Option) (*Campaign, error) {
 	c := &Campaign{mk: mk, verify: verify}
-	for _, o := range opts {
-		o(c)
+	if err := campaign.Apply(&c.cfg, c, opts); err != nil {
+		return nil, fmt.Errorf("inject: %w", err)
 	}
 	if c.mk == nil || c.verify == nil || targets == nil {
 		return nil, fmt.Errorf("inject: incomplete campaign (need MakeMachine, Verify and a TargetPicker)")
 	}
 	d, err := campaign.New(c.cfg, targets, campaign.Executor[FaultOutcome]{
-		Engine: journal.EngineInject,
-		Config: "inject",
-		Heavy:  c.analyze != nil,
-		Plan:   c.plan,
+		Engine:   journal.EngineInject,
+		Config:   "inject",
+		Analyzed: c.analyze != nil,
+		Plan:     c.plan,
 		Record: func(fo FaultOutcome) journal.Record {
 			return journal.Record{Index: uint64(fo.Index), Outcome: uint8(fo.Outcome), Fault: fo.Fault}
 		},
@@ -213,15 +157,6 @@ func NewCampaign(mk func() (*interp.Machine, error), verify func(*trace.Trace) b
 		return nil, err
 	}
 	c.Campaign = d
-	if c.dropTraces && c.analyze == nil {
-		return nil, fmt.Errorf("inject: WithDropTraces requires WithAnalysis")
-	}
-	if c.pruner != nil && c.analyze != nil {
-		return nil, fmt.Errorf("inject: WithStaticPrune cannot be combined with WithAnalysis (pruned injections produce no trace to analyze)")
-	}
-	if c.cfg.Journal != "" && c.analyze != nil {
-		return nil, fmt.Errorf("inject: WithJournal cannot be combined with WithAnalysis (analysis payloads are not journaled)")
-	}
 	if c.analyze != nil {
 		if c.clean == nil || c.clean.Recs.Len() == 0 {
 			return nil, fmt.Errorf("inject: analyzed campaign needs the fault-free full trace (WithAnalysis clean argument)")
@@ -256,11 +191,11 @@ type FaultOutcome struct {
 // analyzed campaign that cannot stitch the clean prefix (non-monotonic
 // record steps): such runs replay traced from step 0, so the planning pass
 // is skipped entirely.
-func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first, last int) (func(int) (FaultOutcome, error), error) {
+func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, live []int) (func(int) (FaultOutcome, error), error) {
 	var plan *checkpointPlan
 	if c.analyze == nil || c.stitch {
 		var err error
-		if plan, err = c.planCheckpoints(ctx, faults, first, last); err != nil {
+		if plan, err = c.planCheckpoints(ctx, faults, live); err != nil {
 			return nil, err
 		}
 	}
@@ -274,17 +209,8 @@ func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first, last 
 }
 
 // runFault executes one injection from its planned checkpoint — from step 0
-// when plan is nil — unless the static pruner already proved its outcome,
-// in which case the injection is recorded without running.
+// when plan is nil.
 func (c *Campaign) runFault(i int, f interp.Fault, plan *checkpointPlan) (Outcome, any, error) {
-	if c.pruner != nil {
-		switch c.pruner.Classify(f) {
-		case irstatic.Benign:
-			return Success, nil, nil
-		case irstatic.NeverFires:
-			return NotApplied, nil, nil
-		}
-	}
 	if plan != nil {
 		return plan.runFault(c, i, f)
 	}
@@ -334,7 +260,7 @@ func (c *Campaign) runTraced(i int, f interp.Fault, snap *interp.Snapshot) (Outc
 	if err != nil {
 		return NotApplied, nil, fmt.Errorf("inject: analyze fault %d: %w", i, err)
 	}
-	if c.dropTraces {
+	if c.cfg.DropTraces {
 		if d, ok := payload.(TraceDropper); ok {
 			d.DropTrace()
 			// The payload has released its trace reference and analysis

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"fliptracker/internal/campaign"
 )
 
 // TestGoldenV1Equivalence pins the v2 Campaign API to the exact Results the
@@ -28,14 +30,14 @@ func TestGoldenV1Equivalence(t *testing.T) {
 		{20181111, Result{Tests: 400, Success: 164, Failed: 78, Crashed: 90, NotApplied: 68}},
 	}
 	for _, g := range golden {
-		got := runBothTolerance(t, p, UniformDst{TotalSteps: steps}, WithTests(400), WithSeed(g.seed))
+		got := runBothTolerance(t, p, UniformDst{TotalSteps: steps}, campaign.WithTests(400), campaign.WithSeed(g.seed))
 		if got != g.want {
 			t.Errorf("seed %d: %+v, want v1 golden %+v", g.seed, got, g.want)
 		}
 	}
 	// Memory population golden (UniformMem over the program's 8 data words).
 	memGot := mustRun(t, p, UniformMem{TotalSteps: steps, FirstAddr: 1, LastAddr: p.MemWords},
-		WithTests(200), WithSeed(7))
+		campaign.WithTests(200), campaign.WithSeed(7))
 	memWant := Result{Tests: 200, Success: 191, Failed: 9}
 	if memGot != memWant {
 		t.Errorf("mem campaign: %+v, want v1 golden %+v", memGot, memWant)
@@ -51,7 +53,7 @@ func TestStreamDeterministicOrder(t *testing.T) {
 	steps := totalSteps(t, p)
 	collect := func(par int) ([]FaultOutcome, Result) {
 		c := mustCampaign(t, p, UniformDst{TotalSteps: steps},
-			WithTests(150), WithSeed(5), WithParallelism(par))
+			campaign.WithTests(150), campaign.WithSeed(5), campaign.WithParallelism(par))
 		var seq []FaultOutcome
 		var res Result
 		for fo, err := range c.Stream(context.Background()) {
@@ -63,7 +65,7 @@ func TestStreamDeterministicOrder(t *testing.T) {
 		}
 		return seq, res
 	}
-	ref := fromScratch(t, mustCampaign(t, p, UniformDst{TotalSteps: steps}, WithTests(150), WithSeed(5)))
+	ref := fromScratch(t, mustCampaign(t, p, UniformDst{TotalSteps: steps}, campaign.WithTests(150), campaign.WithSeed(5)))
 	refRes := tally(ref)
 	if len(ref) != 150 {
 		t.Fatalf("stream yielded %d outcomes, want 150", len(ref))
@@ -84,7 +86,7 @@ func TestStreamDeterministicOrder(t *testing.T) {
 			}
 		}
 	}
-	run := mustRun(t, p, UniformDst{TotalSteps: steps}, WithTests(150), WithSeed(5))
+	run := mustRun(t, p, UniformDst{TotalSteps: steps}, campaign.WithTests(150), campaign.WithSeed(5))
 	if run != refRes {
 		t.Fatalf("Run %+v disagrees with aggregated Stream %+v", run, refRes)
 	}
@@ -97,7 +99,7 @@ func TestStreamBreakStopsWorkers(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	before := runtime.NumGoroutine()
-	c := mustCampaign(t, p, UniformDst{TotalSteps: steps}, WithTests(400), WithSeed(3))
+	c := mustCampaign(t, p, UniformDst{TotalSteps: steps}, campaign.WithTests(400), campaign.WithSeed(3))
 	n := 0
 	for fo, err := range c.Stream(context.Background()) {
 		if err != nil {
@@ -123,10 +125,10 @@ func TestCancellationCheckpointed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c := mustCampaign(t, p, UniformDst{TotalSteps: steps},
-		WithTests(400), WithSeed(3),
+		campaign.WithTests(400), campaign.WithSeed(3),
 		// Cancel from the progress callback after the 5th delivered
 		// outcome: deterministically mid-campaign.
-		WithProgress(func(done, total int) {
+		campaign.WithProgress(func(done, total int) {
 			if total != 400 {
 				t.Errorf("progress total = %d, want 400", total)
 			}
@@ -160,7 +162,7 @@ func TestPreCancelledContext(t *testing.T) {
 	p := buildToleranceProg(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := mustCampaign(t, p, UniformDst{TotalSteps: 10}, WithTests(50))
+	c := mustCampaign(t, p, UniformDst{TotalSteps: 10}, campaign.WithTests(50))
 	res, err := c.Run(ctx)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -210,8 +212,8 @@ func TestEarlyStopFewerTestsSameRate(t *testing.T) {
 	// far from the worst-case p = 0.5 the fixed sizing assumes.
 	targets := UniformMem{TotalSteps: steps, FirstAddr: 1, LastAddr: p.MemWords}
 	const tests, margin = 400, 0.03
-	fixed := mustRun(t, p, targets, WithTests(tests), WithSeed(7))
-	early := mustRun(t, p, targets, WithTests(tests), WithSeed(7), WithEarlyStop(0.95, margin))
+	fixed := mustRun(t, p, targets, campaign.WithTests(tests), campaign.WithSeed(7))
+	early := mustRun(t, p, targets, campaign.WithTests(tests), campaign.WithSeed(7), campaign.WithEarlyStop(0.95, margin))
 	if early.Tests >= fixed.Tests {
 		t.Fatalf("early stop ran %d of %d tests, want fewer", early.Tests, fixed.Tests)
 	}
@@ -225,8 +227,8 @@ func TestEarlyStopFewerTestsSameRate(t *testing.T) {
 	// The stop point is part of the deterministic contract: same seed, same
 	// prefix, same decision — so Stream under early stopping is reproducible
 	// too.
-	a := mustRun(t, p, targets, WithTests(tests), WithSeed(7), WithEarlyStop(0.95, margin), WithParallelism(1))
-	b := mustRun(t, p, targets, WithTests(tests), WithSeed(7), WithEarlyStop(0.95, margin), WithParallelism(8))
+	a := mustRun(t, p, targets, campaign.WithTests(tests), campaign.WithSeed(7), campaign.WithEarlyStop(0.95, margin), campaign.WithParallelism(1))
+	b := mustRun(t, p, targets, campaign.WithTests(tests), campaign.WithSeed(7), campaign.WithEarlyStop(0.95, margin), campaign.WithParallelism(8))
 	if a != b {
 		t.Fatalf("early-stop results depend on parallelism: %+v vs %+v", a, b)
 	}
@@ -265,7 +267,7 @@ func TestZeroPopulationGuards(t *testing.T) {
 		if v.Validate() == nil {
 			t.Errorf("%s: Validate accepted an empty population", tc.name)
 		}
-		if _, err := NewCampaign(makeMachine(p), verifyNear10, tc.picker, WithTests(10)); err == nil {
+		if _, err := NewCampaign(makeMachine(p), verifyNear10, tc.picker, campaign.WithTests(10)); err == nil {
 			t.Errorf("%s: NewCampaign accepted an empty population", tc.name)
 		}
 	}

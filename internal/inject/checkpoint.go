@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"fliptracker/internal/interp"
-	"fliptracker/internal/irstatic"
 	"fliptracker/internal/trace"
 )
 
@@ -46,30 +45,13 @@ type checkpointPlan struct {
 // The forward pass honors ctx between checkpoints, so cancellation during
 // planning is prompt.
 //
-// Only the window [first, last) is planned: indices outside it belong to
-// other shards (or a journal's replayed prefix) and never run here, so they
-// neither force checkpoints nor need assignments — a sharded campaign's
-// forward passes each cover just their own window's fault steps.
-func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, first, last int) (*checkpointPlan, error) {
+// Only the live indices, order, are planned, and they are sorted in place:
+// indices outside their window belong to other shards (or a journal's
+// replayed prefix) and statically pruned ones never run, so they neither
+// force checkpoints nor need assignments — a sharded campaign's forward
+// passes each cover just their own window's fault steps.
+func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, order []int) (*checkpointPlan, error) {
 	n := len(faults)
-	// Statically pruned faults never run, so they neither force checkpoints
-	// nor need assignments. Skipping them here is purely a scheduling matter:
-	// assignments are result-invariant, and pruned indices short-circuit in
-	// runFault before consulting the plan.
-	pruned := make([]bool, n)
-	if c.pruner != nil {
-		for i := first; i < last; i++ {
-			if c.pruner.Classify(faults[i]) != irstatic.Live {
-				pruned[i] = true
-			}
-		}
-	}
-	order := make([]int, 0, last-first)
-	for i := first; i < last; i++ {
-		if !pruned[i] {
-			order = append(order, i)
-		}
-	}
 	if len(order) == 0 {
 		// Everything pruned: no prefix pass needed.
 		plan := &checkpointPlan{assign: make([]int, n)}

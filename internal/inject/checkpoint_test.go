@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
 	"fliptracker/internal/trace"
@@ -61,7 +62,7 @@ func runBothTolerance(t *testing.T, p *ir.Program, targets TargetPicker, opts ..
 func TestCheckpointedMatchesDirectUniformDst(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
-	res := runBothTolerance(t, p, UniformDst{TotalSteps: steps}, WithTests(400), WithSeed(1))
+	res := runBothTolerance(t, p, UniformDst{TotalSteps: steps}, campaign.WithTests(400), campaign.WithSeed(1))
 	if res.Success == 0 || res.Failed == 0 {
 		t.Errorf("expected mixed outcomes: %+v", res)
 	}
@@ -71,7 +72,7 @@ func TestCheckpointedMatchesDirectAcrossSeeds(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	for seed := int64(1); seed <= 5; seed++ {
-		runBothTolerance(t, p, UniformDst{TotalSteps: steps}, WithTests(120), WithSeed(seed))
+		runBothTolerance(t, p, UniformDst{TotalSteps: steps}, campaign.WithTests(120), campaign.WithSeed(seed))
 	}
 }
 
@@ -85,19 +86,21 @@ func TestCheckpointedMatchesDirectMemAtStep(t *testing.T) {
 		addrs[i] = a.Addr + int64(i)
 	}
 	steps := totalSteps(t, p)
-	runBothTolerance(t, p, MemAtStep{Step: steps / 2, Addrs: addrs}, WithTests(200), WithSeed(7))
+	runBothTolerance(t, p, MemAtStep{Step: steps / 2, Addrs: addrs}, campaign.WithTests(200), campaign.WithSeed(7))
 }
 
 // withMaxCheckpoints overrides the planner's DefaultMaxCheckpoints backstop.
-func withMaxCheckpoints(n int) Option { return func(c *Campaign) { c.maxCheckpoints = n } }
+func withMaxCheckpoints(n int) Option {
+	return engineOption(func(c *Campaign) { c.maxCheckpoints = n })
+}
 
 func TestCheckpointedCheckpointBudgets(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	targets := UniformDst{TotalSteps: steps}
-	want := tally(fromScratch(t, mustCampaign(t, p, targets, WithTests(150), WithSeed(3))))
+	want := tally(fromScratch(t, mustCampaign(t, p, targets, campaign.WithTests(150), campaign.WithSeed(3))))
 	for _, budget := range []int{1, 2, 16, 10_000} {
-		got := mustRun(t, p, targets, WithTests(150), WithSeed(3), withMaxCheckpoints(budget))
+		got := mustRun(t, p, targets, campaign.WithTests(150), campaign.WithSeed(3), withMaxCheckpoints(budget))
 		if got != want {
 			t.Errorf("budget %d: %+v, want %+v", budget, got, want)
 		}
@@ -109,7 +112,7 @@ func TestCheckpointedFaultBeyondProgramEnd(t *testing.T) {
 	// checkpoint forward pass terminates before reaching them.
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
-	res := runBothTolerance(t, p, StepRangeDst{Lo: steps - 2, Hi: steps + 50}, WithTests(60), WithSeed(11))
+	res := runBothTolerance(t, p, StepRangeDst{Lo: steps - 2, Hi: steps + 50}, campaign.WithTests(60), campaign.WithSeed(11))
 	if res.NotApplied == 0 {
 		t.Errorf("expected not-applied faults beyond program end: %+v", res)
 	}
@@ -119,8 +122,8 @@ func TestCheckpointedSerialMatchesParallel(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	targets := UniformDst{TotalSteps: steps}
-	one := mustRun(t, p, targets, WithTests(100), WithSeed(42), WithParallelism(1))
-	eight := mustRun(t, p, targets, WithTests(100), WithSeed(42), WithParallelism(8))
+	one := mustRun(t, p, targets, campaign.WithTests(100), campaign.WithSeed(42), campaign.WithParallelism(1))
+	eight := mustRun(t, p, targets, campaign.WithTests(100), campaign.WithSeed(42), campaign.WithParallelism(8))
 	if one != eight {
 		t.Errorf("checkpointed results depend on parallelism: %+v vs %+v", one, eight)
 	}
@@ -145,5 +148,5 @@ func TestCheckpointedFallbackFreshProgramPerMachine(t *testing.T) {
 		}
 		return m, nil
 	}
-	runBoth(t, mkFresh, verifyNear10, UniformDst{TotalSteps: steps}, WithTests(50), WithSeed(9))
+	runBoth(t, mkFresh, verifyNear10, UniformDst{TotalSteps: steps}, campaign.WithTests(50), campaign.WithSeed(9))
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
 	"fliptracker/internal/trace"
@@ -100,7 +101,7 @@ func mustRun(t *testing.T, p *ir.Program, targets TargetPicker, opts ...Option) 
 func TestCampaignUniformDst(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
-	res := mustRun(t, p, UniformDst{TotalSteps: steps}, WithTests(400), WithSeed(1))
+	res := mustRun(t, p, UniformDst{TotalSteps: steps}, campaign.WithTests(400), campaign.WithSeed(1))
 	if res.Tests != 400 {
 		t.Fatalf("tests = %d", res.Tests)
 	}
@@ -124,7 +125,7 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	steps := totalSteps(t, p)
 	mk := func(par int) Result {
 		return mustRun(t, p, UniformDst{TotalSteps: steps},
-			WithTests(100), WithSeed(42), WithParallelism(par))
+			campaign.WithTests(100), campaign.WithSeed(42), campaign.WithParallelism(par))
 	}
 	if a, b := mk(1), mk(8); a != b {
 		t.Errorf("campaign results depend on parallelism: %+v vs %+v", a, b)
@@ -135,7 +136,7 @@ func TestCampaignSeedChangesDraws(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	run := func(seed int64) Result {
-		return mustRun(t, p, UniformDst{TotalSteps: steps}, WithTests(60), WithSeed(seed))
+		return mustRun(t, p, UniformDst{TotalSteps: steps}, campaign.WithTests(60), campaign.WithSeed(seed))
 	}
 	if a, b := run(1), run(2); a == b {
 		t.Log("different seeds coincidentally gave identical results (possible but unlikely)")
@@ -161,7 +162,7 @@ func TestMemAtStepTargetsInputs(t *testing.T) {
 			break
 		}
 	}
-	res := mustRun(t, p, MemAtStep{Step: loadStep, Addrs: addrs}, WithTests(200), WithSeed(7))
+	res := mustRun(t, p, MemAtStep{Step: loadStep, Addrs: addrs}, campaign.WithTests(200), campaign.WithSeed(7))
 	// Memory flips in a[] cannot crash this program (no addresses flow
 	// from a[]); they either mask or fail.
 	if res.Crashed != 0 {
@@ -211,16 +212,16 @@ func TestNewCampaignValidation(t *testing.T) {
 	if _, err := NewCampaign(mk, verifyNear10, targets); err == nil {
 		t.Error("campaign without WithTests should fail")
 	}
-	if _, err := NewCampaign(mk, verifyNear10, targets, WithTests(-3)); err == nil {
+	if _, err := NewCampaign(mk, verifyNear10, targets, campaign.WithTests(-3)); err == nil {
 		t.Error("negative test count should fail")
 	}
-	if _, err := NewCampaign(mk, verifyNear10, targets, WithTests(10), WithEarlyStop(1.5, 0.03)); err == nil {
+	if _, err := NewCampaign(mk, verifyNear10, targets, campaign.WithTests(10), campaign.WithEarlyStop(1.5, 0.03)); err == nil {
 		t.Error("early-stop confidence outside (0,1) should fail")
 	}
-	if _, err := NewCampaign(mk, verifyNear10, targets, WithTests(10), WithEarlyStop(0.95, 0)); err == nil {
+	if _, err := NewCampaign(mk, verifyNear10, targets, campaign.WithTests(10), campaign.WithEarlyStop(0.95, 0)); err == nil {
 		t.Error("early-stop margin outside (0,1) should fail")
 	}
-	if _, err := NewCampaign(mk, verifyNear10, targets, WithTests(10)); err != nil {
+	if _, err := NewCampaign(mk, verifyNear10, targets, campaign.WithTests(10)); err != nil {
 		t.Errorf("valid campaign rejected: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/journal"
 	"fliptracker/internal/trace"
@@ -22,7 +23,7 @@ func TestJournalResumeAfterBreak(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	targets := UniformDst{TotalSteps: steps}
-	base := []Option{WithTests(40), WithSeed(20181111)}
+	base := []Option{campaign.WithTests(40), campaign.WithSeed(20181111)}
 
 	want := fromScratch(t, mustCampaign(t, p, targets, base...))
 	wantRes := tally(want)
@@ -31,7 +32,7 @@ func TestJournalResumeAfterBreak(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "c.journal")
 		var got []FaultOutcome
 		c := mustCampaign(t, p, targets,
-			append(base, WithJournal(path), WithParallelism(4))...)
+			append(base, campaign.WithJournal(path), campaign.WithParallelism(4))...)
 		for fo, err := range c.Stream(context.Background()) {
 			if err != nil {
 				t.Fatal(err)
@@ -43,7 +44,7 @@ func TestJournalResumeAfterBreak(t *testing.T) {
 		}
 
 		c2 := mustCampaign(t, p, targets,
-			append(base, WithJournal(path), WithParallelism(1))...)
+			append(base, campaign.WithJournal(path), campaign.WithParallelism(1))...)
 		for fo, err := range c2.Stream(context.Background()) {
 			if err != nil {
 				t.Fatal(err)
@@ -62,7 +63,7 @@ func TestJournalResumeAfterBreak(t *testing.T) {
 			t.Fatalf("k=%d: resumed outcome stream diverges from the from-scratch oracle", k)
 		}
 
-		res, err := mustCampaign(t, p, targets, append(base, WithJournal(path))...).Run(context.Background())
+		res, err := mustCampaign(t, p, targets, append(base, campaign.WithJournal(path))...).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestJournalCancelMidRun(t *testing.T) {
 	p := buildToleranceProg(t)
 	steps := totalSteps(t, p)
 	targets := UniformDst{TotalSteps: steps}
-	base := []Option{WithTests(40), WithSeed(7)}
+	base := []Option{campaign.WithTests(40), campaign.WithSeed(7)}
 
 	want, err := mustCampaign(t, p, targets, base...).Run(context.Background())
 	if err != nil {
@@ -92,8 +93,8 @@ func TestJournalCancelMidRun(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "c.journal")
 		ctx, cancel := context.WithCancel(context.Background())
 		c := mustCampaign(t, p, targets, append(base,
-			WithJournal(path), WithParallelism(4),
-			WithProgress(func(done, total int) {
+			campaign.WithJournal(path), campaign.WithParallelism(4),
+			campaign.WithProgress(func(done, total int) {
 				if done > k {
 					cancel()
 				}
@@ -105,7 +106,7 @@ func TestJournalCancelMidRun(t *testing.T) {
 
 		// The journal holds a committed prefix; whatever its exact length,
 		// the resume must land on the uninterrupted Result.
-		c2 := mustCampaign(t, p, targets, append(base, WithJournal(path))...)
+		c2 := mustCampaign(t, p, targets, append(base, campaign.WithJournal(path))...)
 		got, err := c2.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -125,15 +126,15 @@ func TestJournalMismatch(t *testing.T) {
 	targets := UniformDst{TotalSteps: steps}
 	path := filepath.Join(t.TempDir(), "c.journal")
 	if _, err := mustCampaign(t, p, targets,
-		WithTests(20), WithSeed(1), WithJournal(path)).Run(context.Background()); err != nil {
+		campaign.WithTests(20), campaign.WithSeed(1), campaign.WithJournal(path)).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	for name, opts := range map[string][]Option{
-		"seed":       {WithTests(20), WithSeed(2), WithJournal(path)},
-		"tests":      {WithTests(30), WithSeed(1), WithJournal(path)},
-		"population": {WithTests(20), WithSeed(1), WithJournal(path)},
-		"app":        {WithTests(20), WithSeed(1), WithJournal(path), WithJournalApp("other")},
+		"seed":       {campaign.WithTests(20), campaign.WithSeed(2), campaign.WithJournal(path)},
+		"tests":      {campaign.WithTests(30), campaign.WithSeed(1), campaign.WithJournal(path)},
+		"population": {campaign.WithTests(20), campaign.WithSeed(1), campaign.WithJournal(path)},
+		"app":        {campaign.WithTests(20), campaign.WithSeed(1), campaign.WithJournal(path), campaign.WithJournalApp("other")},
 	} {
 		tg := targets
 		if name == "population" {
@@ -156,7 +157,7 @@ func TestJournalFaultStreamCrossCheck(t *testing.T) {
 	targets := UniformDst{TotalSteps: steps}
 	path := filepath.Join(t.TempDir(), "c.journal")
 
-	c := mustCampaign(t, p, targets, WithTests(10), WithSeed(3), WithJournal(path))
+	c := mustCampaign(t, p, targets, campaign.WithTests(10), campaign.WithSeed(3), campaign.WithJournal(path))
 	j, err := journal.Create(path, c.Header())
 	if err != nil {
 		t.Fatal(err)
@@ -189,8 +190,8 @@ func TestJournalRejectsAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = NewCampaign(makeMachine(p), verifyNear10, UniformDst{TotalSteps: clean.Steps},
-		WithTests(10),
-		WithJournal(filepath.Join(t.TempDir(), "c.journal")),
+		campaign.WithTests(10),
+		campaign.WithJournal(filepath.Join(t.TempDir(), "c.journal")),
 		WithAnalysis(clean, func(i int, f interp.Fault, tr *trace.Trace, o Outcome) (any, error) { return nil, nil }))
 	if err == nil {
 		t.Fatal("WithJournal+WithAnalysis accepted, want construction error")

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
 )
 
@@ -54,7 +55,7 @@ func TestMixedDrawsFromAllSubPopulations(t *testing.T) {
 func TestUniformMemCampaign(t *testing.T) {
 	p := buildToleranceProg(t)
 	res := mustRun(t, p, UniformMem{TotalSteps: 100, FirstAddr: 1, LastAddr: p.MemWords},
-		WithTests(150), WithSeed(11))
+		campaign.WithTests(150), campaign.WithSeed(11))
 	if res.Success+res.Failed+res.Crashed+res.NotApplied != res.Tests {
 		t.Fatalf("outcomes do not sum: %+v", res)
 	}

@@ -12,7 +12,7 @@
 // reaches nothing are StaticallyBenign: an injection there is guaranteed to
 // classify Success (the run completes with byte-identical output), so
 // campaigns may record the outcome without running the world
-// (inject.WithStaticPrune, mpi.WithStaticPrune). Sites where the fault
+// (campaign.WithStaticPrune). Sites where the fault
 // cannot even fire (branches, markers, void calls) classify NeverFires and
 // prune to NotApplied.
 //

@@ -200,7 +200,7 @@ func TestDirsOnRealEnginePackages(t *testing.T) {
 	dirs := []string{
 		"../campaign", "../inject", "../mpi", "../journal",
 		"../trace", "../core", "../interp", "../ir", "../irstatic", "../coord", "../server",
-		"../acl", "../dddg", "../patterns",
+		"../acl", "../dddg", "../patterns", "../../cmd/fliptracker",
 	}
 	fs, err := Dirs(dirs)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
-	"fliptracker/internal/irstatic"
 	"fliptracker/internal/journal"
 	"fliptracker/internal/trace"
 )
@@ -43,8 +42,6 @@ type Campaign struct {
 	maxCheckpoints int
 	verify         func(*Result) bool
 	analyze        WorldAnalyzer
-	dropTraces     bool
-	pruner         *irstatic.Pruner
 
 	clean *Result
 	hint  uint64
@@ -54,51 +51,40 @@ type Campaign struct {
 	stitch bool
 }
 
-// Option configures a Campaign at construction time.
-type Option func(*Campaign)
+// Option configures a Campaign at construction time: one of the options
+// both engines share (campaign.WithTests, WithSeed, WithParallelism,
+// WithProgress, WithEarlyStop, WithDropTraces, WithStaticPrune, WithJournal,
+// WithJournalApp, WithShards) or one of this engine's own —
+// WithVerify, WithWorldAnalysis, WithClean. A single-process engine option
+// makes NewCampaign fail.
+type Option = campaign.Option
 
-// WithTests sets the number of injected worlds. Required for an injecting
-// campaign; a replay-only campaign (nil TargetPicker) must leave it zero.
-func WithTests(n int) Option { return func(c *Campaign) { c.cfg.Tests = n } }
+// engineOption is an option of this engine only.
+type engineOption = campaign.EngineOption[Campaign]
 
-// WithSeed makes the campaign reproducible: faults are pre-drawn from a
-// single stream seeded here, so results do not depend on parallelism. The
-// default seed is 0. (This seeds the fault stream only; Config.Seed seeds
-// the per-rank RNGs of every world.)
-func WithSeed(seed int64) Option { return func(c *Campaign) { c.cfg.Seed = seed } }
+// WithTests is campaign.WithTests: the number of injected worlds.
+//
+// Deprecated: use campaign.WithTests.
+func WithTests(n int) Option { return campaign.WithTests(n) }
 
-// WithParallelism caps concurrently executing worlds; 0 (the default) means
-// GOMAXPROCS. Each world already runs one goroutine per rank, so the useful
-// ceiling is lower than in single-process campaigns.
-func WithParallelism(n int) Option { return func(c *Campaign) { c.cfg.Parallelism = n } }
+// WithSeed is campaign.WithSeed.
+//
+// Deprecated: use campaign.WithSeed.
+func WithSeed(seed int64) Option { return campaign.WithSeed(seed) }
 
-// WithEarlyStop enables sequential early stopping, exactly as in
-// single-process campaigns (inject.WithEarlyStop): the campaign ends as soon
-// as the world success rate's Agresti–Coull confidence interval half-width
-// (stats.AdjustedProportionCI, at the given confidence level) is within
-// margin, instead of always running the full WithTests count — never before
-// inject.EarlyStopMinTests completed worlds. The stop decision is evaluated
-// on the world outcome stream in fault-index order, so for a fixed seed it
-// is deterministic whatever the parallelism.
-func WithEarlyStop(confidence, margin float64) Option {
-	return func(c *Campaign) {
-		c.cfg.EarlyStop = true
-		c.cfg.Confidence = confidence
-		c.cfg.Margin = margin
-	}
-}
-
-// WithProgress registers a callback invoked after each completed world with
-// the number of outcomes delivered so far and the planned total. It is
-// called sequentially (never concurrently) in fault-index order.
-func WithProgress(fn func(done, total int)) Option { return func(c *Campaign) { c.cfg.Progress = fn } }
+// WithParallelism is campaign.WithParallelism: it caps concurrently
+// executing worlds. Each world already runs one goroutine per rank, so the
+// useful ceiling is lower than in single-process campaigns.
+//
+// Deprecated: use campaign.WithParallelism.
+func WithParallelism(n int) Option { return campaign.WithParallelism(n) }
 
 // WithVerify replaces the campaign's world verifier, consulted when a world
 // completes without crashing. The default verifier requires every rank's
 // outputs to match the clean world's bit for bit; analysis layers with a
 // tolerance (the §II-A verification phase) substitute their own.
 func WithVerify(verify func(faulty *Result) bool) Option {
-	return func(c *Campaign) { c.verify = verify }
+	return engineOption(func(c *Campaign) { c.verify = verify })
 }
 
 // WorldAnalyzer is the per-fault analysis hook of an analyzed MPI campaign:
@@ -115,51 +101,15 @@ type WorldAnalyzer func(index int, f interp.Fault, faulty *Result, outcome injec
 // to analyze on the worker that ran it, so per-world analyses parallelize
 // with the injections themselves.
 func WithWorldAnalysis(analyze WorldAnalyzer) Option {
-	return func(c *Campaign) { c.analyze = analyze }
+	return engineOption(func(c *Campaign) { c.analyze = analyze })
 }
-
-// WithDropTraces makes an analyzed campaign release each world's per-rank
-// traces as soon as its WorldAnalyzer returns: the payload's DropTrace
-// method (inject.TraceDropper) is invoked, and the world result itself is
-// never retained by the engine. Collected analyses then hold only their
-// summary artifacts, enabling memory-bounded sweeps over many worlds.
-func WithDropTraces() Option { return func(c *Campaign) { c.dropTraces = true } }
-
-// WithStaticPrune short-circuits injected worlds whose outcome the static
-// dependence analysis (internal/irstatic) has already proven, exactly as
-// inject.WithStaticPrune does for single-process campaigns: a fault site
-// classified Benign records Success, one classified NeverFires records
-// NotApplied — both with a Contained propagation, since a corruption that
-// reaches no sink on the injected rank can never cross a message or
-// collective — and Live faults replay their world as before. The pruner must
-// pair the campaign program's analysis with the SID log of the injected
-// rank's fault-free run (core.MPIAnalyzer.StaticPruner builds one), and the
-// clean world must pass the campaign verifier (core checks this when it
-// builds the pruner). Pruning is result-invariant and stays out of the
-// journal fingerprint. Incompatible with WithWorldAnalysis.
-func WithStaticPrune(p *irstatic.Pruner) Option { return func(c *Campaign) { c.pruner = p } }
-
-// WithJournal makes the campaign durable, exactly as inject.WithJournal
-// does for single-process campaigns: every world outcome (including its
-// cross-rank propagation classification) is appended to an append-only
-// checksummed journal at path and fsync'd before the next outcome is
-// delivered. Run and Stream on an existing journal validate its header
-// (app, seeds, world shape, population fingerprint — journal.ErrMismatch
-// on any difference), replay the committed worlds from disk, and execute
-// only the remaining index range; a torn or bit-flipped tail is truncated
-// to the last committed record. Parallelism may change between runs. Incompatible with WithWorldAnalysis.
-func WithJournal(path string) Option { return func(c *Campaign) { c.cfg.Journal = path } }
-
-// WithJournalApp labels the journal header with an application name;
-// defaults to the program's name.
-func WithJournalApp(app string) Option { return func(c *Campaign) { c.cfg.App = app } }
 
 // WithClean adopts an existing fault-free world instead of recording a new
 // one at construction. clean must be a TraceFull run of the same program
 // under the same Config (ranks, seed, binds); analysis layers that already
 // hold one (e.g. per-rank clean indexes) pass it here so the campaign and
 // the analysis replay the identical recording.
-func WithClean(clean *Result) Option { return func(c *Campaign) { c.clean = clean } }
+func WithClean(clean *Result) Option { return engineOption(func(c *Campaign) { c.clean = clean }) }
 
 // NewCampaign builds a campaign over the given fault population. base
 // configures every world (ranks, per-rank seed, extra host binds, and
@@ -174,8 +124,8 @@ func WithClean(clean *Result) Option { return func(c *Campaign) { c.clean = clea
 // tracing-overhead study) shares with injecting campaigns.
 func NewCampaign(p *ir.Program, base Config, targets inject.TargetPicker, opts ...Option) (*Campaign, error) {
 	c := &Campaign{prog: p, base: base, targets: targets}
-	for _, o := range opts {
-		o(c)
+	if err := campaign.Apply(&c.cfg, c, opts); err != nil {
+		return nil, fmt.Errorf("mpi: %w", err)
 	}
 	if base.Fault != nil || base.Replay != nil {
 		return nil, fmt.Errorf("mpi: campaign base config must not set Fault or Replay (the campaign draws faults and records its own replay)")
@@ -193,8 +143,8 @@ func NewCampaign(p *ir.Program, base Config, targets inject.TargetPicker, opts .
 		Engine: journal.EngineMPI,
 		Config: fmt.Sprintf("mpi|ranks=%d|faultrank=%d|worldseed=%d|steplimit=%d",
 			base.Ranks, base.FaultRank, base.Seed, base.StepLimit),
-		Heavy: c.analyze != nil,
-		Plan:  c.plan,
+		Analyzed: c.analyze != nil,
+		Plan:     c.plan,
 		Record: func(wo WorldOutcome) journal.Record {
 			return journal.Record{
 				Index:     uint64(wo.Index),
@@ -204,6 +154,10 @@ func NewCampaign(p *ir.Program, base Config, targets inject.TargetPicker, opts .
 				PropRanks: wo.Propagation.Ranks,
 			}
 		},
+		// A record without propagation fields replays Contained with no
+		// diverged ranks: the outcome of a statically proven fault, which
+		// never perturbs the world (what ClassifyPropagation computes for an
+		// undisturbed replay).
 		Replay: func(r journal.Record) WorldOutcome {
 			return WorldOutcome{
 				Index:       int(r.Index),
@@ -217,15 +171,6 @@ func NewCampaign(p *ir.Program, base Config, targets inject.TargetPicker, opts .
 		return nil, err
 	}
 	c.Campaign = d
-	if c.dropTraces && c.analyze == nil {
-		return nil, fmt.Errorf("mpi: WithDropTraces requires WithWorldAnalysis")
-	}
-	if c.cfg.Journal != "" && c.analyze != nil {
-		return nil, fmt.Errorf("mpi: WithJournal cannot be combined with WithWorldAnalysis (analysis payloads are not journaled)")
-	}
-	if c.pruner != nil && c.analyze != nil {
-		return nil, fmt.Errorf("mpi: WithStaticPrune cannot be combined with WithWorldAnalysis (pruned worlds produce no traces to analyze)")
-	}
 	if c.clean == nil {
 		cfg := c.base
 		cfg.Mode = interp.TraceFull
@@ -342,11 +287,11 @@ type WorldOutcome struct {
 // to cut at, and analyzed campaigns additionally need stitchable
 // (per-rank monotonic) clean traces; planWorldCheckpoints degrades to a nil
 // plan (replay from step 0) when either is missing.
-func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first, last int) (func(int) (WorldOutcome, error), error) {
+func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, live []int) (func(int) (WorldOutcome, error), error) {
 	var plan *worldPlan
 	if c.analyze == nil || c.stitch {
 		var err error
-		if plan, err = c.planWorldCheckpoints(ctx, faults, first, last); err != nil {
+		if plan, err = c.planWorldCheckpoints(ctx, faults, live); err != nil {
 			return nil, err
 		}
 	}
@@ -357,18 +302,6 @@ func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first, last 
 // checkpoint when one is assigned, replayed from step 0 otherwise — and
 // classifies it.
 func (c *Campaign) runFault(i int, f interp.Fault, plan *worldPlan) (WorldOutcome, error) {
-	if c.pruner != nil {
-		// A statically proven fault never perturbs the world: every rank —
-		// including the injected one — behaves exactly as in the clean run,
-		// so the propagation is Contained with no diverged ranks, matching
-		// what ClassifyPropagation computes for an undisturbed replay.
-		switch c.pruner.Classify(f) {
-		case irstatic.Benign:
-			return WorldOutcome{Index: i, Fault: f, Outcome: inject.Success, Propagation: Propagation{Class: Contained}}, nil
-		case irstatic.NeverFires:
-			return WorldOutcome{Index: i, Fault: f, Outcome: inject.NotApplied, Propagation: Propagation{Class: Contained}}, nil
-		}
-	}
 	faulty, err := c.runPlanned(i, &f, plan)
 	if err != nil {
 		return WorldOutcome{}, fmt.Errorf("mpi: world %d: %w", i, err)
@@ -376,7 +309,7 @@ func (c *Campaign) runFault(i int, f interp.Fault, plan *worldPlan) (WorldOutcom
 	wo := WorldOutcome{
 		Index:       i,
 		Fault:       f,
-		Outcome:     c.classifyWorld(faulty),
+		Outcome:     ClassifyWorld(faulty, c.base.FaultRank, c.verify),
 		Propagation: ClassifyPropagation(c.clean, faulty, c.base.FaultRank),
 	}
 	if c.analyze != nil {
@@ -384,7 +317,7 @@ func (c *Campaign) runFault(i int, f interp.Fault, plan *worldPlan) (WorldOutcom
 		if err != nil {
 			return WorldOutcome{}, fmt.Errorf("mpi: analyze world %d: %w", i, err)
 		}
-		if c.dropTraces {
+		if c.cfg.DropTraces {
 			if d, ok := payload.(inject.TraceDropper); ok {
 				d.DropTrace()
 				// The payload has released its per-rank trace references;
@@ -401,12 +334,6 @@ func (c *Campaign) runFault(i int, f interp.Fault, plan *worldPlan) (WorldOutcom
 		wo.Analysis = payload
 	}
 	return wo, nil
-}
-
-// classifyWorld maps a finished faulty world to its §II-A manifestation
-// under the campaign's verifier.
-func (c *Campaign) classifyWorld(faulty *Result) inject.Outcome {
-	return ClassifyWorld(faulty, c.base.FaultRank, c.verify)
 }
 
 // ClassifyWorld maps a finished faulty world to its §II-A manifestation:

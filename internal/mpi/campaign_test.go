@@ -3,9 +3,11 @@ package mpi
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
@@ -69,7 +71,7 @@ func testCampaign(t testing.TB, tests int, opts ...Option) *Campaign {
 	// instead of 200M-step crawls.
 	c, err := NewCampaign(p, Config{Ranks: 3, Seed: 1, FaultRank: 1, StepLimit: 64 * steps},
 		inject.UniformDst{TotalSteps: steps},
-		append([]Option{WithTests(tests), WithSeed(7)}, opts...)...)
+		append([]Option{campaign.WithTests(tests), campaign.WithSeed(7)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func digestOutcome(wo WorldOutcome) string {
 func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	const tests = 24
 	collect := func(par int) []string {
-		c := testCampaign(t, tests, WithParallelism(par))
+		c := testCampaign(t, tests, campaign.WithParallelism(par))
 		var out []string
 		for wo, err := range c.Stream(context.Background()) {
 			if err != nil {
@@ -172,7 +174,7 @@ func TestCampaignAnalyzedPayloadAndDropTraces(t *testing.T) {
 		}
 		return &dropPayload{index: index, recs: recs}, nil
 	}
-	c := testCampaign(t, 6, WithParallelism(2), WithWorldAnalysis(analyze), WithDropTraces())
+	c := testCampaign(t, 6, campaign.WithParallelism(2), WithWorldAnalysis(analyze), campaign.WithDropTraces())
 	next := 0
 	for wo, err := range c.Stream(context.Background()) {
 		if err != nil {
@@ -202,7 +204,7 @@ func TestCampaignAnalyzedPayloadAndDropTraces(t *testing.T) {
 // ctx.Err() and leaves no workers running (the -race build would flag
 // leaked worlds touching test state).
 func TestCampaignCancellation(t *testing.T) {
-	c := testCampaign(t, 32, WithParallelism(2))
+	c := testCampaign(t, 32, campaign.WithParallelism(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := 0
 	var finalErr error
@@ -234,23 +236,23 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := NewCampaign(p, base, targets); err == nil {
 		t.Error("missing WithTests should fail")
 	}
-	if _, err := NewCampaign(p, base, nil, WithTests(5)); err == nil {
+	if _, err := NewCampaign(p, base, nil, campaign.WithTests(5)); err == nil {
 		t.Error("tests without targets should fail")
 	}
-	if _, err := NewCampaign(p, Config{Ranks: 3, FaultRank: 3}, targets, WithTests(1)); err == nil {
+	if _, err := NewCampaign(p, Config{Ranks: 3, FaultRank: 3}, targets, campaign.WithTests(1)); err == nil {
 		t.Error("fault rank out of range should fail")
 	}
-	if _, err := NewCampaign(p, Config{Ranks: 3, FaultRank: -1}, targets, WithTests(1)); err == nil {
+	if _, err := NewCampaign(p, Config{Ranks: 3, FaultRank: -1}, targets, campaign.WithTests(1)); err == nil {
 		t.Error("negative fault rank should fail")
 	}
 	f := interp.Fault{Step: 1}
-	if _, err := NewCampaign(p, Config{Ranks: 3, Fault: &f}, targets, WithTests(1)); err == nil {
+	if _, err := NewCampaign(p, Config{Ranks: 3, Fault: &f}, targets, campaign.WithTests(1)); err == nil {
 		t.Error("base config with Fault should fail")
 	}
-	if _, err := NewCampaign(p, base, inject.UniformDst{}, WithTests(1)); err == nil {
+	if _, err := NewCampaign(p, base, inject.UniformDst{}, campaign.WithTests(1)); err == nil {
 		t.Error("empty population should fail Validate")
 	}
-	if _, err := NewCampaign(p, base, targets, WithTests(1), WithDropTraces()); err == nil {
+	if _, err := NewCampaign(p, base, targets, campaign.WithTests(1), campaign.WithDropTraces()); err == nil {
 		t.Error("WithDropTraces without analysis should fail")
 	}
 	if _, err := NewCampaign(p, base, nil, WithWorldAnalysis(
@@ -395,5 +397,24 @@ func TestClassifyPropagationUnits(t *testing.T) {
 	}}
 	if p := ClassifyPropagation(clean, crash, 1); p.Class != WorldCrash || len(p.Ranks) != 1 || p.Ranks[0] != 0 {
 		t.Errorf("world-crash: %v", p)
+	}
+}
+
+// TestForeignEngineOptionIsAnError: both engines take the one campaign
+// option type, so either constructor must refuse the other engine's
+// options with an error rather than panic or ignore them.
+func TestForeignEngineOptionIsAnError(t *testing.T) {
+	p := buildCampaignProg(t)
+	targets := inject.UniformDst{TotalSteps: 10}
+	analysis := inject.WithAnalysis(&trace.Trace{},
+		func(int, interp.Fault, *trace.Trace, inject.Outcome) (any, error) { return nil, nil })
+	if _, err := NewCampaign(p, Config{Ranks: 3}, targets, campaign.WithTests(4), analysis); err == nil || !strings.Contains(err.Error(), "another engine") {
+		t.Errorf("mpi.NewCampaign with inject.WithAnalysis: error %v, want one naming another engine", err)
+	}
+	mk := func() (*interp.Machine, error) { return interp.NewMachine(p) }
+	verify := func(*trace.Trace) bool { return true }
+	worldVerify := WithVerify(func(*Result) bool { return true })
+	if _, err := inject.NewCampaign(mk, verify, targets, campaign.WithTests(4), worldVerify); err == nil || !strings.Contains(err.Error(), "another engine") {
+		t.Errorf("inject.NewCampaign with mpi.WithVerify: error %v, want one naming another engine", err)
 	}
 }

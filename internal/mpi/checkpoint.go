@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"fliptracker/internal/interp"
-	"fliptracker/internal/irstatic"
 	"fliptracker/internal/trace"
 )
 
@@ -50,11 +49,11 @@ type worldPlan struct {
 // every fault lands before the first cut. Such campaigns replay every
 // world from step 0.
 //
-// Only the window [first, last) is planned: indices outside it belong to
-// other shards (or a journal's replayed prefix) and never run here, so they
-// neither request cuts nor need assignments — a sharded campaign's forward
-// passes each cover just their own window's fault steps.
-func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fault, first, last int) (*worldPlan, error) {
+// Only the live indices are planned: indices outside their window belong to
+// other shards (or a journal's replayed prefix) and statically pruned ones
+// never run, so they neither request cuts nor need assignments — a sharded
+// campaign's forward passes each cover just their own window's fault steps.
+func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fault, live []int) (*worldPlan, error) {
 	if len(c.clean.Cuts) != c.base.Ranks {
 		// An adopted clean Result without cut logs (WithClean on a Result
 		// assembled outside mpi.Run, e.g. rebuilt from persisted traces):
@@ -77,18 +76,8 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 	bestRound := func(step uint64) int {
 		return sort.Search(rounds, func(k int) bool { return faultCuts[k] > step }) - 1
 	}
-	// Statically pruned faults never replay a world, so they request no
-	// cuts and need no assignments (runFault short-circuits them before
-	// consulting the plan). Scheduling-only: assignments are
-	// result-invariant.
-	live := func(f interp.Fault) bool {
-		return c.pruner == nil || c.pruner.Classify(f) == irstatic.Live
-	}
 	want := make(map[int]bool, rounds)
-	for i := first; i < last; i++ {
-		if !live(faults[i]) {
-			continue
-		}
+	for _, i := range live {
 		if k := bestRound(faults[i].Step); k >= 0 {
 			want[k] = true
 		}
@@ -131,12 +120,8 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 	for i := range plan.assign {
 		plan.assign[i] = -1
 	}
-	for i := first; i < last; i++ {
-		f := faults[i]
-		if !live(f) {
-			continue
-		}
-		step := f.Step
+	for _, i := range live {
+		step := faults[i].Step
 		// The nearest SELECTED cut at or before the fault.
 		for si := len(selected) - 1; si >= 0; si-- {
 			if faultCuts[selected[si]] <= step {

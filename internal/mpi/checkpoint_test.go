@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/stats"
@@ -27,7 +28,7 @@ func TestPlanWorldCheckpoints(t *testing.T) {
 		{Step: cuts[1] - 1, Bit: 1, Kind: interp.FaultDst}, // just before a cut
 		{Step: steps - 1, Bit: 1, Kind: interp.FaultDst},   // late window
 	}
-	plan, err := c.planWorldCheckpoints(context.Background(), faults, 0, len(faults))
+	plan, err := c.planWorldCheckpoints(context.Background(), faults, allIndices(faults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestPlanWorldCheckpoints(t *testing.T) {
 	// A budget of one keeps a single snapshot, still at or before the late
 	// faults it serves.
 	c1 := testCampaign(t, 4, withMaxCheckpoints(1))
-	plan1, err := c1.planWorldCheckpoints(context.Background(), faults, 0, len(faults))
+	plan1, err := c1.planWorldCheckpoints(context.Background(), faults, allIndices(faults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +74,21 @@ func TestPlanWorldCheckpoints(t *testing.T) {
 	}
 }
 
+// allIndices lists every index of faults: one unpruned window over all of
+// them.
+func allIndices(faults []interp.Fault) []int {
+	live := make([]int, len(faults))
+	for i := range live {
+		live[i] = i
+	}
+	return live
+}
+
 // withMaxCheckpoints overrides the planner's DefaultMaxWorldCheckpoints
 // backstop.
-func withMaxCheckpoints(n int) Option { return func(c *Campaign) { c.maxCheckpoints = n } }
+func withMaxCheckpoints(n int) Option {
+	return engineOption(func(c *Campaign) { c.maxCheckpoints = n })
+}
 
 // fromScratch is the campaign's test oracle: every drawn fault run in index
 // order through the per-fault runner with no checkpoint plan, so each world
@@ -104,11 +117,11 @@ func TestCampaignAdoptedCleanWithoutCuts(t *testing.T) {
 	steps := ref.clean.Ranks[1].Trace.Steps
 	c, err := NewCampaign(ref.prog, Config{Ranks: 3, Seed: 1, FaultRank: 1, StepLimit: 64 * steps},
 		inject.UniformDst{TotalSteps: steps},
-		WithTests(8), WithSeed(7), WithClean(stripped))
+		campaign.WithTests(8), campaign.WithSeed(7), WithClean(stripped))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := c.planWorldCheckpoints(context.Background(), []interp.Fault{{Step: steps - 1}}, 0, 1)
+	plan, err := c.planWorldCheckpoints(context.Background(), []interp.Fault{{Step: steps - 1}}, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +147,7 @@ func TestCampaignAdoptedCleanWithoutCuts(t *testing.T) {
 // identical outcome and propagation streams for the same seed.
 func TestCheckpointedCampaignMatchesDirect(t *testing.T) {
 	const tests = 24
-	c := testCampaign(t, tests, WithParallelism(2))
+	c := testCampaign(t, tests, campaign.WithParallelism(2))
 	var direct, checkpointed []string
 	for _, wo := range fromScratch(t, c) {
 		direct = append(direct, digestOutcome(wo))
@@ -194,7 +207,7 @@ func TestCampaignEarlyStop(t *testing.T) {
 	}
 
 	for _, par := range []int{1, 4} {
-		c := testCampaign(t, cap, WithEarlyStop(confidence, margin), WithParallelism(par))
+		c := testCampaign(t, cap, campaign.WithEarlyStop(confidence, margin), campaign.WithParallelism(par))
 		got, err := c.Run(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -221,8 +234,8 @@ func TestCampaignEarlyStopValidation(t *testing.T) {
 	targets := inject.UniformDst{TotalSteps: 100}
 	base := Config{Ranks: 3, Seed: 1}
 	for _, bad := range [][2]float64{{0, 0.05}, {1, 0.05}, {0.95, 0}, {0.95, 1}} {
-		if _, err := NewCampaign(p, base, targets, WithTests(5), WithEarlyStop(bad[0], bad[1])); err == nil {
-			t.Errorf("WithEarlyStop(%v, %v) should fail", bad[0], bad[1])
+		if _, err := NewCampaign(p, base, targets, campaign.WithTests(5), campaign.WithEarlyStop(bad[0], bad[1])); err == nil {
+			t.Errorf("campaign.WithEarlyStop(%v, %v) should fail", bad[0], bad[1])
 		}
 	}
 }

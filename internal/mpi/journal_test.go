@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/journal"
 )
 
@@ -23,7 +24,7 @@ func TestJournalResumeWorlds(t *testing.T) {
 
 	for _, k := range []int{0, 4, 11} {
 		path := filepath.Join(t.TempDir(), "w.journal")
-		c := testCampaign(t, tests, WithJournal(path), WithParallelism(4))
+		c := testCampaign(t, tests, campaign.WithJournal(path), campaign.WithParallelism(4))
 		for wo, err := range c.Stream(context.Background()) {
 			if err != nil {
 				t.Fatal(err)
@@ -37,7 +38,7 @@ func TestJournalResumeWorlds(t *testing.T) {
 		}
 
 		var got []string
-		c2 := testCampaign(t, tests, WithJournal(path), WithParallelism(1))
+		c2 := testCampaign(t, tests, campaign.WithJournal(path), campaign.WithParallelism(1))
 		for wo, err := range c2.Stream(context.Background()) {
 			if err != nil {
 				t.Fatal(err)
@@ -61,7 +62,7 @@ func TestJournalResumeWorlds(t *testing.T) {
 // journal is refused outright by the engine tag.
 func TestJournalWorldMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.journal")
-	if _, err := testCampaign(t, 8, WithJournal(path)).Run(context.Background()); err != nil {
+	if _, err := testCampaign(t, 8, campaign.WithJournal(path)).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,7 +71,7 @@ func TestJournalWorldMismatch(t *testing.T) {
 	c := testCampaign(t, 8)
 	cfg := c.base
 	cfg.FaultRank = 0
-	c2, err := NewCampaign(c.prog, cfg, c.targets, WithTests(8), WithSeed(7), WithJournal(path))
+	c2, err := NewCampaign(c.prog, cfg, c.targets, campaign.WithTests(8), campaign.WithSeed(7), campaign.WithJournal(path))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package server is the campaign service: a long-running HTTP/JSON front
-// end over the shard coordinator (internal/coord) that turns FlipTracker
-// from a CLI run-to-completion tool into something a fleet can submit
-// resilience campaigns to.
+// end over the campaign engines that turns FlipTracker from a CLI
+// run-to-completion tool into something a fleet can submit resilience
+// campaigns to. A request body is a core.Spec, checked and built exactly as
+// the fliptracker CLI checks and builds its flags.
 //
 //	POST   /campaigns           submit a campaign spec; 201 + status JSON
 //	GET    /campaigns           list tracked campaigns
@@ -11,9 +12,9 @@
 //	GET    /healthz             200 ok / 503 draining
 //	GET    /stats               expvar counter map
 //
-// Every campaign executes through the coordinator, so its delivered stream
-// is the deterministic fault-index-ordered stream the in-process engines
-// produce — byte-identical for a fixed spec whatever the service's
+// Every campaign runs on the campaign driver, sharded and merged by it, so
+// its delivered stream is the deterministic fault-index-ordered stream the
+// in-process engines produce — byte-identical for a fixed spec whatever the service's
 // parallelism, shard count, or restart history. With a DataDir the merged
 // stream is journaled per campaign: kill the server mid-campaign, start a
 // new one, re-submit the same id and spec, and the campaign resumes from
@@ -22,7 +23,7 @@
 //
 // Concurrent campaigns multiplex over shared per-application analyzers —
 // one clean trace, clean index, and static pruner per app (per world shape
-// for MPI), built once and cached — while MaxRunning bounds concurrently
+// for MPI), built once and cached (core.Analyzers) — while MaxRunning bounds concurrently
 // executing campaigns and MaxCampaigns bounds tracked ones, keeping the
 // service's memory budget flat. Campaigns run untraced (outcome records
 // only, never per-fault traces), so a tracked campaign's footprint is its
@@ -41,7 +42,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"fliptracker/internal/coord"
 	"fliptracker/internal/core"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/journal"
@@ -65,60 +65,20 @@ type Options struct {
 	MaxCampaigns int
 }
 
-// Request bounds: a POST body larger than maxSpecBytes is refused with 413,
-// and a spec asking for more than maxTests injections with 400 — the fault
-// stream is drawn up front, so tests sizes the campaign's memory.
-const (
-	maxSpecBytes = 1 << 20
-	maxTests     = 1 << 20
-)
+// maxSpecBytes bounds a POST body; a larger one is refused with 413. The
+// spec's own bounds (core.MaxTests, ...) answer 400.
+const maxSpecBytes = 1 << 20
 
-// Spec is the POST /campaigns request body: everything that determines a
-// campaign's outcome stream, plus result-invariant execution knobs
-// (parallelism, shards). Unknown fields are refused with 400.
-type Spec struct {
-	// ID names the campaign; one is generated when empty. Re-submitting an
-	// untracked ID against a durable server resumes its journal — the
-	// restart-resume path — so clients that need exactly-once campaigns
-	// across server restarts supply their own stable IDs.
-	ID string `json:"id,omitempty"`
-	// App is a registered application (fliptracker.Apps).
-	App string `json:"app"`
-	// Engine selects the campaign engine: "inject" (single-process) or
-	// "mpi" (multi-rank worlds).
-	Engine string `json:"engine"`
-	// Population selects the inject engine's fault population; nil means
-	// whole-program. The MPI engine always targets the injected rank's
-	// whole run.
-	Population *PopulationSpec `json:"population,omitempty"`
-	Seed       int64           `json:"seed"`
-	Tests      int             `json:"tests"`
-	// Parallelism and Shards are result-invariant execution knobs.
-	Parallelism int `json:"parallelism,omitempty"`
-	Shards      int `json:"shards,omitempty"`
-	// EarlyStop, when set, enables the sequential stopping rule.
-	EarlyStop *EarlyStopSpec `json:"early_stop,omitempty"`
-	// StaticPrune short-circuits statically provable faults
-	// (result-invariant; the pruner is cached per app).
-	StaticPrune bool `json:"static_prune,omitempty"`
-	// Ranks and FaultRank shape MPI worlds; ignored by the inject engine.
-	Ranks     int `json:"ranks,omitempty"`
-	FaultRank int `json:"fault_rank,omitempty"`
-}
+// Spec is the POST /campaigns request body (core.Spec): everything that
+// determines a campaign's outcome stream, plus result-invariant execution
+// knobs (parallelism, shards). Unknown fields are refused with 400.
+type Spec = core.Spec
 
-// PopulationSpec selects an inject fault population by kind:
-// "whole-program" (default), "region-internal", "region-inputs", "hybrid".
-type PopulationSpec struct {
-	Kind     string `json:"kind"`
-	Region   string `json:"region,omitempty"`
-	Instance int    `json:"instance,omitempty"`
-}
+// PopulationSpec selects an inject fault population by kind.
+type PopulationSpec = core.PopulationSpec
 
 // EarlyStopSpec carries the Agresti–Coull stopping rule parameters.
-type EarlyStopSpec struct {
-	Confidence float64 `json:"confidence"`
-	Margin     float64 `json:"margin"`
-}
+type EarlyStopSpec = core.EarlyStopSpec
 
 // Campaign states.
 const (
@@ -192,21 +152,7 @@ type Server struct {
 	draining  bool
 	active    sync.WaitGroup
 
-	cacheMu     sync.Mutex
-	injectCache map[string]*injectEntry
-	mpiCache    map[string]*mpiEntry
-}
-
-type injectEntry struct {
-	once sync.Once
-	an   *core.Analyzer
-	err  error
-}
-
-type mpiEntry struct {
-	once sync.Once
-	ma   *core.MPIAnalyzer
-	err  error
+	analyzers core.Analyzers
 }
 
 // New builds a campaign service.
@@ -218,14 +164,13 @@ func New(opts Options) *Server {
 		opts.MaxCampaigns = 64
 	}
 	s := &Server{
-		opts:        opts,
-		mux:         http.NewServeMux(),
-		sem:         make(chan struct{}, opts.MaxRunning),
-		vars:        new(expvar.Map).Init(),
-		campaigns:   make(map[string]*campaign),
-		injectCache: make(map[string]*injectEntry),
-		mpiCache:    make(map[string]*mpiEntry),
+		opts:      opts,
+		mux:       http.NewServeMux(),
+		sem:       make(chan struct{}, opts.MaxRunning),
+		vars:      new(expvar.Map).Init(),
+		campaigns: make(map[string]*campaign),
 	}
+	s.vars.Set("analyzers_built", expvar.Func(func() any { return s.analyzers.Built() }))
 	s.mux.HandleFunc("POST /campaigns", s.handleCreate)
 	s.mux.HandleFunc("GET /campaigns", s.handleList)
 	s.mux.HandleFunc("GET /campaigns/{id}", s.handleGet)
@@ -344,49 +289,6 @@ func genID() string {
 	return "c" + hex.EncodeToString(b[:])
 }
 
-func (s *Spec) validate() error {
-	if s.App == "" {
-		return fmt.Errorf("app is required")
-	}
-	if s.Engine != "inject" && s.Engine != "mpi" {
-		return fmt.Errorf("engine must be %q or %q", "inject", "mpi")
-	}
-	if s.Tests <= 0 || s.Tests > maxTests {
-		return fmt.Errorf("tests must be in [1, %d]", maxTests)
-	}
-	if s.Parallelism < 0 || s.Shards < 0 {
-		return fmt.Errorf("parallelism and shards must be non-negative")
-	}
-	if s.Engine == "mpi" {
-		if s.Ranks < 1 {
-			return fmt.Errorf("mpi engine needs ranks >= 1")
-		}
-		if s.FaultRank < 0 || s.FaultRank >= s.Ranks {
-			return fmt.Errorf("fault_rank %d outside world [0, %d)", s.FaultRank, s.Ranks)
-		}
-		if s.Population != nil {
-			return fmt.Errorf("population applies to the inject engine only")
-		}
-	}
-	if s.Population != nil {
-		switch s.Population.Kind {
-		case "", "whole-program", "hybrid":
-		case "region-internal", "region-inputs":
-			if s.Population.Region == "" {
-				return fmt.Errorf("population kind %q needs a region", s.Population.Kind)
-			}
-		default:
-			return fmt.Errorf("unknown population kind %q", s.Population.Kind)
-		}
-	}
-	if es := s.EarlyStop; es != nil {
-		if es.Confidence <= 0 || es.Confidence >= 1 || es.Margin <= 0 || es.Margin >= 1 {
-			return fmt.Errorf("early_stop confidence and margin must be in (0, 1)")
-		}
-	}
-	return nil
-}
-
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
@@ -400,7 +302,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "bad spec: %v", err)
 		return
 	}
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
@@ -625,7 +527,11 @@ func (s *Server) runCampaign(ctx context.Context, c *campaign) {
 
 	c.setState(StateRunning)
 	s.vars.Add("campaigns_started", 1)
-	runner, err := s.buildRunner(c.spec)
+	journal := ""
+	if s.opts.DataDir != "" {
+		journal = filepath.Join(s.opts.DataDir, c.spec.ID+".journal")
+	}
+	runner, err := c.spec.Build(&s.analyzers, journal)
 	if err != nil {
 		c.finish(StateFailed, inject.Result{}, err)
 		s.vars.Add("campaigns_failed", 1)
@@ -653,131 +559,4 @@ func (s *Server) runCampaign(ctx context.Context, c *campaign) {
 		c.finish(StateFailed, res, runErr)
 		s.vars.Add("campaigns_failed", 1)
 	}
-}
-
-// analyzer returns the cached per-app single-process analyzer, building it
-// (clean trace included) exactly once however many campaigns share it.
-func (s *Server) analyzer(app string) (*core.Analyzer, error) {
-	s.cacheMu.Lock()
-	e, ok := s.injectCache[app]
-	if !ok {
-		e = &injectEntry{}
-		s.injectCache[app] = e
-	}
-	s.cacheMu.Unlock()
-	e.once.Do(func() {
-		e.an, e.err = core.NewAnalyzer(app)
-		if e.err == nil {
-			s.vars.Add("analyzers_built", 1)
-		}
-	})
-	return e.an, e.err
-}
-
-// mpiAnalyzer returns the cached per-(app, ranks, faultRank) MPI analyzer.
-// The world shape is part of the key because the clean world — the
-// expensive shared artifact — depends on it.
-func (s *Server) mpiAnalyzer(app string, ranks, faultRank int) (*core.MPIAnalyzer, error) {
-	key := fmt.Sprintf("%s/%d/%d", app, ranks, faultRank)
-	s.cacheMu.Lock()
-	e, ok := s.mpiCache[key]
-	if !ok {
-		e = &mpiEntry{}
-		s.mpiCache[key] = e
-	}
-	s.cacheMu.Unlock()
-	e.once.Do(func() {
-		e.ma, e.err = core.NewMPIAnalyzer(app, ranks)
-		if e.err == nil {
-			e.ma.FaultRank = faultRank
-			s.vars.Add("analyzers_built", 1)
-		}
-	})
-	return e.ma, e.err
-}
-
-func (p *PopulationSpec) population() core.Population {
-	if p == nil {
-		return core.WholeProgram()
-	}
-	switch p.Kind {
-	case "region-internal":
-		return core.RegionInternal(p.Region, p.Instance)
-	case "region-inputs":
-		return core.RegionInputs(p.Region, p.Instance)
-	case "hybrid":
-		return core.Hybrid()
-	}
-	return core.WholeProgram()
-}
-
-// buildRunner assembles the coordinator for one campaign spec: cached
-// analyzer, engine campaign, shard coordinator, and — under a DataDir — the
-// durable journal carrying the campaign's identity.
-func (s *Server) buildRunner(spec Spec) (coord.Runner, error) {
-	copts := []coord.Option{coord.WithShards(spec.Shards)}
-	if s.opts.DataDir != "" {
-		copts = append(copts, coord.WithJournal(filepath.Join(s.opts.DataDir, spec.ID+".journal")))
-	}
-	switch spec.Engine {
-	case "inject":
-		an, err := s.analyzer(spec.App)
-		if err != nil {
-			return nil, err
-		}
-		opts := []inject.Option{
-			inject.WithTests(spec.Tests),
-			inject.WithSeed(spec.Seed),
-			inject.WithParallelism(spec.Parallelism),
-		}
-		if es := spec.EarlyStop; es != nil {
-			opts = append(opts, inject.WithEarlyStop(es.Confidence, es.Margin))
-		}
-		if spec.StaticPrune {
-			p, err := an.StaticPruner()
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, inject.WithStaticPrune(p))
-		}
-		c, err := an.NewCampaign(spec.Population.population(), opts...)
-		if err != nil {
-			return nil, err
-		}
-		h, err := coord.Inject(c)
-		if err != nil {
-			return nil, err
-		}
-		return coord.New(h, copts...)
-	case "mpi":
-		ma, err := s.mpiAnalyzer(spec.App, spec.Ranks, spec.FaultRank)
-		if err != nil {
-			return nil, err
-		}
-		opts := []mpi.Option{
-			mpi.WithTests(spec.Tests),
-			mpi.WithSeed(spec.Seed),
-			mpi.WithParallelism(spec.Parallelism),
-		}
-		if es := spec.EarlyStop; es != nil {
-			opts = append(opts, mpi.WithEarlyStop(es.Confidence, es.Margin))
-		}
-		if spec.StaticPrune {
-			p, err := ma.StaticPruner()
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, mpi.WithStaticPrune(p))
-		}
-		c, err := ma.NewCampaign(nil, opts...)
-		if err != nil {
-			return nil, err
-		}
-		h, err := coord.MPI(c)
-		if err != nil {
-			return nil, err
-		}
-		return coord.New(h, copts...)
-	}
-	return nil, fmt.Errorf("server: unknown engine %q", spec.Engine)
 }

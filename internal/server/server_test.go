@@ -159,8 +159,8 @@ func engineResult(t *testing.T) inject.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := an.Campaign(context.Background(), core.WholeProgram(),
-		inject.WithTests(testTests), inject.WithSeed(testSeed))
+	spec := injectSpec("", nil)
+	res, err := an.Campaign(context.Background(), core.WholeProgram(), spec.Options()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,14 @@ func TestServerValidation(t *testing.T) {
 		"bad pop":      {App: testApp, Engine: "inject", Tests: 5, Population: &PopulationSpec{Kind: "everything"}},
 		"bad id":       {ID: "a/b", App: testApp, Engine: "inject", Tests: 5},
 		"bad stop":     {App: testApp, Engine: "inject", Tests: 5, EarlyStop: &EarlyStopSpec{Confidence: 2, Margin: 0.1}},
-		"huge tests":   {App: testApp, Engine: "inject", Tests: maxTests + 1},
+		"huge tests":   {App: testApp, Engine: "inject", Tests: core.MaxTests + 1},
+		// A hostile spec must not size the service's memory or goroutines:
+		// every cached analyzer needs a registered app, and each count has a
+		// fixed bound. Values just past the bounds keep a missed check cheap.
+		"unknown app":      {App: "nosuchapp", Engine: "inject", Tests: 5},
+		"huge ranks":       {App: "is", Engine: "mpi", Tests: 5, Ranks: core.MaxRanks + 1},
+		"huge shards":      {App: testApp, Engine: "inject", Tests: 5, Shards: core.MaxShards + 1},
+		"huge parallelism": {App: testApp, Engine: "inject", Tests: 5, Parallelism: core.MaxParallelism + 1},
 	} {
 		resp, _ := postSpec(t, ts, spec)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -279,12 +286,14 @@ func TestServerValidation(t *testing.T) {
 		}
 	}
 
-	// An unknown app passes cheap validation and fails asynchronously.
-	if resp, _ := postSpec(t, ts, Spec{ID: "noapp", App: "nosuchapp", Engine: "inject", Tests: 5}); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("unknown app POST status %d", resp.StatusCode)
+	// A region the app lacks passes validation and fails asynchronously,
+	// when the campaign is built.
+	noRegion := injectSpec("noregion", func(s *Spec) { s.Population = &PopulationSpec{Kind: "region-internal", Region: "nosuch"} })
+	if resp, _ := postSpec(t, ts, noRegion); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("unknown region POST status %d", resp.StatusCode)
 	}
-	if st := waitDone(t, ts, "noapp"); st.State != StateFailed || st.Error == "" {
-		t.Errorf("unknown app final status %+v, want failed with error", st)
+	if st := waitDone(t, ts, "noregion"); st.State != StateFailed || st.Error == "" {
+		t.Errorf("unknown region final status %+v, want failed with error", st)
 	}
 }
 
@@ -450,23 +459,15 @@ func TestServerHealthAndDrain(t *testing.T) {
 }
 
 // TestServerCapacity: at MaxCampaigns with every tracked campaign still
-// queued or running, POST refuses with 503. The first campaign is held
-// running by blocking its analyzer build until the refusal is observed.
+// queued or running, POST refuses with 503. The first campaign is a long
+// sequential one, held running until the refusal is observed and then
+// cancelled.
 func TestServerCapacity(t *testing.T) {
-	s := New(Options{MaxCampaigns: 1})
-	held := &injectEntry{}
-	s.injectCache[testApp] = held
-	started, release := make(chan struct{}), make(chan struct{})
-	go held.once.Do(func() {
-		close(started)
-		<-release
-		held.an, held.err = core.NewAnalyzer(testApp)
-	})
-	<-started
-	ts := httptest.NewServer(s)
+	ts := httptest.NewServer(New(Options{MaxCampaigns: 1}))
 	defer ts.Close()
 
-	if resp, _ := postSpec(t, ts, injectSpec("one", nil)); resp.StatusCode != http.StatusCreated {
+	long := injectSpec("one", func(s *Spec) { s.Tests = 20000; s.Parallelism = 1 })
+	if resp, _ := postSpec(t, ts, long); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST status %d", resp.StatusCode)
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
@@ -487,9 +488,14 @@ func TestServerCapacity(t *testing.T) {
 	if resp, _ := postSpec(t, ts, injectSpec("two", nil)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("over-capacity POST status %d, want 503", resp.StatusCode)
 	}
-	close(release)
-	if st := waitDone(t, ts, "one"); st.State != StateDone {
-		t.Errorf("held campaign final state %q (%s)", st.State, st.Error)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns/one", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := waitDone(t, ts, "one"); st.State != StateCancelled {
+		t.Errorf("held campaign final state %q (%s), want cancelled", st.State, st.Error)
 	}
 }
 

@@ -148,7 +148,7 @@ func TestJournalResumeGoldenMPI(t *testing.T) {
 	ctx := context.Background()
 	opts := func(extra ...fliptracker.MPIOption) []fliptracker.MPIOption {
 		return append([]fliptracker.MPIOption{
-			fliptracker.MPIWithTests(tests), fliptracker.MPIWithSeed(20181111),
+			fliptracker.WithTests(tests), fliptracker.WithSeed(20181111),
 		}, extra...)
 	}
 
@@ -166,7 +166,7 @@ func TestJournalResumeGoldenMPI(t *testing.T) {
 		for _, kill := range []int{1, 3, 5} {
 			name := fmt.Sprintf("par%d/kill%d", par, kill)
 			path := filepath.Join(t.TempDir(), "w.journal")
-			run := opts(fliptracker.MPIWithJournal(path), fliptracker.MPIWithParallelism(par))
+			run := opts(fliptracker.WithJournal(path), fliptracker.WithParallelism(par))
 
 			c, err := ma.NewCampaign(nil, run...)
 			if err != nil {

@@ -46,9 +46,9 @@ func TestMPICampaignMatchesSequentialLoop(t *testing.T) {
 	ctx := context.Background()
 	copts := func(par int) []fliptracker.MPIOption {
 		return []fliptracker.MPIOption{
-			fliptracker.MPIWithTests(tests),
-			fliptracker.MPIWithSeed(20181111),
-			fliptracker.MPIWithParallelism(par),
+			fliptracker.WithTests(tests),
+			fliptracker.WithSeed(20181111),
+			fliptracker.WithParallelism(par),
 		}
 	}
 
@@ -132,9 +132,9 @@ func TestCheckpointedMPICampaignMatchesDirect(t *testing.T) {
 	ctx := context.Background()
 	opts := func(par int) []fliptracker.MPIOption {
 		return []fliptracker.MPIOption{
-			fliptracker.MPIWithTests(tests),
-			fliptracker.MPIWithSeed(20181111),
-			fliptracker.MPIWithParallelism(par),
+			fliptracker.WithTests(tests),
+			fliptracker.WithSeed(20181111),
+			fliptracker.WithParallelism(par),
 		}
 	}
 	plain, err := ma.NewCampaign(nil, opts(0)...)
@@ -198,9 +198,9 @@ func TestMPICampaignPlainMatchesAnalyzed(t *testing.T) {
 	ma.FaultRank = 1
 	ctx := context.Background()
 	opts := []fliptracker.MPIOption{
-		fliptracker.MPIWithTests(8),
-		fliptracker.MPIWithSeed(20181111),
-		fliptracker.MPIWithParallelism(2),
+		fliptracker.WithTests(8),
+		fliptracker.WithSeed(20181111),
+		fliptracker.WithParallelism(2),
 	}
 	type row struct {
 		fault   interp.Fault
@@ -236,7 +236,7 @@ func TestMPICampaignPlainMatchesAnalyzed(t *testing.T) {
 	}
 }
 
-// TestMPIWithDropTracesBoundsMemory checks MPIWithDropTraces releases every
+// TestMPIWithDropTracesBoundsMemory checks WithDropTraces releases every
 // rank trace in collected analyses, and that WithDropTraces does the same
 // for single-process analyzed campaigns (the inject.TraceDropper path).
 func TestMPIWithDropTracesBoundsMemory(t *testing.T) {
@@ -246,7 +246,7 @@ func TestMPIWithDropTracesBoundsMemory(t *testing.T) {
 	}
 	n := 0
 	for wa, err := range ma.StreamWorldAnalysis(context.Background(), nil,
-		fliptracker.MPIWithTests(3), fliptracker.MPIWithSeed(5), fliptracker.MPIWithDropTraces()) {
+		fliptracker.WithTests(3), fliptracker.WithSeed(5), fliptracker.WithDropTraces()) {
 		if err != nil {
 			t.Fatal(err)
 		}

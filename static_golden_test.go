@@ -109,7 +109,7 @@ func TestStaticPruneSoundnessMatrix(t *testing.T) {
 
 // TestStaticPruneSoundnessMatrixMPI is the same acceptance contract for the
 // MPI engine over all ten Table IV applications' SPMD variants: pruned world
-// campaigns (MPIWithStaticPrune) must be Result-identical to unpruned ones
+// campaigns (WithStaticPrune) must be Result-identical to unpruned ones
 // and to the from-scratch oracle (MPIAnalyzer.AnalyzeWorld on every drawn
 // fault), and every world the oracle replayed must satisfy the static
 // soundness contract.
@@ -130,8 +130,8 @@ func TestStaticPruneSoundnessMatrixMPI(t *testing.T) {
 			t.Fatalf("%s: static pruner: %v", name, err)
 		}
 		base := []fliptracker.MPIOption{
-			fliptracker.MPIWithTests(tests),
-			fliptracker.MPIWithSeed(seed),
+			fliptracker.WithTests(tests),
+			fliptracker.WithSeed(seed),
 		}
 
 		// Reference: replay every drawn fault's world from scratch, with
@@ -159,7 +159,7 @@ func TestStaticPruneSoundnessMatrixMPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := ma.NewCampaign(nil, append(base, fliptracker.MPIWithStaticPrune(pruner))...)
+		pc, err := ma.NewCampaign(nil, append(base, fliptracker.WithStaticPrune(pruner))...)
 		if err != nil {
 			t.Fatal(err)
 		}
