@@ -519,9 +519,9 @@ func UniformDstPicker(totalSteps uint64) inject.TargetPicker {
 func AnalyzeACL(faulty, clean *Trace) *ACLResult { return acl.Analyze(faulty, clean) }
 
 // ReadTraceFile loads a binary trace written by Trace.WriteBinaryFile, the
-// `fliptracker trace` CLI or MPIResult.WriteRankTraces. Both the columnar
-// FTRC2 format and the legacy, read-only FTRC1 format decode; the magic line
-// picks the codec.
+// `fliptracker trace` CLI or MPIResult.WriteRankTraces, all in the columnar
+// FTRC2 format. A file in any other format, the retired FTRC1 included,
+// fails with "trace: bad magic".
 func ReadTraceFile(path string) (*Trace, error) { return trace.ReadBinaryFile(path) }
 
 // BuildDDDG builds the dynamic data dependence graph of one region-instance

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 
 	"fliptracker/internal/interp"
@@ -84,5 +85,30 @@ func TestFTRC2CompressionTarget(t *testing.T) {
 	t.Logf("aggregate: FTRC1 %d B, FTRC2 %d B, ratio %.2fx", ftrc1Aggregate, totalV2, ratio)
 	if ratio < 3.0 {
 		t.Errorf("FTRC2 compression ratio %.2fx < 3x target over shipped workloads", ratio)
+	}
+}
+
+// ftrc2BytesGolden is the FNV-64a of WriteBinary over every registered app's
+// full clean trace, in Names() order, captured before the FTRC1 reader and
+// the codec's per-call error branches were removed. Any change to the bytes
+// FTRC2 writes moves it; there is deliberately no flag to re-capture it.
+const ftrc2BytesGolden = 0xc62c175e5833f8c0
+
+// TestFTRC2BytesGolden pins the exact FTRC2 encoding of real workload
+// traces, so a codec refactor cannot change the file format unnoticed.
+func TestFTRC2BytesGolden(t *testing.T) {
+	h := fnv.New64a()
+	for _, name := range Names() {
+		a, _ := Get(name)
+		tr, err := a.CleanTrace(interp.TraceFull)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := tr.WriteBinary(h); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if got := h.Sum64(); got != ftrc2BytesGolden {
+		t.Errorf("FTRC2 bytes digest %#x, want %#x", got, uint64(ftrc2BytesGolden))
 	}
 }

@@ -3,7 +3,6 @@ package inject
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
@@ -239,7 +238,7 @@ func (c *Campaign) runTraced(i int, f interp.Fault, snap *interp.Snapshot) (Outc
 	var tr *trace.Trace
 	if snap != nil {
 		if rerr := m.Restore(snap); rerr == nil {
-			m.PrimeTrace(c.cleanPrefix(snap.Step()), hint)
+			m.PrimeTrace(c.clean.Recs.StepPrefix(snap.Step()), hint)
 			tr, err = m.Resume()
 		} else {
 			// Restore can only fail when MakeMachine rebuilds its program
@@ -271,14 +270,4 @@ func (c *Campaign) runTraced(i int, f interp.Fault, snap *interp.Snapshot) (Outc
 		}
 	}
 	return o, payload, nil
-}
-
-// cleanPrefix returns the clean-trace records covering dynamic steps below
-// step — exactly the records a traced run laid down before a checkpoint
-// taken at that step, since the pre-fault prefix is fault-free and
-// deterministic.
-func (c *Campaign) cleanPrefix(step uint64) trace.Recs {
-	recs := &c.clean.Recs
-	k := sort.Search(recs.Len(), func(i int) bool { return recs.Step(i) >= step })
-	return recs.Slice(0, k)
 }

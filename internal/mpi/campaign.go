@@ -37,11 +37,8 @@ type Campaign struct {
 	base    Config
 	targets inject.TargetPicker
 
-	// maxCheckpoints overrides DefaultMaxWorldCheckpoints when positive;
-	// only the package's own tests set it.
-	maxCheckpoints int
-	verify         func(*Result) bool
-	analyze        WorldAnalyzer
+	verify  func(*Result) bool
+	analyze WorldAnalyzer
 
 	clean *Result
 	hint  uint64

@@ -6,16 +6,7 @@ import (
 	"sort"
 
 	"fliptracker/internal/interp"
-	"fliptracker/internal/trace"
 )
-
-// DefaultMaxWorldCheckpoints bounds the world snapshots a campaign keeps
-// live. A world snapshot is a copy-on-write page table per rank (O(ranks × pages) pointers; dirty
-// pages are shared between neighboring checkpoints), so the bound is a
-// backstop against pathological cut counts rather than a memory-thinning
-// knob: at the default, every collective round a fault wants gets its own
-// checkpoint and the even-thinning path below is effectively retired.
-const DefaultMaxWorldCheckpoints = 256
 
 // worldPlan is an MPI campaign window's shared state: the world
 // snapshots laid down by one forward pass of the fault-free world, and the
@@ -35,9 +26,11 @@ type worldPlan struct {
 // candidate cuts are the clean world's collective boundaries (Result.Cuts —
 // the only points where a consistent world snapshot is cheap: no rank inside
 // a primitive, no collective state in flight), one forward pass replays the
-// fault-free world pausing at each cut some fault wants (at most budget of
-// them, evenly thinned when faults want more), and each injection restores
-// the nearest snapshot at or before its fault step and resumes from there.
+// fault-free world pausing at each cut some fault wants, and each injection
+// restores the nearest snapshot at or before its fault step and resumes from
+// there. Every wanted cut gets its own snapshot, with no budget: a world
+// snapshot is a copy-on-write page table per rank, and the shipped programs
+// have 3–10 collective rounds.
 //
 // Because restored worlds are bit-identical to from-scratch replays (the world
 // substrate is deterministic and WorldSnapshot captures all of it) and the
@@ -76,43 +69,23 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 	bestRound := func(step uint64) int {
 		return sort.Search(rounds, func(k int) bool { return faultCuts[k] > step }) - 1
 	}
-	want := make(map[int]bool, rounds)
+	want := make([]bool, rounds)
 	for _, i := range live {
 		if k := bestRound(faults[i].Step); k >= 0 {
 			want[k] = true
 		}
 	}
-	if len(want) == 0 {
+	var desired []int
+	for k, w := range want {
+		if w {
+			desired = append(desired, k)
+		}
+	}
+	if len(desired) == 0 {
 		return nil, nil
 	}
-	desired := make([]int, 0, len(want))
-	for k := range want { //ftlint:ok keys collected then sorted below
-		desired = append(desired, k)
-	}
-	sort.Ints(desired)
 
-	budget := c.maxCheckpoints
-	if budget <= 0 {
-		budget = DefaultMaxWorldCheckpoints
-	}
-	selected := desired
-	if len(desired) > budget {
-		// Thin evenly, always keeping the last cut (late-window faults gain
-		// the most from it); dropped cuts just lengthen some faults' resumed
-		// replay distance, never change results.
-		selected = make([]int, 0, budget)
-		for i := 0; i < budget; i++ {
-			k := desired[i*len(desired)/budget]
-			if len(selected) == 0 || k > selected[len(selected)-1] {
-				selected = append(selected, k)
-			}
-		}
-		if last := desired[len(desired)-1]; selected[len(selected)-1] != last {
-			selected[len(selected)-1] = last
-		}
-	}
-
-	snaps, err := SnapshotWorld(ctx, c.prog, c.base, c.clean, selected)
+	snaps, err := SnapshotWorld(ctx, c.prog, c.base, c.clean, desired)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: world checkpoints: %w", err)
 	}
@@ -121,13 +94,8 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 		plan.assign[i] = -1
 	}
 	for _, i := range live {
-		step := faults[i].Step
-		// The nearest SELECTED cut at or before the fault.
-		for si := len(selected) - 1; si >= 0; si-- {
-			if faultCuts[selected[si]] <= step {
-				plan.assign[i] = si
-				break
-			}
+		if k := bestRound(faults[i].Step); k >= 0 {
+			plan.assign[i] = sort.SearchInts(desired, k)
 		}
 	}
 	return plan, nil
@@ -156,18 +124,9 @@ func (c *Campaign) runPlanned(i int, f *interp.Fault, plan *worldPlan) (*Result,
 		// analyzed campaigns when every rank's clean records are stitchable
 		// (c.stitch).
 		prime = func(m *interp.Machine, rank int) {
-			prefix := c.cleanPrefix(rank, snap.CutStep(rank))
-			m.PrimeTrace(prefix, uint64(c.clean.Ranks[rank].Trace.Recs.Len())+64)
+			recs := &c.clean.Ranks[rank].Trace.Recs
+			m.PrimeTrace(recs.StepPrefix(snap.CutStep(rank)), uint64(recs.Len())+64)
 		}
 	}
 	return RestoreWorld(c.prog, cfg, snap, prime)
-}
-
-// cleanPrefix returns rank's clean-trace records covering dynamic steps
-// below step — exactly the records a traced run laid down before a world cut
-// taken at that step on that rank.
-func (c *Campaign) cleanPrefix(rank int, step uint64) trace.Recs {
-	recs := &c.clean.Ranks[rank].Trace.Recs
-	k := sort.Search(recs.Len(), func(i int) bool { return recs.Step(i) >= step })
-	return recs.Slice(0, k)
 }

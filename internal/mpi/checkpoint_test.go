@@ -12,9 +12,8 @@ import (
 
 // TestPlanWorldCheckpoints exercises the planner directly: cuts exist for
 // the campaign workload, every fault at or past the first cut is assigned
-// the nearest selected snapshot at or before its step, earlier faults replay
-// from step 0, and the checkpoint budget thins the snapshot set without
-// breaking the at-or-before invariant.
+// the nearest snapshot at or before its step, and earlier faults replay
+// from step 0.
 func TestPlanWorldCheckpoints(t *testing.T) {
 	c := testCampaign(t, 4)
 	cuts := c.clean.Cuts[c.base.FaultRank]
@@ -61,17 +60,6 @@ func TestPlanWorldCheckpoints(t *testing.T) {
 			}
 		}
 	}
-
-	// A budget of one keeps a single snapshot, still at or before the late
-	// faults it serves.
-	c1 := testCampaign(t, 4, withMaxCheckpoints(1))
-	plan1, err := c1.planWorldCheckpoints(context.Background(), faults, allIndices(faults))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan1 == nil || len(plan1.snaps) != 1 {
-		t.Fatalf("budget 1 laid %v snapshots", plan1)
-	}
 }
 
 // allIndices lists every index of faults: one unpruned window over all of
@@ -82,12 +70,6 @@ func allIndices(faults []interp.Fault) []int {
 		live[i] = i
 	}
 	return live
-}
-
-// withMaxCheckpoints overrides the planner's DefaultMaxWorldCheckpoints
-// backstop.
-func withMaxCheckpoints(n int) Option {
-	return engineOption(func(c *Campaign) { c.maxCheckpoints = n })
 }
 
 // fromScratch is the campaign's test oracle: every drawn fault run in index

@@ -10,7 +10,6 @@ package mpi_test
 import (
 	"context"
 	"reflect"
-	"sort"
 	"testing"
 
 	"fliptracker/internal/apps"
@@ -147,14 +146,6 @@ func sameWorld(t *testing.T, label string, got, want *mpi.Result) {
 	}
 }
 
-// cleanPrefix returns rank's clean records below step, the stitching prefix
-// a checkpointed campaign would prime a traced restored rank with.
-func cleanPrefix(clean *mpi.Result, rank int, step uint64) trace.Recs {
-	recs := &clean.Ranks[rank].Trace.Recs
-	k := sort.Search(recs.Len(), func(i int) bool { return recs.Step(i) >= step })
-	return recs.Slice(0, k)
-}
-
 // allRounds returns every collective round index of a clean world.
 func allRounds(t *testing.T, clean *mpi.Result) []int {
 	t.Helper()
@@ -212,7 +203,7 @@ func TestSnapshotWorldRestoreCleanBitIdentical(t *testing.T) {
 				rcfg.Replay = clean.Recording
 				snapCuts := snap
 				got, err := mpi.RestoreWorld(p, rcfg, snap, func(m *interp.Machine, rank int) {
-					m.PrimeTrace(cleanPrefix(clean, rank, snapCuts.CutStep(rank)), 0)
+					m.PrimeTrace(clean.Ranks[rank].Trace.Recs.StepPrefix(snapCuts.CutStep(rank)), 0)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -293,7 +284,7 @@ func TestSnapshotWorldRestoreFaultyBitIdentical(t *testing.T) {
 						continue // the fault precedes this cut; the planner never pairs them
 					}
 					got, err := mpi.RestoreWorld(p, dcfg, snap, func(m *interp.Machine, rank int) {
-						m.PrimeTrace(cleanPrefix(clean, rank, snap.CutStep(rank)), 0)
+						m.PrimeTrace(clean.Ranks[rank].Trace.Recs.StepPrefix(snap.CutStep(rank)), 0)
 					})
 					if err != nil {
 						t.Fatal(err)

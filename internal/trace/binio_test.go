@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -126,6 +127,12 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
+	// A well-formed stream under the retired FTRC1 magic: empty names,
+	// status 0, steps 0, no outputs, no records.
+	if _, err := ReadBinary(strings.NewReader("FTRC1\n\x00\x00\x00\x00\x00\x00")); err == nil ||
+		!strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("FTRC1 stream: err = %v, want bad magic", err)
+	}
 	// Truncated valid prefix.
 	orig := randomTrace(3, 50)
 	var buf bytes.Buffer
@@ -134,6 +141,55 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadBinary(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated input accepted")
+	}
+}
+
+// TestBinaryRejectsEveryPrefix: the decoder reads exactly the bytes the
+// encoder wrote, so every proper prefix of a valid stream must fail with an
+// error — never decode to a trace, never panic.
+func TestBinaryRejectsEveryPrefix(t *testing.T) {
+	for _, orig := range []*Trace{randomTrace(3, 50), {ProgName: "empty"}} {
+		var buf bytes.Buffer
+		if err := orig.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		for k := 0; k < len(raw); k++ {
+			if tr, err := ReadBinary(bytes.NewReader(raw[:k])); err == nil {
+				t.Fatalf("%s: prefix of %d/%d bytes decoded to a trace of %d records",
+					orig.ProgName, k, len(raw), tr.Recs.Len())
+			}
+		}
+	}
+}
+
+// failAfter accepts n bytes and then fails every write.
+type failAfter struct{ n int }
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		return n, errWriteFailed
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteBinaryReportsWriteErrors: a writer that fails anywhere inside the
+// stream must surface as an error from WriteBinary.
+func TestWriteBinaryReportsWriteErrors(t *testing.T) {
+	orig := randomTrace(5, 40)
+	var buf bytes.Buffer
+	if err := orig.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < buf.Len(); k++ {
+		if err := orig.WriteBinary(&failAfter{n: k}); !errors.Is(err, errWriteFailed) {
+			t.Fatalf("writer failing after %d/%d bytes: err = %v", k, buf.Len(), err)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,28 +96,34 @@ func FuzzTraceBinaryRoundTrip(f *testing.F) {
 }
 
 // FuzzTraceReadBinary: arbitrary input must produce a trace or an error,
-// never a panic or unbounded allocation. Seeds include a valid encoding of
-// each format (FTRC1 from the checked-in fixture) so mutations explore
-// near-valid corruption.
+// never a panic or unbounded allocation. Seeds include a valid encoding so
+// mutations explore near-valid corruption.
 func FuzzTraceReadBinary(f *testing.F) {
 	valid := traceFromBytes([]byte{3, 4, 1, 2, 3, 4, 2, 9, 9, 1, 1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	var buf bytes.Buffer
 	if err := valid.WriteBinary(&buf); err != nil {
 		f.Fatal(err)
 	}
-	v1, err := os.ReadFile(fixturePath)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()-2])
-	f.Add(v1)
-	f.Add(v1[:len(v1)-2])
-	f.Add([]byte(binMagicV1))
-	f.Add([]byte(binMagicV2))
+	f.Add([]byte(binMagic))
 	f.Add([]byte{})
-	f.Add(append([]byte(binMagicV1), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
-	f.Add(append([]byte(binMagicV2), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
+	f.Add(append([]byte(binMagic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
+	// An empty trace, and headers whose output or record count is just past
+	// its cap.
+	var empty bytes.Buffer
+	if err := (&Trace{}).WriteBinary(&empty); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty.Bytes())
+	f.Add(binary.AppendUvarint(append([]byte(binMagic), 0, 0, 0, 0), 1<<30+1))
+	f.Add(binary.AppendUvarint(append([]byte(binMagic), 0, 0, 0, 0, 0), 1<<34+1))
+	// A valid stream with long region runs and repeated operand locations.
+	var runs bytes.Buffer
+	if err := traceFromBytes(bytes.Repeat([]byte{7, 7, 7, 7}, 40)).WriteBinary(&runs); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(runs.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"sort"
 
 	"fliptracker/internal/ir"
 )
@@ -176,6 +177,15 @@ func StepsMonotonic(recs Recs) bool {
 		}
 	}
 	return true
+}
+
+// StepPrefix returns the records whose step is below step: when steps are
+// monotonic (StepsMonotonic), exactly the records a traced run laid down
+// before pausing at that step. Both campaign engines seed a run resumed from
+// a checkpoint with the clean trace's prefix, so its stitched trace matches
+// a from-step-0 traced run.
+func (r *Recs) StepPrefix(step uint64) Recs {
+	return r.Slice(0, sort.Search(r.Len(), func(i int) bool { return r.Step(i) >= step }))
 }
 
 // InstancesOf returns the spans of one region, in instance order.
