@@ -65,7 +65,6 @@ import (
 	"fliptracker/internal/acl"
 	"fliptracker/internal/apps"
 	"fliptracker/internal/campaign"
-	"fliptracker/internal/coord"
 	"fliptracker/internal/core"
 	"fliptracker/internal/dddg"
 	"fliptracker/internal/inject"
@@ -343,6 +342,14 @@ func WithJournal(path string) CampaignOption { return campaign.WithJournal(path)
 // name, so a journal recorded for one app refuses to resume under another.
 func WithJournalApp(app string) CampaignOption { return campaign.WithJournalApp(app) }
 
+// WithShards splits the campaign's fault-index space into n contiguous
+// shards, runs them concurrently and merges their ordered streams back into
+// the one fault-index-ordered stream; 0 or 1 runs a single window. Sharding
+// is result-invariant: for a fixed seed, Run, Stream and the journal are
+// byte-identical at any shard count, and a journaled campaign resumes under
+// a different one.
+func WithShards(n int) CampaignOption { return campaign.WithShards(n) }
+
 // NewMPIAnalyzer builds the per-rank pipeline for a registered application's
 // SPMD variant at the given world size: the fault-free world is recorded
 // once under full tracing and each rank's clean trace is indexed. Set
@@ -552,71 +559,3 @@ func LeaveOneOut(samples []PredictSample) ([]LOOResult, error) {
 func SampleSize(population uint64, confidence, margin float64) int {
 	return stats.SampleSize(population, confidence, margin)
 }
-
-// Shard coordinator (internal/coord): split one campaign's fault-index
-// space into contiguous shards, run them on parallel workers, and merge the
-// ordered per-shard streams back into the single deterministic
-// fault-index-ordered stream — for a fixed seed, byte-identical to the
-// campaign's own Run/Stream at any shard count. With CoordWithJournal the
-// merged stream is durable under the campaign's own journal identity, so a
-// killed sharded campaign resumes from its last committed outcome (by
-// coordinator or plain engine alike).
-type (
-	// CoordShard is one contiguous window [First, Last) of a campaign's
-	// fault-index space.
-	CoordShard = coord.Shard
-	// CoordOption configures a coordinator (CoordWithShards,
-	// CoordWithWorkers, CoordWithJournal, CoordWithProgress).
-	CoordOption = coord.Option
-	// InjectCoordinator shards a single-process campaign.
-	InjectCoordinator = coord.Coordinator[inject.FaultOutcome]
-	// MPICoordinator shards a multi-rank campaign.
-	MPICoordinator = coord.Coordinator[mpi.WorldOutcome]
-	// CoordRunner is the engine-erased coordinator view (identity,
-	// aggregate Run, merged stream in journal representation) consumers
-	// that multiplex engines hold — the campaign service does.
-	CoordRunner = coord.Runner
-)
-
-// PlanShards splits the index space [0, tests) into at most shards
-// contiguous, non-empty, near-equal windows; their concatenation always
-// reproduces [0, tests) exactly.
-func PlanShards(tests, shards int) []CoordShard { return coord.Plan(tests, shards) }
-
-// NewCoordinator builds a shard coordinator over a single-process campaign.
-// The campaign must be unjournaled (use CoordWithJournal — the coordinator
-// journals the merged stream) and must draw at least one fault.
-func NewCoordinator(c *Campaign, opts ...CoordOption) (*InjectCoordinator, error) {
-	h, err := coord.Inject(c)
-	if err != nil {
-		return nil, err
-	}
-	return coord.New(h, opts...)
-}
-
-// NewMPICoordinator builds a shard coordinator over a multi-rank campaign,
-// under the same constraints as NewCoordinator.
-func NewMPICoordinator(c *MPICampaign, opts ...CoordOption) (*MPICoordinator, error) {
-	h, err := coord.MPI(c)
-	if err != nil {
-		return nil, err
-	}
-	return coord.New(h, opts...)
-}
-
-// CoordWithShards sets how many contiguous windows the fault-index space is
-// split into; the default is a single window. Result-invariant.
-func CoordWithShards(n int) CoordOption { return coord.WithShards(n) }
-
-// CoordWithWorkers sets how many shard workers run concurrently; the
-// default runs every shard at once.
-func CoordWithWorkers(n int) CoordOption { return coord.WithWorkers(n) }
-
-// CoordWithJournal commits the merged stream to a durable journal under the
-// campaign's own identity before each outcome is delivered; resuming
-// replays the committed prefix and shards only the remainder.
-func CoordWithJournal(path string) CoordOption { return coord.WithJournal(path) }
-
-// CoordWithProgress registers a sequential progress callback over the
-// merged stream (including any journal-replayed prefix).
-func CoordWithProgress(fn func(done, total int)) CoordOption { return coord.WithProgress(fn) }

@@ -90,10 +90,6 @@ type Result struct {
 	Peak int32
 }
 
-// MaxSeries returns the peak number of simultaneously alive corrupted
-// locations.
-func (r *Result) MaxSeries() int32 { return r.Peak }
-
 // Options tune the analysis. The zero value is the paper's algorithm.
 type Options struct {
 	// SkipLiveness disables the backward last-use refinement: corrupted

@@ -293,8 +293,8 @@ func TestSeriesSpanHelpers(t *testing.T) {
 	if got := res.SeriesInSpan(trace.Span{Start: 99, End: 100}); got != nil {
 		t.Errorf("out-of-range span should be nil, got %v", got)
 	}
-	if res.MaxSeries() != 2 {
-		t.Errorf("MaxSeries = %d", res.MaxSeries())
+	if res.Peak != 2 {
+		t.Errorf("Peak = %d", res.Peak)
 	}
 }
 

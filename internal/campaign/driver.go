@@ -18,9 +18,7 @@ import (
 )
 
 // Settings are the engine-independent campaign settings, set by the shared
-// options (WithTests, WithSeed, WithEarlyStop, WithJournal, ...); the shard
-// coordinator (internal/coord) sets the execution ones through
-// Campaign.With.
+// options (WithTests, WithSeed, WithEarlyStop, WithJournal, WithShards, ...).
 type Settings struct {
 	// Tests is the number of injections (the cap, under early stopping).
 	Tests int
@@ -46,7 +44,7 @@ type Settings struct {
 	// window.
 	Shards int
 	// Workers bounds concurrently running shards; 0 runs every shard at
-	// once.
+	// once. No shared option sets it; only Campaign.With does.
 	Workers int
 	// DropTraces releases each analyzed injection's traces once its
 	// analysis returns; the engine does the releasing.
@@ -85,12 +83,12 @@ type Executor[O any] struct {
 	Replay func(journal.Record) O
 }
 
-// Campaign is the campaign driver both engines and the shard coordinator
-// run on. It draws the fault stream once, at construction; every run then
-// delivers the per-fault outcomes in fault-index order — replayed from the
-// journal, executed as one window, or executed as shards and merged — and
-// the stream is identical whatever the parallelism, shard count or restart
-// history. A Campaign is immutable and safe to run multiple times.
+// Campaign is the campaign driver both engines run on. It draws the fault
+// stream once, at construction; every run then delivers the per-fault
+// outcomes in fault-index order — replayed from the journal, executed as
+// one window, or executed as shards and merged — and the stream is
+// identical whatever the parallelism, shard count or restart history. A
+// Campaign is immutable and safe to run multiple times.
 type Campaign[O any] struct {
 	s       Settings
 	x       Executor[O]
@@ -185,10 +183,6 @@ func (x *Executor[O]) check(s Settings) error {
 // stopping).
 func (c *Campaign[O]) Tests() int { return c.s.Tests }
 
-// Journaled reports whether the campaign commits its outcomes to a durable
-// journal.
-func (c *Campaign[O]) Journaled() bool { return c.s.Journal != "" }
-
 // Faults returns a copy of the pre-drawn fault stream: the fault run at
 // every index 0..Tests()-1. The stream is what makes campaigns shardable —
 // any [first, last) window of it can run anywhere and the outcomes merge in
@@ -242,21 +236,15 @@ func (c *Campaign[O]) Records(ctx context.Context) iter.Seq2[journal.Record, err
 	})
 }
 
-// StreamWindow executes only the fault-index window [first, last), clamped
-// to [0, Tests()), and yields its outcomes in index order. Contiguous
-// windows concatenate into exactly the sequence Stream yields. A window is
-// one shard of a larger whole: it neither journals nor stops early, since
-// both read the merged stream.
-func (c *Campaign[O]) StreamWindow(ctx context.Context, first, last int) iter.Seq2[O, error] {
-	return seq(func(emit func(O) bool) error {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		if last <= 0 || last > len(c.faults) {
-			last = len(c.faults)
-		}
-		return c.window(ctx, max(first, 0), last, emit)
-	})
+// Runner is the engine-erased view of a campaign that consumers
+// multiplexing both engines hold (the campaign service, the fliptracker
+// CLI): its identity and size, its aggregate Run, and its outcome stream in
+// journal representation. Both engines' campaigns satisfy it.
+type Runner interface {
+	Tests() int
+	Header() journal.Header
+	Run(ctx context.Context) (Result, error)
+	Records(ctx context.Context) iter.Seq2[journal.Record, error]
 }
 
 // seq adapts a push-style run to an iterator whose final pair carries the

@@ -81,7 +81,8 @@ func collect(t *testing.T, seq func(yield func(fakeOutcome, error) bool)) []fake
 
 // TestDriverShardsMatchStream: any shard count and shard worker count
 // deliver the single-window stream, draw nothing beyond construction, and
-// Run and Records agree with it.
+// Run and Records (through the engine-erased Runner) agree with it. Faults
+// hands out a copy that cannot alter the drawn stream.
 func TestDriverShardsMatchStream(t *testing.T) {
 	const tests = 90
 	ref, _ := fakeCampaign(t, Settings{Tests: tests, Seed: 4, Parallelism: 3}, -1)
@@ -110,8 +111,9 @@ func TestDriverShardsMatchStream(t *testing.T) {
 			if err != nil || res != wantRes {
 				t.Errorf("shards=%d workers=%d: Run %+v %v, want %+v", shards, workers, res, err, wantRes)
 			}
+			var runner Runner = sc
 			i := 0
-			for r, err := range sc.Records(context.Background()) {
+			for r, err := range runner.Records(context.Background()) {
 				if err != nil || r.Index != uint64(i) || r.Fault != want[i].Fault || Outcome(r.Outcome) != want[i].Outcome {
 					t.Fatalf("shards=%d workers=%d: record %d = %+v %v", shards, workers, i, r, err)
 				}
@@ -120,21 +122,45 @@ func TestDriverShardsMatchStream(t *testing.T) {
 			if n := draws.Load(); n != tests {
 				t.Errorf("shards=%d workers=%d: %d draws, want %d", shards, workers, n, tests)
 			}
+			faults := sc.Faults()
+			faults[0].Step++
+			if sc.Faults()[0] == faults[0] {
+				t.Errorf("shards=%d workers=%d: mutating Faults() changed the drawn stream", shards, workers)
+			}
 		}
 	}
 }
 
-// TestDriverStreamWindow: contiguous windows concatenate into the stream,
-// and bounds clamp to [0, Tests()).
-func TestDriverStreamWindow(t *testing.T) {
-	c, _ := fakeCampaign(t, Settings{Tests: 30, Seed: 9}, -1)
-	want := collect(t, c.Stream(context.Background()))
-	var got []fakeOutcome
-	for _, w := range [][2]int{{-5, 7}, {7, 7}, {7, 20}, {20, 99}} {
-		got = append(got, collect(t, c.StreamWindow(context.Background(), w[0], w[1]))...)
+// TestPlan pins the shard planner: exact contiguous partition, near-equal
+// sizes, clamping, and the empty cases.
+func TestPlan(t *testing.T) {
+	if s := Plan(0, 4); s != nil {
+		t.Errorf("Plan(0, 4) = %v, want nil", s)
 	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("windows concatenate to %d outcomes, differing from the %d-outcome stream", len(got), len(want))
+	if s := Plan(-3, 4); s != nil {
+		t.Errorf("Plan(-3, 4) = %v, want nil", s)
+	}
+	for _, tc := range []struct{ tests, shards, wantShards int }{
+		{10, 1, 1}, {10, 3, 3}, {10, 10, 10}, {3, 10, 3}, {7, 0, 1}, {7, -2, 1}, {1, 1, 1},
+	} {
+		got := Plan(tc.tests, tc.shards)
+		if len(got) != tc.wantShards {
+			t.Fatalf("Plan(%d, %d) has %d shards, want %d", tc.tests, tc.shards, len(got), tc.wantShards)
+		}
+		next := 0
+		for i, s := range got {
+			if s.First != next {
+				t.Fatalf("Plan(%d, %d) shard %d starts at %d, want %d (gap or overlap)", tc.tests, tc.shards, i, s.First, next)
+			}
+			size := s.Last - s.First
+			if lo, hi := tc.tests/tc.wantShards, tc.tests/tc.wantShards+1; size < lo || size > hi {
+				t.Fatalf("Plan(%d, %d) shard %d size %d outside near-equal [%d, %d]", tc.tests, tc.shards, i, size, lo, hi)
+			}
+			next = s.Last
+		}
+		if next != tc.tests {
+			t.Fatalf("Plan(%d, %d) covers [0, %d), want [0, %d)", tc.tests, tc.shards, next, tc.tests)
+		}
 	}
 }
 
@@ -217,6 +243,31 @@ func TestDriverShardError(t *testing.T) {
 	}
 	if last == nil || n > failAt {
 		t.Fatalf("run ended after %d outcomes with %v, want the fault %d error", n, last, failAt)
+	}
+}
+
+// TestDriverShardCancel: cancelling the context stops a sharded run with
+// ctx.Err() after a clean prefix of the merged stream.
+func TestDriverShardCancel(t *testing.T) {
+	c, _ := fakeCampaign(t, Settings{Tests: 60, Seed: 6, Shards: 4}, -1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n := 0
+	var last error
+	for o, err := range c.Stream(ctx) {
+		if err != nil {
+			last = err
+			break
+		}
+		if o.Index != n {
+			t.Fatalf("outcome %d has index %d: prefix not clean", n, o.Index)
+		}
+		if n++; n == 5 {
+			cancel()
+		}
+	}
+	if !errors.Is(last, context.Canceled) {
+		t.Fatalf("cancelled stream ended with %v after %d outcomes, want context.Canceled", last, n)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package campaign is the one campaign driver both engines (inject, mpi)
-// and the shard coordinator (coord) run on. Campaign draws a campaign's
-// fault stream once, opens, replays, checks and commits its durable
-// journal, applies the early-stopping rule, plans, runs and merges shards,
-// and yields the outcome stream, a window of it, and its journal.Record
-// form; an engine supplies only an Executor — plan a window, run one fault,
-// convert an outcome to and from its journal record.
+// run on. Campaign draws a campaign's fault stream once, opens, replays,
+// checks and commits its durable journal, applies the early-stopping rule,
+// plans, runs and merges shards (WithShards), and yields the outcome stream
+// and its journal.Record form; an engine supplies only an Executor — plan
+// a window, run one fault, convert an outcome to and from its journal
+// record.
 //
 // Underneath sits the ordered fan-out (Run): a pre-drawn stream of indexed
 // work items executed over a bounded worker pool, with a reorder buffer
@@ -43,8 +43,8 @@ type Config struct {
 	// [First, Last). Indices below First were already delivered by the
 	// caller (e.g. replayed from a durable journal), so the engine
 	// schedules only the window; indices at or above Last belong to other
-	// shards of the same campaign (a coordinator runs each shard through
-	// its own Run and merges the ordered streams). A non-positive or oversized Last means
+	// shards of the same campaign (the driver runs each shard through its
+	// own Run and merges the ordered streams). A non-positive or oversized Last means
 	// Items — so the plain "resume" case is just the Last == Items window.
 	First int
 	// Last is the exclusive end of the executed window; see First.

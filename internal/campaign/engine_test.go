@@ -332,7 +332,7 @@ func TestRunWindowClamps(t *testing.T) {
 
 // TestRunWindowPartition: contiguous windows partition the index space — the
 // concatenation of per-window emissions is exactly the full range, each index
-// exactly once. This is the invariant the shard coordinator's merge relies on.
+// exactly once. This is the invariant the driver's shard merge relies on.
 func TestRunWindowPartition(t *testing.T) {
 	const n = 53
 	bounds := []int{0, 9, 17, 40, n}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"iter"
@@ -17,12 +16,6 @@ import (
 	"fliptracker/internal/trace"
 )
 
-// DefaultGraphCacheBound is the default cap on cached clean DDDGs per
-// CleanIndex. It comfortably covers every registered workload (the largest
-// splits into ~220 region instances, so current analyses never evict) while
-// bounding memory on large-application indexes.
-const DefaultGraphCacheBound = 512
-
 // CleanIndex is the once-per-analyzer immutable index over the fault-free
 // trace that every per-fault analysis shares: the region spans (split once),
 // a (regionID, instance) lookup, lazily-built-then-cached clean DDDGs, and
@@ -37,8 +30,9 @@ const DefaultGraphCacheBound = 512
 // indexes of MPI campaigns). A CleanIndex is safe for concurrent use; the
 // DDDG and input-location caches are what let analyzed campaigns run the
 // full analysis inside parallel worker pools without redoing clean-side
-// work per worker. The cache is LRU-bounded (DefaultGraphCacheBound) on
-// instance touch order.
+// work per worker. Each clean span has one slot, built at most once, so the
+// cache is bounded by the clean trace the index already holds (about two
+// DDDG nodes per clean record).
 type CleanIndex struct {
 	// newMachine builds a fresh machine for injection runs; nil for indexes
 	// built from a bare trace (NewTraceIndex), whose per-fault entry point
@@ -53,11 +47,9 @@ type CleanIndex struct {
 	// clean one until the fault (and usually after), so the clean record
 	// count plus a little headroom avoids append growth entirely.
 	hint uint64
-
-	mu      sync.Mutex
-	bound   int
-	entries map[spanKey]*list.Element
-	lru     *list.List // of *cacheEntry, most recently touched at front
+	// slots holds one lazily built slot per clean span. The map is
+	// immutable after construction, so lookups take no lock.
+	slots map[spanKey]*graphSlot
 }
 
 type spanKey struct {
@@ -65,27 +57,28 @@ type spanKey struct {
 	instance int
 }
 
-// cacheEntry is one LRU slot: the instance's clean graph and, once derived,
-// its input locations (they ride the same slot so both expire together).
-type cacheEntry struct {
-	key       spanKey
-	graph     *dddg.Graph
-	inputs    []trace.Loc
-	hasInputs bool
+// graphSlot is one clean span's DDDG and input locations, built together
+// the first time either is asked for.
+type graphSlot struct {
+	once   sync.Once
+	graph  *dddg.Graph
+	inputs []trace.Loc
 }
 
 func newCleanIndex(newMachine func() (*interp.Machine, error), verify func(*trace.Trace) bool, prog *ir.Program, clean *trace.Trace) *CleanIndex {
-	return &CleanIndex{
+	ix := &CleanIndex{
 		newMachine: newMachine,
 		verify:     verify,
 		prog:       prog,
 		clean:      clean,
 		spans:      trace.NewSpanIndex(clean),
 		hint:       uint64(clean.Recs.Len()) + 64,
-		bound:      DefaultGraphCacheBound,
-		entries:    make(map[spanKey]*list.Element),
-		lru:        list.New(),
 	}
+	ix.slots = make(map[spanKey]*graphSlot, len(ix.spans.Spans()))
+	for _, s := range ix.spans.Spans() {
+		ix.slots[spanKey{s.RegionID, s.Instance}] = new(graphSlot)
+	}
+	return ix
 }
 
 // NewTraceIndex builds a CleanIndex over an externally produced fault-free
@@ -97,15 +90,6 @@ func newCleanIndex(newMachine func() (*interp.Machine, error), verify func(*trac
 // FaultyTrace and Analyze need a machine factory and return an error.
 func NewTraceIndex(prog *ir.Program, clean *trace.Trace, verify func(*trace.Trace) bool) *CleanIndex {
 	return newCleanIndex(nil, verify, prog, clean)
-}
-
-// evictLocked trims the LRU to the bound. Callers must hold mu.
-func (ix *CleanIndex) evictLocked() {
-	for ix.lru.Len() > ix.bound {
-		back := ix.lru.Back()
-		ix.lru.Remove(back)
-		delete(ix.entries, back.Value.(*cacheEntry).key)
-	}
 }
 
 // Index returns the analyzer's clean-run index, building it (and the clean
@@ -140,60 +124,27 @@ func (ix *CleanIndex) Instance(regionID int32, n int) (trace.Span, bool) {
 }
 
 // Graph returns the DDDG of a clean region-instance span, building it on
-// first use and caching it (LRU on touch order) for every later fault that
-// touches the same instance. The graph is shared: treat it as read-only.
-func (ix *CleanIndex) Graph(s trace.Span) *dddg.Graph {
-	key := spanKey{s.RegionID, s.Instance}
-	ix.mu.Lock()
-	if e, ok := ix.entries[key]; ok {
-		ix.lru.MoveToFront(e)
-		g := e.Value.(*cacheEntry).graph
-		ix.mu.Unlock()
-		return g
-	}
-	ix.mu.Unlock()
-	// Build outside the lock: construction is the expensive part, and a
-	// rare duplicate build is idempotent (both graphs are equivalent and
-	// immutable; the first inserted entry wins).
-	g := dddg.Build(ix.clean, s)
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if e, ok := ix.entries[key]; ok {
-		ix.lru.MoveToFront(e)
-		return e.Value.(*cacheEntry).graph
-	}
-	ix.entries[key] = ix.lru.PushFront(&cacheEntry{key: key, graph: g})
-	ix.evictLocked()
-	return g
-}
+// first use and keeping it for every later fault that touches the same
+// instance. The graph is shared: treat it as read-only.
+func (ix *CleanIndex) Graph(s trace.Span) *dddg.Graph { return ix.slot(s).graph }
 
 // InputLocs returns the memory input locations of a clean region instance
-// (read-before-written in its span), cached alongside its Graph. Callers
-// must not mutate the returned slice.
-func (ix *CleanIndex) InputLocs(s trace.Span) []trace.Loc {
-	key := spanKey{s.RegionID, s.Instance}
-	ix.mu.Lock()
-	if e, ok := ix.entries[key]; ok {
-		if ce := e.Value.(*cacheEntry); ce.hasInputs {
-			ix.lru.MoveToFront(e)
-			locs := ce.inputs
-			ix.mu.Unlock()
-			return locs
-		}
+// (read-before-written in its span), kept alongside its Graph. Callers must
+// not mutate the returned slice.
+func (ix *CleanIndex) InputLocs(s trace.Span) []trace.Loc { return ix.slot(s).inputs }
+
+// slot returns the built slot of clean span s. A span the index does not
+// hold gets a fresh, unkept slot.
+func (ix *CleanIndex) slot(s trace.Span) *graphSlot {
+	sl, ok := ix.slots[spanKey{s.RegionID, s.Instance}]
+	if !ok {
+		sl = new(graphSlot)
 	}
-	ix.mu.Unlock()
-	locs := ix.Graph(s).InputMemLocs()
-	ix.mu.Lock()
-	// Graph ensured an entry moments ago; if heavy eviction already expired
-	// it, the computed locations are simply returned uncached.
-	if e, ok := ix.entries[key]; ok {
-		ce := e.Value.(*cacheEntry)
-		ce.inputs = locs
-		ce.hasInputs = true
-		ix.lru.MoveToFront(e)
-	}
-	ix.mu.Unlock()
-	return locs
+	sl.once.Do(func() {
+		sl.graph = dddg.Build(ix.clean, s)
+		sl.inputs = sl.graph.InputMemLocs()
+	})
+	return sl
 }
 
 // FaultyTrace runs the application once with the fault under full tracing,

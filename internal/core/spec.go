@@ -7,7 +7,6 @@ import (
 
 	"fliptracker/internal/apps"
 	"fliptracker/internal/campaign"
-	"fliptracker/internal/coord"
 )
 
 // Spec describes one campaign of either engine: everything that determines
@@ -150,10 +149,10 @@ func (s *Spec) Options() []campaign.Option {
 }
 
 // Build builds the validated spec's campaign on analyzers from src, durable
-// at journal unless that is empty (campaign.WithJournal). The engine's
-// campaign shards itself, so its Records are the merged stream a coord.New
-// coordinator over it would deliver.
-func (s *Spec) Build(src *Analyzers, journal string) (coord.Runner, error) {
+// at journal unless that is empty (campaign.WithJournal). The campaign
+// shards itself (campaign.WithShards), so its Records are the merged,
+// fault-index-ordered stream at any shard count.
+func (s *Spec) Build(src *Analyzers, journal string) (campaign.Runner, error) {
 	opts := append(s.Options(), campaign.WithJournal(journal))
 	switch s.Engine {
 	case "inject":

@@ -123,9 +123,6 @@ func (g *Graph) addNode(n Node) NodeID {
 // Span returns the trace span the graph was built from.
 func (g *Graph) Span() trace.Span { return g.span }
 
-// Source returns the trace the graph was built from.
-func (g *Graph) Source() *trace.Trace { return g.src }
-
 // Inputs returns the root nodes: location versions that flowed into the span
 // from outside. These are the code region's input variables (§III-B: "root
 // nodes represent inputs").
@@ -219,20 +216,10 @@ func sortedLocs(set map[trace.Loc]bool) []trace.Loc {
 	return out
 }
 
-// OpSignature returns the sequence of static instruction ids executed in the
-// span. Comparing signatures between a faulty and a fault-free instance
-// detects control-flow divergence (§III-B: "detect control flow divergence
-// by comparing operations").
-func OpSignature(t *trace.Trace, span trace.Span) []int32 {
-	var sig []int32
-	for i := span.Start; i < span.End && i < t.Recs.Len(); i++ {
-		sig = append(sig, t.Recs.SID(i))
-	}
-	return sig
-}
-
-// Diverged compares two spans' operation sequences and returns the first
-// position where they differ, or -1 if identical.
+// Diverged compares two spans' operation sequences (their static
+// instruction ids) and returns the first position where they differ, or -1
+// if identical: the control-flow divergence check of §III-B ("detect
+// control flow divergence by comparing operations").
 func Diverged(a *trace.Trace, sa trace.Span, b *trace.Trace, sb trace.Span) int {
 	la, lb := sa.Len(), sb.Len()
 	n := la

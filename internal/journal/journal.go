@@ -316,12 +316,6 @@ func (j *Journal) Append(r Record) error {
 	return nil
 }
 
-// Records reports the committed record count.
-func (j *Journal) Records() uint64 { return j.n }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close releases the file handle. Records are durable at Append time, so
 // Close errors lose nothing.
 func (j *Journal) Close() error { return j.f.Close() }

@@ -68,9 +68,6 @@ func TestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
 	}
-	if j.Records() != 9 {
-		t.Fatalf("Records() = %d, want 9", j.Records())
-	}
 	// The reopened journal keeps appending from where it left off.
 	extra := Record{Index: 9, Outcome: 2, Fault: interp.Fault{Step: 42, Bit: 63, Kind: interp.FaultMem, Addr: -1}}
 	if err := j.Append(extra); err != nil {
@@ -260,8 +257,9 @@ func TestBitFlippedRecord(t *testing.T) {
 	if !reflect.DeepEqual(got, recs[:2]) {
 		t.Fatalf("got %d records, want the 2 before the flipped one", len(got))
 	}
-	if j.Records() != 2 {
-		t.Fatalf("Records() = %d, want 2", j.Records())
+	// Appending resumes at the first dropped index.
+	if err := j.Append(recs[2]); err != nil {
+		t.Fatalf("append after truncation: %v", err)
 	}
 }
 
@@ -356,9 +354,6 @@ func TestSurface(t *testing.T) {
 	j, err := Create(path, testHeader())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if j.Path() != path {
-		t.Errorf("Path() = %q, want %q", j.Path(), path)
 	}
 	j.Close()
 

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"fliptracker/internal/trace"
 )
 
 // WriteRankTraces persists each rank's trace to dir as one file per MPI
 // process ("traces are saved into a file for each MPI process", §IV-A), in
-// the FTRC2 format. Returns the written paths in rank order.
+// the FTRC2 format, each readable with trace.ReadBinaryFile. Returns the
+// written paths in rank order.
 func (r *Result) WriteRankTraces(dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -24,17 +23,4 @@ func (r *Result) WriteRankTraces(dir string) ([]string, error) {
 		paths = append(paths, path)
 	}
 	return paths, nil
-}
-
-// ReadRankTraces loads traces written by WriteRankTraces.
-func ReadRankTraces(paths []string) ([]*trace.Trace, error) {
-	out := make([]*trace.Trace, 0, len(paths))
-	for _, p := range paths {
-		t, err := trace.ReadBinaryFile(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

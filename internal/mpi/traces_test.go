@@ -21,10 +21,7 @@ func TestWriteAndReadRankTraces(t *testing.T) {
 	if len(paths) != 3 {
 		t.Fatalf("paths = %d", len(paths))
 	}
-	traces, err := ReadRankTraces(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := readRankTraces(t, paths)
 	for i, tr := range traces {
 		if tr.Steps != res.Ranks[i].Trace.Steps {
 			t.Errorf("rank %d steps mismatch: %d vs %d", i, tr.Steps, res.Ranks[i].Trace.Steps)
@@ -33,9 +30,20 @@ func TestWriteAndReadRankTraces(t *testing.T) {
 			t.Errorf("rank %d records mismatch", i)
 		}
 	}
-	if _, err := ReadRankTraces([]string{"/nonexistent/x.trace"}); err == nil {
-		t.Error("missing file should fail")
+}
+
+// readRankTraces reads back the per-rank files WriteRankTraces wrote.
+func readRankTraces(t *testing.T, paths []string) []*trace.Trace {
+	t.Helper()
+	out := make([]*trace.Trace, len(paths))
+	for i, p := range paths {
+		tr, err := trace.ReadBinaryFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = tr
 	}
+	return out
 }
 
 // TestRankTracesRoundTripCrashedWorld persists a faulty world in which the
@@ -71,10 +79,7 @@ func TestRankTracesRoundTripCrashedWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces, err := ReadRankTraces(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := readRankTraces(t, paths)
 	crashed := 0
 	for i, tr := range traces {
 		want := faulty.Ranks[i].Trace

@@ -188,27 +188,6 @@ func (r *Recs) StepPrefix(step uint64) Recs {
 	return r.Slice(0, sort.Search(r.Len(), func(i int) bool { return r.Step(i) >= step }))
 }
 
-// InstancesOf returns the spans of one region, in instance order.
-func (t *Trace) InstancesOf(regionID int32) []Span {
-	var out []Span
-	for _, s := range t.SplitRegions() {
-		if s.RegionID == regionID {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Instance returns span number n of the given region.
-func (t *Trace) Instance(regionID int32, n int) (Span, bool) {
-	for _, s := range t.SplitRegions() {
-		if s.RegionID == regionID && s.Instance == n {
-			return s, true
-		}
-	}
-	return Span{}, false
-}
-
 // SpanIndex is a prebuilt lookup over one trace's region spans. SplitRegions
 // scans the whole trace on every call; analyses that resolve many instances
 // of many regions (the per-fault pipeline, campaign population resolution)

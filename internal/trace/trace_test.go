@@ -108,15 +108,16 @@ func TestSplitRegionsNested(t *testing.T) {
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
-	inner := tr.InstancesOf(1)
+	ix := NewSpanIndex(tr)
+	inner := ix.Instances(1)
 	if len(inner) != 2 {
 		t.Fatalf("inner instances = %d", len(inner))
 	}
-	outer, ok := tr.Instance(0, 0)
+	outer, ok := ix.Instance(0, 0)
 	if !ok || outer.Start != 0 || outer.End != 6 {
 		t.Errorf("outer span = %+v %v", outer, ok)
 	}
-	if _, ok := tr.Instance(0, 5); ok {
+	if _, ok := ix.Instance(0, 5); ok {
 		t.Error("instance 5 should not exist")
 	}
 }
@@ -187,7 +188,12 @@ func TestSpanIndexMatchesSplitRegions(t *testing.T) {
 		}
 	}
 	for _, id := range []int32{0, 1, 7} {
-		wi := tr.InstancesOf(id)
+		var wi []Span
+		for _, s := range want {
+			if s.RegionID == id {
+				wi = append(wi, s)
+			}
+		}
 		gi := ix.Instances(id)
 		if len(wi) != len(gi) {
 			t.Fatalf("region %d: %d instances, want %d", id, len(gi), len(wi))

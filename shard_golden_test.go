@@ -11,9 +11,11 @@ import (
 )
 
 // TestCoordinatorGoldenInject is the sharded-execution acceptance matrix
-// for single-process campaigns: the coordinator's merged stream is
-// FNV-identical to the from-scratch oracle (inject.RunOne on every drawn
-// fault) at shard counts 1, 2, and 4, and the aggregate Results are equal.
+// for single-process campaigns: a campaign built WithShards merges its
+// shards into a stream FNV-identical to the from-scratch oracle
+// (inject.RunOne on every drawn fault) at shard counts 1, 2, and 4, and the
+// aggregate Results are equal. (The name predates the removal of the
+// separate coordinator API; sharding is now a campaign option.)
 func TestCoordinatorGoldenInject(t *testing.T) {
 	const tests = 24
 	an, err := fliptracker.NewAnalyzer("kmeans")
@@ -40,16 +42,13 @@ func TestCoordinatorGoldenInject(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		name := fmt.Sprintf("shards%d", shards)
-		c, err := an.NewCampaign(fliptracker.WholeProgram(), opts(fliptracker.WithParallelism(2))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		co, err := fliptracker.NewCoordinator(c, fliptracker.CoordWithShards(shards))
+		c, err := an.NewCampaign(fliptracker.WholeProgram(),
+			opts(fliptracker.WithParallelism(2), fliptracker.WithShards(shards))...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got []string
-		for fo, err := range co.Stream(ctx) {
+		for fo, err := range c.Stream(ctx) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -59,7 +58,7 @@ func TestCoordinatorGoldenInject(t *testing.T) {
 			t.Errorf("%s: merged stream digest %#x (%d outcomes), want %#x (%d)",
 				name, g, len(got), want, len(ref))
 		}
-		res, err := co.Run(ctx)
+		res, err := c.Run(ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -102,16 +101,12 @@ func TestCoordinatorGoldenMPI(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		name := fmt.Sprintf("shards%d", shards)
-		c, err := ma.NewCampaign(nil, opts(fliptracker.WithParallelism(2))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		co, err := fliptracker.NewMPICoordinator(c, fliptracker.CoordWithShards(shards))
+		c, err := ma.NewCampaign(nil, opts(fliptracker.WithParallelism(2), fliptracker.WithShards(shards))...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got []string
-		for wo, err := range co.Stream(ctx) {
+		for wo, err := range c.Stream(ctx) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -124,11 +119,10 @@ func TestCoordinatorGoldenMPI(t *testing.T) {
 	}
 }
 
-// TestCoordinatorResumeGolden: a sharded campaign killed mid-run (Stream
-// break — the journal holds exactly the committed prefix) resumes through
-// the coordinator to the FNV-identical stream, and the finished journal
-// also replays under the plain engine's WithJournal — the coordinator and
-// the engine share one durability format.
+// TestCoordinatorResumeGolden: a campaign run as 4 shards and killed
+// mid-run (Stream break — the journal holds exactly the committed prefix)
+// resumes as 3 shards to the FNV-identical stream, and the finished journal
+// also replays unsharded — sharding stays out of the journal's identity.
 func TestCoordinatorResumeGolden(t *testing.T) {
 	const tests = 24
 	an, err := fliptracker.NewAnalyzer("kmeans")
@@ -161,17 +155,13 @@ func TestCoordinatorResumeGolden(t *testing.T) {
 
 	for _, kill := range []int{2, 7} {
 		name := fmt.Sprintf("kill%d", kill)
-		path := filepath.Join(t.TempDir(), "coord.journal")
-		mk := func() (*fliptracker.InjectCoordinator, error) {
-			c, err := an.NewCampaign(fliptracker.WholeProgram(), opts(fliptracker.WithParallelism(2))...)
-			if err != nil {
-				return nil, err
-			}
-			return fliptracker.NewCoordinator(c,
-				fliptracker.CoordWithShards(4), fliptracker.CoordWithJournal(path))
+		path := filepath.Join(t.TempDir(), "sharded.journal")
+		mk := func(shards int) (*fliptracker.Campaign, error) {
+			return an.NewCampaign(fliptracker.WholeProgram(), opts(fliptracker.WithParallelism(2),
+				fliptracker.WithShards(shards), fliptracker.WithJournal(path))...)
 		}
 
-		co, err := mk()
+		co, err := mk(4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +174,7 @@ func TestCoordinatorResumeGolden(t *testing.T) {
 			}
 		}
 
-		co2, err := mk()
+		co2, err := mk(3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +189,7 @@ func TestCoordinatorResumeGolden(t *testing.T) {
 			t.Errorf("%s: resumed merged stream digest %#x, want %#x", name, g, want)
 		}
 
-		// The finished coordinator journal replays under the plain engine.
+		// The finished sharded journal replays unsharded.
 		res, err := an.Campaign(ctx, fliptracker.WholeProgram(), opts(fliptracker.WithJournal(path))...)
 		if err != nil {
 			t.Fatalf("%s: engine replay: %v", name, err)
