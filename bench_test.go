@@ -1026,14 +1026,15 @@ func BenchmarkAblationSelectiveTracing(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationTracingModes compares the interpreter's three trace
-// modes, the cost spectrum behind Figure 4.
+// BenchmarkAblationTracingModes compares the interpreter's two trace modes,
+// the cost spectrum behind Figure 4 (BenchmarkAblationSelectiveTracing covers
+// markers-only recording: full tracing of no function).
 func BenchmarkAblationTracingModes(b *testing.B) {
 	an, _ := cleanCG(b)
 	for _, mode := range []struct {
 		name string
 		m    interp.TraceMode
-	}{{"off", interp.TraceOff}, {"markers", interp.TraceMarkers}, {"full", interp.TraceFull}} {
+	}{{"off", interp.TraceOff}, {"full", interp.TraceFull}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m, err := an.App.NewMachine()

@@ -144,9 +144,8 @@ type TraceMode = interp.TraceMode
 
 // Trace collection modes.
 const (
-	TraceOff     = interp.TraceOff
-	TraceMarkers = interp.TraceMarkers
-	TraceFull    = interp.TraceFull
+	TraceOff  = interp.TraceOff
+	TraceFull = interp.TraceFull
 )
 
 // Fault manifestations.

@@ -71,7 +71,14 @@ func TestAllAppsRegionsPresent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		tr, err := a.CleanTrace(interp.TraceMarkers)
+		m, err := a.NewMachine()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// Full tracing of no function records the region markers alone.
+		m.Mode = interp.TraceFull
+		m.TraceFuncs = map[int]bool{}
+		tr, err := m.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -54,12 +54,13 @@ type Config struct {
 	Workers int
 	// Window, when positive, bounds completed-but-unemitted results: a worker
 	// takes a slot before starting an item and emission (in index order)
-	// frees it, so at most Window results are ever in flight. Use it when
-	// results are heavy (full traces, whole worlds) and the reorder buffer
-	// must not absorb the whole campaign behind one slow early item. Slots
-	// are acquired before indices — which are handed out in increasing order
-	// — so the lowest unemitted item always already holds a slot and emission
-	// is never blocked behind slot acquisition (no deadlock).
+	// frees it once emit returns, so at most Window results are ever in
+	// flight. Use it when results are heavy (full traces, whole worlds) and
+	// the reorder buffer must not absorb the whole campaign behind one slow
+	// early item. Slots are acquired before indices — which are handed out
+	// in increasing order — so the lowest unemitted item always already
+	// holds a slot and emission is never blocked behind slot acquisition
+	// (no deadlock).
 	Window int
 }
 
@@ -172,13 +173,15 @@ func Run[R any](ctx context.Context, cfg Config, work func(index int) (R, error)
 			}
 			delete(pending, next)
 			next++
-			if window != nil {
-				// Every pending entry came from a worker holding a slot;
-				// this receive never blocks.
-				<-window
-			}
 			if !emit(head.res) {
 				stopped = true
+			}
+			if window != nil {
+				// Every pending entry came from a worker holding a slot;
+				// this receive never blocks. Freeing it only once emit has
+				// returned keeps a worker from completing one more item
+				// while this one is still being emitted.
+				<-window
 			}
 		}
 	}

@@ -128,11 +128,14 @@ func TestRunWindowBoundsInFlight(t *testing.T) {
 			return i, nil
 		},
 		func(res int) bool {
-			emitted.Add(1)
-			// An artificially slow consumer forces workers to fill the window.
+			// An artificially slow consumer forces workers to fill the
+			// window. The emission counts once emit is done: a slot freed
+			// while it is still running would let a worker complete one
+			// result past the window.
 			if res == 0 {
 				time.Sleep(5 * time.Millisecond)
 			}
+			emitted.Add(1)
 			return true
 		})
 	if err != nil {

@@ -186,88 +186,70 @@ type FaultOutcome struct {
 
 // plan is the engine's window planner (campaign.Executor.Plan): the
 // checkpoint forward pass over the window's faults, then the per-fault
-// runner. Checkpoints are useless for an
-// analyzed campaign that cannot stitch the clean prefix (non-monotonic
-// record steps): such runs replay traced from step 0, so the planning pass
-// is skipped entirely.
+// runner. Checkpoints are useless for an analyzed campaign that cannot
+// stitch the clean prefix (non-monotonic record steps): such runs replay
+// traced from step 0, so the planning pass is skipped entirely.
 func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, live []int) (func(int) (FaultOutcome, error), error) {
-	var plan *checkpointPlan
+	snaps := make([]*interp.Snapshot, len(faults))
 	if c.analyze == nil || c.stitch {
-		var err error
-		if plan, err = c.planCheckpoints(ctx, faults, live); err != nil {
+		if err := c.planCheckpoints(ctx, faults, live, snaps); err != nil {
 			return nil, err
 		}
 	}
-	return func(i int) (FaultOutcome, error) {
-		o, payload, err := c.runFault(i, faults[i], plan)
-		if err != nil {
-			return FaultOutcome{}, err
-		}
-		return FaultOutcome{Index: i, Fault: faults[i], Outcome: o, Analysis: payload}, nil
-	}, nil
+	return func(i int) (FaultOutcome, error) { return c.runFault(i, faults[i], snaps[i]) }, nil
 }
 
-// runFault executes one injection from its planned checkpoint — from step 0
-// when plan is nil.
-func (c *Campaign) runFault(i int, f interp.Fault, plan *checkpointPlan) (Outcome, any, error) {
-	if plan != nil {
-		return plan.runFault(c, i, f)
-	}
-	if c.analyze != nil {
-		return c.runTraced(i, f, nil)
-	}
-	o, err := RunOne(c.mk, c.verify, f)
-	return o, nil, err
-}
-
-// runTraced runs one injection with full tracing — restoring from snap when
-// non-nil, else from step 0 — and applies the analysis hook to the faulty
-// trace. Restored runs are primed with the clean trace's matching prefix
-// records, so the stitched trace equals a from-step-0 traced run.
-func (c *Campaign) runTraced(i int, f interp.Fault, snap *interp.Snapshot) (Outcome, any, error) {
+// runFault executes injection i — restored from snap when non-nil, else
+// from step 0 — and classifies it. An analyzed campaign runs it fully
+// traced and hands the faulty trace to the analysis hook; a restored traced
+// run is primed with the clean trace's matching prefix records, so the
+// stitched trace equals a from-step-0 traced run.
+func (c *Campaign) runFault(i int, f interp.Fault, snap *interp.Snapshot) (FaultOutcome, error) {
 	m, err := c.mk()
 	if err != nil {
-		return NotApplied, nil, fmt.Errorf("inject: make machine: %w", err)
+		return FaultOutcome{}, fmt.Errorf("inject: make machine: %w", err)
 	}
-	m.Mode = interp.TraceFull
+	m.Mode = interp.TraceOff
 	m.Fault = &f
-	// TraceHint is deliberately left unset until after Restore: a restored
-	// record-free snapshot would preallocate a clean-trace-sized buffer that
-	// PrimeTrace immediately replaces.
-	hint := uint64(c.clean.Recs.Len()) + 64
+	var hint uint64
+	if c.analyze != nil {
+		m.Mode = interp.TraceFull
+		hint = uint64(c.clean.Recs.Len()) + 64
+	}
+	// TraceHint stays unset across Restore: a restored record-free snapshot
+	// would preallocate a clean-trace-sized buffer that PrimeTrace
+	// immediately replaces.
 	var tr *trace.Trace
-	if snap != nil {
-		if rerr := m.Restore(snap); rerr == nil {
+	if snap != nil && m.Restore(snap) == nil {
+		if c.analyze != nil {
 			m.PrimeTrace(c.clean.Recs.StepPrefix(snap.Step()), hint)
-			tr, err = m.Resume()
-		} else {
-			// Restore can only fail when MakeMachine rebuilds its program
-			// per call; replay this same (still unstarted) machine from
-			// step 0, which is always correct.
-			m.TraceHint = hint
-			tr, err = m.Run()
 		}
+		tr, err = m.Resume()
 	} else {
+		// No checkpoint, or Restore failed — it fails only when MakeMachine
+		// rebuilds its program per call, so snapshots cannot be shared.
+		// Run this same (still unstarted) machine from step 0, which is
+		// always correct.
 		m.TraceHint = hint
 		tr, err = m.Run()
 	}
 	if err != nil {
-		return NotApplied, nil, fmt.Errorf("inject: injection run: %w", err)
+		return FaultOutcome{}, fmt.Errorf("inject: injection run: %w", err)
 	}
-	o := classify(m, tr, c.verify)
-	payload, err := c.analyze(i, f, tr, o)
-	if err != nil {
-		return NotApplied, nil, fmt.Errorf("inject: analyze fault %d: %w", i, err)
+	fo := FaultOutcome{Index: i, Fault: f, Outcome: classify(m, tr, c.verify)}
+	if c.analyze == nil {
+		return fo, nil
 	}
-	if c.cfg.DropTraces {
-		if d, ok := payload.(TraceDropper); ok {
-			d.DropTrace()
-			// The payload has released its trace reference and analysis
-			// artifacts hold no aliases into the records, so the buffer can
-			// seed a later injection's trace instead of being garbage.
-			trace.PutRecs(tr.Recs)
-			tr.Recs = trace.Recs{}
-		}
+	if fo.Analysis, err = c.analyze(i, f, tr, fo.Outcome); err != nil {
+		return FaultOutcome{}, fmt.Errorf("inject: analyze fault %d: %w", i, err)
 	}
-	return o, payload, nil
+	if d, ok := fo.Analysis.(TraceDropper); ok && c.cfg.DropTraces {
+		d.DropTrace()
+		// The payload has released its trace reference and analysis
+		// artifacts hold no aliases into the records, so the buffer can
+		// seed a later injection's trace instead of being garbage.
+		trace.PutRecs(tr.Recs)
+		tr.Recs = trace.Recs{}
+	}
+	return fo, nil
 }

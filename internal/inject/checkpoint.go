@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"fliptracker/internal/interp"
-	"fliptracker/internal/trace"
 )
 
 // DefaultMaxCheckpoints bounds the prefix snapshots a campaign keeps live.
@@ -17,15 +16,6 @@ import (
 // every distinct fault step in realistic campaigns gets its exact nearest
 // checkpoint.
 const DefaultMaxCheckpoints = 4096
-
-// checkpointPlan is a campaign window's shared state: the prefix
-// snapshots laid down by one forward pass of the fault-free run, and the
-// per-fault assignment of the nearest snapshot at or before its step.
-type checkpointPlan struct {
-	snaps []*interp.Snapshot
-	// assign maps fault index -> snapshot index; -1 replays from step 0.
-	assign []int
-}
 
 // planCheckpoints shares fault-free prefix work across injections. For a
 // fault at dynamic step N, the first N steps are identical to the fault-free
@@ -45,20 +35,16 @@ type checkpointPlan struct {
 // The forward pass honors ctx between checkpoints, so cancellation during
 // planning is prompt.
 //
-// Only the live indices, order, are planned, and they are sorted in place:
-// indices outside their window belong to other shards (or a journal's
-// replayed prefix) and statically pruned ones never run, so they neither
-// force checkpoints nor need assignments — a sharded campaign's forward
-// passes each cover just their own window's fault steps.
-func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, order []int) (*checkpointPlan, error) {
-	n := len(faults)
+// snaps[i] receives fault i's checkpoint, or stays nil for a run from
+// step 0 (a fault before the first checkpoint). Only the live indices are
+// planned, and they are sorted in place: indices outside their window belong
+// to other shards (or a journal's replayed prefix) and statically pruned ones
+// never run, so they neither force checkpoints nor need one — a sharded
+// campaign's forward passes each cover just their own window's fault steps.
+func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, order []int, snaps []*interp.Snapshot) error {
 	if len(order) == 0 {
 		// Everything pruned: no prefix pass needed.
-		plan := &checkpointPlan{assign: make([]int, n)}
-		for i := range plan.assign {
-			plan.assign[i] = -1
-		}
-		return plan, nil
+		return nil
 	}
 	sort.Slice(order, func(a, b int) bool {
 		if faults[order[a]].Step != faults[order[b]].Step {
@@ -83,31 +69,26 @@ func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, o
 
 	base, err := c.mk()
 	if err != nil {
-		return nil, fmt.Errorf("inject: make machine: %w", err)
+		return fmt.Errorf("inject: make machine: %w", err)
 	}
 	base.Mode = interp.TraceOff
 
-	plan := &checkpointPlan{assign: make([]int, n)}
-	for i := range plan.assign {
-		plan.assign[i] = -1
-	}
+	var last *interp.Snapshot
 	baseLive := true
 	for _, idx := range order {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		fstep := faults[idx].Step
-		if baseLive && (len(plan.snaps) == 0 || fstep-plan.snaps[len(plan.snaps)-1].Step() > interval) {
+		if baseLive && (last == nil || fstep-last.Step() > interval) {
 			paused, err := base.RunUntil(fstep)
 			if err != nil {
-				return nil, fmt.Errorf("inject: checkpoint prefix: %w", err)
+				return fmt.Errorf("inject: checkpoint prefix: %w", err)
 			}
 			if paused {
-				snap, err := base.Snapshot()
-				if err != nil {
-					return nil, fmt.Errorf("inject: checkpoint: %w", err)
+				if last, err = base.Snapshot(); err != nil {
+					return fmt.Errorf("inject: checkpoint: %w", err)
 				}
-				plan.snaps = append(plan.snaps, snap)
 			} else {
 				// The fault-free run terminated before this fault's step;
 				// no later checkpoint is reachable. Later faults resume
@@ -115,48 +96,7 @@ func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, o
 				baseLive = false
 			}
 		}
-		if len(plan.snaps) > 0 {
-			plan.assign[idx] = len(plan.snaps) - 1
-		}
+		snaps[idx] = last
 	}
-	return plan, nil
-}
-
-// runFault executes one injection from its assigned checkpoint (or from
-// step 0 when none is assigned) and classifies it.
-func (p *checkpointPlan) runFault(c *Campaign, i int, f interp.Fault) (Outcome, any, error) {
-	snapIdx := p.assign[i]
-	if c.analyze != nil {
-		// Analyzed campaign: run traced from the checkpoint, stitching the
-		// clean prefix in front of the recorded suffix.
-		var snap *interp.Snapshot
-		if snapIdx >= 0 {
-			snap = p.snaps[snapIdx]
-		}
-		return c.runTraced(i, f, snap)
-	}
-	if snapIdx < 0 {
-		o, err := RunOne(c.mk, c.verify, f)
-		return o, nil, err
-	}
-	m, err := c.mk()
-	if err != nil {
-		return NotApplied, nil, fmt.Errorf("inject: make machine: %w", err)
-	}
-	m.Mode = interp.TraceOff
-	m.Fault = &f
-	var tr *trace.Trace
-	if rerr := m.Restore(p.snaps[snapIdx]); rerr == nil {
-		tr, err = m.Resume()
-	} else {
-		// Restore can only fail when MakeMachine rebuilds its program
-		// per call, so snapshots cannot be shared; replay this same
-		// (still unstarted) machine from step 0, which is always
-		// correct.
-		tr, err = m.Run()
-	}
-	if err != nil {
-		return NotApplied, nil, fmt.Errorf("inject: injection run: %w", err)
-	}
-	return classify(m, tr, c.verify), nil, nil
+	return nil
 }

@@ -11,18 +11,18 @@ import (
 )
 
 // fromScratch is the campaign's test oracle: every drawn fault run in index
-// order through the per-fault runner with no checkpoint plan, so each
-// injection replays from dynamic step 0.
+// order through the per-fault runner with no checkpoint, so each injection
+// replays from dynamic step 0.
 func fromScratch(t *testing.T, c *Campaign) []FaultOutcome {
 	t.Helper()
 	faults := c.Faults()
 	out := make([]FaultOutcome, len(faults))
 	for i, f := range faults {
-		o, payload, err := c.runFault(i, f, nil)
+		fo, err := c.runFault(i, f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = FaultOutcome{Index: i, Fault: f, Outcome: o, Analysis: payload}
+		out[i] = fo
 	}
 	return out
 }

@@ -182,9 +182,9 @@ func TestCoWDivergeAndResnapshot(t *testing.T) {
 	}
 }
 
-// TestCoWWordsAccounting pins Words() to materialized pages only: fresh
-// machines pin nothing, each first-touched page adds exactly pageWords, and
-// restoring adopts the snapshot's materialization count.
+// TestCoWWordsAccounting pins a snapshot's page accounting to materialized
+// pages only: fresh machines pin nothing, each first-touched page counts
+// once, and restoring adopts the snapshot's materialization count.
 func TestCoWWordsAccounting(t *testing.T) {
 	p, g := buildPagedProg(t)
 	m, err := NewMachine(p)
@@ -206,12 +206,8 @@ func TestCoWWordsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regWords := 0
-	for _, fr := range m.stack {
-		regWords += len(fr.regs)
-	}
-	if got, want := snap.Words(), 2*pageWords+regWords; got != want {
-		t.Errorf("snapshot Words() = %d, want %d", got, want)
+	if snap.memMat != 2 {
+		t.Errorf("snapshot pins %d materialized pages, want 2", snap.memMat)
 	}
 
 	// Re-dirtying an already-materialized shared page must not recount it;
@@ -231,7 +227,7 @@ func TestCoWWordsAccounting(t *testing.T) {
 	if rm.mem.mat != 3 {
 		t.Errorf("first touch of a zero page: mat = %d, want 3", rm.mem.mat)
 	}
-	if snap.Words() != 2*pageWords+regWords {
-		t.Errorf("snapshot Words() changed after restore-side writes: %d", snap.Words())
+	if snap.memMat != 2 {
+		t.Errorf("snapshot page count changed after restore-side writes: %d", snap.memMat)
 	}
 }

@@ -19,10 +19,8 @@ type TraceMode uint8
 const (
 	// TraceOff records nothing (fastest; used for injection campaigns).
 	TraceOff TraceMode = iota
-	// TraceMarkers records only region enter/exit markers, enough to
-	// recover region-instance step ranges cheaply.
-	TraceMarkers
-	// TraceFull records every dynamic instruction with operand values.
+	// TraceFull records every dynamic instruction with operand values
+	// (restricted to some functions by Machine.TraceFuncs).
 	TraceFull
 )
 

@@ -421,7 +421,9 @@ func TestRegionMarkersInMarkerMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := NewMachine(p)
-	m.Mode = TraceMarkers
+	// Full tracing of no function records the region markers alone.
+	m.Mode = TraceFull
+	m.TraceFuncs = map[int]bool{}
 	tr := mustRun(t, m)
 	if tr.Recs.Len() != 4 {
 		t.Fatalf("marker mode records = %d, want 4", tr.Recs.Len())

@@ -52,20 +52,6 @@ type frameSnap struct {
 // instruction a restored machine executes is dynamic step Step.
 func (s *Snapshot) Step() uint64 { return s.step }
 
-// Words returns the approximate size of the snapshot in machine words,
-// useful for budgeting how many checkpoints to keep live. Only materialized
-// pages count — pages still backed by the global zero page pin no storage,
-// and pages shared with the live machine (or sibling snapshots) are counted
-// once per referencing snapshot as the upper bound of what this snapshot
-// alone keeps reachable.
-func (s *Snapshot) Words() int {
-	n := s.memMat * pageWords
-	for _, f := range s.frames {
-		n += len(f.regs)
-	}
-	return n
-}
-
 // Snapshot deep-copies the machine's resumable state. The machine must be
 // paused at a RunUntil point: not yet started or already finished machines
 // cannot be snapshotted.

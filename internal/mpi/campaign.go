@@ -237,27 +237,37 @@ func (c *Campaign) Clean() *Result { return c.clean }
 // the given trace mode — exactly the unit of work a campaign worker runs,
 // minus the fault. The Figure 4 tracing-overhead study times this.
 func (c *Campaign) ReplayClean(mode interp.TraceMode) (*Result, error) {
-	return c.runWorld(nil, mode)
+	return c.replay(nil, mode, nil)
 }
 
-func (c *Campaign) runWorld(f *interp.Fault, mode interp.TraceMode) (*Result, error) {
+// replay runs one world of the campaign under the clean recording in mode,
+// injecting f (nil: fault-free): restored from snap when non-nil, else from
+// step 0. A traced world from step 0 preallocates each rank's record buffer
+// from the clean step counts; a restored traced world seeds it with the
+// rank's clean prefix instead — the records a from-step-0 traced run laid
+// down before the cut (the pre-fault prefix is fault-free and
+// deterministic) — so its per-rank traces are byte-identical to a
+// from-step-0 traced replay. plan gives an analyzed campaign's faults
+// snapshots only when every rank's clean records are stitchable (c.stitch).
+func (c *Campaign) replay(f *interp.Fault, mode interp.TraceMode, snap *WorldSnapshot) (*Result, error) {
 	cfg := c.base
 	cfg.Mode = mode
 	cfg.Fault = f
 	cfg.Replay = c.clean.Recording
-	if mode == interp.TraceFull && cfg.TraceHint == 0 {
-		cfg.TraceHint = c.hint
+	if snap == nil {
+		if mode == interp.TraceFull && cfg.TraceHint == 0 {
+			cfg.TraceHint = c.hint
+		}
+		return Run(c.prog, cfg)
 	}
-	return Run(c.prog, cfg)
-}
-
-// worldMode is the trace mode of the campaign's injection runs: untraced
-// unless a WorldAnalyzer needs the per-rank traces.
-func (c *Campaign) worldMode() interp.TraceMode {
-	if c.analyze != nil {
-		return interp.TraceFull
+	var prime func(m *interp.Machine, rank int)
+	if mode == interp.TraceFull {
+		prime = func(m *interp.Machine, rank int) {
+			recs := &c.clean.Ranks[rank].Trace.Recs
+			m.PrimeTrace(recs.StepPrefix(snap.CutStep(rank)), uint64(recs.Len())+64)
+		}
 	}
-	return interp.TraceOff
+	return RestoreWorld(c.prog, cfg, snap, prime)
 }
 
 // WorldOutcome is one per-fault record of a streaming MPI campaign.
@@ -280,26 +290,29 @@ type WorldOutcome struct {
 }
 
 // plan is the engine's window planner (campaign.Executor.Plan): world
-// checkpoints for the window's faults, then the per-fault runner. World checkpoints need collective boundaries
-// to cut at, and analyzed campaigns additionally need stitchable
-// (per-rank monotonic) clean traces; planWorldCheckpoints degrades to a nil
-// plan (replay from step 0) when either is missing.
+// checkpoints for the window's faults, then the per-fault runner. World
+// checkpoints need collective boundaries to cut at, and analyzed campaigns
+// additionally need stitchable (per-rank monotonic) clean traces; without
+// either, every world replays from step 0.
 func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, live []int) (func(int) (WorldOutcome, error), error) {
-	var plan *worldPlan
+	snapAt := make([]*WorldSnapshot, len(faults))
 	if c.analyze == nil || c.stitch {
-		var err error
-		if plan, err = c.planWorldCheckpoints(ctx, faults, live); err != nil {
+		if err := c.planWorldCheckpoints(ctx, faults, live, snapAt); err != nil {
 			return nil, err
 		}
 	}
-	return func(i int) (WorldOutcome, error) { return c.runFault(i, faults[i], plan) }, nil
+	return func(i int) (WorldOutcome, error) { return c.runFault(i, faults[i], snapAt[i]) }, nil
 }
 
-// runFault executes one injected world — restored from its planned world
-// checkpoint when one is assigned, replayed from step 0 otherwise — and
-// classifies it.
-func (c *Campaign) runFault(i int, f interp.Fault, plan *worldPlan) (WorldOutcome, error) {
-	faulty, err := c.runPlanned(i, &f, plan)
+// runFault executes injected world i — restored from snap when non-nil,
+// replayed from step 0 otherwise; fully traced and analyzed in an analyzed
+// campaign, untraced otherwise — and classifies it.
+func (c *Campaign) runFault(i int, f interp.Fault, snap *WorldSnapshot) (WorldOutcome, error) {
+	mode := interp.TraceOff
+	if c.analyze != nil {
+		mode = interp.TraceFull
+	}
+	faulty, err := c.replay(&f, mode, snap)
 	if err != nil {
 		return WorldOutcome{}, fmt.Errorf("mpi: world %d: %w", i, err)
 	}
@@ -309,26 +322,23 @@ func (c *Campaign) runFault(i int, f interp.Fault, plan *worldPlan) (WorldOutcom
 		Outcome:     ClassifyWorld(faulty, c.base.FaultRank, c.verify),
 		Propagation: ClassifyPropagation(c.clean, faulty, c.base.FaultRank),
 	}
-	if c.analyze != nil {
-		payload, err := c.analyze(i, f, faulty, wo.Outcome, wo.Propagation)
-		if err != nil {
-			return WorldOutcome{}, fmt.Errorf("mpi: analyze world %d: %w", i, err)
-		}
-		if c.cfg.DropTraces {
-			if d, ok := payload.(inject.TraceDropper); ok {
-				d.DropTrace()
-				// The payload has released its per-rank trace references;
-				// recycle each rank's record buffer for later worlds. The
-				// world Result itself is discarded below (only wo survives).
-				for r := range faulty.Ranks {
-					if t := faulty.Ranks[r].Trace; t != nil {
-						trace.PutRecs(t.Recs)
-						t.Recs = trace.Recs{}
-					}
-				}
+	if c.analyze == nil {
+		return wo, nil
+	}
+	if wo.Analysis, err = c.analyze(i, f, faulty, wo.Outcome, wo.Propagation); err != nil {
+		return WorldOutcome{}, fmt.Errorf("mpi: analyze world %d: %w", i, err)
+	}
+	if d, ok := wo.Analysis.(inject.TraceDropper); ok && c.cfg.DropTraces {
+		d.DropTrace()
+		// The payload has released its per-rank trace references; recycle
+		// each rank's record buffer for later worlds. The world Result
+		// itself is discarded here (only wo survives).
+		for r := range faulty.Ranks {
+			if t := faulty.Ranks[r].Trace; t != nil {
+				trace.PutRecs(t.Recs)
+				t.Recs = trace.Recs{}
 			}
 		}
-		wo.Analysis = payload
 	}
 	return wo, nil
 }

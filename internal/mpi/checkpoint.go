@@ -8,16 +8,6 @@ import (
 	"fliptracker/internal/interp"
 )
 
-// worldPlan is an MPI campaign window's shared state: the world
-// snapshots laid down by one forward pass of the fault-free world, and the
-// per-fault assignment of the nearest snapshot at or before its step on the
-// injected rank.
-type worldPlan struct {
-	snaps []*WorldSnapshot
-	// assign maps fault index -> snapshot index; -1 replays from step 0.
-	assign []int
-}
-
 // planWorldCheckpoints shares fault-free world-prefix work across
 // injections — inject's checkpoint planner ported to the multi-rank path.
 // For a fault at dynamic step N of the injected rank, every rank's execution
@@ -37,21 +27,19 @@ type worldPlan struct {
 // fault stream is drawn before scheduling, the outcomes — and thus the
 // Result — are exactly those of from-scratch replays of the same faults.
 //
-// A nil plan (with nil error) means checkpointing cannot help: the program
-// has no collective rounds, the clean world's cut counts are ragged, or
-// every fault lands before the first cut. Such campaigns replay every
-// world from step 0.
-//
-// Only the live indices are planned: indices outside their window belong to
-// other shards (or a journal's replayed prefix) and statically pruned ones
-// never run, so they neither request cuts nor need assignments — a sharded
-// campaign's forward passes each cover just their own window's fault steps.
-func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fault, live []int) (*worldPlan, error) {
+// snapAt[i] receives fault i's world snapshot, or stays nil for a replay
+// from step 0: the program has no collective rounds, the clean world carries
+// no cut logs, or the fault lands before the first cut. Only the live
+// indices are planned: indices outside their window belong to other shards
+// (or a journal's replayed prefix) and statically pruned ones never run, so
+// they request no cuts — a sharded campaign's forward passes each cover just
+// their own window's fault steps.
+func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fault, live []int, snapAt []*WorldSnapshot) error {
 	if len(c.clean.Cuts) != c.base.Ranks {
 		// An adopted clean Result without cut logs (WithClean on a Result
 		// assembled outside mpi.Run, e.g. rebuilt from persisted traces):
 		// no boundaries to cut at, so replay from step 0.
-		return nil, nil
+		return nil
 	}
 	rounds := len(c.clean.Cuts[c.base.FaultRank])
 	for _, cl := range c.clean.Cuts {
@@ -60,7 +48,7 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 		}
 	}
 	if rounds == 0 {
-		return nil, nil
+		return nil
 	}
 	faultCuts := c.clean.Cuts[c.base.FaultRank][:rounds]
 
@@ -82,51 +70,17 @@ func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fau
 		}
 	}
 	if len(desired) == 0 {
-		return nil, nil
+		return nil
 	}
 
 	snaps, err := SnapshotWorld(ctx, c.prog, c.base, c.clean, desired)
 	if err != nil {
-		return nil, fmt.Errorf("mpi: world checkpoints: %w", err)
-	}
-	plan := &worldPlan{snaps: snaps, assign: make([]int, len(faults))}
-	for i := range plan.assign {
-		plan.assign[i] = -1
+		return fmt.Errorf("mpi: world checkpoints: %w", err)
 	}
 	for _, i := range live {
 		if k := bestRound(faults[i].Step); k >= 0 {
-			plan.assign[i] = sort.SearchInts(desired, k)
+			snapAt[i] = snaps[sort.SearchInts(desired, k)]
 		}
 	}
-	return plan, nil
-}
-
-// runPlanned executes one injected world: restored from its assigned world
-// snapshot when one exists, replayed from step 0 otherwise (no plan, or a
-// fault before the first cut).
-func (c *Campaign) runPlanned(i int, f *interp.Fault, plan *worldPlan) (*Result, error) {
-	mode := c.worldMode()
-	if plan == nil || plan.assign[i] < 0 {
-		return c.runWorld(f, mode)
-	}
-	snap := plan.snaps[plan.assign[i]]
-	cfg := c.base
-	cfg.Mode = mode
-	cfg.Fault = f
-	cfg.Replay = c.clean.Recording
-	var prime func(m *interp.Machine, rank int)
-	if mode == interp.TraceFull {
-		// Analyzed campaign: resume traced, seeding each rank's record
-		// buffer with its clean prefix (the records a from-step-0 traced run
-		// laid down before the cut — the pre-fault prefix is fault-free and
-		// deterministic), so the stitched per-rank traces are byte-identical
-		// to from-step-0 traced replays. NewCampaign only plans checkpoints for
-		// analyzed campaigns when every rank's clean records are stitchable
-		// (c.stitch).
-		prime = func(m *interp.Machine, rank int) {
-			recs := &c.clean.Ranks[rank].Trace.Recs
-			m.PrimeTrace(recs.StepPrefix(snap.CutStep(rank)), uint64(recs.Len())+64)
-		}
-	}
-	return RestoreWorld(c.prog, cfg, snap, prime)
+	return nil
 }

@@ -2,18 +2,21 @@ package mpi
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"fliptracker/internal/campaign"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
+	"fliptracker/internal/ir"
 	"fliptracker/internal/stats"
+	"fliptracker/internal/trace"
 )
 
 // TestPlanWorldCheckpoints exercises the planner directly: cuts exist for
-// the campaign workload, every fault at or past the first cut is assigned
-// the nearest snapshot at or before its step, and earlier faults replay
-// from step 0.
+// the campaign workload, every fault at or past the first cut is given the
+// snapshot of the nearest cut at or before its step, and earlier faults
+// replay from step 0.
 func TestPlanWorldCheckpoints(t *testing.T) {
 	c := testCampaign(t, 4)
 	cuts := c.clean.Cuts[c.base.FaultRank]
@@ -27,37 +30,28 @@ func TestPlanWorldCheckpoints(t *testing.T) {
 		{Step: cuts[1] - 1, Bit: 1, Kind: interp.FaultDst}, // just before a cut
 		{Step: steps - 1, Bit: 1, Kind: interp.FaultDst},   // late window
 	}
-	plan, err := c.planWorldCheckpoints(context.Background(), faults, allIndices(faults))
-	if err != nil {
+	snapAt := make([]*WorldSnapshot, len(faults))
+	if err := c.planWorldCheckpoints(context.Background(), faults, allIndices(faults), snapAt); err != nil {
 		t.Fatal(err)
 	}
-	if plan == nil {
-		t.Fatal("planner returned no plan for a workload with collective cuts")
-	}
-	if len(plan.snaps) == 0 || len(plan.assign) != len(faults) {
-		t.Fatalf("plan has %d snaps, %d assignments", len(plan.snaps), len(plan.assign))
-	}
 	for i, f := range faults {
-		si := plan.assign[i]
+		snap := snapAt[i]
 		if f.Step < cuts[0] {
-			if si != -1 {
-				t.Errorf("fault %d (step %d) assigned snapshot %d, want a from-step-0 replay", i, f.Step, si)
+			if snap != nil {
+				t.Errorf("fault %d (step %d) assigned the round-%d snapshot, want a from-step-0 replay", i, f.Step, snap.Round())
 			}
 			continue
 		}
-		if si < 0 {
+		if snap == nil {
 			t.Errorf("fault %d (step %d) unassigned despite a preceding cut", i, f.Step)
 			continue
 		}
-		cut := plan.snaps[si].CutStep(c.base.FaultRank)
-		if cut > f.Step {
+		if cut := snap.CutStep(c.base.FaultRank); cut > f.Step {
 			t.Errorf("fault %d (step %d) assigned cut %d past its step", i, f.Step, cut)
 		}
-		for sj := si + 1; sj < len(plan.snaps); sj++ {
-			if plan.snaps[sj].CutStep(c.base.FaultRank) <= f.Step {
-				t.Errorf("fault %d (step %d): later snapshot %d (cut %d) also fits — not the nearest",
-					i, f.Step, sj, plan.snaps[sj].CutStep(c.base.FaultRank))
-			}
+		if k := snap.Round() + 1; k < len(cuts) && cuts[k] <= f.Step {
+			t.Errorf("fault %d (step %d): later cut %d (round %d) also fits — not the nearest",
+				i, f.Step, cuts[k], k)
 		}
 	}
 }
@@ -73,7 +67,7 @@ func allIndices(faults []interp.Fault) []int {
 }
 
 // fromScratch is the campaign's test oracle: every drawn fault run in index
-// order through the per-fault runner with no checkpoint plan, so each world
+// order through the per-fault runner with no snapshot, so each world
 // replays from step 0.
 func fromScratch(t *testing.T, c *Campaign) []WorldOutcome {
 	t.Helper()
@@ -91,7 +85,7 @@ func fromScratch(t *testing.T, c *Campaign) []WorldOutcome {
 
 // TestCampaignAdoptedCleanWithoutCuts: a WithClean Result assembled outside
 // mpi.Run carries no collective cut log; the planner must degrade to
-// from-step-0 replay (nil plan), not panic, and the campaign must still
+// from-step-0 replay (no snapshot), not panic, and the campaign must still
 // produce the outcomes of the from-scratch oracle.
 func TestCampaignAdoptedCleanWithoutCuts(t *testing.T) {
 	ref := testCampaign(t, 8)
@@ -103,12 +97,12 @@ func TestCampaignAdoptedCleanWithoutCuts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := c.planWorldCheckpoints(context.Background(), []interp.Fault{{Step: steps - 1}}, []int{0})
-	if err != nil {
+	snapAt := make([]*WorldSnapshot, 1)
+	if err := c.planWorldCheckpoints(context.Background(), []interp.Fault{{Step: steps - 1}}, []int{0}, snapAt); err != nil {
 		t.Fatal(err)
 	}
-	if plan != nil {
-		t.Fatal("cut-less clean world produced a checkpoint plan")
+	if snapAt[0] != nil {
+		t.Fatal("cut-less clean world produced a world checkpoint")
 	}
 	got, err := c.Run(context.Background())
 	if err != nil {
@@ -219,5 +213,113 @@ func TestCampaignEarlyStopValidation(t *testing.T) {
 		if _, err := NewCampaign(p, base, targets, campaign.WithTests(5), campaign.WithEarlyStop(bad[0], bad[1])); err == nil {
 			t.Errorf("campaign.WithEarlyStop(%v, %v) should fail", bad[0], bad[1])
 		}
+	}
+}
+
+// buildCallRetProg is an MPI workload whose clean rank traces are not
+// step-monotonic: main calls a value-returning function that allreduces
+// inside the call, so every collective cut falls inside a callee and each
+// call's OpRet record, stamped with the call-site's step, is emitted after
+// the callee's higher-step records.
+func buildCallRetProg(t testing.TB) *ir.Program {
+	t.Helper()
+	p := ir.NewProgram("mpicallret")
+	DeclareHosts(p)
+	vec := p.AllocGlobal("vec", 4, ir.F64)
+	reduce := p.NewFunc("reduce", 1)
+	x := ir.Reg(0)
+	for i := int64(0); i < 4; i++ {
+		reduce.StoreGI(vec, i, reduce.FMul(x, reduce.ConstF(float64(i)+0.5)))
+	}
+	reduce.Host(HostAllreduceSum, 2, false, reduce.ConstI(vec.Addr), reduce.ConstI(4))
+	reduce.Ret(reduce.FAdd(reduce.LoadGI(vec, 1), reduce.LoadGI(vec, 3)))
+	reduce.Done()
+	b := p.NewFunc("main", 0)
+	rf := b.SIToFP(b.Host(HostRank, 0, true))
+	acc := b.ConstF(0)
+	b.ForI(0, 3, func(i ir.Reg) {
+		b.BinTo(ir.OpFAdd, acc, acc, b.Call("reduce", b.FAdd(rf, b.SIToFP(b.AddI(i, 1)))))
+	})
+	b.Emit(ir.F64, acc)
+	b.Emit(ir.F64, b.LoadGI(vec, 0))
+	b.RetVoid()
+	b.Done()
+	if err := p.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestAnalyzedCampaignNonMonotonicRankTraces covers the MPI engine's
+// prefix-stitching guard (the MPI analog of inject's
+// TestAnalyzedCampaignNonMonotonicTrace): when a rank's clean record steps
+// are not monotonic, a Step-keyed prefix cut is unsound, so analyzed worlds
+// must replay traced from step 0. Every fault's per-rank traces and outcome
+// must equal a direct traced mpi.Run of the same fault under the clean
+// recording.
+func TestAnalyzedCampaignNonMonotonicRankTraces(t *testing.T) {
+	p := buildCallRetProg(t)
+	clean, err := Run(p, Config{Ranks: 3, Seed: 1, Mode: interp.TraceFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rr := range clean.Ranks {
+		if trace.StepsMonotonic(rr.Trace.Recs) {
+			t.Fatalf("fixture defect: rank %d's record steps are monotonic", rr.Rank)
+		}
+	}
+	if len(clean.Cuts[1]) == 0 {
+		t.Fatal("fixture defect: no collective cuts, so there is nothing to stitch at")
+	}
+	steps := clean.Ranks[1].Trace.Steps
+	base := Config{Ranks: 3, Seed: 1, FaultRank: 1, StepLimit: 64 * steps}
+	const tests = 30
+	c, err := NewCampaign(p, base, inject.UniformDst{TotalSteps: steps},
+		campaign.WithTests(tests), campaign.WithSeed(4), campaign.WithParallelism(2), WithClean(clean),
+		WithWorldAnalysis(func(_ int, _ interp.Fault, faulty *Result, _ inject.Outcome, _ Propagation) (any, error) {
+			return faulty, nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restorable := 0
+	n := 0
+	for wo, err := range c.Stream(context.Background()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wo.Fault.Step >= clean.Cuts[1][0] {
+			restorable++
+		}
+		cfg := base
+		cfg.Mode = interp.TraceFull
+		cfg.Replay = clean.Recording
+		cfg.Fault = &wo.Fault
+		want, err := Run(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulty := wo.Analysis.(*Result)
+		for r := range want.Ranks {
+			got, exp := faulty.Ranks[r], want.Ranks[r]
+			if got.FaultApplied != exp.FaultApplied || got.Trace.Status != exp.Trace.Status ||
+				!reflect.DeepEqual(got.Trace.Output, exp.Trace.Output) || !reflect.DeepEqual(got.Trace.Recs, exp.Trace.Recs) {
+				t.Fatalf("world %d (%v) rank %d: trace differs from a direct traced run (%d vs %d recs)",
+					wo.Index, wo.Fault, r, got.Trace.Recs.Len(), exp.Trace.Recs.Len())
+			}
+		}
+		if o := ClassifyWorld(want, base.FaultRank, func(r *Result) bool { return outputsEqual(clean, r) }); wo.Outcome != o {
+			t.Fatalf("world %d (%v): outcome %v, direct run %v", wo.Index, wo.Fault, wo.Outcome, o)
+		}
+		if prop := ClassifyPropagation(clean, want, base.FaultRank); !reflect.DeepEqual(wo.Propagation, prop) {
+			t.Fatalf("world %d (%v): propagation %v, direct run %v", wo.Index, wo.Fault, wo.Propagation, prop)
+		}
+		n++
+	}
+	if n != tests {
+		t.Fatalf("analyzed %d worlds, want %d", n, tests)
+	}
+	if restorable == 0 {
+		t.Fatal("no fault lands past the first cut: the stitching guard is not exercised")
 	}
 }

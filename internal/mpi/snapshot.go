@@ -51,16 +51,6 @@ func (s *WorldSnapshot) CutStep(rank int) uint64 { return s.cuts[rank] }
 // Ranks returns the world size the snapshot was taken from.
 func (s *WorldSnapshot) Ranks() int { return len(s.machines) }
 
-// Words returns the approximate snapshot size in machine words across all
-// ranks, useful for budgeting how many world checkpoints to keep live.
-func (s *WorldSnapshot) Words() int {
-	n := 0
-	for _, m := range s.machines {
-		n += m.Words()
-	}
-	return n
-}
-
 // SnapshotWorld replays the recorded fault-free world under cfg and clean's
 // Recording in one forward pass, pausing every rank at each selected
 // collective boundary (rounds: ascending indices into clean.Cuts) and deep-

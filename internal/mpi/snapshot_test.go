@@ -403,7 +403,4 @@ func TestSnapshotWorldValidation(t *testing.T) {
 	if _, err := mpi.RestoreWorld(p, wrong, snaps[0], nil); err == nil {
 		t.Error("rank-count mismatch on restore should fail")
 	}
-	if snaps[0].Words() <= 0 {
-		t.Error("snapshot reports no words")
-	}
 }
