@@ -152,7 +152,9 @@ func BenchmarkInterpreterFullTrace(b *testing.B) { benchInterpreter(b, interp.Tr
 
 // benchInterpreter runs each registered app's clean program from step 0 in
 // the given trace mode, one sub-benchmark per app, and reports dispatch
-// throughput in dynamic steps per second.
+// throughput in dynamic steps per second. Traced runs preallocate their
+// record buffer from the clean step count (TraceHint), as campaigns do, so
+// FullTrace measures recording rather than buffer growth.
 func benchInterpreter(b *testing.B, mode interp.TraceMode) {
 	for _, name := range apps.Names() {
 		b.Run(name, func(b *testing.B) {
@@ -168,6 +170,7 @@ func benchInterpreter(b *testing.B, mode interp.TraceMode) {
 					b.Fatal(err)
 				}
 				m.Mode = mode
+				m.TraceHint = tr.Steps
 				if _, err := m.Run(); err != nil {
 					b.Fatal(err)
 				}
@@ -239,9 +242,10 @@ func BenchmarkFaultInjectionRun(b *testing.B) {
 // step 0) and the checkpointed campaign itself. Both halves report the
 // whole-campaign wall clock per injection; results are verified identical
 // (TestCheckpointedCampaignMatchesRunOne pins the same check in the test
-// suite). "uniform" draws faults across the whole run (win bounded by the
-// mean prefix length, ~2x); "late-window" clusters faults in the last tenth
-// of the run, the shape of region-instance campaigns, where nearly the whole
+// suite). "uniform" draws faults across the whole run: checkpoints share the
+// prefix and runs that reconverge with the clean run skip the tail, about
+// 4-5x on a 2-vCPU VM. "late-window" clusters faults in the last tenth of
+// the run, the shape of region-instance campaigns, where nearly the whole
 // prefix is shared.
 func BenchmarkCheckpointedCampaign(b *testing.B) {
 	an, clean := cleanCG(b)

@@ -3,6 +3,8 @@ package inject
 import (
 	"context"
 	"fmt"
+	"sort"
+	"sync"
 
 	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
@@ -35,6 +37,14 @@ type Campaign struct {
 	// requires the clean trace's record steps to be monotonic (see
 	// NewCampaign), else analyzed injections replay traced from step 0.
 	stitch bool
+
+	// tail memoizes the fault-free run's final trace, which every untraced
+	// injection that reconverges with a clean checkpoint ends in.
+	tail struct {
+		once sync.Once
+		tr   *trace.Trace
+		err  error
+	}
 }
 
 // Option configures a Campaign at construction time: one of the options
@@ -132,6 +142,13 @@ const EarlyStopMinTests = campaign.EarlyStopMinTests
 // Mode forced to TraceOff) — unless WithAnalysis is
 // set, which forces TraceFull — so Verify must classify from the run's
 // output, never from its trace records.
+//
+// Host functions must keep no state outside the machine, as checkpoint
+// restore already assumes: a run's future then depends only on its machine
+// state. An untraced injection whose state equals a later clean checkpoint's
+// therefore stops there and takes the fault-free run's final trace,
+// computed once per campaign, as its own (see resume). Several workers may
+// verify that one trace at once, so Verify must not modify its argument.
 func NewCampaign(mk func() (*interp.Machine, error), verify func(*trace.Trace) bool, targets TargetPicker, opts ...Option) (*Campaign, error) {
 	c := &Campaign{mk: mk, verify: verify}
 	if err := campaign.Apply(&c.cfg, c, opts); err != nil {
@@ -191,20 +208,24 @@ type FaultOutcome struct {
 // traced from step 0, so the planning pass is skipped entirely.
 func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, live []int) (func(int) (FaultOutcome, error), error) {
 	snaps := make([]*interp.Snapshot, len(faults))
+	var cps []*interp.Snapshot
 	if c.analyze == nil || c.stitch {
-		if err := c.planCheckpoints(ctx, faults, live, snaps); err != nil {
+		var err error
+		if cps, err = c.planCheckpoints(ctx, faults, live, snaps); err != nil {
 			return nil, err
 		}
 	}
-	return func(i int) (FaultOutcome, error) { return c.runFault(i, faults[i], snaps[i]) }, nil
+	return func(i int) (FaultOutcome, error) { return c.runFault(i, faults[i], snaps[i], cps) }, nil
 }
 
 // runFault executes injection i — restored from snap when non-nil, else
-// from step 0 — and classifies it. An analyzed campaign runs it fully
+// from step 0 — and classifies it. A restored untraced run is compared with
+// the later clean checkpoints cps (ascending by step) on its way, and stops
+// at the first it reconverges with. An analyzed campaign runs it fully
 // traced and hands the faulty trace to the analysis hook; a restored traced
 // run is primed with the clean trace's matching prefix records, so the
 // stitched trace equals a from-step-0 traced run.
-func (c *Campaign) runFault(i int, f interp.Fault, snap *interp.Snapshot) (FaultOutcome, error) {
+func (c *Campaign) runFault(i int, f interp.Fault, snap *interp.Snapshot, cps []*interp.Snapshot) (FaultOutcome, error) {
 	m, err := c.mk()
 	if err != nil {
 		return FaultOutcome{}, fmt.Errorf("inject: make machine: %w", err)
@@ -223,8 +244,10 @@ func (c *Campaign) runFault(i int, f interp.Fault, snap *interp.Snapshot) (Fault
 	if snap != nil && m.Restore(snap) == nil {
 		if c.analyze != nil {
 			m.PrimeTrace(c.clean.Recs.StepPrefix(snap.Step()), hint)
+			tr, err = m.Resume()
+		} else {
+			tr, err = c.resume(m, f.Step, cps)
 		}
-		tr, err = m.Resume()
 	} else {
 		// No checkpoint, or Restore failed — it fails only when MakeMachine
 		// rebuilds its program per call, so snapshots cannot be shared.
@@ -236,7 +259,7 @@ func (c *Campaign) runFault(i int, f interp.Fault, snap *interp.Snapshot) (Fault
 	if err != nil {
 		return FaultOutcome{}, fmt.Errorf("inject: injection run: %w", err)
 	}
-	fo := FaultOutcome{Index: i, Fault: f, Outcome: classify(m, tr, c.verify)}
+	fo := FaultOutcome{Index: i, Fault: f, Outcome: classify(m.FaultApplied, tr, c.verify)}
 	if c.analyze == nil {
 		return fo, nil
 	}
@@ -252,4 +275,54 @@ func (c *Campaign) runFault(i int, f interp.Fault, snap *interp.Snapshot) (Fault
 		tr.Recs = trace.Recs{}
 	}
 	return fo, nil
+}
+
+// resume runs a restored untraced injection to its end. On the way it
+// pauses at the 1st, 2nd, 4th, 8th, … clean checkpoint after the fault step
+// (so about log2 of the checkpoints left are compared) and checks whether
+// the machine's state equals the checkpoint's. From an equal state the run
+// replays the fault-free run's tail, so the fault-free final trace stands in
+// for the rest of the run. FaultApplied is final by then: the fault step is
+// past and no frame holds a pending return-value flip.
+func (c *Campaign) resume(m *interp.Machine, faultStep uint64, cps []*interp.Snapshot) (*trace.Trace, error) {
+	k := sort.Search(len(cps), func(j int) bool { return cps[j].Step() > faultStep })
+	for n := 1; k+n-1 < len(cps); n *= 2 {
+		cp := cps[k+n-1]
+		paused, err := m.RunUntil(cp.Step())
+		if err != nil {
+			return nil, err
+		}
+		if !paused {
+			break
+		}
+		if m.SameState(cp) {
+			if testHookReconverged != nil {
+				testHookReconverged(cp.Step())
+			}
+			return c.cleanEnd(cp)
+		}
+	}
+	return m.Resume()
+}
+
+// testHookReconverged, when set by the package's tests, is called with the
+// step of every checkpoint an injection reconverged at.
+var testHookReconverged func(step uint64)
+
+// cleanEnd returns the fault-free run's final trace, memoized per campaign.
+// The first reconverged injection computes it from its matching checkpoint,
+// paying for the tail it would have run anyway.
+func (c *Campaign) cleanEnd(cp *interp.Snapshot) (*trace.Trace, error) {
+	c.tail.once.Do(func() {
+		m, err := c.mk()
+		if err == nil {
+			m.Mode = interp.TraceOff
+			err = m.Restore(cp)
+		}
+		if err == nil {
+			c.tail.tr, err = m.Resume()
+		}
+		c.tail.err = err
+	})
+	return c.tail.tr, c.tail.err
 }

@@ -26,7 +26,10 @@ const DefaultMaxCheckpoints = 4096
 // and each injection run restores the nearest checkpoint at or before its
 // fault step and resumes from there. Every run then costs restore + (fault
 // step − checkpoint step) + post-fault tail instead of a whole-program
-// replay.
+// replay. An untraced run also stops early once its state equals a later
+// checkpoint's (see resume in campaign.go): from there it would replay the
+// clean run's tail, so its cost drops to restore + the steps until it
+// reconverges, when it does.
 //
 // Because restored runs are bit-identical to from-scratch runs and the fault
 // stream is drawn before scheduling, the outcomes — and thus the Result —
@@ -41,10 +44,12 @@ const DefaultMaxCheckpoints = 4096
 // to other shards (or a journal's replayed prefix) and statically pruned ones
 // never run, so they neither force checkpoints nor need one — a sharded
 // campaign's forward passes each cover just their own window's fault steps.
-func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, order []int, snaps []*interp.Snapshot) error {
+//
+// It returns the distinct checkpoints in ascending step order.
+func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, order []int, snaps []*interp.Snapshot) ([]*interp.Snapshot, error) {
 	if len(order) == 0 {
 		// Everything pruned: no prefix pass needed.
-		return nil
+		return nil, nil
 	}
 	sort.Slice(order, func(a, b int) bool {
 		if faults[order[a]].Step != faults[order[b]].Step {
@@ -69,26 +74,28 @@ func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, o
 
 	base, err := c.mk()
 	if err != nil {
-		return fmt.Errorf("inject: make machine: %w", err)
+		return nil, fmt.Errorf("inject: make machine: %w", err)
 	}
 	base.Mode = interp.TraceOff
 
 	var last *interp.Snapshot
+	var cps []*interp.Snapshot
 	baseLive := true
 	for _, idx := range order {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		fstep := faults[idx].Step
 		if baseLive && (last == nil || fstep-last.Step() > interval) {
 			paused, err := base.RunUntil(fstep)
 			if err != nil {
-				return fmt.Errorf("inject: checkpoint prefix: %w", err)
+				return nil, fmt.Errorf("inject: checkpoint prefix: %w", err)
 			}
 			if paused {
 				if last, err = base.Snapshot(); err != nil {
-					return fmt.Errorf("inject: checkpoint: %w", err)
+					return nil, fmt.Errorf("inject: checkpoint: %w", err)
 				}
+				cps = append(cps, last)
 			} else {
 				// The fault-free run terminated before this fault's step;
 				// no later checkpoint is reachable. Later faults resume
@@ -98,5 +105,5 @@ func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, o
 		}
 		snaps[idx] = last
 	}
-	return nil
+	return cps, nil
 }

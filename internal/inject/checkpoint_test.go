@@ -18,7 +18,7 @@ func fromScratch(t *testing.T, c *Campaign) []FaultOutcome {
 	faults := c.Faults()
 	out := make([]FaultOutcome, len(faults))
 	for i, f := range faults {
-		fo, err := c.runFault(i, f, nil)
+		fo, err := c.runFault(i, f, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

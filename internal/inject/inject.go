@@ -264,16 +264,17 @@ func RunOne(mk func() (*interp.Machine, error), verify func(*trace.Trace) bool, 
 	if err != nil {
 		return NotApplied, fmt.Errorf("inject: run: %w", err)
 	}
-	return classify(m, tr, verify), nil
+	return classify(m.FaultApplied, tr, verify), nil
 }
 
-// classify maps a finished run to its §II-A fault manifestation.
-func classify(m *interp.Machine, tr *trace.Trace, verify func(*trace.Trace) bool) Outcome {
+// classify maps a finished run, whose fault fired when applied is set, to
+// its §II-A fault manifestation.
+func classify(applied bool, tr *trace.Trace, verify func(*trace.Trace) bool) Outcome {
 	switch tr.Status {
 	case trace.RunCrashed, trace.RunHang:
 		return Crashed
 	}
-	if !m.FaultApplied {
+	if !applied {
 		// The run completed without the fault firing; verify anyway so a
 		// mis-specified target still counts honestly.
 		if verify(tr) {

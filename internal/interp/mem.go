@@ -113,6 +113,20 @@ func (c *cowMem) adoptShared(pages []*[pageWords]ir.Word, mat int) {
 	c.mat = mat
 }
 
+// samePages reports whether the read table holds the same words as pages,
+// comparing by content only the pages the two tables do not share.
+func (c *cowMem) samePages(pages []*[pageWords]ir.Word) bool {
+	if len(c.pages) != len(pages) {
+		return false
+	}
+	for i, pg := range c.pages {
+		if pg != pages[i] && *pg != *pages[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // MemLen returns the machine's addressable memory size in words.
 func (m *Machine) MemLen() int { return int(m.mem.words) }
 

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 
 	"fliptracker/internal/ir"
 	"fliptracker/internal/trace"
@@ -104,6 +105,32 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		}
 	}
 	return s, nil
+}
+
+// SameState reports whether the paused machine is in exactly the state s
+// captured, apart from FaultApplied and trace records: the step, status,
+// every frame (function, frame id, pc, registers and any pending
+// return-value flip), the frame counter, the RNG, the output and memory.
+// The interpreter is deterministic, so a faulty machine in the state of a
+// fault-free run's snapshot finishes exactly as that run does. Cheap fields
+// are compared first; memory pages shared by pointer are skipped, so only
+// pages either side wrote since they last shared a table are compared by
+// content.
+func (m *Machine) SameState(s *Snapshot) bool {
+	if m.Prog != s.prog || m.steps != s.step || m.status != s.status ||
+		m.frames != s.frameCount || m.rng != s.rng ||
+		len(m.stack) != len(s.frames) || len(m.output) != len(s.output) {
+		return false
+	}
+	for i := range m.stack {
+		fr, fs := &m.stack[i], &s.frames[i]
+		if fr.f.Index != fs.fn || fr.fid != fs.fid || fr.pc != fs.pc ||
+			fr.retFlip != fs.retFlip || fr.retBit != fs.retBit || fr.retStep != fs.retStep ||
+			!slices.Equal(fr.regs, fs.regs) {
+			return false
+		}
+	}
+	return slices.Equal(m.output, s.output) && m.mem.samePages(s.pages)
 }
 
 // Restore loads a snapshot into a machine that has not yet run, leaving it
