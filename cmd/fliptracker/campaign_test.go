@@ -32,18 +32,15 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 }
 
 // TestCampaignGolden pins the stdout of `fliptracker campaign` for both
-// engines, streamed, sharded and analyzed. Sharding is result-invariant, so
-// a sharded run must print the unsharded run's bytes. The golden files are
-// fixed: a change to them is a change to the CLI's output.
+// engines, streamed and analyzed. The golden files are fixed: a change to
+// them is a change to the CLI's output.
 func TestCampaignGolden(t *testing.T) {
 	for _, tc := range []struct {
 		args   string
 		golden string
 	}{
 		{"-app kmeans -tests 24 -seed 1 -stream", "inject_stream.golden"},
-		{"-app kmeans -tests 24 -seed 1 -stream -shards 3", "inject_stream.golden"},
 		{"-app kmeans -mpi -ranks 3 -tests 24 -seed 1 -stream", "mpi_stream.golden"},
-		{"-app kmeans -mpi -ranks 3 -tests 24 -seed 1 -stream -shards 3", "mpi_stream.golden"},
 		{"-app kmeans -tests 8 -seed 1 -analyze", "inject_analyze.golden"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
@@ -91,7 +88,6 @@ func TestCampaignRejectsBadSpecs(t *testing.T) {
 		{"-app kmeans -mpi -ranks 65 -tests 5", "ranks in [1, 64]"},
 		{"-app kmeans -target internal -tests 5", "needs a region"},
 		{"-app kmeans -target everything -tests 5", "unknown target"},
-		{"-app kmeans -shards 65 -tests 5", "shards must be in"},
 		{"-app nosuchapp -tests 5", "unknown app"},
 		{"-app nosuchapp", "unknown app"},
 		{"-app kmeans -tests 5 -analyze -staticprune", "-analyze does not combine"},

@@ -11,8 +11,8 @@
 //	fliptracker trace    -app cg -out cg.trace
 //	fliptracker rates    -app cg
 //	fliptracker inject   -app cg -step 12345 -bit 40 [-kind dst|mem|reg] [-addr N]
-//	fliptracker campaign -app cg [-target whole|hybrid|internal|input] [-region cg_b] [-instance 0] [-tests N] [-seed S] [-earlystop] [-staticprune] [-stream] [-analyze] [-shards N] [-journal path [-resume]]
-//	fliptracker campaign -app mg -mpi -ranks 4 [-faultrank R] [-tests N] [-seed S] [-earlystop] [-staticprune] [-stream] [-analyze] [-shards N] [-journal path [-resume]]
+//	fliptracker campaign -app cg [-target whole|hybrid|internal|input] [-region cg_b] [-instance 0] [-tests N] [-seed S] [-earlystop] [-staticprune] [-stream] [-analyze] [-journal path [-resume]]
+//	fliptracker campaign -app mg -mpi -ranks 4 [-faultrank R] [-tests N] [-seed S] [-earlystop] [-staticprune] [-stream] [-analyze] [-journal path [-resume]]
 //	fliptracker static   -app cg [-disasm]
 //	fliptracker dot      -app cg -region cg_b [-instance 0]
 package main
@@ -270,12 +270,11 @@ func cmdCampaign(args []string) error {
 	faultRank := fs.Int("faultrank", 0, "rank the faults are injected into (with -mpi)")
 	journalPath := fs.String("journal", "", "durable journal path: outcomes are committed per fault and a killed campaign resumes from its last committed index")
 	resume := fs.Bool("resume", false, "require -journal to already exist and resume it (without -resume, an existing journal is an error)")
-	shards := fs.Int("shards", 0, "split the fault-index space into N ranges run concurrently and merged in index order (0 or 1: one range); the merged stream and results are identical either way")
 	fs.Parse(args)
 
 	// The flags fill the campaign service's Spec, so both front ends check
 	// and build a campaign the same way.
-	spec := core.Spec{App: *app, Engine: "inject", Seed: *seed, Tests: *tests, Shards: *shards, StaticPrune: *staticPrune}
+	spec := core.Spec{App: *app, Engine: "inject", Seed: *seed, Tests: *tests, StaticPrune: *staticPrune}
 	if *earlyStop {
 		spec.EarlyStop = &core.EarlyStopSpec{Confidence: 0.95, Margin: 0.03}
 	}
@@ -303,8 +302,8 @@ func cmdCampaign(args []string) error {
 	if err := check.Validate(); err != nil {
 		return err
 	}
-	if *analyze && (*staticPrune || *journalPath != "" || *shards > 0) {
-		return fmt.Errorf("-analyze does not combine with -staticprune, -journal or -shards (analysis payloads are neither pruned, journaled nor merged)")
+	if *analyze && (*staticPrune || *journalPath != "") {
+		return fmt.Errorf("-analyze does not combine with -staticprune or -journal (analysis payloads are neither pruned nor journaled)")
 	}
 
 	// A journaled campaign is resumable by construction; -resume only

@@ -1,7 +1,7 @@
 // Command ftserve runs the FlipTracker campaign service: a long-running
 // HTTP/JSON server (internal/server) that accepts resilience-campaign
-// submissions, executes them on the campaign driver (sharded when the spec
-// asks), and streams their deterministic merged outcome streams as NDJSON.
+// submissions, executes them on the campaign driver, and streams their
+// deterministic outcome streams as NDJSON.
 //
 // Usage:
 //

@@ -341,14 +341,6 @@ func WithJournal(path string) CampaignOption { return campaign.WithJournal(path)
 // name, so a journal recorded for one app refuses to resume under another.
 func WithJournalApp(app string) CampaignOption { return campaign.WithJournalApp(app) }
 
-// WithShards splits the campaign's fault-index space into n contiguous
-// shards, runs them concurrently and merges their ordered streams back into
-// the one fault-index-ordered stream; 0 or 1 runs a single window. Sharding
-// is result-invariant: for a fixed seed, Run, Stream and the journal are
-// byte-identical at any shard count, and a journaled campaign resumes under
-// a different one.
-func WithShards(n int) CampaignOption { return campaign.WithShards(n) }
-
 // NewMPIAnalyzer builds the per-rank pipeline for a registered application's
 // SPMD variant at the given world size: the fault-free world is recorded
 // once under full tracing and each rank's clean trace is indexed. Set

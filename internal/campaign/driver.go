@@ -2,14 +2,11 @@ package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"iter"
 	"math/rand"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"fliptracker/internal/interp"
 	"fliptracker/internal/irstatic"
@@ -18,13 +15,13 @@ import (
 )
 
 // Settings are the engine-independent campaign settings, set by the shared
-// options (WithTests, WithSeed, WithEarlyStop, WithJournal, WithShards, ...).
+// options (WithTests, WithSeed, WithEarlyStop, WithJournal, ...).
 type Settings struct {
 	// Tests is the number of injections (the cap, under early stopping).
 	Tests int
 	// Seed seeds the pre-drawn fault stream.
 	Seed int64
-	// Parallelism caps the fault workers of each window; 0 means
+	// Parallelism caps the campaign's concurrent fault workers; 0 means
 	// GOMAXPROCS.
 	Parallelism int
 	// Progress, when non-nil, is called after each delivered outcome
@@ -39,13 +36,6 @@ type Settings struct {
 	Journal string
 	// App labels the journal header.
 	App string
-	// Shards splits the fault-index space into that many contiguous
-	// windows, run concurrently and merged in index order; 0 or 1 runs one
-	// window.
-	Shards int
-	// Workers bounds concurrently running shards; 0 runs every shard at
-	// once. No shared option sets it; only Campaign.With does.
-	Workers int
 	// DropTraces releases each analyzed injection's traces once its
 	// analysis returns; the engine does the releasing.
 	DropTraces bool
@@ -56,7 +46,7 @@ type Settings struct {
 
 // Executor is one engine's share of a campaign: what a fault runs against
 // and how its outcome is journaled. Everything else — drawing the fault
-// stream, the journal, early stopping, sharding — is the driver's.
+// stream, the journal, early stopping — is the driver's.
 type Executor[O any] struct {
 	// Engine tags the journal header and prefixes the driver's errors.
 	Engine journal.Engine
@@ -85,10 +75,9 @@ type Executor[O any] struct {
 
 // Campaign is the campaign driver both engines run on. It draws the fault
 // stream once, at construction; every run then delivers the per-fault
-// outcomes in fault-index order — replayed from the journal, executed as
-// one window, or executed as shards and merged — and the stream is
-// identical whatever the parallelism, shard count or restart history. A
-// Campaign is immutable and safe to run multiple times.
+// outcomes in fault-index order — replayed from the journal, then executed
+// as one window — and the stream is identical whatever the parallelism or
+// restart history. A Campaign is immutable and safe to run multiple times.
 type Campaign[O any] struct {
 	s       Settings
 	x       Executor[O]
@@ -123,10 +112,10 @@ func New[O any](s Settings, targets TargetPicker, x Executor[O]) (*Campaign[O], 
 		return nil, err
 	}
 	if s.EarlyStop {
-		if s.Confidence <= 0 || s.Confidence >= 1 {
+		if !(s.Confidence > 0 && s.Confidence < 1) {
 			return nil, fmt.Errorf("%v: early-stop confidence %v outside (0, 1)", x.Engine, s.Confidence)
 		}
-		if s.Margin <= 0 || s.Margin >= 1 {
+		if !(s.Margin > 0 && s.Margin < 1) {
 			return nil, fmt.Errorf("%v: early-stop margin %v outside (0, 1)", x.Engine, s.Margin)
 		}
 	}
@@ -146,29 +135,10 @@ func New[O any](s Settings, targets TargetPicker, x Executor[O]) (*Campaign[O], 
 	return c, nil
 }
 
-// With returns a copy of the campaign whose execution settings —
-// Parallelism, Progress, Journal, Shards and Workers — are changed by set.
-// The copy shares the drawn fault stream; changes set makes to any other
-// setting are ignored.
-func (c *Campaign[O]) With(set ...func(*Settings)) (*Campaign[O], error) {
-	s := c.s
-	for _, f := range set {
-		f(&s)
-	}
-	cp := *c
-	cp.s.Parallelism, cp.s.Progress, cp.s.Journal, cp.s.Shards, cp.s.Workers = s.Parallelism, s.Progress, s.Journal, s.Shards, s.Workers
-	if err := c.x.check(cp.s); err != nil {
-		return nil, err
-	}
-	return &cp, nil
-}
-
 // check rejects the setting combinations no campaign of the executor can
 // run.
 func (x *Executor[O]) check(s Settings) error {
 	switch {
-	case s.Shards < 0 || s.Workers < 0:
-		return fmt.Errorf("%v: negative shard or worker count", x.Engine)
 	case s.DropTraces && !x.Analyzed:
 		return fmt.Errorf("%v: WithDropTraces requires an analyzed campaign", x.Engine)
 	case s.Pruner != nil && x.Analyzed:
@@ -184,18 +154,17 @@ func (x *Executor[O]) check(s Settings) error {
 func (c *Campaign[O]) Tests() int { return c.s.Tests }
 
 // Faults returns a copy of the pre-drawn fault stream: the fault run at
-// every index 0..Tests()-1. The stream is what makes campaigns shardable —
-// any [first, last) window of it can run anywhere and the outcomes merge in
-// index order — and what resumed journals are checked against. A
+// every index 0..Tests()-1. Outcomes depend on the stream alone, never on
+// the order faults run in, and resumed journals are checked against it. A
 // replay-only campaign returns nil.
 func (c *Campaign[O]) Faults() []interp.Fault { return slices.Clone(c.faults) }
 
 // Header identifies the campaign for the durable journal: engine, app
 // label, seed, test count, and a fingerprint of the configuration that
 // determines per-index outcomes — the engine's Config, the population
-// (picker type and parameters) and the stopping rule. Parallelism, pruning
-// and sharding are result-invariant and stay out, so a journal resumes
-// under different ones.
+// (picker type and parameters) and the stopping rule. Parallelism and
+// pruning are result-invariant and stay out, so a journal resumes under
+// different ones.
 func (c *Campaign[O]) Header() journal.Header {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|targets=%T%+v|earlystop=%v:%g:%g",
@@ -267,7 +236,7 @@ func seq[T any](run func(emit func(T) bool) error) iter.Seq2[T, error] {
 // the outcomes counted so far: the success rate's Agresti–Coull interval
 // half-width (stats.AdjustedProportionCI) is within the margin. It depends
 // only on aggregate counts in fault-index order, so it fires at the same
-// index whatever the parallelism, shard count or restart history.
+// index whatever the parallelism or restart history.
 func (c *Campaign[O]) stopEarly(res Result) bool {
 	if !c.s.EarlyStop || res.Tests < EarlyStopMinTests || res.Tests >= c.s.Tests {
 		return false
@@ -300,7 +269,7 @@ func (c *Campaign[O]) run(ctx context.Context, emit func(O) bool) (Result, error
 		return emit(o) && !c.stopEarly(res)
 	}
 	if c.s.Journal == "" {
-		return res, c.execute(ctx, 0, deliver)
+		return res, c.window(ctx, 0, deliver)
 	}
 
 	j, recs, err := journal.OpenOrCreate(c.s.Journal, c.Header())
@@ -319,7 +288,7 @@ func (c *Campaign[O]) run(ctx context.Context, emit func(O) bool) (Result, error
 		}
 	}
 	var appendErr error
-	err = c.execute(ctx, len(recs), func(o O) bool {
+	err = c.window(ctx, len(recs), func(o O) bool {
 		if appendErr = j.Append(c.x.Record(o)); appendErr != nil {
 			return false
 		}
@@ -331,112 +300,15 @@ func (c *Campaign[O]) run(ctx context.Context, emit func(O) bool) (Result, error
 	return res, err
 }
 
-// execute runs fault indices [first, Tests()) and delivers their outcomes to
-// emit in index order: as one window, or — with more than one shard — as
-// contiguous shards run concurrently and merged.
-func (c *Campaign[O]) execute(ctx context.Context, first int, emit func(O) bool) error {
-	shards := Plan(len(c.faults)-first, c.s.Shards)
-	if len(shards) <= 1 {
-		return c.window(ctx, first, len(c.faults), emit)
-	}
-	for i := range shards {
-		shards[i].First += first
-		shards[i].Last += first
-	}
-	workers := c.s.Workers
-	if workers <= 0 || workers > len(shards) {
-		workers = len(shards)
-	}
-
-	// Each shard gets a channel buffered to its full window, so shard
-	// workers never block sending and always reach their context checks —
-	// the merge can lag arbitrarily without deadlocking the pool.
-	chans := make([]chan O, len(shards))
-	for i, s := range shards {
-		chans[i] = make(chan O, s.Last-s.First)
-	}
-	shardErrs := make([]error, len(shards))
-	var nextShard atomic.Int64
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// Shards are claimed in index order, so the earliest
-				// unmerged shard is always among the first started and the
-				// merge is never gated behind late-window work.
-				s := int(nextShard.Add(1)) - 1
-				if s >= len(shards) {
-					return
-				}
-				err := c.window(wctx, shards[s].First, shards[s].Last, func(o O) bool {
-					chans[s] <- o
-					return true
-				})
-				if err != nil {
-					shardErrs[s] = err
-					cancel()
-				}
-				close(chans[s])
-				if wctx.Err() != nil {
-					return
-				}
-			}
-		}()
-	}
-
-	// Merge: consume the shard channels in shard order. Within a shard the
-	// window already delivers index order, and shards partition the index
-	// space contiguously, so the concatenation IS the merged order.
-	stopped := false
-merge:
-	for s := range shards {
-		for o := range chans[s] {
-			if ctx.Err() != nil {
-				break merge
-			}
-			if !emit(o) {
-				stopped = true
-				break merge
-			}
-		}
-		if shardErrs[s] != nil {
-			// The shard ended early: later shards' outcomes would leave a
-			// gap in the merged order, so emission stops here and the
-			// already-emitted prefix stays clean.
-			break merge
-		}
-	}
-	cancel()
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if stopped {
-		return nil
-	}
-	for _, err := range shardErrs {
-		// Workers cancelled by a sibling's failure report context.Canceled;
-		// the first real error in shard order wins.
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	return nil
-}
-
-// window plans the fault-index window [first, last) and fans it out over
-// the ordered worker pool (Run). Under static pruning a fault site proven
-// Benign records Success, and one proven NeverFires records NotApplied,
-// without planning or running anything: a fault that never perturbs the
-// run leaves nothing to classify beyond its journal record (for a world, a
-// Contained propagation). Live faults run as without pruning, so the
-// outcome stream is identical either way.
-func (c *Campaign[O]) window(ctx context.Context, first, last int, emit func(O) bool) error {
+// window plans the fault-index window [first, Tests()) and fans it out
+// over the ordered worker pool (Run). Under static pruning a fault site
+// proven Benign records Success, and one proven NeverFires records
+// NotApplied, without planning or running anything: a fault that never
+// perturbs the run leaves nothing to classify beyond its journal record
+// (for a world, a Contained propagation). Live faults run as without
+// pruning, so the outcome stream is identical either way.
+func (c *Campaign[O]) window(ctx context.Context, first int, emit func(O) bool) error {
+	last := len(c.faults)
 	if last <= first {
 		return nil
 	}
@@ -470,40 +342,5 @@ func (c *Campaign[O]) window(ctx context.Context, first, last int, emit func(O) 
 	if c.x.Analyzed {
 		window = 2 * workers
 	}
-	return Run(ctx, Config{Items: len(c.faults), First: first, Last: last, Workers: workers, Window: window}, one, emit)
-}
-
-// Shard is one contiguous window [First, Last) of a campaign's fault-index
-// space.
-type Shard struct {
-	First int
-	Last  int
-}
-
-// Plan splits the index space [0, tests) into at most shards contiguous,
-// non-empty, near-equal windows in index order. Fewer shards come back when
-// tests < shards; no shards when tests <= 0. Concatenating the windows
-// always reproduces [0, tests) exactly — the invariant the merge builds on.
-func Plan(tests, shards int) []Shard {
-	if tests <= 0 {
-		return nil
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > tests {
-		shards = tests
-	}
-	out := make([]Shard, shards)
-	base, rem := tests/shards, tests%shards
-	first := 0
-	for i := range out {
-		size := base
-		if i < rem {
-			size++
-		}
-		out[i] = Shard{First: first, Last: first + size}
-		first += size
-	}
-	return out
+	return Run(ctx, Config{Items: last, First: first, Workers: workers, Window: window}, one, emit)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -79,13 +80,14 @@ func collect(t *testing.T, seq func(yield func(fakeOutcome, error) bool)) []fake
 	return out
 }
 
-// TestDriverShardsMatchStream: any shard count and shard worker count
-// deliver the single-window stream, draw nothing beyond construction, and
-// Run and Records (through the engine-erased Runner) agree with it. Faults
-// hands out a copy that cannot alter the drawn stream.
+// TestDriverShardsMatchStream: any parallelism delivers the sequential
+// stream, draws nothing beyond construction, and Run and Records (through
+// the engine-erased Runner) agree with it. Faults hands out a copy that
+// cannot alter the drawn stream. (The name predates the removal of
+// sharding, which this test covered too.)
 func TestDriverShardsMatchStream(t *testing.T) {
 	const tests = 90
-	ref, _ := fakeCampaign(t, Settings{Tests: tests, Seed: 4, Parallelism: 3}, -1)
+	ref, _ := fakeCampaign(t, Settings{Tests: tests, Seed: 4, Parallelism: 1}, -1)
 	want := collect(t, ref.Stream(context.Background()))
 	if len(want) != tests {
 		t.Fatalf("stream yielded %d outcomes, want %d", len(want), tests)
@@ -97,83 +99,44 @@ func TestDriverShardsMatchStream(t *testing.T) {
 		}
 		wantRes.Count(o.Outcome)
 	}
-	for _, shards := range []int{0, 1, 2, 3, 7} {
-		for _, workers := range []int{0, 1, 2} {
-			c, draws := fakeCampaign(t, Settings{Tests: tests, Seed: 4, Parallelism: 2}, -1)
-			sc, err := c.With(func(s *Settings) { s.Shards, s.Workers = shards, workers })
-			if err != nil {
-				t.Fatal(err)
+	for _, par := range []int{0, 2, 3, 7} {
+		c, draws := fakeCampaign(t, Settings{Tests: tests, Seed: 4, Parallelism: par}, -1)
+		if got := collect(t, c.Stream(context.Background())); !slices.Equal(got, want) {
+			t.Errorf("parallelism=%d: stream differs", par)
+		}
+		res, err := c.Run(context.Background())
+		if err != nil || res != wantRes {
+			t.Errorf("parallelism=%d: Run %+v %v, want %+v", par, res, err, wantRes)
+		}
+		var runner Runner = c
+		i := 0
+		for r, err := range runner.Records(context.Background()) {
+			if err != nil || r.Index != uint64(i) || r.Fault != want[i].Fault || Outcome(r.Outcome) != want[i].Outcome {
+				t.Fatalf("parallelism=%d: record %d = %+v %v", par, i, r, err)
 			}
-			if got := collect(t, sc.Stream(context.Background())); !slices.Equal(got, want) {
-				t.Errorf("shards=%d workers=%d: merged stream differs", shards, workers)
-			}
-			res, err := sc.Run(context.Background())
-			if err != nil || res != wantRes {
-				t.Errorf("shards=%d workers=%d: Run %+v %v, want %+v", shards, workers, res, err, wantRes)
-			}
-			var runner Runner = sc
-			i := 0
-			for r, err := range runner.Records(context.Background()) {
-				if err != nil || r.Index != uint64(i) || r.Fault != want[i].Fault || Outcome(r.Outcome) != want[i].Outcome {
-					t.Fatalf("shards=%d workers=%d: record %d = %+v %v", shards, workers, i, r, err)
-				}
-				i++
-			}
-			if n := draws.Load(); n != tests {
-				t.Errorf("shards=%d workers=%d: %d draws, want %d", shards, workers, n, tests)
-			}
-			faults := sc.Faults()
-			faults[0].Step++
-			if sc.Faults()[0] == faults[0] {
-				t.Errorf("shards=%d workers=%d: mutating Faults() changed the drawn stream", shards, workers)
-			}
+			i++
+		}
+		if n := draws.Load(); n != tests {
+			t.Errorf("parallelism=%d: %d draws, want %d", par, n, tests)
+		}
+		faults := c.Faults()
+		faults[0].Step++
+		if c.Faults()[0] == faults[0] {
+			t.Errorf("parallelism=%d: mutating Faults() changed the drawn stream", par)
 		}
 	}
 }
 
-// TestPlan pins the shard planner: exact contiguous partition, near-equal
-// sizes, clamping, and the empty cases.
-func TestPlan(t *testing.T) {
-	if s := Plan(0, 4); s != nil {
-		t.Errorf("Plan(0, 4) = %v, want nil", s)
-	}
-	if s := Plan(-3, 4); s != nil {
-		t.Errorf("Plan(-3, 4) = %v, want nil", s)
-	}
-	for _, tc := range []struct{ tests, shards, wantShards int }{
-		{10, 1, 1}, {10, 3, 3}, {10, 10, 10}, {3, 10, 3}, {7, 0, 1}, {7, -2, 1}, {1, 1, 1},
-	} {
-		got := Plan(tc.tests, tc.shards)
-		if len(got) != tc.wantShards {
-			t.Fatalf("Plan(%d, %d) has %d shards, want %d", tc.tests, tc.shards, len(got), tc.wantShards)
-		}
-		next := 0
-		for i, s := range got {
-			if s.First != next {
-				t.Fatalf("Plan(%d, %d) shard %d starts at %d, want %d (gap or overlap)", tc.tests, tc.shards, i, s.First, next)
-			}
-			size := s.Last - s.First
-			if lo, hi := tc.tests/tc.wantShards, tc.tests/tc.wantShards+1; size < lo || size > hi {
-				t.Fatalf("Plan(%d, %d) shard %d size %d outside near-equal [%d, %d]", tc.tests, tc.shards, i, size, lo, hi)
-			}
-			next = s.Last
-		}
-		if next != tc.tests {
-			t.Fatalf("Plan(%d, %d) covers [0, %d), want [0, %d)", tc.tests, tc.shards, next, tc.tests)
-		}
-	}
-}
-
-// TestDriverJournalResume: a run broken off mid-stream resumes from its
-// journal under a different shard count to the uninterrupted stream, and a
-// campaign with another seed refuses the journal.
+// TestDriverJournalResume: a run at parallelism 4 broken off mid-stream
+// resumes from its journal at parallelism 1 to the uninterrupted stream,
+// and a campaign with another seed refuses the journal.
 func TestDriverJournalResume(t *testing.T) {
 	const tests = 50
 	ref, _ := fakeCampaign(t, Settings{Tests: tests, Seed: 2}, -1)
 	want := collect(t, ref.Stream(context.Background()))
 	path := filepath.Join(t.TempDir(), "fake.journal")
 
-	c, _ := fakeCampaign(t, Settings{Tests: tests, Seed: 2, Journal: path, Shards: 4}, -1)
+	c, _ := fakeCampaign(t, Settings{Tests: tests, Seed: 2, Journal: path, Parallelism: 4}, -1)
 	n := 0
 	for _, err := range c.Stream(context.Background()) {
 		if err != nil {
@@ -184,7 +147,7 @@ func TestDriverJournalResume(t *testing.T) {
 		}
 	}
 	var progress []int
-	c2, _ := fakeCampaign(t, Settings{Tests: tests, Seed: 2, Journal: path, Shards: 3,
+	c2, _ := fakeCampaign(t, Settings{Tests: tests, Seed: 2, Journal: path, Parallelism: 1,
 		Progress: func(done, total int) { progress = append(progress, done) }}, -1)
 	if got := collect(t, c2.Stream(context.Background())); !slices.Equal(got, want) {
 		t.Fatalf("resumed stream (%d outcomes) differs from the uninterrupted one", len(got))
@@ -200,10 +163,10 @@ func TestDriverJournalResume(t *testing.T) {
 }
 
 // TestDriverEarlyStop: the stopping rule fires at the same index whatever
-// the shard count.
+// the parallelism.
 func TestDriverEarlyStop(t *testing.T) {
 	const tests = 400
-	s := Settings{Tests: tests, Seed: 1, EarlyStop: true, Confidence: 0.95, Margin: 0.05}
+	s := Settings{Tests: tests, Seed: 1, EarlyStop: true, Confidence: 0.95, Margin: 0.05, Parallelism: 1}
 	ref, _ := fakeCampaign(t, s, -1)
 	want, err := ref.Run(context.Background())
 	if err != nil {
@@ -212,62 +175,12 @@ func TestDriverEarlyStop(t *testing.T) {
 	if want.Tests < EarlyStopMinTests || want.Tests >= tests {
 		t.Fatalf("early stop at %d: degenerate for this test", want.Tests)
 	}
-	for _, shards := range []int{2, 5} {
+	for _, par := range []int{2, 5} {
+		s.Parallelism = par
 		c, _ := fakeCampaign(t, s, -1)
-		sc, err := c.With(func(s *Settings) { s.Shards = shards })
-		if err != nil {
-			t.Fatal(err)
+		if got, err := c.Run(context.Background()); err != nil || got != want {
+			t.Errorf("parallelism=%d: %+v %v, want %+v", par, got, err, want)
 		}
-		if got, err := sc.Run(context.Background()); err != nil || got != want {
-			t.Errorf("shards=%d: %+v %v, want %+v", shards, got, err, want)
-		}
-	}
-}
-
-// TestDriverShardError: a failing fault ends a sharded run with its error
-// after a clean prefix of the outcomes before it.
-func TestDriverShardError(t *testing.T) {
-	const failAt = 23
-	c, _ := fakeCampaign(t, Settings{Tests: 60, Seed: 5, Shards: 4}, failAt)
-	n := 0
-	var last error
-	for o, err := range c.Stream(context.Background()) {
-		if err != nil {
-			last = err
-			break
-		}
-		if o.Index != n {
-			t.Fatalf("outcome %d has index %d", n, o.Index)
-		}
-		n++
-	}
-	if last == nil || n > failAt {
-		t.Fatalf("run ended after %d outcomes with %v, want the fault %d error", n, last, failAt)
-	}
-}
-
-// TestDriverShardCancel: cancelling the context stops a sharded run with
-// ctx.Err() after a clean prefix of the merged stream.
-func TestDriverShardCancel(t *testing.T) {
-	c, _ := fakeCampaign(t, Settings{Tests: 60, Seed: 6, Shards: 4}, -1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	n := 0
-	var last error
-	for o, err := range c.Stream(ctx) {
-		if err != nil {
-			last = err
-			break
-		}
-		if o.Index != n {
-			t.Fatalf("outcome %d has index %d: prefix not clean", n, o.Index)
-		}
-		if n++; n == 5 {
-			cancel()
-		}
-	}
-	if !errors.Is(last, context.Canceled) {
-		t.Fatalf("cancelled stream ended with %v after %d outcomes, want context.Canceled", last, n)
 	}
 }
 
@@ -279,6 +192,8 @@ func TestDriverSettingsChecks(t *testing.T) {
 		"no tests":       {},
 		"bad confidence": {Tests: 5, EarlyStop: true, Confidence: 1, Margin: 0.1},
 		"bad margin":     {Tests: 5, EarlyStop: true, Confidence: 0.9},
+		"NaN confidence": {Tests: 5, EarlyStop: true, Confidence: math.NaN(), Margin: 0.03},
+		"NaN margin":     {Tests: 5, EarlyStop: true, Confidence: 0.95, Margin: math.NaN()},
 	} {
 		if _, err := New(s, p, x); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -293,8 +208,5 @@ func TestDriverSettingsChecks(t *testing.T) {
 	}
 	if _, err := c.Run(context.Background()); err == nil {
 		t.Error("replay-only Run succeeded")
-	}
-	if _, err := c.With(func(s *Settings) { s.Shards = -1 }); err == nil {
-		t.Error("negative shard count accepted")
 	}
 }

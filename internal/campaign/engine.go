@@ -1,7 +1,7 @@
 // Package campaign is the one campaign driver both engines (inject, mpi)
 // run on. Campaign draws a campaign's fault stream once, opens, replays,
 // checks and commits its durable journal, applies the early-stopping rule,
-// plans, runs and merges shards (WithShards), and yields the outcome stream
+// runs the rest of the stream as one window, and yields the outcome stream
 // and its journal.Record form; an engine supplies only an Executor — plan
 // a window, run one fault, convert an outcome to and from its journal
 // record.
@@ -42,10 +42,9 @@ type Config struct {
 	// First and Last bound the window of indices actually executed:
 	// [First, Last). Indices below First were already delivered by the
 	// caller (e.g. replayed from a durable journal), so the engine
-	// schedules only the window; indices at or above Last belong to other
-	// shards of the same campaign (the driver runs each shard through its
-	// own Run and merges the ordered streams). A non-positive or oversized Last means
-	// Items — so the plain "resume" case is just the Last == Items window.
+	// schedules only the window; indices at or above Last are not run. A
+	// non-positive or oversized Last means Items, the window a campaign
+	// driver runs.
 	First int
 	// Last is the exclusive end of the executed window; see First.
 	Last int

@@ -335,7 +335,8 @@ func TestRunWindowClamps(t *testing.T) {
 
 // TestRunWindowPartition: contiguous windows partition the index space — the
 // concatenation of per-window emissions is exactly the full range, each index
-// exactly once. This is the invariant the driver's shard merge relies on.
+// exactly once. A journal resume relies on it: the window starts where the
+// replayed prefix ends.
 func TestRunWindowPartition(t *testing.T) {
 	const n = 53
 	bounds := []int{0, 9, 17, 40, n}

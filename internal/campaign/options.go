@@ -45,12 +45,12 @@ func Apply[E any](s *Settings, e *E, opts []Option) error {
 func WithTests(n int) Option { return setting(func(s *Settings) { s.Tests = n }) }
 
 // WithSeed seeds the pre-drawn fault stream, so the outcomes do not depend
-// on parallelism or sharding. The default seed is 0. (For MPI campaigns this
+// on parallelism. The default seed is 0. (For MPI campaigns this
 // seeds the fault stream only; the world's Config.Seed seeds the ranks.)
 func WithSeed(seed int64) Option { return setting(func(s *Settings) { s.Seed = seed }) }
 
 // WithParallelism caps the concurrently running injections (machines or
-// worlds) of each window; 0, the default, means GOMAXPROCS.
+// worlds); 0, the default, means GOMAXPROCS.
 func WithParallelism(n int) Option { return setting(func(s *Settings) { s.Parallelism = n }) }
 
 // WithProgress registers a callback invoked after each delivered outcome,
@@ -105,8 +105,8 @@ func WithStaticPrune(p *irstatic.Pruner) Option {
 // difference), the committed outcomes are replayed from disk, each checked
 // against the drawn fault stream, and only the rest executes. A torn or
 // bit-flipped tail is truncated to the last committed record, so a resumed
-// campaign's Result is byte-identical to an uninterrupted run. Parallelism,
-// pruning and sharding may change between runs. It excludes analysis, whose
+// campaign's Result is byte-identical to an uninterrupted run. Parallelism
+// and pruning may change between runs. It excludes analysis, whose
 // payloads are not journaled. An empty path journals nothing.
 func WithJournal(path string) Option { return setting(func(s *Settings) { s.Journal = path }) }
 
@@ -115,8 +115,3 @@ func WithJournal(path string) Option { return setting(func(s *Settings) { s.Jour
 // their populations fingerprint alike. core's analyzers set it; MPI
 // campaigns default to the program's name.
 func WithJournalApp(app string) Option { return setting(func(s *Settings) { s.App = app }) }
-
-// WithShards splits the fault-index space into n contiguous windows, run
-// concurrently and merged back in index order; 0 or 1 runs one window.
-// Sharding is result-invariant.
-func WithShards(n int) Option { return setting(func(s *Settings) { s.Shards = n }) }

@@ -1,9 +1,11 @@
-// Package coord is the former shard coordinator. Sharding is now a setting
-// of the campaign driver (campaign.WithShards), and a campaign of either
-// engine satisfies campaign.Runner; what is left here forwards to those.
+// Package coord is the former shard coordinator. Campaigns no longer shard:
+// every campaign runs its fault stream as one window over one worker pool,
+// and a campaign of either engine satisfies campaign.Runner. What is left
+// here forwards to the campaign or does nothing.
 //
-// Deprecated: build the engine's campaign with campaign.WithShards and hold
-// it as a campaign.Runner.
+// Deprecated: kept only for the campaign benchmark's calls; the benchmark
+// change that drops those calls removes the package. Hold the engine's
+// campaign as a campaign.Runner.
 package coord
 
 import (
@@ -22,9 +24,9 @@ type Coordinator[O any] = campaign.Campaign[O]
 // Deprecated: use campaign.Runner.
 type Runner = campaign.Runner
 
-// Option changes a campaign's execution settings (see New).
+// Option was a shard setting; every Option is now a no-op.
 //
-// Deprecated: use campaign.WithShards at construction.
+// Deprecated: campaigns do not shard.
 type Option = func(*campaign.Settings)
 
 // Inject returns the driver of a single-process campaign.
@@ -37,17 +39,17 @@ func Inject(c *inject.Campaign) (*Coordinator[inject.FaultOutcome], error) { ret
 // Deprecated: use c.Campaign.
 func MPI(c *mpi.Campaign) (*Coordinator[mpi.WorldOutcome], error) { return c.Campaign, nil }
 
-// New returns c with its execution settings changed by opts.
+// New returns c unchanged; opts are ignored.
 //
-// Deprecated: use campaign.WithShards at construction.
-func New[O any](c *Coordinator[O], opts ...Option) (*Coordinator[O], error) { return c.With(opts...) }
+// Deprecated: use c itself.
+func New[O any](c *Coordinator[O], _ ...Option) (*Coordinator[O], error) { return c, nil }
 
-// WithShards sets the shard count.
+// WithShards returns a no-op Option.
 //
-// Deprecated: use campaign.WithShards.
-func WithShards(n int) Option { return func(s *campaign.Settings) { s.Shards = n } }
+// Deprecated: campaigns do not shard.
+func WithShards(int) Option { return func(*campaign.Settings) {} }
 
-// WithWorkers bounds the concurrently running shards.
+// WithWorkers returns a no-op Option.
 //
-// Deprecated: shard workers default to the shard count.
-func WithWorkers(n int) Option { return func(s *campaign.Settings) { s.Workers = n } }
+// Deprecated: campaigns do not shard.
+func WithWorkers(int) Option { return func(*campaign.Settings) {} }

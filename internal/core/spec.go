@@ -10,11 +10,11 @@ import (
 )
 
 // Spec describes one campaign of either engine: everything that determines
-// its outcome stream, plus the result-invariant execution knobs
-// (parallelism, shards). The campaign service decodes it from a request
-// body (unknown fields refused) and the fliptracker CLI fills it from its
-// flags; both check it with Validate and build it with Build, so a setting
-// means the same thing on every front end.
+// its outcome stream, plus the result-invariant parallelism. The campaign
+// service decodes it from a request body (unknown fields refused) and the
+// fliptracker CLI fills it from its flags; both check it with Validate and
+// build it with Build, so a setting means the same thing on every front
+// end.
 type Spec struct {
 	// ID names the campaign; one is generated when empty. Re-submitting an
 	// untracked ID against a durable server resumes its journal — the
@@ -32,9 +32,14 @@ type Spec struct {
 	Population *PopulationSpec `json:"population,omitempty"`
 	Seed       int64           `json:"seed"`
 	Tests      int             `json:"tests"`
-	// Parallelism and Shards are result-invariant execution knobs.
+	// Parallelism caps the concurrent fault workers (result-invariant).
 	Parallelism int `json:"parallelism,omitempty"`
-	Shards      int `json:"shards,omitempty"`
+	// Shards is validated against MaxShards and otherwise ignored: every
+	// campaign runs as one window.
+	//
+	// Deprecated: kept so existing clients' specs still decode; the
+	// campaign benchmark change that stops sending it removes it.
+	Shards int `json:"shards,omitempty"`
 	// EarlyStop, when set, enables the sequential stopping rule.
 	EarlyStop *EarlyStopSpec `json:"early_stop,omitempty"`
 	// StaticPrune short-circuits statically provable faults
@@ -60,9 +65,9 @@ type EarlyStopSpec struct {
 }
 
 // Spec bounds. The fault stream is drawn up front, so Tests sizes a
-// campaign's memory; every shard runs on its own goroutine and every
-// parallel slot holds a machine or a world; and each world shape caches one
-// fully traced clean world. MaxRanks is the paper's world size, which
+// campaign's memory; every parallel slot holds a machine or a world; and
+// each world shape caches one fully traced clean world. MaxShards only
+// bounds the deprecated Shards. MaxRanks is the paper's world size, which
 // ftbench's Figure 4 study also runs (-ranks 64).
 const (
 	MaxTests       = 1 << 20
@@ -117,7 +122,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if es := s.EarlyStop; es != nil {
-		if es.Confidence <= 0 || es.Confidence >= 1 || es.Margin <= 0 || es.Margin >= 1 {
+		if !(es.Confidence > 0 && es.Confidence < 1 && es.Margin > 0 && es.Margin < 1) {
 			return fmt.Errorf("early_stop confidence and margin must be in (0, 1)")
 		}
 	}
@@ -134,13 +139,12 @@ func (p *PopulationSpec) Population() Population {
 }
 
 // Options returns the shared campaign options the spec sets: tests, seed,
-// parallelism, shards and the stopping rule.
+// parallelism and the stopping rule.
 func (s *Spec) Options() []campaign.Option {
 	opts := []campaign.Option{
 		campaign.WithTests(s.Tests),
 		campaign.WithSeed(s.Seed),
 		campaign.WithParallelism(s.Parallelism),
-		campaign.WithShards(s.Shards),
 	}
 	if es := s.EarlyStop; es != nil {
 		opts = append(opts, campaign.WithEarlyStop(es.Confidence, es.Margin))
@@ -149,9 +153,8 @@ func (s *Spec) Options() []campaign.Option {
 }
 
 // Build builds the validated spec's campaign on analyzers from src, durable
-// at journal unless that is empty (campaign.WithJournal). The campaign
-// shards itself (campaign.WithShards), so its Records are the merged,
-// fault-index-ordered stream at any shard count.
+// at journal unless that is empty (campaign.WithJournal). Its Records are
+// the fault-index-ordered stream, whatever the parallelism.
 func (s *Spec) Build(src *Analyzers, journal string) (campaign.Runner, error) {
 	opts := append(s.Options(), campaign.WithJournal(journal))
 	switch s.Engine {

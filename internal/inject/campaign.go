@@ -16,8 +16,8 @@ import (
 // Campaign is one configured fault-injection campaign. Build it with
 // NewCampaign, then execute it with Run for the aggregate Result or consume
 // it fault by fault with Stream. The embedded driver (internal/campaign)
-// draws the fault stream once, at construction, and owns the journal, early
-// stopping and sharding; the engine supplies only how one fault runs. A
+// draws the fault stream once, at construction, and owns the journal and
+// early stopping; the engine supplies only how one fault runs. A
 // Campaign is immutable after construction and safe to run multiple times:
 // for a fixed seed the outcomes are identical whatever the parallelism.
 type Campaign struct {
@@ -50,8 +50,8 @@ type Campaign struct {
 // Option configures a Campaign at construction time: one of the options
 // both engines share (campaign.WithTests, WithSeed, WithParallelism,
 // WithProgress, WithEarlyStop, WithDropTraces, WithStaticPrune, WithJournal,
-// WithJournalApp, WithShards) or WithAnalysis. An MPI engine
-// option makes NewCampaign fail.
+// WithJournalApp) or WithAnalysis. An MPI engine option makes NewCampaign
+// fail.
 type Option = campaign.Option
 
 // engineOption is an option of this engine only.

@@ -40,10 +40,9 @@ const DefaultMaxCheckpoints = 4096
 //
 // snaps[i] receives fault i's checkpoint, or stays nil for a run from
 // step 0 (a fault before the first checkpoint). Only the live indices are
-// planned, and they are sorted in place: indices outside their window belong
-// to other shards (or a journal's replayed prefix) and statically pruned ones
-// never run, so they neither force checkpoints nor need one — a sharded
-// campaign's forward passes each cover just their own window's fault steps.
+// planned, and they are sorted in place: a journal's replayed prefix and
+// statically pruned faults never run, so they neither force checkpoints nor
+// need one — the forward pass stops at the last live fault's step.
 //
 // It returns the distinct checkpoints in ascending step order.
 func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, order []int, snaps []*interp.Snapshot) ([]*interp.Snapshot, error) {

@@ -111,7 +111,7 @@ type Header struct {
 	// Fingerprint digests the rest of the campaign configuration that
 	// determines per-index outcomes — the target population, and for MPI
 	// campaigns the world shape (ranks, fault rank, world seed). Knobs
-	// that are proven result-invariant (parallelism, sharding) are
+	// that are proven result-invariant (parallelism, pruning) are
 	// deliberately excluded so a campaign may resume under different ones.
 	Fingerprint uint64
 }

@@ -16,8 +16,8 @@ import (
 // analog of inject.Campaign, with a full replayed world as the unit of work.
 // Build it with NewCampaign, then execute it with Run for the aggregate
 // result or consume it world by world with Stream. The embedded driver
-// (internal/campaign) draws the fault stream once and owns the journal,
-// early stopping and sharding, exactly as for inject.Campaign. A Campaign is
+// (internal/campaign) draws the fault stream once and owns the journal and
+// early stopping, exactly as for inject.Campaign. A Campaign is
 // immutable after construction and safe to run multiple times; for a fixed
 // seed the outcomes are identical whatever the parallelism.
 //
@@ -51,7 +51,7 @@ type Campaign struct {
 // Option configures a Campaign at construction time: one of the options
 // both engines share (campaign.WithTests, WithSeed, WithParallelism,
 // WithProgress, WithEarlyStop, WithDropTraces, WithStaticPrune, WithJournal,
-// WithJournalApp, WithShards) or one of this engine's own —
+// WithJournalApp) or one of this engine's own —
 // WithVerify, WithWorldAnalysis, WithClean. A single-process engine option
 // makes NewCampaign fail.
 type Option = campaign.Option

@@ -7,19 +7,20 @@
 //	POST   /campaigns           submit a campaign spec; 201 + status JSON
 //	GET    /campaigns           list tracked campaigns
 //	GET    /campaigns/{id}        status (state, progress, result)
-//	GET    /campaigns/{id}/stream merged outcome stream as NDJSON (follows)
+//	GET    /campaigns/{id}/stream outcome stream as NDJSON (follows)
 //	DELETE /campaigns/{id}        cancel a queued or running campaign
 //	GET    /healthz             200 ok / 503 draining
 //	GET    /stats               expvar counter map
 //
-// Every campaign runs on the campaign driver, sharded and merged by it, so
-// its delivered stream is the deterministic fault-index-ordered stream the
-// in-process engines produce — byte-identical for a fixed spec whatever the service's
-// parallelism, shard count, or restart history. With a DataDir the merged
-// stream is journaled per campaign: kill the server mid-campaign, start a
-// new one, re-submit the same id and spec, and the campaign resumes from
-// its last committed outcome (replayed records stream again, the remainder
-// is computed) to the identical final result.
+// Every campaign runs on the campaign driver, so its delivered stream is
+// the deterministic fault-index-ordered stream the in-process engines
+// produce — byte-identical for a fixed spec whatever the service's
+// parallelism or restart history. A spec's deprecated "shards" is accepted
+// and ignored. With a DataDir the stream is journaled per campaign: kill
+// the server mid-campaign, start a new one, re-submit the same id and spec,
+// and the campaign resumes from its last committed outcome (replayed
+// records stream again, the remainder is computed) to the identical final
+// result.
 //
 // Concurrent campaigns multiplex over shared per-application analyzers —
 // one clean trace, clean index, and static pruner per app (per world shape
@@ -70,8 +71,8 @@ type Options struct {
 const maxSpecBytes = 1 << 20
 
 // Spec is the POST /campaigns request body (core.Spec): everything that
-// determines a campaign's outcome stream, plus result-invariant execution
-// knobs (parallelism, shards). Unknown fields are refused with 400.
+// determines a campaign's outcome stream, plus the result-invariant
+// parallelism. Unknown fields are refused with 400.
 type Spec = core.Spec
 
 // PopulationSpec selects an inject fault population by kind.

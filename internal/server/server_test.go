@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -108,9 +109,10 @@ func injectSpec(id string, extra func(*Spec)) Spec {
 	return s
 }
 
-// TestServerCampaignMatchesEngine: a served inject campaign — at two
-// different shard/parallelism settings — streams the NDJSON-rendered
-// equivalent of the engine's own stream and reports the engine's Result.
+// TestServerCampaignMatchesEngine: a served inject campaign — at three
+// parallelism settings, one spec also carrying the deprecated, ignored
+// shard count — streams the NDJSON-rendered equivalent of the engine's own
+// stream and reports the engine's Result.
 func TestServerCampaignMatchesEngine(t *testing.T) {
 	wantRes := engineResult(t)
 	ts := httptest.NewServer(New(Options{}))
@@ -118,9 +120,9 @@ func TestServerCampaignMatchesEngine(t *testing.T) {
 
 	var digests []uint64
 	for i, tune := range []func(*Spec){
-		func(s *Spec) { s.Shards = 1 },
+		func(s *Spec) { s.Parallelism = 1 },
 		func(s *Spec) { s.Shards = 4; s.Parallelism = 2 },
-		func(s *Spec) { s.Shards = 3 },
+		func(s *Spec) { s.Parallelism = 3 },
 	} {
 		id := fmt.Sprintf("m%d", i)
 		resp, st := postSpec(t, ts, injectSpec(id, tune))
@@ -148,7 +150,7 @@ func TestServerCampaignMatchesEngine(t *testing.T) {
 	}
 	for i := 1; i < len(digests); i++ {
 		if digests[i] != digests[0] {
-			t.Errorf("campaign %d stream digest %#x, campaign 0 %#x — serving is not placement-invariant", i, digests[i], digests[0])
+			t.Errorf("campaign %d stream digest %#x, campaign 0 %#x — serving is not parallelism-invariant", i, digests[i], digests[0])
 		}
 	}
 }
@@ -172,7 +174,7 @@ func engineResult(t *testing.T) inject.Result {
 func TestServerMPICampaign(t *testing.T) {
 	ts := httptest.NewServer(New(Options{}))
 	defer ts.Close()
-	spec := Spec{ID: "w1", App: "is", Engine: "mpi", Seed: testSeed, Tests: 4, Ranks: 3, FaultRank: 1, Shards: 2}
+	spec := Spec{ID: "w1", App: "is", Engine: "mpi", Seed: testSeed, Tests: 4, Ranks: 3, FaultRank: 1, Parallelism: 2}
 	resp, st := postSpec(t, ts, spec)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST status %d (%+v)", resp.StatusCode, st)
@@ -257,6 +259,17 @@ func TestServerValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
+	// JSON cannot carry NaN, so a NaN stopping rule reaches only Validate
+	// (through the library or the CLI); it must not pass the (0, 1) bounds.
+	for name, es := range map[string]EarlyStopSpec{
+		"NaN confidence": {Confidence: math.NaN(), Margin: 0.03},
+		"NaN margin":     {Confidence: 0.95, Margin: math.NaN()},
+	} {
+		spec := injectSpec("", func(s *Spec) { s.EarlyStop = &es })
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, es)
+		}
+	}
 
 	// Duplicate id → 409.
 	if resp, _ := postSpec(t, ts, injectSpec("dup", nil)); resp.StatusCode != http.StatusCreated {
@@ -327,7 +340,7 @@ func TestServerCancel(t *testing.T) {
 // are identical to an uninterrupted run's.
 func TestServerResume(t *testing.T) {
 	dir := t.TempDir()
-	spec := injectSpec("r1", func(s *Spec) { s.Shards = 3; s.Parallelism = 2 })
+	spec := injectSpec("r1", func(s *Spec) { s.Parallelism = 2 })
 
 	// Uninterrupted reference on its own durable server.
 	refTS := httptest.NewServer(New(Options{DataDir: t.TempDir()}))

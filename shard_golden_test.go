@@ -8,14 +8,15 @@ import (
 	"testing"
 
 	"fliptracker"
+	"fliptracker/internal/core"
 )
 
-// TestCoordinatorGoldenInject is the sharded-execution acceptance matrix
-// for single-process campaigns: a campaign built WithShards merges its
-// shards into a stream FNV-identical to the from-scratch oracle
-// (inject.RunOne on every drawn fault) at shard counts 1, 2, and 4, and the
-// aggregate Results are equal. (The name predates the removal of the
-// separate coordinator API; sharding is now a campaign option.)
+// TestCoordinatorGoldenInject is the execution-placement acceptance matrix
+// for single-process campaigns: the stream is FNV-identical to the
+// from-scratch oracle (inject.RunOne on every drawn fault) at parallelism 1,
+// 2 and 4, and the aggregate Results are equal. A spec that still carries
+// the deprecated shard count builds the same stream. (The name predates the
+// removal of the coordinator and of sharding.)
 func TestCoordinatorGoldenInject(t *testing.T) {
 	const tests = 24
 	an, err := fliptracker.NewAnalyzer("kmeans")
@@ -40,10 +41,9 @@ func TestCoordinatorGoldenInject(t *testing.T) {
 	}
 	want := fnv64(strings.Join(ref, "\n"))
 
-	for _, shards := range []int{1, 2, 4} {
-		name := fmt.Sprintf("shards%d", shards)
-		c, err := an.NewCampaign(fliptracker.WholeProgram(),
-			opts(fliptracker.WithParallelism(2), fliptracker.WithShards(shards))...)
+	for _, par := range []int{1, 2, 4} {
+		name := fmt.Sprintf("parallelism%d", par)
+		c, err := an.NewCampaign(fliptracker.WholeProgram(), opts(fliptracker.WithParallelism(par))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestCoordinatorGoldenInject(t *testing.T) {
 			got = append(got, digestFO(fo))
 		}
 		if g := fnv64(strings.Join(got, "\n")); g != want {
-			t.Errorf("%s: merged stream digest %#x (%d outcomes), want %#x (%d)",
+			t.Errorf("%s: stream digest %#x (%d outcomes), want %#x (%d)",
 				name, g, len(got), want, len(ref))
 		}
 		res, err := c.Run(ctx)
@@ -66,12 +66,33 @@ func TestCoordinatorGoldenInject(t *testing.T) {
 			t.Errorf("%s: Run %+v, want %+v", name, res, wantRes)
 		}
 	}
+
+	// The service's path: a spec with the deprecated Shards, built by
+	// core.Spec.Build and read as journal records.
+	spec := core.Spec{App: "kmeans", Engine: "inject", Seed: 20181111, Tests: tests, Shards: 4}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	runner, err := spec.Build(&core.Analyzers{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for r, err := range runner.Records(ctx) {
+		if err != nil {
+			t.Fatalf("spec: %v", err)
+		}
+		got = append(got, digestFO(fliptracker.FaultOutcome{Index: int(r.Index), Fault: r.Fault, Outcome: fliptracker.Outcome(r.Outcome)}))
+	}
+	if g := fnv64(strings.Join(got, "\n")); g != want {
+		t.Errorf("spec with shards 4: stream digest %#x (%d outcomes), want %#x (%d)", g, len(got), want, len(ref))
+	}
 }
 
-// TestCoordinatorGoldenMPI is the same matrix for world campaigns: merged
-// sharded world streams (outcome and cross-rank propagation included)
-// FNV-identical to the from-scratch oracle (MPIAnalyzer.AnalyzeWorld on
-// every drawn fault) at shard counts 1, 2, 4.
+// TestCoordinatorGoldenMPI is the same matrix for world campaigns: world
+// streams (outcome and cross-rank propagation included) FNV-identical to
+// the from-scratch oracle (MPIAnalyzer.AnalyzeWorld on every drawn fault)
+// at parallelism 1, 2 and 4.
 func TestCoordinatorGoldenMPI(t *testing.T) {
 	const (
 		ranks = 3
@@ -99,9 +120,9 @@ func TestCoordinatorGoldenMPI(t *testing.T) {
 	}
 	want := fnv64(strings.Join(ref, "\n"))
 
-	for _, shards := range []int{1, 2, 4} {
-		name := fmt.Sprintf("shards%d", shards)
-		c, err := ma.NewCampaign(nil, opts(fliptracker.WithParallelism(2), fliptracker.WithShards(shards))...)
+	for _, par := range []int{1, 2, 4} {
+		name := fmt.Sprintf("parallelism%d", par)
+		c, err := ma.NewCampaign(nil, opts(fliptracker.WithParallelism(par))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,16 +134,17 @@ func TestCoordinatorGoldenMPI(t *testing.T) {
 			got = append(got, digestWO(wo))
 		}
 		if g := fnv64(strings.Join(got, "\n")); g != want {
-			t.Errorf("%s: merged stream digest %#x (%d worlds), want %#x (%d)",
+			t.Errorf("%s: stream digest %#x (%d worlds), want %#x (%d)",
 				name, g, len(got), want, len(ref))
 		}
 	}
 }
 
-// TestCoordinatorResumeGolden: a campaign run as 4 shards and killed
-// mid-run (Stream break — the journal holds exactly the committed prefix)
-// resumes as 3 shards to the FNV-identical stream, and the finished journal
-// also replays unsharded — sharding stays out of the journal's identity.
+// TestCoordinatorResumeGolden: a journaled campaign run at parallelism 4
+// and killed mid-run (Stream break — the journal holds exactly the
+// committed prefix) resumes at parallelism 1 to the FNV-identical stream,
+// and the finished journal replays to the uninterrupted Result —
+// parallelism stays out of the journal's identity.
 func TestCoordinatorResumeGolden(t *testing.T) {
 	const tests = 24
 	an, err := fliptracker.NewAnalyzer("kmeans")
@@ -155,10 +177,10 @@ func TestCoordinatorResumeGolden(t *testing.T) {
 
 	for _, kill := range []int{2, 7} {
 		name := fmt.Sprintf("kill%d", kill)
-		path := filepath.Join(t.TempDir(), "sharded.journal")
-		mk := func(shards int) (*fliptracker.Campaign, error) {
-			return an.NewCampaign(fliptracker.WholeProgram(), opts(fliptracker.WithParallelism(2),
-				fliptracker.WithShards(shards), fliptracker.WithJournal(path))...)
+		path := filepath.Join(t.TempDir(), "campaign.journal")
+		mk := func(par int) (*fliptracker.Campaign, error) {
+			return an.NewCampaign(fliptracker.WholeProgram(), opts(fliptracker.WithParallelism(par),
+				fliptracker.WithJournal(path))...)
 		}
 
 		co, err := mk(4)
@@ -174,7 +196,7 @@ func TestCoordinatorResumeGolden(t *testing.T) {
 			}
 		}
 
-		co2, err := mk(3)
+		co2, err := mk(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,10 +208,10 @@ func TestCoordinatorResumeGolden(t *testing.T) {
 			got = append(got, digestFO(fo))
 		}
 		if g := fnv64(strings.Join(got, "\n")); g != want {
-			t.Errorf("%s: resumed merged stream digest %#x, want %#x", name, g, want)
+			t.Errorf("%s: resumed stream digest %#x, want %#x", name, g, want)
 		}
 
-		// The finished sharded journal replays unsharded.
+		// The finished journal replays at the default parallelism.
 		res, err := an.Campaign(ctx, fliptracker.WholeProgram(), opts(fliptracker.WithJournal(path))...)
 		if err != nil {
 			t.Fatalf("%s: engine replay: %v", name, err)
