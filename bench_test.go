@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"fliptracker"
-	"math/rand"
 
 	"fliptracker/internal/acl"
 	"fliptracker/internal/apps"
@@ -813,35 +812,47 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	})
 }
 
-// BenchmarkStaticPrunedCampaign measures what the static IR dependence
-// analysis buys a whole-program campaign: the unpruned baseline runs every
-// injection, the pruned half classifies each drawn fault first and skips the
-// statically provable ones (benign -> Success, never-fires -> NotApplied)
-// without executing. Both halves report ms/fault; the pruned half also
-// reports the measured prune rate. Results are pinned identical by
-// TestStaticPruneSoundnessMatrix; the benchmark re-checks them anyway so a
-// -bench run can never report a speedup bought with wrong results.
+// BenchmarkStaticPrunedCampaign measures what static pruning buys where it
+// runs: plain 3-rank MPI campaigns with faults on rank 1, built through
+// MPIAnalyzer.NewCampaign, which classifies each drawn fault first and
+// replays no world for the statically provable ones (benign -> Success,
+// never-fires -> NotApplied), against the same campaign with its pruner
+// removed (mpi.WithPruner(nil)). Both halves report ms/fault; the pruned
+// half also reports the prune rate of its fault stream. The records are
+// pinned identical by internal/core's TestMPIPrunedRecords; the benchmark
+// re-checks the Results anyway so a -bench run can never report a speedup
+// bought with wrong results.
 func BenchmarkStaticPrunedCampaign(b *testing.B) {
 	const (
-		tests = 64
-		seed  = 20181111
+		ranks     = 3
+		faultRank = 1
+		tests     = 64
+		seed      = 20181111
 	)
-	for _, app := range []string{"cg", "kmeans", "lulesh"} {
-		an, err := fliptracker.NewAnalyzer(app)
+	for _, app := range []string{"is", "cg", "kmeans"} {
+		ma, err := fliptracker.NewMPIAnalyzer(app, ranks)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pruner, err := an.StaticPruner()
+		ma.FaultRank = faultRank
+		pruner, err := ma.StaticPruner()
 		if err != nil {
 			b.Fatal(err)
 		}
-		run := func(b *testing.B, opts ...fliptracker.CampaignOption) fliptracker.CampaignResult {
+		build := func(b *testing.B, opts ...fliptracker.MPIOption) *fliptracker.MPICampaign {
 			b.Helper()
-			res, err := an.Campaign(context.Background(), fliptracker.WholeProgram(),
-				append([]fliptracker.CampaignOption{
-					fliptracker.WithTests(tests),
-					fliptracker.WithSeed(seed),
-				}, opts...)...)
+			c, err := ma.NewCampaign(nil, append([]fliptracker.MPIOption{
+				fliptracker.WithTests(tests),
+				fliptracker.WithSeed(seed),
+			}, opts...)...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return c
+		}
+		run := func(b *testing.B, opts ...fliptracker.MPIOption) fliptracker.CampaignResult {
+			b.Helper()
+			res, err := build(b, opts...).Run(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -853,29 +864,16 @@ func BenchmarkStaticPrunedCampaign(b *testing.B) {
 		var plain, pruned fliptracker.CampaignResult
 		b.Run(app+"/unpruned", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				plain = run(b)
+				plain = run(b, mpi.WithPruner(nil))
 			}
 			perFault(b)
 		})
 		b.Run(app+"/pruned", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pruned = run(b, fliptracker.WithStaticPrune(pruner))
+				pruned = run(b)
 			}
 			perFault(b)
-			// The prune rate over the campaign's own fault stream: draw the
-			// same faults the campaign pre-draws (whole-program population,
-			// same seed) and classify them without running anything.
-			clean, err := an.CleanTrace()
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(seed))
-			picker := inject.UniformDst{TotalSteps: clean.Steps}
-			faults := make([]interp.Fault, tests)
-			for i := range faults {
-				faults[i] = picker.Pick(rng)
-			}
-			b.ReportMetric(100*pruner.StatsFor(faults).Rate(), "pruned-%")
+			b.ReportMetric(100*pruner.StatsFor(build(b).Faults()).Rate(), "pruned-%")
 		})
 		// Zero Tests means a -bench filter skipped that half's closure.
 		if plain.Tests != 0 && pruned.Tests != 0 && plain != pruned {

@@ -90,7 +90,7 @@ func TestCampaignRejectsBadSpecs(t *testing.T) {
 		{"-app kmeans -target everything -tests 5", "unknown target"},
 		{"-app nosuchapp -tests 5", "unknown app"},
 		{"-app nosuchapp", "unknown app"},
-		{"-app kmeans -tests 5 -analyze -staticprune", "-analyze does not combine"},
+		{"-app kmeans -tests 5 -analyze -journal unused.journal", "-analyze does not combine"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			got, err := captureStdout(t, func() error { return cmdCampaign(strings.Fields(tc.args)) })

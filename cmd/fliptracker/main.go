@@ -11,8 +11,8 @@
 //	fliptracker trace    -app cg -out cg.trace
 //	fliptracker rates    -app cg
 //	fliptracker inject   -app cg -step 12345 -bit 40 [-kind dst|mem|reg] [-addr N]
-//	fliptracker campaign -app cg [-target whole|hybrid|internal|input] [-region cg_b] [-instance 0] [-tests N] [-seed S] [-earlystop] [-staticprune] [-stream] [-analyze] [-journal path [-resume]]
-//	fliptracker campaign -app mg -mpi -ranks 4 [-faultrank R] [-tests N] [-seed S] [-earlystop] [-staticprune] [-stream] [-analyze] [-journal path [-resume]]
+//	fliptracker campaign -app cg [-target whole|hybrid|internal|input] [-region cg_b] [-instance 0] [-tests N] [-seed S] [-earlystop] [-stream] [-analyze] [-journal path [-resume]]
+//	fliptracker campaign -app mg -mpi -ranks 4 [-faultrank R] [-tests N] [-seed S] [-earlystop] [-stream] [-analyze] [-journal path [-resume]]
 //	fliptracker static   -app cg [-disasm]
 //	fliptracker dot      -app cg -region cg_b [-instance 0]
 package main
@@ -262,7 +262,6 @@ func cmdCampaign(args []string) error {
 	tests := fs.Int("tests", 0, "injections (0: statistical sizing at 95%/3%)")
 	seed := fs.Int64("seed", 1, "campaign seed")
 	earlyStop := fs.Bool("earlystop", false, "stop sequentially once the 95% CI is within 3%")
-	staticPrune := fs.Bool("staticprune", false, "skip statically provable faults (benign -> success, never-fires -> not-applied) without running them; results are identical to an unpruned run")
 	stream := fs.Bool("stream", false, "print one line per fault outcome as the campaign runs")
 	analyze := fs.Bool("analyze", false, "run the full per-fault analysis (ACL, DDDG comparison, patterns) on every injection and stream one line per fault; implies -stream")
 	mpiMode := fs.Bool("mpi", false, "run a multi-rank MPI campaign: each injection replays a full world with the fault on one rank")
@@ -274,7 +273,7 @@ func cmdCampaign(args []string) error {
 
 	// The flags fill the campaign service's Spec, so both front ends check
 	// and build a campaign the same way.
-	spec := core.Spec{App: *app, Engine: "inject", Seed: *seed, Tests: *tests, StaticPrune: *staticPrune}
+	spec := core.Spec{App: *app, Engine: "inject", Seed: *seed, Tests: *tests}
 	if *earlyStop {
 		spec.EarlyStop = &core.EarlyStopSpec{Confidence: 0.95, Margin: 0.03}
 	}
@@ -302,8 +301,8 @@ func cmdCampaign(args []string) error {
 	if err := check.Validate(); err != nil {
 		return err
 	}
-	if *analyze && (*staticPrune || *journalPath != "") {
-		return fmt.Errorf("-analyze does not combine with -staticprune or -journal (analysis payloads are neither pruned nor journaled)")
+	if *analyze && *journalPath != "" {
+		return fmt.Errorf("-analyze does not combine with -journal (analysis payloads are not journaled)")
 	}
 
 	// A journaled campaign is resumable by construction; -resume only

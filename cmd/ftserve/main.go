@@ -1,7 +1,10 @@
 // Command ftserve runs the FlipTracker campaign service: a long-running
 // HTTP/JSON server (internal/server) that accepts resilience-campaign
 // submissions, executes them on the campaign driver, and streams their
-// deterministic outcome streams as NDJSON.
+// deterministic outcome streams as NDJSON. A spec's deprecated "shards"
+// and "static_prune" fields are accepted and ignored: every campaign runs
+// as one window, plain MPI campaigns always skip statically provable
+// faults, and inject campaigns never do.
 //
 // Usage:
 //

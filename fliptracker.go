@@ -421,8 +421,8 @@ type (
 	StaticAnalysis = irstatic.Analysis
 	// StaticPruner maps dynamic fault sites (step, target) to static
 	// classes through a clean run's step-indexed instruction log. Get one
-	// from Analyzer.StaticPruner / MPIAnalyzer.StaticPruner and pass it to
-	// WithStaticPrune.
+	// from Analyzer.StaticPruner / MPIAnalyzer.StaticPruner; every plain
+	// MPIAnalyzer campaign already runs under the latter.
 	StaticPruner = irstatic.Pruner
 	// StaticClass is a static fault-site classification.
 	StaticClass = irstatic.Class
@@ -460,14 +460,6 @@ func AnalyzeProgram(p *Program) (*StaticAnalysis, error) { return irstatic.Analy
 func NewStaticPruner(an *StaticAnalysis, sids []int32) (*StaticPruner, error) {
 	return irstatic.NewPruner(an, sids)
 }
-
-// WithStaticPrune skips statically provable faults in a campaign: Benign
-// sites record Success and NeverFires sites record NotApplied — with a
-// Contained propagation, for a world — without running. Result-invariant —
-// the campaign Result is byte-identical to an unpruned run of the same seed
-// — and therefore excluded from journal fingerprints. Incompatible with
-// analysis (pruned runs produce no trace to analyze).
-func WithStaticPrune(p *StaticPruner) CampaignOption { return campaign.WithStaticPrune(p) }
 
 // CrossCheckStaticOutcome asserts the static analysis's soundness contract
 // against one dynamically observed outcome: statically Benign must have

@@ -9,7 +9,6 @@ import (
 	"slices"
 
 	"fliptracker/internal/interp"
-	"fliptracker/internal/irstatic"
 	"fliptracker/internal/journal"
 	"fliptracker/internal/stats"
 )
@@ -39,9 +38,6 @@ type Settings struct {
 	// DropTraces releases each analyzed injection's traces once its
 	// analysis returns; the engine does the releasing.
 	DropTraces bool
-	// Pruner, when non-nil, short-circuits statically proven faults before
-	// they reach the engine (see window).
-	Pruner *irstatic.Pruner
 }
 
 // Executor is one engine's share of a campaign: what a fault runs against
@@ -57,18 +53,16 @@ type Executor[O any] struct {
 	// payloads that pin large buffers (faulty traces, worlds): each window
 	// then bounds completed-but-unemitted outcomes to twice its worker count
 	// (Config.Window), so the reorder buffer cannot absorb the whole campaign
-	// behind one slow early fault. DropTraces needs it; static pruning and
-	// the journal exclude it.
+	// behind one slow early fault. DropTraces needs it; the journal
+	// excludes it.
 	Analyzed bool
-	// Plan prepares the fault indices live of faults — the checkpoint
-	// forward pass — and returns the function that runs fault i of them.
-	// live lists one window's indices in increasing order, less those the
-	// static pruner proved, which never reach the engine; Plan may reorder
-	// it. The returned function is called from concurrent workers.
-	Plan func(ctx context.Context, faults []interp.Fault, live []int) (func(i int) (O, error), error)
+	// Plan prepares the window of faults from index first on — the
+	// checkpoint forward pass — and returns the function that runs fault i
+	// of it. Faults below first were replayed from the journal and never
+	// run. The returned function is called from concurrent workers.
+	Plan func(ctx context.Context, faults []interp.Fault, first int) (func(i int) (O, error), error)
 	// Record converts an outcome to its journal form; Replay converts a
-	// committed record back, and builds a statically proven fault's outcome
-	// from its index, fault and outcome alone.
+	// committed record back.
 	Record func(O) journal.Record
 	Replay func(journal.Record) O
 }
@@ -141,8 +135,6 @@ func (x *Executor[O]) check(s Settings) error {
 	switch {
 	case s.DropTraces && !x.Analyzed:
 		return fmt.Errorf("%v: WithDropTraces requires an analyzed campaign", x.Engine)
-	case s.Pruner != nil && x.Analyzed:
-		return fmt.Errorf("%v: WithStaticPrune cannot be combined with analysis (pruned injections produce no trace to analyze)", x.Engine)
 	case s.Journal != "" && x.Analyzed:
 		return fmt.Errorf("%v: WithJournal cannot be combined with analysis (analysis payloads are not journaled)", x.Engine)
 	}
@@ -162,9 +154,9 @@ func (c *Campaign[O]) Faults() []interp.Fault { return slices.Clone(c.faults) }
 // Header identifies the campaign for the durable journal: engine, app
 // label, seed, test count, and a fingerprint of the configuration that
 // determines per-index outcomes — the engine's Config, the population
-// (picker type and parameters) and the stopping rule. Parallelism and
-// pruning are result-invariant and stay out, so a journal resumes under
-// different ones.
+// (picker type and parameters) and the stopping rule. Parallelism is
+// result-invariant and stays out, so a journal resumes under a different
+// one.
 func (c *Campaign[O]) Header() journal.Header {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|targets=%T%+v|earlystop=%v:%g:%g",
@@ -301,46 +293,20 @@ func (c *Campaign[O]) run(ctx context.Context, emit func(O) bool) (Result, error
 }
 
 // window plans the fault-index window [first, Tests()) and fans it out
-// over the ordered worker pool (Run). Under static pruning a fault site
-// proven Benign records Success, and one proven NeverFires records
-// NotApplied, without planning or running anything: a fault that never
-// perturbs the run leaves nothing to classify beyond its journal record
-// (for a world, a Contained propagation). Live faults run as without
-// pruning, so the outcome stream is identical either way.
+// over the ordered worker pool (Run).
 func (c *Campaign[O]) window(ctx context.Context, first int, emit func(O) bool) error {
-	last := len(c.faults)
-	if last <= first {
+	items := len(c.faults)
+	if items <= first {
 		return nil
 	}
-	proven := make(map[int]Outcome)
-	live := make([]int, 0, last-first)
-	for i := first; i < last; i++ {
-		if c.s.Pruner != nil {
-			switch c.s.Pruner.Classify(c.faults[i]) {
-			case irstatic.Benign:
-				proven[i] = Success
-				continue
-			case irstatic.NeverFires:
-				proven[i] = NotApplied
-				continue
-			}
-		}
-		live = append(live, i)
-	}
-	run, err := c.x.Plan(ctx, c.faults, live)
+	run, err := c.x.Plan(ctx, c.faults, first)
 	if err != nil {
 		return err
 	}
-	one := func(i int) (O, error) {
-		if o, ok := proven[i]; ok {
-			return c.x.Replay(journal.Record{Index: uint64(i), Fault: c.faults[i], Outcome: uint8(o)}), nil
-		}
-		return run(i)
-	}
-	workers := Workers(c.s.Parallelism, last-first)
+	w := workers(c.s.Parallelism, items-first)
 	window := 0
 	if c.x.Analyzed {
-		window = 2 * workers
+		window = 2 * w
 	}
-	return Run(ctx, Config{Items: last, First: first, Workers: workers, Window: window}, one, emit)
+	return Run(ctx, Config{Items: items, First: first, Workers: w, Window: window}, run, emit)
 }

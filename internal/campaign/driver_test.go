@@ -43,8 +43,11 @@ func fakeCampaign(t *testing.T, s Settings, failAt int) (*Campaign[fakeOutcome],
 	c, err := New(s, fakePicker{draws}, Executor[fakeOutcome]{
 		Engine: journal.EngineInject,
 		Config: "fake",
-		Plan: func(ctx context.Context, faults []interp.Fault, live []int) (func(int) (fakeOutcome, error), error) {
+		Plan: func(ctx context.Context, faults []interp.Fault, first int) (func(int) (fakeOutcome, error), error) {
 			return func(i int) (fakeOutcome, error) {
+				if i < first {
+					return fakeOutcome{}, fmt.Errorf("fault %d runs below the window start %d", i, first)
+				}
 				if i == failAt {
 					return fakeOutcome{}, fmt.Errorf("fault %d failed", i)
 				}

@@ -22,9 +22,9 @@ import (
 	"sync"
 )
 
-// Workers resolves a parallelism knob against an item count: non-positive
+// workers resolves a parallelism knob against an item count: non-positive
 // means GOMAXPROCS, and the pool never exceeds the number of items.
-func Workers(parallelism, items int) int {
+func workers(parallelism, items int) int {
 	w := parallelism
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -39,16 +39,12 @@ func Workers(parallelism, items int) int {
 type Config struct {
 	// Items is the number of work indices (0..Items-1).
 	Items int
-	// First and Last bound the window of indices actually executed:
-	// [First, Last). Indices below First were already delivered by the
-	// caller (e.g. replayed from a durable journal), so the engine
-	// schedules only the window; indices at or above Last are not run. A
-	// non-positive or oversized Last means Items, the window a campaign
-	// driver runs.
+	// First starts the window of indices actually executed, [First,
+	// Items). Indices below First were already delivered by the caller
+	// (e.g. replayed from a durable journal), so the engine schedules only
+	// the window. A negative First means 0.
 	First int
-	// Last is the exclusive end of the executed window; see First.
-	Last int
-	// Workers is the resolved pool size (see Workers); values below 1 are
+	// Workers is the resolved pool size (see workers); values below 1 are
 	// treated as 1.
 	Workers int
 	// Window, when positive, bounds completed-but-unemitted results: a worker
@@ -81,19 +77,15 @@ func Run[R any](ctx context.Context, cfg Config, work func(index int) (R, error)
 	if first < 0 {
 		first = 0
 	}
-	last := cfg.Last
-	if last <= 0 || last > n {
-		last = n
-	}
-	if last <= first {
+	if n <= first {
 		return nil
 	}
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > last-first {
-		workers = last - first
+	if workers > n-first {
+		workers = n - first
 	}
 
 	// wctx stops the workers; cancelled on early stop, on caller
@@ -101,8 +93,8 @@ func Run[R any](ctx context.Context, cfg Config, work func(index int) (R, error)
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	indices := make(chan int, last-first)
-	for i := first; i < last; i++ {
+	indices := make(chan int, n-first)
+	for i := first; i < n; i++ {
 		indices <- i
 	}
 	close(indices)
@@ -112,7 +104,7 @@ func Run[R any](ctx context.Context, cfg Config, work func(index int) (R, error)
 	}
 	// results holds every possible send, so workers never block on it and
 	// always reach their context check.
-	results := make(chan item, last-first)
+	results := make(chan item, n-first)
 	var window chan struct{}
 	if cfg.Window > 0 {
 		window = make(chan struct{}, cfg.Window)
@@ -184,7 +176,7 @@ func Run[R any](ctx context.Context, cfg Config, work func(index int) (R, error)
 			}
 		}
 	}
-	for !stopped && next < last {
+	for !stopped && next < n {
 		select {
 		case it, ok := <-results:
 			if !ok {

@@ -161,14 +161,14 @@ func TestRunZeroItems(t *testing.T) {
 
 // TestWorkers pins the pool-size resolution.
 func TestWorkers(t *testing.T) {
-	if w := Workers(4, 100); w != 4 {
-		t.Errorf("Workers(4, 100) = %d", w)
+	if w := workers(4, 100); w != 4 {
+		t.Errorf("workers(4, 100) = %d", w)
 	}
-	if w := Workers(8, 3); w != 3 {
-		t.Errorf("Workers(8, 3) = %d", w)
+	if w := workers(8, 3); w != 3 {
+		t.Errorf("workers(8, 3) = %d", w)
 	}
-	if w := Workers(0, 100); w < 1 {
-		t.Errorf("Workers(0, 100) = %d", w)
+	if w := workers(0, 100); w < 1 {
+		t.Errorf("workers(0, 100) = %d", w)
 	}
 }
 
@@ -248,29 +248,29 @@ func TestRunFirstDone(t *testing.T) {
 	}
 }
 
-// TestRunWindow: a [First, Last) window executes exactly its own indices in
-// order — work is never called outside the window — and emit sees exactly
-// the window, in order.
+// TestRunWindow: a window [First, Items) stopped by emit executes no index
+// below First, and emit sees exactly First up to the index it stopped at,
+// in order.
 func TestRunWindow(t *testing.T) {
-	const n, first, last = 40, 12, 29
+	const n, first, stop = 40, 12, 29
 	var got []int
 	err := Run(context.Background(),
-		Config{Items: n, First: first, Last: last, Workers: 4},
+		Config{Items: n, First: first, Workers: 4},
 		func(i int) (int, error) {
-			if i < first || i >= last {
-				t.Errorf("work called with index %d outside window [%d, %d)", i, first, last)
+			if i < first {
+				t.Errorf("work called with index %d below window start %d", i, first)
 			}
 			return i, nil
 		},
 		func(res int) bool {
 			got = append(got, res)
-			return true
+			return res < stop
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != last-first {
-		t.Fatalf("emitted %d results, want %d", len(got), last-first)
+	if len(got) != stop-first+1 {
+		t.Fatalf("emitted %d results, want %d", len(got), stop-first+1)
 	}
 	for k, v := range got {
 		if v != first+k {
@@ -279,62 +279,58 @@ func TestRunWindow(t *testing.T) {
 	}
 }
 
-// TestRunWindowEmpty: an empty or inverted window is a no-op — no work, no
-// emission, nil error — whatever combination of First/Last produces it.
+// TestRunWindowEmpty: an empty window is a no-op — no work, no emission,
+// nil error — whether First reaches Items or there are no items at all.
 func TestRunWindowEmpty(t *testing.T) {
-	for _, w := range []struct{ first, last int }{
-		{5, 5},   // empty
-		{7, 3},   // inverted
+	for _, w := range []struct{ items, first int }{
 		{10, 10}, // empty at the end
-		{12, 15}, // entirely past Items (Last clamps to Items < First)
+		{10, 15}, // entirely past Items
+		{0, 0},   // no items
+		{0, -2},  // no items, negative First
 	} {
-		err := Run(context.Background(), Config{Items: 10, First: w.first, Last: w.last, Workers: 4},
+		err := Run(context.Background(), Config{Items: w.items, First: w.first, Workers: 4},
 			func(i int) (int, error) {
-				t.Errorf("window [%d, %d): work called with index %d", w.first, w.last, i)
+				t.Errorf("window [%d, %d): work called with index %d", w.first, w.items, i)
 				return 0, nil
 			},
 			func(int) bool {
-				t.Errorf("window [%d, %d): emit called", w.first, w.last)
+				t.Errorf("window [%d, %d): emit called", w.first, w.items)
 				return true
 			})
 		if err != nil {
-			t.Fatalf("window [%d, %d): %v", w.first, w.last, err)
+			t.Fatalf("window [%d, %d): %v", w.first, w.items, err)
 		}
 	}
 }
 
-// TestRunWindowClamps: Last values of zero (unset) or beyond Items clamp to
-// Items, and a negative First clamps to zero — the full-range default.
+// TestRunWindowClamps: a zero or negative First clamps to zero — the
+// full-range default.
 func TestRunWindowClamps(t *testing.T) {
-	for _, w := range []struct{ first, last int }{
-		{0, 0},   // both unset
-		{-3, 0},  // negative First
-		{0, 99},  // oversized Last
-		{-1, 12}, // both out of range
-	} {
+	for _, first := range []int{0, -1, -3} {
 		var got []int
-		err := Run(context.Background(), Config{Items: 10, First: w.first, Last: w.last, Workers: 4},
+		err := Run(context.Background(), Config{Items: 10, First: first, Workers: 4},
 			func(i int) (int, error) { return i, nil },
 			func(res int) bool {
 				got = append(got, res)
 				return true
 			})
 		if err != nil {
-			t.Fatalf("window [%d, %d): %v", w.first, w.last, err)
+			t.Fatalf("First=%d: %v", first, err)
 		}
 		if len(got) != 10 {
-			t.Fatalf("window [%d, %d): emitted %d results, want all 10", w.first, w.last, len(got))
+			t.Fatalf("First=%d: emitted %d results, want all 10", first, len(got))
 		}
 		for k, v := range got {
 			if v != k {
-				t.Fatalf("window [%d, %d): result %d = %d", w.first, w.last, k, v)
+				t.Fatalf("First=%d: result %d = %d", first, k, v)
 			}
 		}
 	}
 }
 
-// TestRunWindowPartition: contiguous windows partition the index space — the
-// concatenation of per-window emissions is exactly the full range, each index
+// TestRunWindowPartition: runs that each stop at a bound, every one starting
+// its window where the previous stopped, partition the index space — the
+// concatenation of their emissions is exactly the full range, each index
 // exactly once. A journal resume relies on it: the window starts where the
 // replayed prefix ends.
 func TestRunWindowPartition(t *testing.T) {
@@ -342,19 +338,20 @@ func TestRunWindowPartition(t *testing.T) {
 	bounds := []int{0, 9, 17, 40, n}
 	var got []int
 	for s := 0; s+1 < len(bounds); s++ {
+		end := bounds[s+1]
 		err := Run(context.Background(),
-			Config{Items: n, First: bounds[s], Last: bounds[s+1], Workers: 3},
+			Config{Items: n, First: len(got), Workers: 3},
 			func(i int) (int, error) { return i, nil },
 			func(res int) bool {
 				got = append(got, res)
-				return true
+				return res+1 < end
 			})
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(got) != n {
-		t.Fatalf("windows emitted %d results, want %d", len(got), n)
+		if len(got) != end {
+			t.Fatalf("window %d stopped after %d results, want %d", s, len(got), end)
+		}
 	}
 	for i, v := range got {
 		if v != i {

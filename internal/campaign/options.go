@@ -1,10 +1,6 @@
 package campaign
 
-import (
-	"fmt"
-
-	"fliptracker/internal/irstatic"
-)
+import "fmt"
 
 // Option configures a campaign of either engine at construction time. The
 // settings both engines share are defined here, once; each engine adds its
@@ -83,20 +79,6 @@ func WithEarlyStop(confidence, margin float64) Option {
 // must keep no reference into them. Requires an analyzed campaign.
 func WithDropTraces() Option { return setting(func(s *Settings) { s.DropTraces = true }) }
 
-// WithStaticPrune short-circuits injections whose outcome the static
-// dependence analysis (internal/irstatic) has already proven: a Benign fault
-// site records Success and a NeverFires site NotApplied (with a Contained
-// propagation, for a world) without running; Live faults run as before. The
-// pruner must pair the campaign program's analysis with the SID log of the
-// fault-free run of the injected machine or rank, and that run must pass
-// verification — core.Analyzer.StaticPruner and
-// core.MPIAnalyzer.StaticPruner build such pruners. Pruning is
-// result-invariant, so it stays out of the journal fingerprint. It excludes
-// analysis: a pruned injection produces no trace to analyze.
-func WithStaticPrune(p *irstatic.Pruner) Option {
-	return setting(func(s *Settings) { s.Pruner = p })
-}
-
 // WithJournal makes the campaign durable: every outcome is appended, in
 // fault-index order, to an append-only checksummed journal at path and
 // fsync'd before it is delivered. When path already holds a journal, a run
@@ -106,8 +88,8 @@ func WithStaticPrune(p *irstatic.Pruner) Option {
 // against the drawn fault stream, and only the rest executes. A torn or
 // bit-flipped tail is truncated to the last committed record, so a resumed
 // campaign's Result is byte-identical to an uninterrupted run. Parallelism
-// and pruning may change between runs. It excludes analysis, whose
-// payloads are not journaled. An empty path journals nothing.
+// may change between runs. It excludes analysis, whose payloads are not
+// journaled. An empty path journals nothing.
 func WithJournal(path string) Option { return setting(func(s *Settings) { s.Journal = path }) }
 
 // WithJournalApp labels the journal header with an application name, so a

@@ -144,10 +144,22 @@ func (ma *MPIAnalyzer) InjectedSteps() uint64 {
 }
 
 // NewCampaign builds a plain (untraced) MPI campaign over targets, wired to
-// this analyzer's clean world, verifier and fault rank. A nil targets
-// defaults to the whole-program population of the injected rank
-// (InjectedSteps). opts may add tests, seed, parallelism, progress.
+// this analyzer's clean world, verifier and fault rank, and pruned by its
+// cached StaticPruner (mpi.WithPruner): statically proven faults record
+// their outcome without running a world, and the outcomes are those of an
+// unpruned campaign. A nil targets defaults to the whole-program
+// population of the injected rank (InjectedSteps). opts may add tests,
+// seed, parallelism, progress.
 func (ma *MPIAnalyzer) NewCampaign(targets inject.TargetPicker, opts ...mpi.Option) (*mpi.Campaign, error) {
+	p, err := ma.StaticPruner()
+	if err != nil {
+		return nil, err
+	}
+	return ma.newCampaign(targets, slices.Concat([]mpi.Option{mpi.WithPruner(p)}, opts)...)
+}
+
+// newCampaign is NewCampaign without the pruner.
+func (ma *MPIAnalyzer) newCampaign(targets inject.TargetPicker, opts ...mpi.Option) (*mpi.Campaign, error) {
 	if err := ma.checkFaultRank(); err != nil {
 		return nil, err
 	}
@@ -158,14 +170,14 @@ func (ma *MPIAnalyzer) NewCampaign(targets inject.TargetPicker, opts ...mpi.Opti
 		slices.Concat([]mpi.Option{mpi.WithClean(ma.clean), mpi.WithVerify(ma.verifyWorld)}, opts)...)
 }
 
-// NewAnalyzedCampaign is NewCampaign plus the per-rank analysis hook: every
-// injected world runs fully traced and yields a *WorldAnalysis on
+// NewAnalyzedCampaign is NewCampaign, unpruned, plus the per-rank analysis
+// hook: every injected world runs fully traced and yields a *WorldAnalysis on
 // WorldOutcome.Analysis, computed inside the campaign worker pool so
 // WithParallelism(N) parallelizes the analyses as well as the worlds. The
 // hook goes last so a stray WithWorldAnalysis among opts cannot replace it.
 func (ma *MPIAnalyzer) NewAnalyzedCampaign(targets inject.TargetPicker, opts ...mpi.Option) (*mpi.Campaign, error) {
 	faultRank := ma.FaultRank
-	return ma.NewCampaign(targets, slices.Concat(opts, []mpi.Option{mpi.WithWorldAnalysis(
+	return ma.newCampaign(targets, slices.Concat(opts, []mpi.Option{mpi.WithWorldAnalysis(
 		func(_ int, f interp.Fault, faulty *mpi.Result, outcome inject.Outcome, prop mpi.Propagation) (any, error) {
 			return ma.analyzeResult(f, faultRank, faulty, outcome, prop), nil
 		})})...)

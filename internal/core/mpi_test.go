@@ -1,10 +1,17 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
+	"fliptracker/internal/apps"
 	"fliptracker/internal/campaign"
+	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
+	"fliptracker/internal/irstatic"
+	"fliptracker/internal/journal"
+	"fliptracker/internal/mpi"
 )
 
 // TestMPIAnalyzerFaultRankValidation: an out-of-range FaultRank must surface
@@ -36,5 +43,121 @@ func TestMPIAnalyzerFaultRankValidation(t *testing.T) {
 	}
 	if _, err := ma.NewCampaign(nil, campaign.WithTests(2)); err != nil {
 		t.Errorf("valid FaultRank: NewCampaign failed: %v", err)
+	}
+}
+
+// TestMPIPrunedRecords: every record of a campaign built through
+// MPIAnalyzer.NewCampaign, which runs under the analyzer's static pruner,
+// equals the record of the same campaign without the pruner, every field
+// included (propagation class and ranks too), over the ten Table IV apps at
+// three world shapes, and their streams do contain pruned faults. Benign
+// sites are rare in whole-program streams, so a fault list of ft's provable
+// faults covers both proven classes; on it, a verifier that rejects the
+// clean world turns pruning off (pruned outcomes assume an accepted clean
+// world), and so does analysis (every analyzed world must run).
+func TestMPIPrunedRecords(t *testing.T) {
+	const seed = 20181111
+	records := func(c *mpi.Campaign, err error) []journal.Record {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []journal.Record
+		for r, err := range c.Records(context.Background()) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	appsPruned := 0
+	for _, name := range apps.TableIVNames() {
+		pruned := 0
+		for _, shape := range []struct{ ranks, faultRank int }{{2, 0}, {3, 1}, {4, 3}} {
+			ma, err := NewMPIAnalyzer(name, shape.ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ma.FaultRank = shape.faultRank
+			p, err := ma.StaticPruner()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []mpi.Option{campaign.WithTests(12), campaign.WithSeed(seed)}
+			got := records(ma.NewCampaign(nil, opts...))
+			if want := records(ma.newCampaign(nil, opts...)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s ranks=%d faultrank=%d: pruned records differ\npruned:   %+v\nunpruned: %+v",
+					name, shape.ranks, shape.faultRank, got, want)
+			}
+			for _, r := range got {
+				if p.Classify(r.Fault) != irstatic.Live {
+					pruned++
+				}
+			}
+		}
+		if pruned > 0 {
+			appsPruned++
+		}
+	}
+	if appsPruned < 3 {
+		t.Errorf("pruned faults on %d apps, want at least 3", appsPruned)
+	}
+
+	ma, err := NewMPIAnalyzer("ft", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ma.FaultRank = 1
+	p, err := ma.StaticPruner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw, err := ma.newCampaign(nil, campaign.WithTests(200), campaign.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list inject.FaultList
+	live := 0
+	for _, f := range draw.Faults() {
+		if p.Classify(f) == irstatic.Live {
+			if live == 4 {
+				continue
+			}
+			live++
+		}
+		list.Faults = append(list.Faults, f)
+	}
+	if st := p.StatsFor(list.Faults); st.Benign == 0 || st.NeverFires == 0 {
+		t.Fatalf("ft fault list has %d benign and %d never-fires faults, want both", st.Benign, st.NeverFires)
+	}
+	tests := campaign.WithTests(len(list.Faults))
+	for _, tc := range []struct {
+		name string
+		opts []mpi.Option
+	}{
+		{"default verifier", []mpi.Option{tests}},
+		{"verifier rejecting the clean world", []mpi.Option{tests, mpi.WithVerify(func(*mpi.Result) bool { return false })}},
+	} {
+		got := records(ma.NewCampaign(list, tc.opts...))
+		if want := records(ma.newCampaign(list, tc.opts...)); !reflect.DeepEqual(got, want) {
+			t.Errorf("ft fault list, %s: pruned records differ\npruned:   %+v\nunpruned: %+v", tc.name, got, want)
+		}
+	}
+
+	c, err := ma.NewCampaign(list, tests, mpi.WithWorldAnalysis(
+		func(i int, _ interp.Fault, _ *mpi.Result, _ inject.Outcome, _ mpi.Propagation) (any, error) {
+			return i, nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wo, err := range c.Stream(context.Background()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wo.Analysis == nil {
+			t.Fatalf("analyzed world %d (%v, static class %v) ran no analysis", wo.Index, &wo.Fault, p.Classify(wo.Fault))
+		}
 	}
 }

@@ -42,8 +42,11 @@ type Spec struct {
 	Shards int `json:"shards,omitempty"`
 	// EarlyStop, when set, enables the sequential stopping rule.
 	EarlyStop *EarlyStopSpec `json:"early_stop,omitempty"`
-	// StaticPrune short-circuits statically provable faults
-	// (result-invariant; the pruner is cached per app).
+	// StaticPrune is accepted and ignored: plain MPI campaigns always skip
+	// statically provable faults, and inject campaigns never do.
+	//
+	// Deprecated: kept so existing clients' specs still decode; the
+	// campaign benchmark change that stops sending it removes it.
 	StaticPrune bool `json:"static_prune,omitempty"`
 	// Ranks and FaultRank shape MPI worlds; ignored by the inject engine.
 	Ranks     int `json:"ranks,omitempty"`
@@ -163,13 +166,6 @@ func (s *Spec) Build(src *Analyzers, journal string) (campaign.Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.StaticPrune {
-			p, err := an.StaticPruner()
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, campaign.WithStaticPrune(p))
-		}
 		c, err := an.NewCampaign(s.Population.Population(), opts...)
 		if err != nil {
 			return nil, err
@@ -179,13 +175,6 @@ func (s *Spec) Build(src *Analyzers, journal string) (campaign.Runner, error) {
 		ma, err := src.MPIAnalyzer(s.App, s.Ranks, s.FaultRank)
 		if err != nil {
 			return nil, err
-		}
-		if s.StaticPrune {
-			p, err := ma.StaticPruner()
-			if err != nil {
-				return nil, err
-			}
-			opts = append(opts, campaign.WithStaticPrune(p))
 		}
 		c, err := ma.NewCampaign(nil, opts...)
 		if err != nil {
@@ -197,8 +186,9 @@ func (s *Spec) Build(src *Analyzers, journal string) (campaign.Runner, error) {
 }
 
 // Analyzers builds each analyzer once and shares it among campaigns: one
-// clean trace, clean index and static pruner per app, and per world shape
-// (ranks, fault rank) for MPI, since the clean world depends on it. A failed
+// clean trace and clean index per app, and per world shape (ranks, fault
+// rank) for MPI, since the clean world depends on it, with the static
+// pruner every plain MPI campaign of that shape runs under. A failed
 // build is cached too. The zero value is ready to use; nothing is evicted,
 // which Spec's bounds keep finite.
 type Analyzers struct {

@@ -68,7 +68,10 @@ func (an *Analyzer) StaticAnalysis() (*irstatic.Analysis, error) {
 // interp.Machine.RecordSIDs) and insists the fault-free run completes and
 // passes the app verifier — the Benign class promises "output identical to
 // the fault-free run", which only classifies Success when that output itself
-// verifies. Pass the result to campaign.WithStaticPrune.
+// verifies. Campaigns do not use it: an untraced injection stops once it
+// reconverges with the clean run, which leaves pruning nothing to save.
+// It serves soundness checks (CrossCheckOutcome) and statistics
+// (irstatic.Pruner.StatsFor).
 func (an *Analyzer) StaticPruner() (*irstatic.Pruner, error) {
 	return an.static.pruner(-1, func(sa *irstatic.Analysis) (*irstatic.Pruner, error) {
 		m, err := an.App.NewMachine()
@@ -96,8 +99,8 @@ func (an *Analyzer) StaticPruner() (*irstatic.Pruner, error) {
 // rank's step-indexed instruction log, obtained by replaying the fault-free
 // world once under the clean recording. The clean world must pass the world
 // verifier for the same reason as in Analyzer.StaticPruner. Pruners are
-// cached per rank, so changing FaultRank and calling again is safe. Pass the
-// result to campaign.WithStaticPrune.
+// cached per rank, so changing FaultRank and calling again is safe.
+// NewCampaign passes it to every plain campaign (mpi.WithPruner).
 func (ma *MPIAnalyzer) StaticPruner() (*irstatic.Pruner, error) {
 	if err := ma.checkFaultRank(); err != nil {
 		return nil, err

@@ -49,9 +49,8 @@ type Campaign struct {
 
 // Option configures a Campaign at construction time: one of the options
 // both engines share (campaign.WithTests, WithSeed, WithParallelism,
-// WithProgress, WithEarlyStop, WithDropTraces, WithStaticPrune, WithJournal,
-// WithJournalApp) or WithAnalysis. An MPI engine option makes NewCampaign
-// fail.
+// WithProgress, WithEarlyStop, WithDropTraces, WithJournal, WithJournalApp)
+// or WithAnalysis. An MPI engine option makes NewCampaign fail.
 type Option = campaign.Option
 
 // engineOption is an option of this engine only.
@@ -124,10 +123,13 @@ func WithDropTraces() Option { return campaign.WithDropTraces() }
 // Deprecated: use campaign.WithJournalApp.
 func WithJournalApp(app string) Option { return campaign.WithJournalApp(app) }
 
-// WithStaticPrune is campaign.WithStaticPrune.
+// WithStaticPrune does nothing: an untraced injection already stops once it
+// reconverges with the clean run, which leaves static pruning nothing to
+// save.
 //
-// Deprecated: use campaign.WithStaticPrune.
-func WithStaticPrune(p *irstatic.Pruner) Option { return campaign.WithStaticPrune(p) }
+// Deprecated: kept only for the campaign benchmark's call; the benchmark
+// change that drops that call removes it.
+func WithStaticPrune(*irstatic.Pruner) Option { return engineOption(func(*Campaign) {}) }
 
 // EarlyStopMinTests is the minimum number of completed injections before
 // early stopping (campaign.WithEarlyStop) may end a campaign, guarding the
@@ -206,12 +208,12 @@ type FaultOutcome struct {
 // runner. Checkpoints are useless for an analyzed campaign that cannot
 // stitch the clean prefix (non-monotonic record steps): such runs replay
 // traced from step 0, so the planning pass is skipped entirely.
-func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, live []int) (func(int) (FaultOutcome, error), error) {
+func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first int) (func(int) (FaultOutcome, error), error) {
 	snaps := make([]*interp.Snapshot, len(faults))
 	var cps []*interp.Snapshot
 	if c.analyze == nil || c.stitch {
 		var err error
-		if cps, err = c.planCheckpoints(ctx, faults, live, snaps); err != nil {
+		if cps, err = c.planCheckpoints(ctx, faults, first, snaps); err != nil {
 			return nil, err
 		}
 	}

@@ -39,16 +39,16 @@ const DefaultMaxCheckpoints = 4096
 // planning is prompt.
 //
 // snaps[i] receives fault i's checkpoint, or stays nil for a run from
-// step 0 (a fault before the first checkpoint). Only the live indices are
-// planned, and they are sorted in place: a journal's replayed prefix and
-// statically pruned faults never run, so they neither force checkpoints nor
-// need one — the forward pass stops at the last live fault's step.
+// step 0 (a fault before the first checkpoint). Only the indices from first
+// on are planned: a journal's replayed prefix never runs, so it neither
+// forces checkpoints nor needs one — the forward pass stops at the last
+// planned fault's step.
 //
 // It returns the distinct checkpoints in ascending step order.
-func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, order []int, snaps []*interp.Snapshot) ([]*interp.Snapshot, error) {
-	if len(order) == 0 {
-		// Everything pruned: no prefix pass needed.
-		return nil, nil
+func (c *Campaign) planCheckpoints(ctx context.Context, faults []interp.Fault, first int, snaps []*interp.Snapshot) ([]*interp.Snapshot, error) {
+	order := make([]int, 0, len(faults)-first)
+	for i := first; i < len(faults); i++ {
+		order = append(order, i)
 	}
 	sort.Slice(order, func(a, b int) bool {
 		if faults[order[a]].Step != faults[order[b]].Step {

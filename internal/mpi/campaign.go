@@ -8,6 +8,7 @@ import (
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
+	"fliptracker/internal/irstatic"
 	"fliptracker/internal/journal"
 	"fliptracker/internal/trace"
 )
@@ -39,6 +40,10 @@ type Campaign struct {
 
 	verify  func(*Result) bool
 	analyze WorldAnalyzer
+	// pruner short-circuits statically proven faults (WithPruner); prune
+	// says whether it applies (see NewCampaign).
+	pruner *irstatic.Pruner
+	prune  bool
 
 	clean *Result
 	hint  uint64
@@ -50,10 +55,9 @@ type Campaign struct {
 
 // Option configures a Campaign at construction time: one of the options
 // both engines share (campaign.WithTests, WithSeed, WithParallelism,
-// WithProgress, WithEarlyStop, WithDropTraces, WithStaticPrune, WithJournal,
-// WithJournalApp) or one of this engine's own —
-// WithVerify, WithWorldAnalysis, WithClean. A single-process engine option
-// makes NewCampaign fail.
+// WithProgress, WithEarlyStop, WithDropTraces, WithJournal, WithJournalApp)
+// or one of this engine's own — WithVerify, WithWorldAnalysis, WithClean,
+// WithPruner. A single-process engine option makes NewCampaign fail.
 type Option = campaign.Option
 
 // engineOption is an option of this engine only.
@@ -108,6 +112,18 @@ func WithWorldAnalysis(analyze WorldAnalyzer) Option {
 // the analysis replay the identical recording.
 func WithClean(clean *Result) Option { return engineOption(func(c *Campaign) { c.clean = clean }) }
 
+// WithPruner makes a plain campaign skip the faults whose outcome the static
+// dependence analysis (internal/irstatic) has proven: a Benign fault site
+// records Success and a NeverFires site NotApplied, both with a Contained
+// propagation, without running a world; Live faults run as before, so the
+// outcome stream is identical either way. p must pair the campaign
+// program's analysis with the injected rank's SID log of the clean world
+// (core.MPIAnalyzer.StaticPruner builds one). Those outcomes assume a clean
+// world that verifies, so the pruner is ignored when the campaign's
+// verifier rejects the clean world, and in analyzed campaigns, whose every
+// fault needs a traced world to analyze.
+func WithPruner(p *irstatic.Pruner) Option { return engineOption(func(c *Campaign) { c.pruner = p }) }
+
 // NewCampaign builds a campaign over the given fault population. base
 // configures every world (ranks, per-rank seed, extra host binds, and
 // FaultRank — the rank each drawn fault is injected into); its Fault and
@@ -151,10 +167,6 @@ func NewCampaign(p *ir.Program, base Config, targets inject.TargetPicker, opts .
 				PropRanks: wo.Propagation.Ranks,
 			}
 		},
-		// A record without propagation fields replays Contained with no
-		// diverged ranks: the outcome of a statically proven fault, which
-		// never perturbs the world (what ClassifyPropagation computes for an
-		// undisturbed replay).
 		Replay: func(r journal.Record) WorldOutcome {
 			return WorldOutcome{
 				Index:       int(r.Index),
@@ -209,6 +221,7 @@ func NewCampaign(p *ir.Program, base Config, targets inject.TargetPicker, opts .
 	if c.verify == nil {
 		c.verify = func(faulty *Result) bool { return outputsEqual(c.clean, faulty) }
 	}
+	c.prune = c.pruner != nil && c.analyze == nil && c.verify(c.clean)
 	return c, nil
 }
 
@@ -289,19 +302,44 @@ type WorldOutcome struct {
 	Analysis any
 }
 
-// plan is the engine's window planner (campaign.Executor.Plan): world
-// checkpoints for the window's faults, then the per-fault runner. World
+// plan is the engine's window planner (campaign.Executor.Plan): static
+// pruning, world checkpoints for the window's live faults, then the
+// per-fault runner. Under pruning (see WithPruner) a fault proven Benign
+// records Success, and one proven NeverFires records NotApplied, with a
+// Contained propagation and without planning or running a world: a fault
+// that never perturbs the world leaves nothing else to classify (what
+// ClassifyPropagation computes for an undisturbed replay). World
 // checkpoints need collective boundaries to cut at, and analyzed campaigns
 // additionally need stitchable (per-rank monotonic) clean traces; without
 // either, every world replays from step 0.
-func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, live []int) (func(int) (WorldOutcome, error), error) {
+func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first int) (func(int) (WorldOutcome, error), error) {
+	proven := make(map[int]inject.Outcome)
+	live := make([]int, 0, len(faults)-first)
+	for i := first; i < len(faults); i++ {
+		if c.prune {
+			switch c.pruner.Classify(faults[i]) {
+			case irstatic.Benign:
+				proven[i] = inject.Success
+				continue
+			case irstatic.NeverFires:
+				proven[i] = inject.NotApplied
+				continue
+			}
+		}
+		live = append(live, i)
+	}
 	snapAt := make([]*WorldSnapshot, len(faults))
 	if c.analyze == nil || c.stitch {
 		if err := c.planWorldCheckpoints(ctx, faults, live, snapAt); err != nil {
 			return nil, err
 		}
 	}
-	return func(i int) (WorldOutcome, error) { return c.runFault(i, faults[i], snapAt[i]) }, nil
+	return func(i int) (WorldOutcome, error) {
+		if o, ok := proven[i]; ok {
+			return WorldOutcome{Index: i, Fault: faults[i], Outcome: o, Propagation: Propagation{Class: Contained}}, nil
+		}
+		return c.runFault(i, faults[i], snapAt[i])
+	}, nil
 }
 
 // runFault executes injected world i — restored from snap when non-nil,

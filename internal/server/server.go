@@ -15,16 +15,19 @@
 // Every campaign runs on the campaign driver, so its delivered stream is
 // the deterministic fault-index-ordered stream the in-process engines
 // produce — byte-identical for a fixed spec whatever the service's
-// parallelism or restart history. A spec's deprecated "shards" is accepted
-// and ignored. With a DataDir the stream is journaled per campaign: kill
+// parallelism or restart history. A spec's deprecated "shards" and
+// "static_prune" are accepted and ignored: plain MPI campaigns always skip
+// statically provable faults, inject campaigns never do, and the stream is
+// the same either way. With a DataDir the stream is journaled per campaign: kill
 // the server mid-campaign, start a new one, re-submit the same id and spec,
 // and the campaign resumes from its last committed outcome (replayed
 // records stream again, the remainder is computed) to the identical final
 // result.
 //
 // Concurrent campaigns multiplex over shared per-application analyzers —
-// one clean trace, clean index, and static pruner per app (per world shape
-// for MPI), built once and cached (core.Analyzers) — while MaxRunning bounds concurrently
+// one clean trace and clean index per app, and per world shape a clean
+// world and static pruner for MPI, built once and cached (core.Analyzers) —
+// while MaxRunning bounds concurrently
 // executing campaigns and MaxCampaigns bounds tracked ones, keeping the
 // service's memory budget flat. Campaigns run untraced (outcome records
 // only, never per-fault traces), so a tracked campaign's footprint is its

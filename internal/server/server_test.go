@@ -111,7 +111,7 @@ func injectSpec(id string, extra func(*Spec)) Spec {
 
 // TestServerCampaignMatchesEngine: a served inject campaign — at three
 // parallelism settings, one spec also carrying the deprecated, ignored
-// shard count — streams the NDJSON-rendered equivalent of the engine's own
+// shard count and one the deprecated, ignored static_prune — streams the NDJSON-rendered equivalent of the engine's own
 // stream and reports the engine's Result.
 func TestServerCampaignMatchesEngine(t *testing.T) {
 	wantRes := engineResult(t)
@@ -122,7 +122,7 @@ func TestServerCampaignMatchesEngine(t *testing.T) {
 	for i, tune := range []func(*Spec){
 		func(s *Spec) { s.Parallelism = 1 },
 		func(s *Spec) { s.Shards = 4; s.Parallelism = 2 },
-		func(s *Spec) { s.Parallelism = 3 },
+		func(s *Spec) { s.StaticPrune = true; s.Parallelism = 3 },
 	} {
 		id := fmt.Sprintf("m%d", i)
 		resp, st := postSpec(t, ts, injectSpec(id, tune))
