@@ -482,7 +482,7 @@ func BenchmarkAnalyzedCampaign(b *testing.B) {
 		faults = append(faults, interp.Fault{Step: step, Bit: uint8(30 + i%23), Kind: interp.FaultDst})
 	}
 	perFault := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*tests), "ms/fault")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*tests), "ms/fault")
 	}
 
 	b.Run("legacy-loop", func(b *testing.B) {
@@ -566,7 +566,7 @@ func BenchmarkMPICampaign(b *testing.B) {
 		faults = append(faults, interp.Fault{Step: step, Bit: uint8(30 + i%23), Kind: interp.FaultDst})
 	}
 	perWorld := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*tests), "ms/world")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*tests), "ms/world")
 	}
 
 	b.Run("sequential-loop", func(b *testing.B) {
@@ -635,7 +635,7 @@ func BenchmarkCheckpointedMPICampaign(b *testing.B) {
 		faults = append(faults, interp.Fault{Step: step, Bit: uint8(30 + i%23), Kind: interp.FaultDst})
 	}
 	perWorld := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*tests), "ms/world")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*tests), "ms/world")
 	}
 	b.Run("from-scratch", func(b *testing.B) {
 		cfg := mpi.Config{
@@ -859,7 +859,7 @@ func BenchmarkStaticPrunedCampaign(b *testing.B) {
 			return res
 		}
 		perFault := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*tests), "ms/fault")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*tests), "ms/fault")
 		}
 		var plain, pruned fliptracker.CampaignResult
 		b.Run(app+"/unpruned", func(b *testing.B) {

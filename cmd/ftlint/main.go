@@ -19,8 +19,10 @@ import (
 )
 
 // defaultDirs is the engine set: every package whose output feeds a golden
-// digest, a durable journal, or a byte-identical checkpoint contract, and
-// the fliptracker CLI, whose campaign stdout is pinned by golden files.
+// digest, a durable journal, a byte-identical checkpoint contract, or a
+// paper artifact (stats decides the early-stop index, apps builds the
+// workloads, predict fits Table IV), and the fliptracker CLI, whose
+// campaign stdout is pinned by golden files.
 var defaultDirs = []string{
 	"internal/campaign",
 	"internal/inject",
@@ -36,6 +38,9 @@ var defaultDirs = []string{
 	"internal/acl",
 	"internal/dddg",
 	"internal/patterns",
+	"internal/stats",
+	"internal/apps",
+	"internal/predict",
 	"cmd/fliptracker",
 }
 

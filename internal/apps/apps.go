@@ -245,7 +245,7 @@ func Names() []string {
 	regMu.Lock()
 	defer regMu.Unlock()
 	out := make([]string, 0, len(registry))
-	for n := range registry {
+	for n := range registry { //ftlint:ok the keys are sorted below
 		out = append(out, n)
 	}
 	sort.Strings(out)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"fliptracker/internal/interp"
+	"fliptracker/internal/trace"
 )
 
 // Outcome is one fault manifestation.
@@ -35,6 +36,26 @@ func (o Outcome) String() string {
 		return "not-applied"
 	}
 	return fmt.Sprintf("outcome(%d)", uint8(o))
+}
+
+// Classify maps a finished run to its §II-A manifestation. A crash or hang
+// dominates; otherwise verified decides, and a verified run whose fault
+// never fired counts NotApplied rather than Success (only the machine knows
+// whether it fired: a tolerated flip and a flip that never happened leave
+// the same output). verified is called once, and only for a completed run.
+// Both engines and the per-fault analyses classify through this one
+// function, so an analyzed fault carries the outcome its campaign counts.
+func Classify(status trace.RunStatus, applied bool, verified func() bool) Outcome {
+	if status == trace.RunCrashed || status == trace.RunHang {
+		return Crashed
+	}
+	switch {
+	case !verified():
+		return Failed
+	case !applied:
+		return NotApplied
+	}
+	return Success
 }
 
 // Result aggregates campaign outcomes.

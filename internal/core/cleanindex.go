@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"fliptracker/internal/acl"
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/dddg"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
@@ -38,7 +39,9 @@ type CleanIndex struct {
 	// built from a bare trace (NewTraceIndex), whose per-fault entry point
 	// is AnalyzeTrace.
 	newMachine func() (*interp.Machine, error)
-	// verify is the application's verification phase over a completed run.
+	// verify is the application's verification phase over a completed
+	// run, which Analyze classifies its own runs with; nil alongside
+	// newMachine.
 	verify func(*trace.Trace) bool
 	prog   *ir.Program
 	clean  *trace.Trace
@@ -83,13 +86,12 @@ func newCleanIndex(newMachine func() (*interp.Machine, error), verify func(*trac
 
 // NewTraceIndex builds a CleanIndex over an externally produced fault-free
 // full trace — the constructor for analyses whose runs the Analyzer cannot
-// produce itself, such as the per-rank traces of an MPI world. verify is the
-// verification phase applied to a faulty trace of the same execution (for a
-// rank: its outputs against the clean rank's within tolerance). The
-// resulting index supports every clean-side lookup and AnalyzeTrace;
-// FaultyTrace and Analyze need a machine factory and return an error.
-func NewTraceIndex(prog *ir.Program, clean *trace.Trace, verify func(*trace.Trace) bool) *CleanIndex {
-	return newCleanIndex(nil, verify, prog, clean)
+// produce itself, such as the per-rank traces of an MPI world. The
+// resulting index supports every clean-side lookup and AnalyzeTrace, whose
+// caller classifies the faulty run; FaultyTrace and Analyze need a machine
+// factory and return an error.
+func NewTraceIndex(prog *ir.Program, clean *trace.Trace) *CleanIndex {
+	return newCleanIndex(nil, nil, prog, clean)
 }
 
 // Index returns the analyzer's clean-run index, building it (and the clean
@@ -177,42 +179,25 @@ func (ix *CleanIndex) faultyTrace(f interp.Fault) (*trace.Trace, bool, error) {
 
 // Analyze runs one injection and the full fine-grained analysis against the
 // index (Figure 1 steps (c)-(d)): ACL table, per-touched-region DDDG
-// comparison, and pattern detection. Analyzer.AnalyzeFault is a thin
-// wrapper over this.
+// comparison, and pattern detection. The run is classified as a campaign
+// classifies it (campaign.Classify), with the machine's FaultApplied.
+// Analyzer.AnalyzeFault is a thin wrapper over this.
 func (ix *CleanIndex) Analyze(f interp.Fault) (*FaultAnalysis, error) {
 	faulty, applied, err := ix.faultyTrace(f)
 	if err != nil {
 		return nil, err
 	}
-	fa := ix.AnalyzeTrace(f, faulty)
-	if !applied && fa.Outcome == inject.Success {
-		// The run completed and verified but the fault never fired (the
-		// target step wrote no destination, or was never reached): count it
-		// NotApplied, matching campaign classification. Legacy AnalyzeFault
-		// reported such runs as Success.
-		fa.Outcome = inject.NotApplied
-	}
-	return fa, nil
+	return ix.AnalyzeTrace(f, faulty, campaign.Classify(faulty.Status, applied, func() bool { return ix.verify(faulty) })), nil
 }
 
-// AnalyzeTrace is Analyze for a faulty trace that was already recorded —
-// analyzed campaigns collect the trace inside the injection worker pool
-// (sharing checkpointed prefixes) and hand it here. The trace must be a
-// TraceFull record of a run of this index's application with exactly the
-// fault f injected.
-func (ix *CleanIndex) AnalyzeTrace(f interp.Fault, faulty *trace.Trace) *FaultAnalysis {
-	fa := &FaultAnalysis{Fault: f, Faulty: faulty}
-	switch faulty.Status {
-	case trace.RunCrashed, trace.RunHang:
-		fa.Outcome = inject.Crashed
-	default:
-		if ix.verify(faulty) {
-			fa.Outcome = inject.Success
-		} else {
-			fa.Outcome = inject.Failed
-		}
-	}
-
+// AnalyzeTrace is Analyze for a faulty trace that was already recorded and
+// classified — analyzed campaigns collect the trace inside the injection
+// worker pool (sharing checkpointed prefixes) and hand it here with the
+// outcome they count. The trace must be a TraceFull record of a run of this
+// index's application with exactly the fault f injected; outcome becomes
+// the analysis' Outcome as is.
+func (ix *CleanIndex) AnalyzeTrace(f interp.Fault, faulty *trace.Trace, outcome inject.Outcome) *FaultAnalysis {
+	fa := &FaultAnalysis{Fault: f, Faulty: faulty, Outcome: outcome}
 	fa.ACL = acl.Analyze(faulty, ix.clean)
 
 	// Identify region instances whose span overlaps any corruption
@@ -281,13 +266,7 @@ func (ix *CleanIndex) AnalyzeTrace(f interp.Fault, faulty *trace.Trace) *FaultAn
 // hand-picked faults).
 func (ix *CleanIndex) AnalysisOption() inject.Option {
 	return inject.WithAnalysis(ix.clean, func(_ int, f interp.Fault, faulty *trace.Trace, outcome inject.Outcome) (any, error) {
-		fa := ix.AnalyzeTrace(f, faulty)
-		if outcome == inject.NotApplied {
-			// Only the worker's machine knows the fault never fired;
-			// trace-level classification would report Success.
-			fa.Outcome = inject.NotApplied
-		}
-		return fa, nil
+		return ix.AnalyzeTrace(f, faulty, outcome), nil
 	})
 }
 

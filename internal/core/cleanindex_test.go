@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/dddg"
+	"fliptracker/internal/inject"
 	"fliptracker/internal/trace"
 )
 
@@ -79,5 +82,42 @@ func TestCleanIndexSlotsBuildOnce(t *testing.T) {
 		if ix.Graph(s) != g || first(ix.InputLocs(s)) != inputs[0][i] {
 			t.Errorf("span %d: a later call rebuilt the slot", i)
 		}
+	}
+}
+
+// TestAnalysisOptionCarriesCampaignOutcome runs an analyzed campaign whose
+// verifier differs from the application's: it rejects every run. Each
+// FaultAnalysis must carry the campaign's own classification of its fault,
+// not one reached with the application's verifier.
+func TestAnalysisOptionCarriesCampaignOutcome(t *testing.T) {
+	an, err := NewAnalyzer("kmeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := an.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := inject.NewCampaign(an.App.NewMachine, func(*trace.Trace) bool { return false },
+		inject.UniformDst{TotalSteps: ix.Clean().Steps},
+		campaign.WithTests(24), campaign.WithSeed(3), ix.AnalysisOption())
+	if err != nil {
+		t.Fatal(err)
+	}
+	appWouldPass := 0
+	for fo, err := range c.Stream(context.Background()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		fa := fo.Analysis.(*FaultAnalysis)
+		if fa.Outcome != fo.Outcome {
+			t.Errorf("fault %d (%v): analysis outcome %v, campaign counted %v", fo.Index, fo.Fault, fa.Outcome, fo.Outcome)
+		}
+		if fo.Outcome == inject.Failed && an.App.Verify(fa.Faulty) {
+			appWouldPass++
+		}
+	}
+	if appWouldPass == 0 {
+		t.Fatal("fixture defect: the application's verifier rejects every faulty run too")
 	}
 }

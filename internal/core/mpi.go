@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"fliptracker/internal/apps"
+	"fliptracker/internal/campaign"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
@@ -28,10 +29,11 @@ type WorldAnalysis struct {
 	Outcome inject.Outcome
 	// Propagation classifies how far corruption spread beyond FaultRank.
 	Propagation mpi.Propagation
-	// Ranks[r] is rank r's analysis against its clean trace. On the
-	// injected rank its Outcome carries the NotApplied correction; on other
-	// ranks it is the rank-local manifestation (a Contained world shows
-	// Success everywhere but possibly the injected rank).
+	// Ranks[r] is rank r's analysis against its clean trace. Its Outcome is
+	// the rank-local manifestation (campaign.Classify over the rank's own
+	// outputs): the injected rank counts NotApplied when its fault never
+	// fired, and every other rank counts as applied (a Contained world
+	// shows Success everywhere but possibly the injected rank).
 	Ranks []*FaultAnalysis
 }
 
@@ -87,9 +89,7 @@ func NewMPIAnalyzer(appName string, ranks int) (*MPIAnalyzer, error) {
 	}
 	ma.clean = clean
 	for _, rr := range clean.Ranks {
-		ref, tol := rr.Trace.Output, a.Tol
-		ma.index = append(ma.index, NewTraceIndex(p, rr.Trace,
-			func(tr *trace.Trace) bool { return apps.VerifyOutputs(tr, ref, tol) }))
+		ma.index = append(ma.index, NewTraceIndex(p, rr.Trace))
 		if rr.Trace.Steps > ma.hint {
 			ma.hint = rr.Trace.Steps
 		}
@@ -236,9 +236,9 @@ func (ma *MPIAnalyzer) AnalyzeWorld(f interp.Fault) (*WorldAnalysis, error) {
 	return ma.analyzeResult(f, ma.FaultRank, faulty, outcome, prop), nil
 }
 
-// analyzeResult matches every rank of a finished faulty world against its
-// clean index. Shared by AnalyzeWorld and the campaign hook so the two paths
-// are byte-identical.
+// analyzeResult classifies every rank of a finished faulty world on its own
+// outputs and matches it against its clean index. Shared by AnalyzeWorld
+// and the campaign hook so the two paths are byte-identical.
 func (ma *MPIAnalyzer) analyzeResult(f interp.Fault, faultRank int, faulty *mpi.Result, outcome inject.Outcome, prop mpi.Propagation) *WorldAnalysis {
 	wa := &WorldAnalysis{
 		Fault:       f,
@@ -247,14 +247,11 @@ func (ma *MPIAnalyzer) analyzeResult(f interp.Fault, faultRank int, faulty *mpi.
 		Propagation: prop,
 		Ranks:       make([]*FaultAnalysis, len(faulty.Ranks)),
 	}
-	for r := range faulty.Ranks {
-		fa := ma.index[r].AnalyzeTrace(f, faulty.Ranks[r].Trace)
-		if r == faultRank && outcome == inject.NotApplied {
-			// Only the injected rank's machine knows the fault never fired;
-			// trace-level classification would report Success.
-			fa.Outcome = inject.NotApplied
-		}
-		wa.Ranks[r] = fa
+	for r, rr := range faulty.Ranks {
+		o := campaign.Classify(rr.Trace.Status, r != faultRank || rr.FaultApplied, func() bool {
+			return apps.VerifyOutputs(rr.Trace, ma.clean.Ranks[r].Trace.Output, ma.App.Tol)
+		})
+		wa.Ranks[r] = ma.index[r].AnalyzeTrace(f, rr.Trace, o)
 	}
 	return wa
 }

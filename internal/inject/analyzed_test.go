@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -283,12 +284,29 @@ func TestAnalyzedCampaignBoundsInFlightTraces(t *testing.T) {
 	}
 }
 
-// TestAnalyzedCampaignNonMonotonicTrace covers the prefix-stitching guard:
-// a value-returning call's OpRet record is stamped with the call-site's
-// step but emitted at return time, after the callee's higher-step records,
-// so the clean trace's record steps are not monotonic and a Step-keyed
-// prefix cut would corrupt stitched traces. Such programs must fall back
-// to from-step-0 traced runs — byte-identical to direct traced runs.
+// pendingCallAt reports whether a run paused at step at is inside a
+// value-returning call that has yet to return: some OpRet record of clean,
+// stamped with its call site's step below at, comes after a record stamped
+// at or after at, so it was emitted after the pause.
+func pendingCallAt(clean *trace.Recs, at uint64) bool {
+	past := false
+	for i := 0; i < clean.Len(); i++ {
+		if clean.Step(i) >= at {
+			past = true
+		} else if past && clean.Op(i) == ir.OpRet {
+			return true
+		}
+	}
+	return false
+}
+
+// TestAnalyzedCampaignNonMonotonicTrace covers clean-prefix stitching on a
+// program whose record steps are not monotonic: a value-returning call's
+// OpRet record is stamped with the call-site's step but emitted at return
+// time, after the callee's higher-step records. Its analyzed faults must
+// still run restored from checkpoints, some of them taken inside a call
+// awaiting its return, and every stitched trace must be byte-identical to
+// a direct traced run.
 func TestAnalyzedCampaignNonMonotonicTrace(t *testing.T) {
 	p := ir.NewProgram("callret")
 	g := p.AllocGlobal("g", 4, ir.F64)
@@ -310,12 +328,26 @@ func TestAnalyzedCampaignNonMonotonicTrace(t *testing.T) {
 	}
 
 	clean := cleanFullTrace(t, p)
-	if trace.StepsMonotonic(clean.Recs) {
-		t.Fatal("fixture defect: value-returning calls should make record steps non-monotonic")
+	// Every machine logs the SIDs of the steps it executes itself. A
+	// restored machine starts at its checkpoint, so its log falls short of
+	// its step count by exactly the checkpoint's step.
+	var (
+		mu       sync.Mutex
+		machines []*interp.Machine
+	)
+	mk := func() (*interp.Machine, error) {
+		m, err := makeMachine(p)()
+		if err == nil {
+			m.RecordSIDs = true
+			mu.Lock()
+			machines = append(machines, m)
+			mu.Unlock()
+		}
+		return m, err
 	}
 	verify := func(tr *trace.Trace) bool { return len(tr.Output) == 1 }
 	const tests = 30
-	c, err := NewCampaign(makeMachine(p), verify, UniformDst{TotalSteps: totalSteps(t, p)},
+	c, err := NewCampaign(mk, verify, UniformDst{TotalSteps: totalSteps(t, p)},
 		campaign.WithTests(tests), campaign.WithSeed(4), campaign.WithParallelism(2),
 		WithAnalysis(clean, func(i int, f interp.Fault, faulty *trace.Trace, o Outcome) (any, error) {
 			return faulty, nil
@@ -339,4 +371,14 @@ func TestAnalyzedCampaignNonMonotonicTrace(t *testing.T) {
 	if n != tests {
 		t.Fatalf("analyzed %d faults, want %d", n, tests)
 	}
+	inCall := 0
+	for _, m := range machines {
+		if at := m.Steps() - uint64(len(m.SIDLog())); at > 0 && pendingCallAt(&clean.Recs, at) {
+			inCall++
+		}
+	}
+	if inCall == 0 {
+		t.Fatal("no fault ran restored from a checkpoint inside a pending value-returning call")
+	}
+	t.Logf("%d of %d faults ran restored inside a pending value-returning call", inCall, tests)
 }

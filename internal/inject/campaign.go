@@ -33,10 +33,6 @@ type Campaign struct {
 
 	analyze TraceAnalyzer
 	clean   *trace.Trace
-	// stitch permits clean-prefix reuse for analyzed runs; it
-	// requires the clean trace's record steps to be monotonic (see
-	// NewCampaign), else analyzed injections replay traced from step 0.
-	stitch bool
 
 	// tail memoizes the fault-free run's final trace, which every untraced
 	// injection that reconverges with a clean checkpoint ends in.
@@ -175,15 +171,8 @@ func NewCampaign(mk func() (*interp.Machine, error), verify func(*trace.Trace) b
 		return nil, err
 	}
 	c.Campaign = d
-	if c.analyze != nil {
-		if c.clean == nil || c.clean.Recs.Len() == 0 {
-			return nil, fmt.Errorf("inject: analyzed campaign needs the fault-free full trace (WithAnalysis clean argument)")
-		}
-		// Prefix stitching cuts the clean records by Step, which is only
-		// sound when record steps are monotonic (trace.StepsMonotonic). For
-		// other programs analyzed injections replay traced from step 0
-		// (correct, just without the prefix-sharing speedup).
-		c.stitch = trace.StepsMonotonic(c.clean.Recs)
+	if c.analyze != nil && (c.clean == nil || c.clean.Recs.Len() == 0) {
+		return nil, fmt.Errorf("inject: analyzed campaign needs the fault-free full trace (WithAnalysis clean argument)")
 	}
 	return c, nil
 }
@@ -205,17 +194,12 @@ type FaultOutcome struct {
 
 // plan is the engine's window planner (campaign.Executor.Plan): the
 // checkpoint forward pass over the window's faults, then the per-fault
-// runner. Checkpoints are useless for an analyzed campaign that cannot
-// stitch the clean prefix (non-monotonic record steps): such runs replay
-// traced from step 0, so the planning pass is skipped entirely.
+// runner.
 func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first int) (func(int) (FaultOutcome, error), error) {
 	snaps := make([]*interp.Snapshot, len(faults))
-	var cps []*interp.Snapshot
-	if c.analyze == nil || c.stitch {
-		var err error
-		if cps, err = c.planCheckpoints(ctx, faults, first, snaps); err != nil {
-			return nil, err
-		}
+	cps, err := c.planCheckpoints(ctx, faults, first, snaps)
+	if err != nil {
+		return nil, err
 	}
 	return func(i int) (FaultOutcome, error) { return c.runFault(i, faults[i], snaps[i], cps) }, nil
 }
@@ -225,8 +209,9 @@ func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first int) (
 // the later clean checkpoints cps (ascending by step) on its way, and stops
 // at the first it reconverges with. An analyzed campaign runs it fully
 // traced and hands the faulty trace to the analysis hook; a restored traced
-// run is primed with the clean trace's matching prefix records, so the
-// stitched trace equals a from-step-0 traced run.
+// run is primed with the clean trace's records up to its checkpoint
+// (interp.Machine.PrimeTrace), so the stitched trace equals a from-step-0
+// traced run.
 func (c *Campaign) runFault(i int, f interp.Fault, snap *interp.Snapshot, cps []*interp.Snapshot) (FaultOutcome, error) {
 	m, err := c.mk()
 	if err != nil {
@@ -234,10 +219,8 @@ func (c *Campaign) runFault(i int, f interp.Fault, snap *interp.Snapshot, cps []
 	}
 	m.Mode = interp.TraceOff
 	m.Fault = &f
-	var hint uint64
 	if c.analyze != nil {
 		m.Mode = interp.TraceFull
-		hint = uint64(c.clean.Recs.Len()) + 64
 	}
 	// TraceHint stays unset across Restore: a restored record-free snapshot
 	// would preallocate a clean-trace-sized buffer that PrimeTrace
@@ -245,7 +228,7 @@ func (c *Campaign) runFault(i int, f interp.Fault, snap *interp.Snapshot, cps []
 	var tr *trace.Trace
 	if snap != nil && m.Restore(snap) == nil {
 		if c.analyze != nil {
-			m.PrimeTrace(c.clean.Recs.StepPrefix(snap.Step()), hint)
+			m.PrimeTrace(&c.clean.Recs)
 			tr, err = m.Resume()
 		} else {
 			tr, err = c.resume(m, f.Step, cps)
@@ -255,13 +238,15 @@ func (c *Campaign) runFault(i int, f interp.Fault, snap *interp.Snapshot, cps []
 		// rebuilds its program per call, so snapshots cannot be shared.
 		// Run this same (still unstarted) machine from step 0, which is
 		// always correct.
-		m.TraceHint = hint
+		if c.analyze != nil {
+			m.TraceHint = uint64(c.clean.Recs.Len()) + 64
+		}
 		tr, err = m.Run()
 	}
 	if err != nil {
 		return FaultOutcome{}, fmt.Errorf("inject: injection run: %w", err)
 	}
-	fo := FaultOutcome{Index: i, Fault: f, Outcome: classify(m.FaultApplied, tr, c.verify)}
+	fo := FaultOutcome{Index: i, Fault: f, Outcome: campaign.Classify(tr.Status, m.FaultApplied, func() bool { return c.verify(tr) })}
 	if c.analyze == nil {
 		return fo, nil
 	}

@@ -264,26 +264,5 @@ func RunOne(mk func() (*interp.Machine, error), verify func(*trace.Trace) bool, 
 	if err != nil {
 		return NotApplied, fmt.Errorf("inject: run: %w", err)
 	}
-	return classify(m.FaultApplied, tr, verify), nil
-}
-
-// classify maps a finished run, whose fault fired when applied is set, to
-// its §II-A fault manifestation.
-func classify(applied bool, tr *trace.Trace, verify func(*trace.Trace) bool) Outcome {
-	switch tr.Status {
-	case trace.RunCrashed, trace.RunHang:
-		return Crashed
-	}
-	if !applied {
-		// The run completed without the fault firing; verify anyway so a
-		// mis-specified target still counts honestly.
-		if verify(tr) {
-			return NotApplied
-		}
-		return Failed
-	}
-	if verify(tr) {
-		return Success
-	}
-	return Failed
+	return campaign.Classify(tr.Status, m.FaultApplied, func() bool { return verify(tr) }), nil
 }

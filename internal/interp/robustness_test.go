@@ -1,7 +1,9 @@
 package interp
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -173,10 +175,10 @@ func TestRandomProgramsProperty(t *testing.T) {
 
 // TestPrimeTraceStitchesFullTrace checks the restored-run trace stitching
 // behind analyzed campaigns: restore a snapshot taken from an untraced
-// prefix run, prime the record buffer with the matching prefix records of a
-// clean full trace, resume with TraceFull and a fault — the result must be
-// byte-identical to a from-step-0 TraceFull faulty run, with no append
-// growth beyond the primed capacity.
+// prefix run, prime the record buffer from a clean full trace, resume with
+// TraceFull and a fault — the result must be byte-identical to a
+// from-step-0 TraceFull faulty run, with no append growth beyond the
+// primed capacity.
 func TestPrimeTraceStitchesFullTrace(t *testing.T) {
 	p, _ := buildSum(16)
 	full, _ := NewMachine(p)
@@ -214,12 +216,8 @@ func TestPrimeTraceStitchesFullTrace(t *testing.T) {
 	if err := m.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	k := 0
-	for k < clean.Recs.Len() && clean.Recs.At(k).Step < ckStep {
-		k++
-	}
-	hint := uint64(clean.Recs.Len()) + 8
-	m.PrimeTrace(clean.Recs.Slice(0, k), hint)
+	hint := uint64(clean.Recs.Len()) + 64
+	m.PrimeTrace(&clean.Recs)
 	got, err := m.Resume()
 	if err != nil {
 		t.Fatal(err)
@@ -238,4 +236,86 @@ func TestPrimeTraceStitchesFullTrace(t *testing.T) {
 	if uint64(got.Recs.Cap()) != hint {
 		t.Errorf("record buffer capacity %d, want primed %d (no growth copies)", got.Recs.Cap(), hint)
 	}
+}
+
+// buildNestedCalls is a program whose value-returning calls nest
+// (main -> square -> inner), so records of the calls still awaiting their
+// return at a pause point carry steps below it: each OpRet record is
+// stamped with its call site's step but emitted when the callee returns.
+func buildNestedCalls(t *testing.T) *ir.Program {
+	t.Helper()
+	p := ir.NewProgram("nested")
+	g := p.AllocGlobal("g", 4, ir.F64)
+	inner := p.NewFunc("inner", 1)
+	inner.Ret(inner.FAdd(ir.Reg(0), inner.ConstF(0.5)))
+	inner.Done()
+	square := p.NewFunc("square", 1)
+	y := square.Call("inner", ir.Reg(0))
+	square.Ret(square.FMul(y, y))
+	square.Done()
+	b := p.NewFunc("main", 0)
+	acc := b.ConstF(0)
+	b.ForI(0, 4, func(i ir.Reg) {
+		b.StoreG(g, i, b.Call("square", b.SIToFP(b.AddI(i, 1))))
+		b.BinTo(ir.OpFAdd, acc, acc, b.LoadG(g, i))
+	})
+	b.Emit(ir.F64, acc)
+	b.RetVoid()
+	b.Done()
+	if err := p.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestPrimeTraceCutAtEveryStep pauses a program with nested value-returning
+// calls at every step. PrimeTrace on a machine restored there must keep
+// exactly the records a traced run paused at the same step holds, and
+// resuming must give the from-step-0 traced run's trace, fault-free and
+// with a fault struck at the pause step. The fixture must also contain
+// pause steps where a cut by record step alone differs from the exact cut.
+func TestPrimeTraceCutAtEveryStep(t *testing.T) {
+	p := buildNestedCalls(t)
+	_, clean := runDirect(t, p, TraceFull, nil)
+	stepCutWrong := 0
+	for at := uint64(0); at < clean.Steps; at++ {
+		ref := snapMachine(t, p)
+		ref.Mode = TraceFull
+		if paused, err := ref.RunUntil(at); err != nil || !paused {
+			t.Fatalf("traced RunUntil(%d): paused=%v err=%v", at, paused, err)
+		}
+		base := snapMachine(t, p)
+		if paused, err := base.RunUntil(at); err != nil || !paused {
+			t.Fatalf("RunUntil(%d): paused=%v err=%v", at, paused, err)
+		}
+		snap, err := base.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sort.Search(clean.Recs.Len(), func(i int) bool { return clean.Recs.Step(i) >= at }) != ref.recs.Len() {
+			stepCutWrong++
+		}
+		for _, f := range []*Fault{nil, {Step: at, Bit: 51, Kind: FaultDst}} {
+			_, want := runDirect(t, p, TraceFull, f)
+			m := snapMachine(t, p)
+			m.Mode = TraceFull
+			m.Fault = f
+			if err := m.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			m.PrimeTrace(&clean.Recs)
+			if !m.recs.Equal(&ref.recs) {
+				t.Fatalf("step %d: PrimeTrace kept %d records, a traced run paused there holds %d", at, m.recs.Len(), ref.recs.Len())
+			}
+			got, err := m.Resume()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTrace(t, fmt.Sprintf("step %d fault %v", at, f), got, want)
+		}
+	}
+	if stepCutWrong == 0 {
+		t.Fatal("fixture defect: a cut by record step is exact at every pause step")
+	}
+	t.Logf("%d pause steps; a cut by record step is wrong at %d", clean.Steps, stepCutWrong)
 }

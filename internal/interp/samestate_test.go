@@ -69,7 +69,7 @@ func TestSameStateFieldByField(t *testing.T) {
 		mutate func(m *Machine)
 	}{
 		{"FaultApplied", func(m *Machine) { m.FaultApplied = true }},
-		{"records", func(m *Machine) { m.PrimeTrace(full.Recs.StepPrefix(at), 0) }},
+		{"records", func(m *Machine) { m.PrimeTrace(&full.Recs) }},
 		// The store copies the page, so the tables no longer share it by
 		// pointer; its words are still equal.
 		{"page copied unchanged", func(m *Machine) { m.SetMemAt(g.Addr+3, m.MemAt(g.Addr+3)) }},

@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"fliptracker/internal/ir"
 	"fliptracker/internal/trace"
@@ -168,22 +169,41 @@ func RestoreMachine(p *ir.Program, s *Snapshot) (*Machine, error) {
 }
 
 // PrimeTrace seeds the record buffer of a restored (or paused) machine with
-// prefix — the records of the run so far, e.g. the fault-free prefix a
-// checkpoint skipped, taken from a matching clean full trace — and
-// preallocates capacity for about hint records in total so the resumed
-// suffix appends without growth copies. The prefix is copied; any records
-// the machine already held (from the snapshot or an earlier stretch of the
-// run) are replaced. Call it after Restore/RunUntil with Mode == TraceFull
-// and before resuming; the final trace then carries prefix + suffix exactly
-// as a from-step-0 TraceFull run would.
-func (m *Machine) PrimeTrace(prefix trace.Recs, hint uint64) {
-	if hint > maxTraceReserve {
-		hint = maxTraceReserve
-	}
-	if hint < uint64(prefix.Len()) {
-		hint = uint64(prefix.Len())
-	}
-	buf := trace.GetRecs(int(hint))
+// the records a from-step-0 TraceFull run laid down before pausing where
+// this machine stands, copied out of clean: the full trace of the same
+// program's fault-free run, whose state up to here the machine shares. It
+// reserves room for clean.Len()+64 records in total, so the resumed suffix
+// appends without growth copies, and replaces any records the machine
+// already held. Call it after Restore/RunUntil with Mode == TraceFull and
+// before resuming; the final trace then equals a from-step-0 traced run's.
+//
+// The cut is the first clean record emitted at or after the pause. That is
+// a record whose step is at least Steps(), or the OpRet record of a call
+// still awaiting its return: a value-returning call's OpRet record carries
+// the call site's step but is emitted when the callee returns, so record
+// steps alone do not order a trace. The calls awaiting a return are the
+// frames below the top of the stack, each holding its call's step. The
+// predicate holds exactly for the records emitted after the pause, so it is
+// monotone in record index and a binary search finds the cut.
+func (m *Machine) PrimeTrace(clean *trace.Recs) {
+	at, callers := m.steps, m.stack[:max(len(m.stack)-1, 0)]
+	n := sort.Search(clean.Len(), func(i int) bool {
+		step := clean.Step(i)
+		if step >= at {
+			return true
+		}
+		if clean.Op(i) != ir.OpRet {
+			return false
+		}
+		for j := range callers {
+			if callers[j].retStep == step {
+				return true
+			}
+		}
+		return false
+	})
+	prefix := clean.Slice(0, n)
+	buf := trace.GetRecs(int(min(uint64(clean.Len())+64, maxTraceReserve)))
 	buf.Extend(&prefix)
 	m.recs = buf
 }
@@ -215,7 +235,7 @@ func (m *Machine) restore(s *Snapshot) error {
 		// TraceHint exactly as start() does, so resumed traced runs (e.g.
 		// restored MPI worlds traced without a primed prefix) append
 		// without growth copies. PrimeTrace, when used, replaces this
-		// buffer with prefix + hint.
+		// buffer with the clean prefix and a clean-trace-sized reserve.
 		hint := m.TraceHint
 		if hint > maxTraceReserve {
 			hint = maxTraceReserve

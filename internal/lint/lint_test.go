@@ -200,7 +200,8 @@ func TestDirsOnRealEnginePackages(t *testing.T) {
 	dirs := []string{
 		"../campaign", "../inject", "../mpi", "../journal",
 		"../trace", "../core", "../interp", "../ir", "../irstatic", "../coord", "../server",
-		"../acl", "../dddg", "../patterns", "../../cmd/fliptracker",
+		"../acl", "../dddg", "../patterns", "../stats", "../apps", "../predict",
+		"../../cmd/fliptracker",
 	}
 	fs, err := Dirs(dirs)
 	if err != nil {

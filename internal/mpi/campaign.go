@@ -47,10 +47,6 @@ type Campaign struct {
 
 	clean *Result
 	hint  uint64
-	// stitch permits clean-prefix reuse for analyzed worlds; it
-	// requires every rank's clean record steps to be monotonic (see
-	// NewCampaign), else analyzed injections replay traced from step 0.
-	stitch bool
 }
 
 // Option configures a Campaign at construction time: one of the options
@@ -204,20 +200,6 @@ func NewCampaign(p *ir.Program, base Config, targets inject.TargetPicker, opts .
 		}
 	}
 	c.hint += 64
-	if c.analyze != nil {
-		// Prefix stitching cuts each rank's clean records by Step, which is
-		// only sound when every rank's record steps are monotonic
-		// (trace.StepsMonotonic). For other programs analyzed injections
-		// replay traced from step 0 (correct, just without the
-		// prefix-sharing speedup) — exactly as in inject.NewCampaign.
-		c.stitch = true
-		for _, rr := range c.clean.Ranks {
-			if !trace.StepsMonotonic(rr.Trace.Recs) {
-				c.stitch = false
-				break
-			}
-		}
-	}
 	if c.verify == nil {
 		c.verify = func(faulty *Result) bool { return outputsEqual(c.clean, faulty) }
 	}
@@ -258,10 +240,9 @@ func (c *Campaign) ReplayClean(mode interp.TraceMode) (*Result, error) {
 // step 0. A traced world from step 0 preallocates each rank's record buffer
 // from the clean step counts; a restored traced world seeds it with the
 // rank's clean prefix instead — the records a from-step-0 traced run laid
-// down before the cut (the pre-fault prefix is fault-free and
-// deterministic) — so its per-rank traces are byte-identical to a
-// from-step-0 traced replay. plan gives an analyzed campaign's faults
-// snapshots only when every rank's clean records are stitchable (c.stitch).
+// down before the cut (interp.Machine.PrimeTrace; the pre-fault prefix is
+// fault-free and deterministic) — so its per-rank traces are byte-identical
+// to a from-step-0 traced replay.
 func (c *Campaign) replay(f *interp.Fault, mode interp.TraceMode, snap *WorldSnapshot) (*Result, error) {
 	cfg := c.base
 	cfg.Mode = mode
@@ -275,10 +256,7 @@ func (c *Campaign) replay(f *interp.Fault, mode interp.TraceMode, snap *WorldSna
 	}
 	var prime func(m *interp.Machine, rank int)
 	if mode == interp.TraceFull {
-		prime = func(m *interp.Machine, rank int) {
-			recs := &c.clean.Ranks[rank].Trace.Recs
-			m.PrimeTrace(recs.StepPrefix(snap.CutStep(rank)), uint64(recs.Len())+64)
-		}
+		prime = func(m *interp.Machine, rank int) { m.PrimeTrace(&c.clean.Ranks[rank].Trace.Recs) }
 	}
 	return RestoreWorld(c.prog, cfg, snap, prime)
 }
@@ -309,9 +287,8 @@ type WorldOutcome struct {
 // Contained propagation and without planning or running a world: a fault
 // that never perturbs the world leaves nothing else to classify (what
 // ClassifyPropagation computes for an undisturbed replay). World
-// checkpoints need collective boundaries to cut at, and analyzed campaigns
-// additionally need stitchable (per-rank monotonic) clean traces; without
-// either, every world replays from step 0.
+// checkpoints need collective boundaries to cut at; without them, every
+// world replays from step 0.
 func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first int) (func(int) (WorldOutcome, error), error) {
 	proven := make(map[int]inject.Outcome)
 	live := make([]int, 0, len(faults)-first)
@@ -329,10 +306,8 @@ func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first int) (
 		live = append(live, i)
 	}
 	snapAt := make([]*WorldSnapshot, len(faults))
-	if c.analyze == nil || c.stitch {
-		if err := c.planWorldCheckpoints(ctx, faults, live, snapAt); err != nil {
-			return nil, err
-		}
+	if err := c.planWorldCheckpoints(ctx, faults, live, snapAt); err != nil {
+		return nil, err
 	}
 	return func(i int) (WorldOutcome, error) {
 		if o, ok := proven[i]; ok {
@@ -384,23 +359,9 @@ func (c *Campaign) runFault(i int, f interp.Fault, snap *WorldSnapshot) (WorldOu
 // ClassifyWorld maps a finished faulty world to its §II-A manifestation:
 // crash dominates (an MPI job fails if any rank fails), verification runs
 // over all ranks, and a fault that never fired on the injected rank
-// classifies NotApplied (matching inject.Campaign's classification of
-// single-process runs). Exposed so sequential per-world analyses classify
-// identically to campaigns.
+// classifies NotApplied: campaign.Classify over the world, as inject
+// classifies single-process runs. Exposed so sequential per-world analyses
+// classify identically to campaigns.
 func ClassifyWorld(faulty *Result, faultRank int, verify func(*Result) bool) inject.Outcome {
-	switch faulty.Status() {
-	case trace.RunCrashed, trace.RunHang:
-		return inject.Crashed
-	}
-	ok := verify(faulty)
-	if !faulty.Ranks[faultRank].FaultApplied {
-		if ok {
-			return inject.NotApplied
-		}
-		return inject.Failed
-	}
-	if ok {
-		return inject.Success
-	}
-	return inject.Failed
+	return campaign.Classify(faulty.Status(), faulty.Ranks[faultRank].FaultApplied, func() bool { return verify(faulty) })
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"fliptracker/internal/campaign"
@@ -250,29 +251,55 @@ func buildCallRetProg(t testing.TB) *ir.Program {
 	return p
 }
 
-// TestAnalyzedCampaignNonMonotonicRankTraces covers the MPI engine's
-// prefix-stitching guard (the MPI analog of inject's
-// TestAnalyzedCampaignNonMonotonicTrace): when a rank's clean record steps
-// are not monotonic, a Step-keyed prefix cut is unsound, so analyzed worlds
-// must replay traced from step 0. Every fault's per-rank traces and outcome
-// must equal a direct traced mpi.Run of the same fault under the clean
-// recording.
+// pendingCallAt reports whether a run paused at step at is inside a
+// value-returning call that has yet to return: some OpRet record of clean,
+// stamped with its call site's step below at, comes after a record stamped
+// at or after at, so it was emitted after the pause.
+func pendingCallAt(clean *trace.Recs, at uint64) bool {
+	past := false
+	for i := 0; i < clean.Len(); i++ {
+		if clean.Step(i) >= at {
+			past = true
+		} else if past && clean.Op(i) == ir.OpRet {
+			return true
+		}
+	}
+	return false
+}
+
+// TestAnalyzedCampaignNonMonotonicRankTraces is the MPI analog of inject's
+// TestAnalyzedCampaignNonMonotonicTrace: every collective cut of the
+// fixture falls inside a value-returning call, so no rank's clean record
+// steps are monotonic. Analyzed worlds must still run restored from world
+// snapshots, and every fault's per-rank traces and outcome must equal a
+// direct traced mpi.Run of the same fault under the clean recording.
 func TestAnalyzedCampaignNonMonotonicRankTraces(t *testing.T) {
 	p := buildCallRetProg(t)
 	clean, err := Run(p, Config{Ranks: 3, Seed: 1, Mode: interp.TraceFull})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rr := range clean.Ranks {
-		if trace.StepsMonotonic(rr.Trace.Recs) {
-			t.Fatalf("fixture defect: rank %d's record steps are monotonic", rr.Rank)
-		}
-	}
 	if len(clean.Cuts[1]) == 0 {
 		t.Fatal("fixture defect: no collective cuts, so there is nothing to stitch at")
 	}
 	steps := clean.Ranks[1].Trace.Steps
-	base := Config{Ranks: 3, Seed: 1, FaultRank: 1, StepLimit: 64 * steps}
+	// Every rank machine logs the SIDs of the steps it executes itself. A
+	// restored machine starts at its cut, so its log falls short of its
+	// step count by exactly the cut's step.
+	var (
+		mu       sync.Mutex
+		injected []*interp.Machine
+	)
+	base := Config{Ranks: 3, Seed: 1, FaultRank: 1, StepLimit: 64 * steps,
+		ExtraBind: func(m *interp.Machine, rank int) error {
+			m.RecordSIDs = true
+			if rank == 1 {
+				mu.Lock()
+				injected = append(injected, m)
+				mu.Unlock()
+			}
+			return nil
+		}}
 	const tests = 30
 	c, err := NewCampaign(p, base, inject.UniformDst{TotalSteps: steps},
 		campaign.WithTests(tests), campaign.WithSeed(4), campaign.WithParallelism(2), WithClean(clean),
@@ -320,6 +347,16 @@ func TestAnalyzedCampaignNonMonotonicRankTraces(t *testing.T) {
 		t.Fatalf("analyzed %d worlds, want %d", n, tests)
 	}
 	if restorable == 0 {
-		t.Fatal("no fault lands past the first cut: the stitching guard is not exercised")
+		t.Fatal("fixture defect: no fault lands past the first cut")
 	}
+	inCall := 0
+	for _, m := range injected {
+		if at := m.Steps() - uint64(len(m.SIDLog())); at > 0 && pendingCallAt(&clean.Ranks[1].Trace.Recs, at) {
+			inCall++
+		}
+	}
+	if inCall == 0 {
+		t.Fatal("no world ran restored from a cut inside a pending value-returning call")
+	}
+	t.Logf("%d of %d worlds ran restored inside a pending value-returning call", inCall, tests)
 }

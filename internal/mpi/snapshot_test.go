@@ -201,9 +201,8 @@ func TestSnapshotWorldRestoreCleanBitIdentical(t *testing.T) {
 				rcfg := cfg
 				rcfg.Mode = interp.TraceFull
 				rcfg.Replay = clean.Recording
-				snapCuts := snap
 				got, err := mpi.RestoreWorld(p, rcfg, snap, func(m *interp.Machine, rank int) {
-					m.PrimeTrace(clean.Ranks[rank].Trace.Recs.StepPrefix(snapCuts.CutStep(rank)), 0)
+					m.PrimeTrace(&clean.Ranks[rank].Trace.Recs)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -284,7 +283,7 @@ func TestSnapshotWorldRestoreFaultyBitIdentical(t *testing.T) {
 						continue // the fault precedes this cut; the planner never pairs them
 					}
 					got, err := mpi.RestoreWorld(p, dcfg, snap, func(m *interp.Machine, rank int) {
-						m.PrimeTrace(clean.Ranks[rank].Trace.Recs.StepPrefix(snap.CutStep(rank)), 0)
+						m.PrimeTrace(&clean.Ranks[rank].Trace.Recs)
 					})
 					if err != nil {
 						t.Fatal(err)

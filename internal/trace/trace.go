@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"fliptracker/internal/ir"
 )
@@ -162,30 +161,6 @@ func (t *Trace) SplitRegions() []Span {
 		}
 	}
 	return spans
-}
-
-// StepsMonotonic reports whether record steps never decrease (several
-// records may share one step — calls record one per argument). Monotonicity
-// is what makes cutting a trace's records by Step sound; a value-returning
-// call breaks it, because its OpRet record is stamped with the call-site's
-// step but emitted at return time, after the callee's higher-step records.
-// Both campaign engines (inject and mpi) gate clean-prefix stitching on it.
-func StepsMonotonic(recs Recs) bool {
-	for i := 1; i < recs.Len(); i++ {
-		if recs.Step(i) < recs.Step(i-1) {
-			return false
-		}
-	}
-	return true
-}
-
-// StepPrefix returns the records whose step is below step: when steps are
-// monotonic (StepsMonotonic), exactly the records a traced run laid down
-// before pausing at that step. Both campaign engines seed a run resumed from
-// a checkpoint with the clean trace's prefix, so its stitched trace matches
-// a from-step-0 traced run.
-func (r *Recs) StepPrefix(step uint64) Recs {
-	return r.Slice(0, sort.Search(r.Len(), func(i int) bool { return r.Step(i) >= step }))
 }
 
 // SpanIndex is a prebuilt lookup over one trace's region spans. SplitRegions

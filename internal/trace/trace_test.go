@@ -215,21 +215,3 @@ func TestSpanIndexMatchesSplitRegions(t *testing.T) {
 		t.Error("absent region should miss")
 	}
 }
-
-// TestStepPrefix: the cut keeps every record below the step, shared steps
-// included (a call records one per argument), and nothing at or past it.
-func TestStepPrefix(t *testing.T) {
-	recs := MakeRecs(Rec{Step: 0}, Rec{Step: 2}, Rec{Step: 2}, Rec{Step: 5})
-	for _, tc := range []struct {
-		step uint64
-		want int
-	}{{0, 0}, {1, 1}, {2, 1}, {3, 3}, {5, 3}, {6, 4}, {1 << 40, 4}} {
-		got := recs.StepPrefix(tc.step)
-		if got.Len() != tc.want {
-			t.Errorf("StepPrefix(%d) kept %d records, want %d", tc.step, got.Len(), tc.want)
-		}
-		if want := recs.Slice(0, tc.want); !got.Equal(&want) {
-			t.Errorf("StepPrefix(%d) is not the leading slice", tc.step)
-		}
-	}
-}
