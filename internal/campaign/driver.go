@@ -84,22 +84,18 @@ type Campaign[O any] struct {
 // normal-approximation confidence interval against tiny samples.
 const EarlyStopMinTests = 48
 
-// New validates the settings, draws the fault stream and returns the
-// campaign. A nil targets with zero tests builds a replay-only campaign,
-// whose runs fail.
+// New validates the settings, draws the fault stream from targets and
+// returns the campaign.
 func New[O any](s Settings, targets TargetPicker, x Executor[O]) (*Campaign[O], error) {
 	if targets == nil {
-		if s.Tests != 0 {
-			return nil, fmt.Errorf("%v: campaign with %d tests needs a TargetPicker", x.Engine, s.Tests)
-		}
-	} else {
-		if s.Tests <= 0 {
-			return nil, fmt.Errorf("%v: campaign needs a positive test count (WithTests)", x.Engine)
-		}
-		if v, ok := targets.(Validator); ok {
-			if err := v.Validate(); err != nil {
-				return nil, err
-			}
+		return nil, fmt.Errorf("%v: campaign needs a TargetPicker", x.Engine)
+	}
+	if s.Tests <= 0 {
+		return nil, fmt.Errorf("%v: campaign needs a positive test count (WithTests)", x.Engine)
+	}
+	if v, ok := targets.(Validator); ok {
+		if err := v.Validate(); err != nil {
+			return nil, err
 		}
 	}
 	if err := x.check(s); err != nil {
@@ -113,17 +109,14 @@ func New[O any](s Settings, targets TargetPicker, x Executor[O]) (*Campaign[O], 
 			return nil, fmt.Errorf("%v: early-stop margin %v outside (0, 1)", x.Engine, s.Margin)
 		}
 	}
-	c := &Campaign[O]{s: s, x: x, targets: targets}
-	if targets != nil {
-		rng := rand.New(rand.NewSource(s.Seed))
-		ip, indexed := targets.(IndexedPicker)
-		c.faults = make([]interp.Fault, s.Tests)
-		for i := range c.faults {
-			if indexed {
-				c.faults[i] = ip.PickAt(i, rng)
-			} else {
-				c.faults[i] = targets.Pick(rng)
-			}
+	c := &Campaign[O]{s: s, x: x, targets: targets, faults: make([]interp.Fault, s.Tests)}
+	rng := rand.New(rand.NewSource(s.Seed))
+	ip, indexed := targets.(IndexedPicker)
+	for i := range c.faults {
+		if indexed {
+			c.faults[i] = ip.PickAt(i, rng)
+		} else {
+			c.faults[i] = targets.Pick(rng)
 		}
 	}
 	return c, nil
@@ -147,8 +140,7 @@ func (c *Campaign[O]) Tests() int { return c.s.Tests }
 
 // Faults returns a copy of the pre-drawn fault stream: the fault run at
 // every index 0..Tests()-1. Outcomes depend on the stream alone, never on
-// the order faults run in, and resumed journals are checked against it. A
-// replay-only campaign returns nil.
+// the order faults run in, and resumed journals are checked against it.
 func (c *Campaign[O]) Faults() []interp.Fault { return slices.Clone(c.faults) }
 
 // Header identifies the campaign for the durable journal: engine, app
@@ -244,9 +236,6 @@ func (c *Campaign[O]) stopEarly(res Result) bool {
 // outlive the call.
 func (c *Campaign[O]) run(ctx context.Context, emit func(O) bool) (Result, error) {
 	var res Result
-	if c.targets == nil {
-		return res, fmt.Errorf("%v: replay-only campaign cannot run injections", c.x.Engine)
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -79,6 +79,18 @@ func WithEarlyStop(confidence, margin float64) Option {
 // must keep no reference into them. Requires an analyzed campaign.
 func WithDropTraces() Option { return setting(func(s *Settings) { s.DropTraces = true }) }
 
+// TraceDropper is implemented by analysis payloads that can release their
+// faulty-trace references once analysis is complete (core.FaultAnalysis
+// drops FaultAnalysis.Faulty). WithDropTraces makes the engines invoke it
+// right after the analysis hook returns. The contract is strict: after
+// DropTrace returns, the payload must hold no reference into the dropped
+// traces' record buffers — the engine recycles them (trace.PutRecs) for
+// later injections, so a retained subslice would be overwritten under the
+// payload's feet.
+type TraceDropper interface {
+	DropTrace()
+}
+
 // WithJournal makes the campaign durable: every outcome is appended, in
 // fault-index order, to an append-only checksummed journal at path and
 // fsync'd before it is delivered. When path already holds a journal, a run

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"fliptracker/internal/acl"
-	"fliptracker/internal/campaign"
 	"fliptracker/internal/dddg"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
@@ -26,30 +25,18 @@ import (
 // the per-fault path only pays for the faulty run and its faulty-side
 // artifacts, so analyzed campaigns scale sublinearly in faults.
 //
-// Build it with Analyzer.Index for a registered application, or with
-// NewTraceIndex over an externally produced clean trace (the per-rank
-// indexes of MPI campaigns). A CleanIndex is safe for concurrent use; the
-// DDDG and input-location caches are what let analyzed campaigns run the
-// full analysis inside parallel worker pools without redoing clean-side
-// work per worker. Each clean span has one slot, built at most once, so the
-// cache is bounded by the clean trace the index already holds (about two
-// DDDG nodes per clean record).
+// The index runs nothing: the engines and analyzers record and classify
+// each faulty run and hand it to AnalyzeTrace. Analyzer.Index builds the
+// index of a registered application, and MPIAnalyzer one per rank. A
+// CleanIndex is safe for concurrent use; the DDDG and input-location caches
+// are what let analyzed campaigns run the full analysis inside parallel
+// worker pools without redoing clean-side work per worker. Each clean span
+// has one slot, built at most once, so the cache is bounded by the clean
+// trace the index already holds (about two DDDG nodes per clean record).
 type CleanIndex struct {
-	// newMachine builds a fresh machine for injection runs; nil for indexes
-	// built from a bare trace (NewTraceIndex), whose per-fault entry point
-	// is AnalyzeTrace.
-	newMachine func() (*interp.Machine, error)
-	// verify is the application's verification phase over a completed
-	// run, which Analyze classifies its own runs with; nil alongside
-	// newMachine.
-	verify func(*trace.Trace) bool
-	prog   *ir.Program
-	clean  *trace.Trace
-	spans  *trace.SpanIndex
-	// hint preallocates faulty record buffers: the faulty trace matches the
-	// clean one until the fault (and usually after), so the clean record
-	// count plus a little headroom avoids append growth entirely.
-	hint uint64
+	prog  *ir.Program
+	clean *trace.Trace
+	spans *trace.SpanIndex
 	// slots holds one lazily built slot per clean span. The map is
 	// immutable after construction, so lookups take no lock.
 	slots map[spanKey]*graphSlot
@@ -68,30 +55,16 @@ type graphSlot struct {
 	inputs []trace.Loc
 }
 
-func newCleanIndex(newMachine func() (*interp.Machine, error), verify func(*trace.Trace) bool, prog *ir.Program, clean *trace.Trace) *CleanIndex {
-	ix := &CleanIndex{
-		newMachine: newMachine,
-		verify:     verify,
-		prog:       prog,
-		clean:      clean,
-		spans:      trace.NewSpanIndex(clean),
-		hint:       uint64(clean.Recs.Len()) + 64,
-	}
+// NewTraceIndex builds the CleanIndex of prog's fault-free full trace
+// clean: a single-process clean run (Analyzer.Index) or one rank of a clean
+// world (MPIAnalyzer).
+func NewTraceIndex(prog *ir.Program, clean *trace.Trace) *CleanIndex {
+	ix := &CleanIndex{prog: prog, clean: clean, spans: trace.NewSpanIndex(clean)}
 	ix.slots = make(map[spanKey]*graphSlot, len(ix.spans.Spans()))
 	for _, s := range ix.spans.Spans() {
 		ix.slots[spanKey{s.RegionID, s.Instance}] = new(graphSlot)
 	}
 	return ix
-}
-
-// NewTraceIndex builds a CleanIndex over an externally produced fault-free
-// full trace — the constructor for analyses whose runs the Analyzer cannot
-// produce itself, such as the per-rank traces of an MPI world. The
-// resulting index supports every clean-side lookup and AnalyzeTrace, whose
-// caller classifies the faulty run; FaultyTrace and Analyze need a machine
-// factory and return an error.
-func NewTraceIndex(prog *ir.Program, clean *trace.Trace) *CleanIndex {
-	return newCleanIndex(nil, nil, prog, clean)
 }
 
 // Index returns the analyzer's clean-run index, building it (and the clean
@@ -104,7 +77,7 @@ func (an *Analyzer) Index() (*CleanIndex, error) {
 			an.indexErr = err
 			return
 		}
-		an.index = newCleanIndex(an.App.NewMachine, an.App.Verify, an.Prog, clean)
+		an.index = NewTraceIndex(an.Prog, clean)
 	})
 	return an.index, an.indexErr
 }
@@ -149,53 +122,15 @@ func (ix *CleanIndex) slot(s trace.Span) *graphSlot {
 	return sl
 }
 
-// FaultyTrace runs the application once with the fault under full tracing,
-// with the record buffer preallocated from the clean trace's length.
-func (ix *CleanIndex) FaultyTrace(f interp.Fault) (*trace.Trace, error) {
-	tr, _, err := ix.faultyTrace(f)
-	return tr, err
-}
-
-// faultyTrace is FaultyTrace plus whether the fault actually fired, which
-// only the machine knows (a trace alone cannot distinguish a tolerated
-// flip from one that never happened).
-func (ix *CleanIndex) faultyTrace(f interp.Fault) (*trace.Trace, bool, error) {
-	if ix.newMachine == nil {
-		return nil, false, fmt.Errorf("core: index was built from a trace (NewTraceIndex) and cannot run injections; use AnalyzeTrace")
-	}
-	m, err := ix.newMachine()
-	if err != nil {
-		return nil, false, err
-	}
-	m.Mode = interp.TraceFull
-	m.TraceHint = ix.hint
-	m.Fault = &f
-	tr, err := m.Run()
-	if err != nil {
-		return nil, false, err
-	}
-	return tr, m.FaultApplied, nil
-}
-
-// Analyze runs one injection and the full fine-grained analysis against the
-// index (Figure 1 steps (c)-(d)): ACL table, per-touched-region DDDG
-// comparison, and pattern detection. The run is classified as a campaign
-// classifies it (campaign.Classify), with the machine's FaultApplied.
-// Analyzer.AnalyzeFault is a thin wrapper over this.
-func (ix *CleanIndex) Analyze(f interp.Fault) (*FaultAnalysis, error) {
-	faulty, applied, err := ix.faultyTrace(f)
-	if err != nil {
-		return nil, err
-	}
-	return ix.AnalyzeTrace(f, faulty, campaign.Classify(faulty.Status, applied, func() bool { return ix.verify(faulty) })), nil
-}
-
-// AnalyzeTrace is Analyze for a faulty trace that was already recorded and
-// classified — analyzed campaigns collect the trace inside the injection
-// worker pool (sharing checkpointed prefixes) and hand it here with the
-// outcome they count. The trace must be a TraceFull record of a run of this
-// index's application with exactly the fault f injected; outcome becomes
-// the analysis' Outcome as is.
+// AnalyzeTrace runs the full fine-grained analysis of one recorded faulty
+// run against the index (Figure 1 steps (c)-(d)): ACL table,
+// per-touched-region DDDG comparison, and pattern detection. The trace must
+// be a TraceFull record of a run of this index's program with exactly the
+// fault f injected, and outcome is that run's §II-A classification
+// (campaign.Classify), which becomes the analysis' Outcome as is.
+// Analyzer.AnalyzeFault records and classifies one run itself; analyzed
+// campaigns collect the trace inside the injection worker pool (sharing
+// checkpointed prefixes) and hand it here with the outcome they count.
 func (ix *CleanIndex) AnalyzeTrace(f interp.Fault, faulty *trace.Trace, outcome inject.Outcome) *FaultAnalysis {
 	fa := &FaultAnalysis{Fault: f, Faulty: faulty, Outcome: outcome}
 	fa.ACL = acl.Analyze(faulty, ix.clean)

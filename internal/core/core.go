@@ -151,7 +151,7 @@ type FaultAnalysis struct {
 }
 
 // DropTrace releases the faulty trace, keeping only the analysis artifacts —
-// the inject.TraceDropper hook behind campaign.WithDropTraces, for
+// the campaign.TraceDropper hook behind campaign.WithDropTraces, for
 // memory-bounded analyzed sweeps whose collected results outlive the
 // campaign.
 func (fa *FaultAnalysis) DropTrace() { fa.Faulty = nil }
@@ -172,20 +172,34 @@ func (fa *FaultAnalysis) PatternsFound() [patterns.NumPatterns]bool {
 	return out
 }
 
-// AnalyzeFault runs the app once with the fault, matches the faulty trace
-// against the clean trace, builds the ACL table, compares region DDDGs, and
-// detects resilience patterns (Figure 1 steps (c)-(d)). It is a thin
-// wrapper over CleanIndex.Analyze: all clean-run artifacts (region spans,
-// clean DDDGs, input locations) come from the analyzer's shared index
-// instead of being re-derived per fault. For many faults, prefer
-// AnalyzedCampaign/StreamAnalysis, which also share fault-free prefix work
-// and parallelize across a worker pool.
+// AnalyzeFault runs the app once with the fault under full tracing,
+// classifies the run as a campaign classifies it (campaign.Classify, with
+// the machine's FaultApplied and the app's verifier), and analyzes it
+// against the analyzer's shared index (CleanIndex.AnalyzeTrace, Figure 1
+// steps (c)-(d)): all clean-run artifacts (region spans, clean DDDGs, input
+// locations) come from the index instead of being re-derived per fault. For
+// many faults, prefer AnalyzedCampaign/StreamAnalysis, which also share
+// fault-free prefix work and parallelize across a worker pool.
 func (an *Analyzer) AnalyzeFault(f interp.Fault) (*FaultAnalysis, error) {
 	ix, err := an.Index()
 	if err != nil {
 		return nil, err
 	}
-	return ix.Analyze(f)
+	m, err := an.App.NewMachine()
+	if err != nil {
+		return nil, err
+	}
+	m.Mode = interp.TraceFull
+	// The faulty trace matches the clean one until the fault (and usually
+	// after), so the clean record count plus a little headroom avoids
+	// append growth entirely.
+	m.TraceHint = uint64(ix.clean.Recs.Len()) + 64
+	m.Fault = &f
+	faulty, err := m.Run()
+	if err != nil {
+		return nil, err
+	}
+	return ix.AnalyzeTrace(f, faulty, campaign.Classify(faulty.Status, m.FaultApplied, func() bool { return an.App.Verify(faulty) })), nil
 }
 
 // PatternRates counts the §VII-B pattern rates from the clean trace.

@@ -38,7 +38,7 @@ type WorldAnalysis struct {
 }
 
 // DropTrace releases every rank's faulty trace, keeping only analysis
-// artifacts (the inject.TraceDropper hook behind campaign.WithDropTraces).
+// artifacts (the campaign.TraceDropper hook behind campaign.WithDropTraces).
 func (wa *WorldAnalysis) DropTrace() {
 	for _, fa := range wa.Ranks {
 		fa.DropTrace()

@@ -66,62 +66,47 @@ func (o Options) campaignOptions(tests int, seed int64, confidence, margin float
 	return copts
 }
 
+// harness adapts a typed harness to the formatted report Run returns.
+func harness[R interface{ Format() string }](run func(Options) (R, error)) func(Options) (string, error) {
+	return func(opts Options) (string, error) {
+		r, err := run(opts)
+		if err != nil {
+			return "", err
+		}
+		return r.Format(), nil
+	}
+}
+
+// table lists every experiment by id, in paper order.
+var table = []struct {
+	id  string
+	run func(Options) (string, error)
+}{
+	{"fig4", harness(TracingOverhead)},
+	{"fig5", harness(PerRegionSuccessRates)},
+	{"fig6", harness(PerIterationSuccessRates)},
+	{"fig7", harness(ACLSeries)},
+	{"tab1", harness(PatternInventory)},
+	{"tab2", harness(RepeatedAdditionsMagnitude)},
+	{"tab3", harness(ResilienceAwareCG)},
+	{"tab4", harness(Prediction)},
+}
+
 // IDs of all experiments, in paper order.
 func IDs() []string {
-	return []string{"fig4", "fig5", "fig6", "fig7", "tab1", "tab2", "tab3", "tab4"}
+	ids := make([]string, len(table))
+	for i, e := range table {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Run executes one experiment by id and returns its formatted report.
 func Run(id string, opts Options) (string, error) {
-	switch id {
-	case "fig4":
-		r, err := TracingOverhead(opts)
-		if err != nil {
-			return "", err
+	for _, e := range table {
+		if e.id == id {
+			return e.run(opts)
 		}
-		return r.Format(), nil
-	case "fig5":
-		r, err := PerRegionSuccessRates(opts)
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	case "fig6":
-		r, err := PerIterationSuccessRates(opts)
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	case "fig7":
-		r, err := ACLSeries(opts)
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	case "tab1":
-		r, err := PatternInventory(opts)
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	case "tab2":
-		r, err := RepeatedAdditionsMagnitude(opts)
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	case "tab3":
-		r, err := ResilienceAwareCG(opts)
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
-	case "tab4":
-		r, err := Prediction(opts)
-		if err != nil {
-			return "", err
-		}
-		return r.Format(), nil
 	}
 	return "", fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 }

@@ -31,11 +31,11 @@ type Fig4Result struct {
 }
 
 // TracingOverhead reproduces Figure 4: run the five MPI workloads with and
-// without full tracing and compare wall-clock time. The worlds run through
-// the MPI campaign engine's replay primitive — a replay-only mpi.Campaign
-// records the traced clean world once (serving as the warm-up and the
-// per-rank buffer-hint source) and ReplayClean re-executes exactly the unit
-// of work an injecting campaign's workers run, minus the fault.
+// without full tracing and compare wall-clock time. A traced clean world is
+// recorded once (serving as the warm-up), then timed worlds replay its
+// Recording — the unit of work an injecting MPI campaign's workers run,
+// minus the fault — with traced ranks' record buffers hinted from the
+// clean step counts, as the campaign hints them.
 func TracingOverhead(opts Options) (*Fig4Result, error) {
 	res := &Fig4Result{Ranks: opts.Ranks}
 	var sum float64
@@ -48,32 +48,40 @@ func TracingOverhead(opts Options) (*Fig4Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := mpi.NewCampaign(p, mpi.Config{Ranks: opts.Ranks, Seed: apps.DefaultSeed,
-			ExtraBind: func(m *interp.Machine, _ int) error { return apps.BindMathHosts(m) }}, nil)
-		if err != nil {
-			return nil, fmt.Errorf("fig4: %s: %w", name, err)
-		}
-		run := func(mode interp.TraceMode) (time.Duration, error) {
+		cfg := mpi.Config{Ranks: opts.Ranks, Seed: apps.DefaultSeed,
+			ExtraBind: func(m *interp.Machine, _ int) error { return apps.BindMathHosts(m) }}
+		run := func(mode interp.TraceMode) (*mpi.Result, time.Duration, error) {
+			cfg := cfg
+			cfg.Mode = mode
 			start := time.Now()
-			r, err := c.ReplayClean(mode)
+			r, err := mpi.Run(p, cfg)
 			if err != nil {
-				return 0, err
+				return nil, 0, fmt.Errorf("fig4: %s: %w", name, err)
 			}
 			if r.Status() != trace.RunOK {
-				return 0, fmt.Errorf("fig4: %s %v run failed: %v", name, mode, r.Status())
+				return nil, 0, fmt.Errorf("fig4: %s %v run failed: %v", name, mode, r.Status())
 			}
-			return time.Since(start), nil
+			return r, time.Since(start), nil
 		}
-		un, err := run(interp.TraceOff)
+		clean, _, err := run(interp.TraceFull)
 		if err != nil {
 			return nil, err
 		}
-		tr, err := run(interp.TraceFull)
+		cfg.Replay = clean.Recording
+		for _, rr := range clean.Ranks {
+			cfg.TraceHint = max(cfg.TraceHint, rr.Trace.Steps)
+		}
+		cfg.TraceHint += 64
+		_, un, err := run(interp.TraceOff)
+		if err != nil {
+			return nil, err
+		}
+		_, tr, err := run(interp.TraceFull)
 		if err != nil {
 			return nil, err
 		}
 		ov := float64(tr-un) / float64(un)
-		steps := c.Clean().Ranks[0].Trace.Steps
+		steps := clean.Ranks[0].Trace.Steps
 		res.Rows = append(res.Rows, Fig4Row{App: name, Untraced: un, Traced: tr, Overhead: ov, RankSteps: steps})
 		sum += ov
 	}

@@ -66,9 +66,9 @@ func ACLSeries(opts Options) (*Fig7Result, error) {
 	if !found {
 		return nil, fmt.Errorf("fig7: no hourgam store in iteration %d", it)
 	}
-	// The per-fault analysis runs against the shared CleanIndex (the spans
-	// and graphs derived above are reused, not recomputed).
-	fa, err := ix.Analyze(interp.Fault{Step: step, Bit: 52, Kind: interp.FaultDst})
+	// The per-fault analysis runs against the analyzer's shared CleanIndex
+	// (the spans and graphs derived above are reused, not recomputed).
+	fa, err := an.AnalyzeFault(interp.Fault{Step: step, Bit: 52, Kind: interp.FaultDst})
 	if err != nil {
 		return nil, err
 	}

@@ -80,9 +80,7 @@ func RepeatedAdditionsMagnitude(opts Options) (*Tab2Result, error) {
 	}
 
 	const bit = 40
-	// Record the faulty run through the index so the record buffer is
-	// preallocated from the clean trace's length.
-	faulty, err := ix.FaultyTrace(interp.Fault{Step: step, Bit: bit, Kind: interp.FaultDst})
+	faulty, err := an.App.FaultyTrace(interp.TraceFull, interp.Fault{Step: step, Bit: bit, Kind: interp.FaultDst})
 	if err != nil {
 		return nil, err
 	}

@@ -98,17 +98,6 @@ func WithAnalysis(clean *trace.Trace, analyze TraceAnalyzer) Option {
 	return engineOption(func(c *Campaign) { c.clean, c.analyze = clean, analyze })
 }
 
-// TraceDropper is implemented by analysis payloads that can release their
-// faulty-trace reference once analysis is complete (core.FaultAnalysis drops
-// FaultAnalysis.Faulty). campaign.WithDropTraces invokes it right after the
-// TraceAnalyzer returns. The contract is strict: after DropTrace returns,
-// the payload must hold no reference into the dropped trace's record
-// buffer — the campaign recycles it (trace.PutRecs) for later injections,
-// so a retained subslice would be overwritten under the payload's feet.
-type TraceDropper interface {
-	DropTrace()
-}
-
 // WithDropTraces is campaign.WithDropTraces.
 //
 // Deprecated: use campaign.WithDropTraces.
@@ -253,7 +242,7 @@ func (c *Campaign) runFault(i int, f interp.Fault, snap *interp.Snapshot, cps []
 	if fo.Analysis, err = c.analyze(i, f, tr, fo.Outcome); err != nil {
 		return FaultOutcome{}, fmt.Errorf("inject: analyze fault %d: %w", i, err)
 	}
-	if d, ok := fo.Analysis.(TraceDropper); ok && c.cfg.DropTraces {
+	if d, ok := fo.Analysis.(campaign.TraceDropper); ok && c.cfg.DropTraces {
 		d.DropTrace()
 		// The payload has released its trace reference and analysis
 		// artifacts hold no aliases into the records, so the buffer can

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"fliptracker/internal/campaign"
-	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
 	"fliptracker/internal/irstatic"
@@ -36,7 +35,7 @@ type Campaign struct {
 	cfg     campaign.Settings
 	prog    *ir.Program
 	base    Config
-	targets inject.TargetPicker
+	targets campaign.TargetPicker
 
 	verify  func(*Result) bool
 	analyze WorldAnalyzer
@@ -91,7 +90,7 @@ func WithVerify(verify func(faulty *Result) bool) Option {
 // WorldOutcome.Analysis. It runs inside the campaign worker pool, so for
 // WithParallelism > 1 it must be safe for concurrent calls; an error aborts
 // the campaign.
-type WorldAnalyzer func(index int, f interp.Fault, faulty *Result, outcome inject.Outcome, prop Propagation) (any, error)
+type WorldAnalyzer func(index int, f interp.Fault, faulty *Result, outcome campaign.Outcome, prop Propagation) (any, error)
 
 // WithWorldAnalysis turns the campaign into an analyzed campaign: every
 // injected world runs fully traced (whatever Config.Mode says) and is handed
@@ -125,13 +124,10 @@ func WithPruner(p *irstatic.Pruner) Option { return engineOption(func(c *Campaig
 // FaultRank — the rank each drawn fault is injected into); its Fault and
 // Replay fields must be nil, and Mode is ignored (plain campaigns run worlds
 // untraced, analyzed campaigns fully traced). targets draws the fault stream
-// exactly as in inject.NewCampaign, including campaign.IndexedPicker support.
-//
-// A nil targets with zero tests builds a replay-only campaign: Run and
-// Stream fail, but Clean and ReplayClean expose the recorded world — the
-// unit of work every harness over replayed worlds (e.g. the Figure 4
-// tracing-overhead study) shares with injecting campaigns.
-func NewCampaign(p *ir.Program, base Config, targets inject.TargetPicker, opts ...Option) (*Campaign, error) {
+// exactly as in inject.NewCampaign, including campaign.IndexedPicker
+// support; campaign.New refuses a nil targets. To run a fault-free world
+// again, call Run with the clean world's Recording as Config.Replay.
+func NewCampaign(p *ir.Program, base Config, targets campaign.TargetPicker, opts ...Option) (*Campaign, error) {
 	c := &Campaign{prog: p, base: base, targets: targets}
 	if err := campaign.Apply(&c.cfg, c, opts); err != nil {
 		return nil, fmt.Errorf("mpi: %w", err)
@@ -141,9 +137,6 @@ func NewCampaign(p *ir.Program, base Config, targets inject.TargetPicker, opts .
 	}
 	if base.FaultRank < 0 || base.FaultRank >= base.Ranks {
 		return nil, fmt.Errorf("mpi: fault rank %d outside world [0, %d)", base.FaultRank, base.Ranks)
-	}
-	if c.targets == nil && c.analyze != nil {
-		return nil, fmt.Errorf("mpi: replay-only campaign cannot carry a WorldAnalyzer")
 	}
 	if c.cfg.App == "" {
 		c.cfg.App = p.Name
@@ -167,7 +160,7 @@ func NewCampaign(p *ir.Program, base Config, targets inject.TargetPicker, opts .
 			return WorldOutcome{
 				Index:       int(r.Index),
 				Fault:       r.Fault,
-				Outcome:     inject.Outcome(r.Outcome),
+				Outcome:     campaign.Outcome(r.Outcome),
 				Propagation: Propagation{Class: PropagationClass(r.PropClass), Ranks: r.PropRanks},
 			}
 		},
@@ -225,28 +218,17 @@ func outputsEqual(clean, faulty *Result) bool {
 	return true
 }
 
-// Clean returns the fault-free fully traced world every injection replays.
-func (c *Campaign) Clean() *Result { return c.clean }
-
-// ReplayClean re-executes the fault-free world under the clean recording in
-// the given trace mode — exactly the unit of work a campaign worker runs,
-// minus the fault. The Figure 4 tracing-overhead study times this.
-func (c *Campaign) ReplayClean(mode interp.TraceMode) (*Result, error) {
-	return c.replay(nil, mode, nil)
-}
-
 // replay runs one world of the campaign under the clean recording in mode,
-// injecting f (nil: fault-free): restored from snap when non-nil, else from
-// step 0. A traced world from step 0 preallocates each rank's record buffer
+// injecting f: restored from snap when non-nil, else from step 0. A traced world from step 0 preallocates each rank's record buffer
 // from the clean step counts; a restored traced world seeds it with the
 // rank's clean prefix instead — the records a from-step-0 traced run laid
 // down before the cut (interp.Machine.PrimeTrace; the pre-fault prefix is
 // fault-free and deterministic) — so its per-rank traces are byte-identical
 // to a from-step-0 traced replay.
-func (c *Campaign) replay(f *interp.Fault, mode interp.TraceMode, snap *WorldSnapshot) (*Result, error) {
+func (c *Campaign) replay(f interp.Fault, mode interp.TraceMode, snap *WorldSnapshot) (*Result, error) {
 	cfg := c.base
 	cfg.Mode = mode
-	cfg.Fault = f
+	cfg.Fault = &f
 	cfg.Replay = c.clean.Recording
 	if snap == nil {
 		if mode == interp.TraceFull && cfg.TraceHint == 0 {
@@ -271,7 +253,7 @@ type WorldOutcome struct {
 	// Outcome is the world-level §II-A classification: an MPI job crashes
 	// if any rank crashes, verifies against all ranks' outputs, and counts
 	// NotApplied when the injected rank's fault never fired.
-	Outcome inject.Outcome
+	Outcome campaign.Outcome
 	// Propagation classifies how far the corruption spread beyond the
 	// injected rank.
 	Propagation Propagation
@@ -290,16 +272,16 @@ type WorldOutcome struct {
 // checkpoints need collective boundaries to cut at; without them, every
 // world replays from step 0.
 func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first int) (func(int) (WorldOutcome, error), error) {
-	proven := make(map[int]inject.Outcome)
+	proven := make(map[int]campaign.Outcome)
 	live := make([]int, 0, len(faults)-first)
 	for i := first; i < len(faults); i++ {
 		if c.prune {
 			switch c.pruner.Classify(faults[i]) {
 			case irstatic.Benign:
-				proven[i] = inject.Success
+				proven[i] = campaign.Success
 				continue
 			case irstatic.NeverFires:
-				proven[i] = inject.NotApplied
+				proven[i] = campaign.NotApplied
 				continue
 			}
 		}
@@ -325,7 +307,7 @@ func (c *Campaign) runFault(i int, f interp.Fault, snap *WorldSnapshot) (WorldOu
 	if c.analyze != nil {
 		mode = interp.TraceFull
 	}
-	faulty, err := c.replay(&f, mode, snap)
+	faulty, err := c.replay(f, mode, snap)
 	if err != nil {
 		return WorldOutcome{}, fmt.Errorf("mpi: world %d: %w", i, err)
 	}
@@ -341,7 +323,7 @@ func (c *Campaign) runFault(i int, f interp.Fault, snap *WorldSnapshot) (WorldOu
 	if wo.Analysis, err = c.analyze(i, f, faulty, wo.Outcome, wo.Propagation); err != nil {
 		return WorldOutcome{}, fmt.Errorf("mpi: analyze world %d: %w", i, err)
 	}
-	if d, ok := wo.Analysis.(inject.TraceDropper); ok && c.cfg.DropTraces {
+	if d, ok := wo.Analysis.(campaign.TraceDropper); ok && c.cfg.DropTraces {
 		d.DropTrace()
 		// The payload has released its per-rank trace references; recycle
 		// each rank's record buffer for later worlds. The world Result
@@ -362,6 +344,6 @@ func (c *Campaign) runFault(i int, f interp.Fault, snap *WorldSnapshot) (WorldOu
 // classifies NotApplied: campaign.Classify over the world, as inject
 // classifies single-process runs. Exposed so sequential per-world analyses
 // classify identically to campaigns.
-func ClassifyWorld(faulty *Result, faultRank int, verify func(*Result) bool) inject.Outcome {
+func ClassifyWorld(faulty *Result, faultRank int, verify func(*Result) bool) campaign.Outcome {
 	return campaign.Classify(faulty.Status(), faulty.Ranks[faultRank].FaultApplied, func() bool { return verify(faulty) })
 }

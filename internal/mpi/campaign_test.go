@@ -154,7 +154,7 @@ func TestCampaignRunMatchesStream(t *testing.T) {
 }
 
 // dropPayload is the analysis payload of the drop-traces test; DropTrace
-// implements inject.TraceDropper.
+// implements campaign.TraceDropper.
 type dropPayload struct {
 	index   int
 	dropped bool
@@ -255,10 +255,8 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := NewCampaign(p, base, targets, campaign.WithTests(1), campaign.WithDropTraces()); err == nil {
 		t.Error("WithDropTraces without analysis should fail")
 	}
-	if _, err := NewCampaign(p, base, nil, WithWorldAnalysis(
-		func(int, interp.Fault, *Result, inject.Outcome, Propagation) (any, error) { return nil, nil },
-	)); err == nil {
-		t.Error("replay-only campaign with analyzer should fail")
+	if _, err := NewCampaign(p, base, nil); err == nil {
+		t.Error("nil targets should fail")
 	}
 }
 
@@ -330,28 +328,27 @@ func TestDeadlockWithStrandedMessageDetected(t *testing.T) {
 	}
 }
 
-// TestReplayOnlyCampaign: a nil-target campaign records the clean world and
-// replays it bit-identically in any mode, but refuses to inject.
-func TestReplayOnlyCampaign(t *testing.T) {
+// TestReplayRecordingMatchesClean: a traced world run under the clean
+// world's Recording replays it bit-identically, rank by rank.
+func TestReplayRecordingMatchesClean(t *testing.T) {
 	p := buildCampaignProg(t)
-	c, err := NewCampaign(p, Config{Ranks: 3, Seed: 1}, nil)
+	cfg := Config{Ranks: 3, Seed: 1, Mode: interp.TraceFull}
+	clean, err := Run(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Clean().Status() != trace.RunOK {
-		t.Fatalf("clean status %v", c.Clean().Status())
+	if clean.Status() != trace.RunOK {
+		t.Fatalf("clean status %v", clean.Status())
 	}
-	re, err := c.ReplayClean(interp.TraceFull)
+	cfg.Replay = clean.Recording
+	re, err := Run(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := range c.Clean().Ranks {
-		if rankDiverged(c.Clean().Ranks[r].Trace, re.Ranks[r].Trace) {
+	for r := range clean.Ranks {
+		if rankDiverged(clean.Ranks[r].Trace, re.Ranks[r].Trace) {
 			t.Errorf("rank %d replay diverged from clean world", r)
 		}
-	}
-	if _, err := c.Run(context.Background()); err == nil {
-		t.Error("replay-only Run should fail")
 	}
 }
 

@@ -238,7 +238,7 @@ func TestMPICampaignPlainMatchesAnalyzed(t *testing.T) {
 
 // TestMPIWithDropTracesBoundsMemory checks WithDropTraces releases every
 // rank trace in collected analyses, and that WithDropTraces does the same
-// for single-process analyzed campaigns (the inject.TraceDropper path).
+// for single-process analyzed campaigns (the campaign.TraceDropper path).
 func TestMPIWithDropTracesBoundsMemory(t *testing.T) {
 	ma, err := fliptracker.NewMPIAnalyzer("is", 2)
 	if err != nil {
