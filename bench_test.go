@@ -812,16 +812,16 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	})
 }
 
-// BenchmarkStaticPrunedCampaign measures what static pruning buys where it
-// runs: plain 3-rank MPI campaigns with faults on rank 1, built through
-// MPIAnalyzer.NewCampaign, which classifies each drawn fault first and
-// replays no world for the statically provable ones (benign -> Success,
-// never-fires -> NotApplied), against the same campaign with its pruner
-// removed (mpi.WithPruner(nil)). Both halves report ms/fault; the pruned
-// half also reports the prune rate of its fault stream. The records are
-// pinned identical by internal/core's TestMPIPrunedRecords; the benchmark
-// re-checks the Results anyway so a -bench run can never report a speedup
-// bought with wrong results.
+// BenchmarkStaticPrunedCampaign measures what skipping the faults that
+// cannot fire buys where it runs: plain 3-rank MPI campaigns with faults on
+// rank 1, built through MPIAnalyzer.NewCampaign, which checks each drawn
+// fault against the interpreter's fires rule at its step of the clean SID
+// log and replays no world for the ones it rejects (NotApplied), against
+// the same campaign with the SID log removed (mpi.WithSIDLog(nil)). Both
+// halves report ms/fault. The records are pinned identical by
+// internal/core's TestMPIPrunedRecords; the benchmark re-checks the Results
+// anyway so a -bench run can never report a speedup bought with wrong
+// results.
 func BenchmarkStaticPrunedCampaign(b *testing.B) {
 	const (
 		ranks     = 3
@@ -835,11 +835,7 @@ func BenchmarkStaticPrunedCampaign(b *testing.B) {
 			b.Fatal(err)
 		}
 		ma.FaultRank = faultRank
-		pruner, err := ma.StaticPruner()
-		if err != nil {
-			b.Fatal(err)
-		}
-		build := func(b *testing.B, opts ...fliptracker.MPIOption) *fliptracker.MPICampaign {
+		run := func(b *testing.B, opts ...fliptracker.MPIOption) fliptracker.CampaignResult {
 			b.Helper()
 			c, err := ma.NewCampaign(nil, append([]fliptracker.MPIOption{
 				fliptracker.WithTests(tests),
@@ -848,11 +844,7 @@ func BenchmarkStaticPrunedCampaign(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return c
-		}
-		run := func(b *testing.B, opts ...fliptracker.MPIOption) fliptracker.CampaignResult {
-			b.Helper()
-			res, err := build(b, opts...).Run(context.Background())
+			res, err := c.Run(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -864,7 +856,7 @@ func BenchmarkStaticPrunedCampaign(b *testing.B) {
 		var plain, pruned fliptracker.CampaignResult
 		b.Run(app+"/unpruned", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				plain = run(b, mpi.WithPruner(nil))
+				plain = run(b, mpi.WithSIDLog(nil))
 			}
 			perFault(b)
 		})
@@ -873,7 +865,6 @@ func BenchmarkStaticPrunedCampaign(b *testing.B) {
 				pruned = run(b)
 			}
 			perFault(b)
-			b.ReportMetric(100*pruner.StatsFor(build(b).Faults()).Rate(), "pruned-%")
 		})
 		// Zero Tests means a -bench filter skipped that half's closure.
 		if plain.Tests != 0 && pruned.Tests != 0 && plain != pruned {

@@ -218,11 +218,15 @@ func cmdInject(args []string) error {
 	addr := fs.Int64("addr", 0, "memory word (kind=mem)")
 	reg := fs.Int("reg", 0, "register (kind=reg)")
 	fs.Parse(args)
+	b, err := faultBit(*bit)
+	if err != nil {
+		return err
+	}
 	an, err := core.NewAnalyzer(*app)
 	if err != nil {
 		return err
 	}
-	f := interp.Fault{Step: *step, Bit: uint8(*bit)}
+	f := interp.Fault{Step: *step, Bit: b}
 	switch *kind {
 	case "dst":
 		f.Kind = interp.FaultDst
@@ -251,6 +255,15 @@ func cmdInject(args []string) error {
 		}
 	}
 	return nil
+}
+
+// faultBit checks a -bit flag: a word has bits 0 to 63, and a wider value
+// would wrap through uint8 to another bit or flip nothing at all.
+func faultBit(bit int) (uint8, error) {
+	if bit < 0 || bit > 63 {
+		return 0, fmt.Errorf("-bit %d outside [0, 63]", bit)
+	}
+	return uint8(bit), nil
 }
 
 func cmdCampaign(args []string) error {
@@ -490,9 +503,13 @@ func cmdACL(args []string) error {
 	fs := flag.NewFlagSet("acl", flag.ExitOnError)
 	app := fs.String("app", "lulesh", "application name")
 	step := fs.Uint64("step", 0, "dynamic step to inject at (0: middle of the run)")
-	bit := fs.Int("bit", 50, "bit to flip")
+	bit := fs.Int("bit", 50, "bit to flip (0-63)")
 	buckets := fs.Int("buckets", 40, "curve resolution")
 	fs.Parse(args)
+	b, err := faultBit(*bit)
+	if err != nil {
+		return err
+	}
 	an, err := core.NewAnalyzer(*app)
 	if err != nil {
 		return err
@@ -505,7 +522,7 @@ func cmdACL(args []string) error {
 	if s == 0 {
 		s = clean.Steps / 2
 	}
-	fa, err := an.AnalyzeFault(interp.Fault{Step: s, Bit: uint8(*bit), Kind: interp.FaultDst})
+	fa, err := an.AnalyzeFault(interp.Fault{Step: s, Bit: b, Kind: interp.FaultDst})
 	if err != nil {
 		return err
 	}

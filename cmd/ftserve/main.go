@@ -3,8 +3,8 @@
 // submissions, executes them on the campaign driver, and streams their
 // deterministic outcome streams as NDJSON. A spec's deprecated "shards"
 // and "static_prune" fields are accepted and ignored: every campaign runs
-// as one window, plain MPI campaigns always skip statically provable
-// faults, and inject campaigns never do.
+// as one window, plain MPI campaigns always skip the faults that cannot
+// fire, and inject campaigns never do.
 //
 // Usage:
 //

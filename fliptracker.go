@@ -411,7 +411,9 @@ var (
 
 // Static IR dependence analysis (the static counterpart of the dynamic
 // DDDG): a sound whole-program over-approximation of whether a corrupted
-// value can reach any program output, store, or branch condition.
+// value can reach any program output, store, or branch condition. No
+// campaign consults it: plain MPI campaigns skip only the faults the
+// interpreter's fires rule shows cannot fire.
 type (
 	// StaticAnalysis is the whole-program static dependence analysis of a
 	// sealed program: per-site fault classification (Live / Benign /
@@ -421,8 +423,7 @@ type (
 	StaticAnalysis = irstatic.Analysis
 	// StaticPruner maps dynamic fault sites (step, target) to static
 	// classes through a clean run's step-indexed instruction log. Get one
-	// from Analyzer.StaticPruner / MPIAnalyzer.StaticPruner; every plain
-	// MPIAnalyzer campaign already runs under the latter.
+	// from Analyzer.StaticPruner.
 	StaticPruner = irstatic.Pruner
 	// StaticClass is a static fault-site classification.
 	StaticClass = irstatic.Class
@@ -443,8 +444,8 @@ const (
 	// cannot reach any output, store, or branch — the outcome is Success
 	// without running.
 	StaticBenign = irstatic.Benign
-	// StaticNeverFires: the fault site cannot latch a flip at all — the
-	// outcome is NotApplied without running.
+	// StaticNeverFires: the interpreter's fires rule rejects the fault —
+	// it cannot latch a flip at all, and the outcome is NotApplied.
 	StaticNeverFires = irstatic.NeverFires
 )
 
@@ -455,8 +456,8 @@ func AnalyzeProgram(p *Program) (*StaticAnalysis, error) { return irstatic.Analy
 
 // NewStaticPruner pairs a static analysis with a clean run's step-indexed
 // instruction log (Machine.RecordSIDs + Machine.SIDLog). For registered
-// workloads prefer Analyzer.StaticPruner / MPIAnalyzer.StaticPruner, which
-// run the clean replay and verify it for you.
+// workloads prefer Analyzer.StaticPruner, which runs the clean run and
+// verifies it for you.
 func NewStaticPruner(an *StaticAnalysis, sids []int32) (*StaticPruner, error) {
 	return irstatic.NewPruner(an, sids)
 }

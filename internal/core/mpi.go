@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"sync"
 
 	"fliptracker/internal/apps"
 	"fliptracker/internal/campaign"
@@ -59,10 +60,12 @@ type MPIAnalyzer struct {
 	// before building campaigns or analyzing worlds; the default is 0.
 	FaultRank int
 
-	clean  *mpi.Result
-	index  []*CleanIndex
-	hint   uint64
-	static staticState
+	clean *mpi.Result
+	index []*CleanIndex
+	hint  uint64
+
+	sidMu   sync.Mutex
+	sidLogs map[int][]int32 // rankSIDLog's results, keyed by rank
 }
 
 // NewMPIAnalyzer builds the per-rank pipeline for a registered application
@@ -144,21 +147,68 @@ func (ma *MPIAnalyzer) InjectedSteps() uint64 {
 }
 
 // NewCampaign builds a plain (untraced) MPI campaign over targets, wired to
-// this analyzer's clean world, verifier and fault rank, and pruned by its
-// cached StaticPruner (mpi.WithPruner): statically proven faults record
-// their outcome without running a world, and the outcomes are those of an
-// unpruned campaign. A nil targets defaults to the whole-program
-// population of the injected rank (InjectedSteps). opts may add tests,
-// seed, parallelism, progress.
+// this analyzer's clean world, verifier and fault rank. It passes the
+// injected rank's clean SID log (mpi.WithSIDLog), so the faults the
+// interpreter's fires rule shows cannot fire record NotApplied without
+// running a world; the outcomes are those of a campaign that runs every
+// world. A nil targets defaults to the whole-program population of the
+// injected rank (InjectedSteps). opts may add tests, seed, parallelism,
+// progress.
 func (ma *MPIAnalyzer) NewCampaign(targets inject.TargetPicker, opts ...mpi.Option) (*mpi.Campaign, error) {
-	p, err := ma.StaticPruner()
+	if err := ma.checkFaultRank(); err != nil {
+		return nil, err
+	}
+	sids, err := ma.rankSIDLog(ma.FaultRank)
 	if err != nil {
 		return nil, err
 	}
-	return ma.newCampaign(targets, slices.Concat([]mpi.Option{mpi.WithPruner(p)}, opts)...)
+	return ma.newCampaign(targets, slices.Concat([]mpi.Option{mpi.WithSIDLog(sids)}, opts)...)
 }
 
-// newCampaign is NewCampaign without the pruner.
+// rankSIDLog returns one rank's step-indexed static-id log of the clean
+// world, replaying the fault-free world once per rank under the clean
+// recording with instruction-id logging enabled on that rank. The replay is
+// pinned to the clean Recording, so the log is exactly the instruction
+// sequence every injected world executes on that rank up to its fault step.
+func (ma *MPIAnalyzer) rankSIDLog(rank int) ([]int32, error) {
+	ma.sidMu.Lock()
+	defer ma.sidMu.Unlock()
+	if sids, ok := ma.sidLogs[rank]; ok {
+		return sids, nil
+	}
+	cfg := ma.worldConfig()
+	cfg.Mode = interp.TraceOff
+	cfg.Replay = ma.clean.Recording
+	var target *interp.Machine
+	inner := cfg.ExtraBind
+	cfg.ExtraBind = func(m *interp.Machine, r int) error {
+		if r == rank {
+			m.RecordSIDs = true
+			target = m
+		}
+		if inner != nil {
+			return inner(m, r)
+		}
+		return nil
+	}
+	res, err := mpi.Run(ma.Prog, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: SID log replay: %w", err)
+	}
+	if res.Status() != trace.RunOK {
+		return nil, fmt.Errorf("core: SID log replay %v", res.Status())
+	}
+	if target == nil || len(target.SIDLog()) == 0 {
+		return nil, fmt.Errorf("core: SID log replay recorded nothing for rank %d", rank)
+	}
+	if ma.sidLogs == nil {
+		ma.sidLogs = make(map[int][]int32)
+	}
+	ma.sidLogs[rank] = target.SIDLog()
+	return target.SIDLog(), nil
+}
+
+// newCampaign is NewCampaign without the SID log: it runs every world.
 func (ma *MPIAnalyzer) newCampaign(targets inject.TargetPicker, opts ...mpi.Option) (*mpi.Campaign, error) {
 	if err := ma.checkFaultRank(); err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"fliptracker/internal/campaign"
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
-	"fliptracker/internal/irstatic"
 	"fliptracker/internal/journal"
 	"fliptracker/internal/mpi"
 )
@@ -47,14 +46,14 @@ func TestMPIAnalyzerFaultRankValidation(t *testing.T) {
 }
 
 // TestMPIPrunedRecords: every record of a campaign built through
-// MPIAnalyzer.NewCampaign, which runs under the analyzer's static pruner,
-// equals the record of the same campaign without the pruner, every field
-// included (propagation class and ranks too), over the ten Table IV apps at
-// three world shapes, and their streams do contain pruned faults. Benign
-// sites are rare in whole-program streams, so a fault list of ft's provable
-// faults covers both proven classes; on it, a verifier that rejects the
-// clean world turns pruning off (pruned outcomes assume an accepted clean
-// world), and so does analysis (every analyzed world must run).
+// MPIAnalyzer.NewCampaign, which skips the faults the fires rule shows
+// cannot fire, equals the record of the same campaign that runs every
+// world, every field included (propagation class and ranks too), over the
+// ten Table IV apps at three world shapes, and their streams do contain
+// skipped faults. A fault list of ft's skippable faults then shows that a
+// verifier that rejects the clean world turns skipping off (a skipped
+// outcome assumes an accepted clean world), and so does analysis (every
+// analyzed world must run).
 func TestMPIPrunedRecords(t *testing.T) {
 	const seed = 20181111
 	records := func(c *mpi.Campaign, err error) []journal.Record {
@@ -71,6 +70,16 @@ func TestMPIPrunedRecords(t *testing.T) {
 		}
 		return out
 	}
+	firesOn := func(ma *MPIAnalyzer) func(interp.Fault) bool {
+		t.Helper()
+		sids, err := ma.rankSIDLog(ma.FaultRank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func(f interp.Fault) bool {
+			return f.Step < uint64(len(sids)) && interp.CanFire(ma.Prog, int(sids[f.Step]), f)
+		}
+	}
 	appsPruned := 0
 	for _, name := range apps.TableIVNames() {
 		pruned := 0
@@ -80,10 +89,7 @@ func TestMPIPrunedRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			ma.FaultRank = shape.faultRank
-			p, err := ma.StaticPruner()
-			if err != nil {
-				t.Fatal(err)
-			}
+			fires := firesOn(ma)
 			opts := []mpi.Option{campaign.WithTests(12), campaign.WithSeed(seed)}
 			got := records(ma.NewCampaign(nil, opts...))
 			if want := records(ma.newCampaign(nil, opts...)); !reflect.DeepEqual(got, want) {
@@ -91,7 +97,7 @@ func TestMPIPrunedRecords(t *testing.T) {
 					name, shape.ranks, shape.faultRank, got, want)
 			}
 			for _, r := range got {
-				if p.Classify(r.Fault) != irstatic.Live {
+				if !fires(r.Fault) {
 					pruned++
 				}
 			}
@@ -109,27 +115,26 @@ func TestMPIPrunedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	ma.FaultRank = 1
-	p, err := ma.StaticPruner()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fires := firesOn(ma)
 	draw, err := ma.newCampaign(nil, campaign.WithTests(200), campaign.WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var list inject.FaultList
-	live := 0
+	live, skipped := 0, 0
 	for _, f := range draw.Faults() {
-		if p.Classify(f) == irstatic.Live {
+		if fires(f) {
 			if live == 4 {
 				continue
 			}
 			live++
+		} else {
+			skipped++
 		}
 		list.Faults = append(list.Faults, f)
 	}
-	if st := p.StatsFor(list.Faults); st.Benign == 0 || st.NeverFires == 0 {
-		t.Fatalf("ft fault list has %d benign and %d never-fires faults, want both", st.Benign, st.NeverFires)
+	if skipped == 0 {
+		t.Fatal("ft fault list has no fault that cannot fire")
 	}
 	tests := campaign.WithTests(len(list.Faults))
 	for _, tc := range []struct {
@@ -157,7 +162,7 @@ func TestMPIPrunedRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		if wo.Analysis == nil {
-			t.Fatalf("analyzed world %d (%v, static class %v) ran no analysis", wo.Index, &wo.Fault, p.Classify(wo.Fault))
+			t.Fatalf("analyzed world %d (%v, fires %v) ran no analysis", wo.Index, &wo.Fault, fires(wo.Fault))
 		}
 	}
 }

@@ -43,7 +43,7 @@ type Spec struct {
 	// EarlyStop, when set, enables the sequential stopping rule.
 	EarlyStop *EarlyStopSpec `json:"early_stop,omitempty"`
 	// StaticPrune is accepted and ignored: plain MPI campaigns always skip
-	// statically provable faults, and inject campaigns never do.
+	// the faults that cannot fire, and inject campaigns never do.
 	//
 	// Deprecated: kept so existing clients' specs still decode; the
 	// campaign benchmark change that stops sending it removes it.
@@ -187,8 +187,8 @@ func (s *Spec) Build(src *Analyzers, journal string) (campaign.Runner, error) {
 
 // Analyzers builds each analyzer once and shares it among campaigns: one
 // clean trace and clean index per app, and per world shape (ranks, fault
-// rank) for MPI, since the clean world depends on it, with the static
-// pruner every plain MPI campaign of that shape runs under. A failed
+// rank) for MPI, since the clean world depends on it, with the clean SID
+// log every plain MPI campaign of that shape skips faults by. A failed
 // build is cached too. The zero value is ready to use; nothing is evicted,
 // which Spec's bounds keep finite.
 type Analyzers struct {

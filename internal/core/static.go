@@ -7,59 +7,28 @@ import (
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/irstatic"
-	"fliptracker/internal/mpi"
 	"fliptracker/internal/trace"
 )
 
 // This file wires the static IR dependence analysis (internal/irstatic) into
-// the orchestration layer: each analyzer caches one whole-program analysis
+// the orchestration layer: each Analyzer caches one whole-program analysis
 // and one fault pruner over its clean run, and CrossCheckOutcome turns the
 // analysis's soundness claim into a runtime assertion every dynamic outcome
-// can be audited against.
+// can be audited against. No campaign consults them.
 
-// staticState is the cached static-analysis machinery shared by Analyzer and
-// MPIAnalyzer.
+// staticState is the Analyzer's cached static-analysis machinery.
 type staticState struct {
-	once sync.Once
-	an   *irstatic.Analysis
-	err  error
-
-	mu      sync.Mutex
-	pruners map[int]*irstatic.Pruner // keyed by injected rank (-1: single-process)
-}
-
-func (s *staticState) analysis(build func() (*irstatic.Analysis, error)) (*irstatic.Analysis, error) {
-	s.once.Do(func() { s.an, s.err = build() })
-	return s.an, s.err
-}
-
-func (s *staticState) pruner(key int, build func(*irstatic.Analysis) (*irstatic.Pruner, error), abuild func() (*irstatic.Analysis, error)) (*irstatic.Pruner, error) {
-	an, err := s.analysis(abuild)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p, ok := s.pruners[key]; ok {
-		return p, nil
-	}
-	p, err := build(an)
-	if err != nil {
-		return nil, err
-	}
-	if s.pruners == nil {
-		s.pruners = make(map[int]*irstatic.Pruner)
-	}
-	s.pruners[key] = p
-	return p, nil
+	anOnce, prunerOnce sync.Once
+	an                 *irstatic.Analysis
+	pruner             *irstatic.Pruner
+	anErr, prunerErr   error
 }
 
 // StaticAnalysis returns the cached whole-program dependence analysis of the
 // application's program (irstatic.Analyze).
 func (an *Analyzer) StaticAnalysis() (*irstatic.Analysis, error) {
-	return an.static.analysis(func() (*irstatic.Analysis, error) {
-		return irstatic.Analyze(an.Prog)
-	})
+	an.static.anOnce.Do(func() { an.static.an, an.static.anErr = irstatic.Analyze(an.Prog) })
+	return an.static.an, an.static.anErr
 }
 
 // StaticPruner returns the cached fault pruner for this application: the
@@ -73,84 +42,32 @@ func (an *Analyzer) StaticAnalysis() (*irstatic.Analysis, error) {
 // It serves soundness checks (CrossCheckOutcome) and statistics
 // (irstatic.Pruner.StatsFor).
 func (an *Analyzer) StaticPruner() (*irstatic.Pruner, error) {
-	return an.static.pruner(-1, func(sa *irstatic.Analysis) (*irstatic.Pruner, error) {
-		m, err := an.App.NewMachine()
-		if err != nil {
-			return nil, fmt.Errorf("core: static pruner: %w", err)
-		}
-		m.Mode = interp.TraceOff
-		m.RecordSIDs = true
-		tr, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("core: static pruner clean run: %w", err)
-		}
-		if tr.Status != trace.RunOK {
-			return nil, fmt.Errorf("core: static pruner clean run %v", tr.Status)
-		}
-		if !an.App.Verify(tr) {
-			return nil, fmt.Errorf("core: %s clean run fails verification; benign pruning cannot promise Success", an.App.Name)
-		}
-		return irstatic.NewPruner(sa, m.SIDLog())
-	}, func() (*irstatic.Analysis, error) { return irstatic.Analyze(an.Prog) })
+	an.static.prunerOnce.Do(func() { an.static.pruner, an.static.prunerErr = an.buildPruner() })
+	return an.static.pruner, an.static.prunerErr
 }
 
-// StaticPruner returns the cached fault pruner for the analyzer's current
-// FaultRank: the MPI program's static analysis paired with the injected
-// rank's step-indexed instruction log, obtained by replaying the fault-free
-// world once under the clean recording. The clean world must pass the world
-// verifier for the same reason as in Analyzer.StaticPruner. Pruners are
-// cached per rank, so changing FaultRank and calling again is safe.
-// NewCampaign passes it to every plain campaign (mpi.WithPruner).
-func (ma *MPIAnalyzer) StaticPruner() (*irstatic.Pruner, error) {
-	if err := ma.checkFaultRank(); err != nil {
+func (an *Analyzer) buildPruner() (*irstatic.Pruner, error) {
+	sa, err := an.StaticAnalysis()
+	if err != nil {
 		return nil, err
 	}
-	rank := ma.FaultRank
-	return ma.static.pruner(rank, func(sa *irstatic.Analysis) (*irstatic.Pruner, error) {
-		if !ma.verifyWorld(ma.clean) {
-			return nil, fmt.Errorf("core: %s clean world fails verification; benign pruning cannot promise Success", ma.App.Name)
-		}
-		sids, err := ma.rankSIDLog(rank)
-		if err != nil {
-			return nil, err
-		}
-		return irstatic.NewPruner(sa, sids)
-	}, func() (*irstatic.Analysis, error) { return irstatic.Analyze(ma.Prog) })
-}
-
-// rankSIDLog replays the fault-free world under the clean recording with
-// instruction-id logging enabled on one rank and returns that rank's
-// step-indexed static-id log — the step→instruction mapping
-// irstatic.NewPruner needs. The replay is pinned to the clean Recording, so
-// the log is exactly the instruction sequence every injected world executes
-// on that rank up to its fault step.
-func (ma *MPIAnalyzer) rankSIDLog(rank int) ([]int32, error) {
-	cfg := ma.worldConfig()
-	cfg.Mode = interp.TraceOff
-	cfg.Replay = ma.clean.Recording
-	var target *interp.Machine
-	inner := cfg.ExtraBind
-	cfg.ExtraBind = func(m *interp.Machine, r int) error {
-		if r == rank {
-			m.RecordSIDs = true
-			target = m
-		}
-		if inner != nil {
-			return inner(m, r)
-		}
-		return nil
-	}
-	res, err := mpi.Run(ma.Prog, cfg)
+	m, err := an.App.NewMachine()
 	if err != nil {
-		return nil, fmt.Errorf("core: SID log replay: %w", err)
+		return nil, fmt.Errorf("core: static pruner: %w", err)
 	}
-	if res.Status() != trace.RunOK {
-		return nil, fmt.Errorf("core: SID log replay %v", res.Status())
+	m.Mode = interp.TraceOff
+	m.RecordSIDs = true
+	tr, err := m.Run()
+	if err != nil {
+		return nil, fmt.Errorf("core: static pruner clean run: %w", err)
 	}
-	if target == nil || len(target.SIDLog()) == 0 {
-		return nil, fmt.Errorf("core: SID log replay recorded nothing for rank %d", rank)
+	if tr.Status != trace.RunOK {
+		return nil, fmt.Errorf("core: static pruner clean run %v", tr.Status)
 	}
-	return target.SIDLog(), nil
+	if !an.App.Verify(tr) {
+		return nil, fmt.Errorf("core: %s clean run fails verification; benign pruning cannot promise Success", an.App.Name)
+	}
+	return irstatic.NewPruner(sa, m.SIDLog())
 }
 
 // CrossCheckOutcome asserts the static analysis's soundness contract against

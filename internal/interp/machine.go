@@ -64,8 +64,8 @@ type Machine struct {
 	TraceFuncs map[int]bool
 	// RecordSIDs, when set before the run starts, logs the global static
 	// id of every executed instruction, indexed by dynamic step (SIDLog).
-	// Static fault pruning uses one such clean run to map a fault's Step
-	// to the static instruction it would strike; trace records cannot
+	// Fault skipping uses one such clean run to map a fault's Step to the
+	// static instruction it would strike (CanFire); trace records cannot
 	// substitute (branches, nops and returns leave no per-step record).
 	// The log is deliberately excluded from Snapshot/Restore: it is a
 	// whole-run artifact of a dedicated recording run, not machine state.
@@ -330,28 +330,25 @@ func (m *Machine) nextEvent(steps, pauseAt uint64) uint64 {
 	return next
 }
 
-// applyFault applies a fault drawn at step that strikes registers or memory
-// before the step's instruction runs. It reports whether the fault instead
-// strikes the instruction's result (FaultDst), which the op applies.
-func (m *Machine) applyFault(step uint64, regs []ir.Word) (flipDst bool) {
+// applyFault applies a fault drawn at step, struck at the instruction with
+// static id sid, where the fires rule (CanFire) lets it fire. A register or
+// memory flip lands before the instruction runs; a FaultDst instead strikes
+// the instruction's result, so applyFault only reports it and the op applies
+// it.
+func (m *Machine) applyFault(step uint64, sid int, regs []ir.Word) (flipDst bool) {
 	f := m.Fault
-	if f == nil || m.FaultApplied || step != f.Step {
+	if f == nil || m.FaultApplied || step != f.Step || !CanFire(m.Prog, sid, *f) {
 		return false
 	}
 	switch f.Kind {
-	case FaultReg:
-		if f.Reg >= 0 && int(f.Reg) < len(regs) {
-			regs[f.Reg] ^= ir.Word(1) << f.Bit
-			m.FaultApplied = true
-		}
-	case FaultMem:
-		if f.Addr >= 0 && f.Addr < m.mem.words {
-			*m.mem.writable(f.Addr) ^= ir.Word(1) << f.Bit
-			m.FaultApplied = true
-		}
 	case FaultDst:
 		return true
+	case FaultReg:
+		regs[f.Reg] ^= ir.Word(1) << f.Bit
+	case FaultMem:
+		*m.mem.writable(f.Addr) ^= ir.Word(1) << f.Bit
 	}
+	m.FaultApplied = true
 	return false
 }
 
@@ -405,7 +402,7 @@ frames:
 					m.steps = steps + 1
 					panic(runTerminated{trace.RunHang})
 				}
-				flipDst = m.applyFault(steps, regs)
+				flipDst = m.applyFault(steps, f.Base+pc, regs)
 				next = m.nextEvent(steps+1, pauseAt)
 			} else if !full {
 				op = disp[pc]

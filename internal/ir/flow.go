@@ -1,7 +1,8 @@
 package ir
 
 // This file holds the instruction-level control-flow and register facts
-// shared by Validate's semantic checks and internal/irstatic's dataflow.
+// shared by Validate's semantic checks, the interpreter's fault rule and
+// internal/irstatic's dataflow.
 
 // Succs appends the control-flow successors of f.Code[i] to dst and returns
 // it: branch targets for branches, nothing for returns, the next instruction
@@ -46,6 +47,23 @@ func (f *Function) Reachable() []bool {
 		}
 	}
 	return reach
+}
+
+// Returns reports which kinds of return some path from the entry reaches:
+// one that carries a value, one that is void, or both. A function with
+// neither cannot complete.
+func (f *Function) Returns() (value, void bool) {
+	reach := f.Reachable()
+	for i := range f.Code {
+		if in := &f.Code[i]; in.Op == OpRet && reach[i] {
+			if in.A != NoReg {
+				value = true
+			} else {
+				void = true
+			}
+		}
+	}
+	return value, void
 }
 
 // Def returns the register the instruction writes, if any: everything the

@@ -9,22 +9,25 @@
 // there can reach any observable sink — an OpEmit/OpEmitSci6, a store, a
 // branch condition, a crash-capable operand (division, address), a host-call
 // argument, or a dangerous return value. Sites whose corruption provably
-// reaches nothing are StaticallyBenign: an injection there is guaranteed to
-// classify Success (the run completes with byte-identical output), so
-// campaigns may record the outcome without running the world
-// (campaign.WithStaticPrune). Sites where the fault
-// cannot even fire (branches, markers, void calls) classify NeverFires and
-// prune to NotApplied.
+// reaches nothing are Benign: an injection there is guaranteed to classify
+// Success (the run completes with byte-identical output). Sites where the
+// interpreter's fires rule (interp.CanFire) rejects the fault classify
+// NeverFires: the run is fault-free and classifies NotApplied.
+//
+// No campaign consults these verdicts. They serve the `fliptracker static`
+// report, prune-rate statistics (Pruner.StatsFor) and soundness checks; MPI
+// campaigns skip the faults that cannot fire by the fires rule alone.
 //
 // The analysis is a sound over-approximation: Live sites may still be
 // dynamically benign (most are — that is the paper's headline result), but a
-// Benign or NeverFires verdict is a guarantee, which core cross-checks
-// against every dynamic outcome (core.Analyzer.CrossCheckOutcome).
+// Benign or NeverFires verdict is a guarantee, which core.CrossCheckOutcome
+// checks against a dynamic outcome.
 package irstatic
 
 import (
 	"fmt"
 
+	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
 )
 
@@ -58,16 +61,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// retKind classifies how a function returns.
-type retKind uint8
-
-const (
-	retNone  retKind = iota // no reachable return (cannot complete)
-	retVoid                 // every reachable return is void
-	retValue                // every reachable return carries a value
-	retMixed                // both kinds reachable
-)
-
 // flow is the per-function dataflow solution: for every program point
 // (before instruction i) and register r, whether r's value may reach a sink
 // (sinkIn) or the function's return value (retIn).
@@ -77,7 +70,6 @@ type flow struct {
 	// point just before instruction i executes.
 	sinkIn []bitset
 	retIn  []bitset
-	rets   retKind
 }
 
 // summary is a function's interprocedural abstraction: per parameter,
@@ -121,7 +113,6 @@ func Analyze(p *ir.Program) (*Analysis, error) {
 			fl.sinkIn[j] = newBitset(f.NumRegs)
 			fl.retIn[j] = newBitset(f.NumRegs)
 		}
-		fl.rets = retShape(f)
 		a.flows[i] = fl
 		a.sums[i] = summary{
 			paramSink: make([]bool, f.NumArgs),
@@ -166,32 +157,6 @@ func Analyze(p *ir.Program) (*Analysis, error) {
 		}
 	}
 	return a, nil
-}
-
-// retShape classifies the reachable returns of f.
-func retShape(f *ir.Function) retKind {
-	var value, void bool
-	reach := f.Reachable()
-	for i := range f.Code {
-		in := &f.Code[i]
-		if in.Op != ir.OpRet || !reach[i] {
-			continue
-		}
-		if in.A != ir.NoReg {
-			value = true
-		} else {
-			void = true
-		}
-	}
-	switch {
-	case value && void:
-		return retMixed
-	case value:
-		return retValue
-	case void:
-		return retVoid
-	}
-	return retNone
 }
 
 // outBits returns the (sink, ret) bits of register r at the point just after
@@ -347,45 +312,30 @@ func (a *Analysis) dangerous(fi int, sink, ret bool) bool {
 }
 
 // ClassifyDst classifies a FaultDst (flipped instruction result) at the
-// instruction with global static id sid, assuming a run executes it.
+// instruction with global static id sid, assuming a run executes it. A site
+// where the interpreter's fires rule (interp.CanFire) rejects the fault
+// never fires.
 func (a *Analysis) ClassifyDst(sid int) Class {
-	f, off := a.Prog.FuncOf(sid)
-	if f == nil {
+	if !interp.CanFire(a.Prog, sid, interp.Fault{Kind: interp.FaultDst}) {
 		return NeverFires
 	}
-	fl := a.flows[f.Index]
+	f, off := a.Prog.FuncOf(sid)
 	in := &f.Code[off]
 	switch in.Op {
-	case ir.OpNop, ir.OpBr, ir.OpCondBr, ir.OpRet,
-		ir.OpEmit, ir.OpEmitSci6, ir.OpRegionEnter, ir.OpRegionExit:
-		// The interpreter applies no result flip at these: the fault never
-		// fires and the run classifies NotApplied.
-		return NeverFires
 	case ir.OpStore:
 		// The flip lands on the value written to memory, which the analysis
 		// does not track.
 		return Live
-	case ir.OpHost:
-		if !a.Prog.HostDecls[in.Callee].HasRet {
-			return NeverFires
-		}
 	case ir.OpCall:
-		// The flip is captured at the call and applied to the value the
-		// callee eventually returns — only if it returns one and the call
-		// uses it. The callee runs on clean state either way.
-		if in.Dst == ir.NoReg {
-			return NeverFires
-		}
-		switch a.flows[in.Callee].rets {
-		case retVoid, retNone:
-			return NeverFires
-		case retMixed:
-			// Whether the fault fires depends on the path taken inside the
-			// callee; neither Success nor NotApplied can be promised.
+		// The flip is applied to the value the callee returns. When the
+		// callee also returns void on some path, whether the fault fires
+		// depends on that path; neither Success nor NotApplied can be
+		// promised.
+		if _, void := a.Prog.Funcs[in.Callee].Returns(); void {
 			return Live
 		}
 	}
-	s, r := fl.outBits(off, in.Dst)
+	s, r := a.flows[f.Index].outBits(off, in.Dst)
 	if a.dangerous(f.Index, s, r) {
 		return Live
 	}
@@ -393,35 +343,18 @@ func (a *Analysis) ClassifyDst(sid int) Class {
 }
 
 // ClassifyReg classifies a FaultReg (flipped register before the instruction
-// at sid executes) for register r of the executing frame.
+// at sid executes) for register r of the executing frame. A register outside
+// the frame, negative ones included, never fires (interp.CanFire).
 func (a *Analysis) ClassifyReg(sid int, r ir.Reg) Class {
+	if !interp.CanFire(a.Prog, sid, interp.Fault{Kind: interp.FaultReg, Reg: r}) {
+		return NeverFires
+	}
 	f, off := a.Prog.FuncOf(sid)
-	if f == nil {
-		return NeverFires
-	}
-	if r < 0 {
-		// The interpreter's range check admits negative registers; stay out
-		// of the way and run the injection.
-		return Live
-	}
-	if int(r) >= f.NumRegs {
-		return NeverFires
-	}
 	fl := a.flows[f.Index]
 	if a.dangerous(f.Index, fl.sinkIn[off].get(int(r)), fl.retIn[off].get(int(r))) {
 		return Live
 	}
 	return Benign
-}
-
-// ClassifyMem classifies a FaultMem (flipped memory word before the
-// instruction at the fault step). Memory contents are not tracked, so any
-// in-range address is Live; out-of-range flips never fire.
-func (a *Analysis) ClassifyMem(addr int64) Class {
-	if addr < 0 || addr >= a.Prog.MemWords {
-		return NeverFires
-	}
-	return Live
 }
 
 // SiteStats counts the static instructions of one function by their

@@ -152,18 +152,25 @@ func TestClassifyRegAndMem(t *testing.T) {
 	if got := an.ClassifyReg(f.Base+emitIdx, ir.Reg(f.NumRegs)); got != irstatic.NeverFires {
 		t.Errorf("out-of-range reg = %s, want never-fires", got)
 	}
-	// The interpreter would fault on a negative register index; never prune.
-	if got := an.ClassifyReg(f.Base+emitIdx, -2); got != irstatic.Live {
-		t.Errorf("negative reg = %s, want live", got)
+	// The fires rule admits no negative register either.
+	if got := an.ClassifyReg(f.Base+emitIdx, -2); got != irstatic.NeverFires {
+		t.Errorf("negative reg = %s, want never-fires", got)
 	}
 
-	if got := an.ClassifyMem(0); got != irstatic.Live {
+	pr, err := irstatic.NewPruner(an, []int32{int32(f.Base + emitIdx)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := func(addr int64) irstatic.Class {
+		return pr.Classify(interp.Fault{Kind: interp.FaultMem, Addr: addr})
+	}
+	if got := mem(0); got != irstatic.Live {
 		t.Errorf("in-range mem = %s, want live", got)
 	}
-	if got := an.ClassifyMem(p.MemWords); got != irstatic.NeverFires {
+	if got := mem(p.MemWords); got != irstatic.NeverFires {
 		t.Errorf("out-of-range mem = %s, want never-fires", got)
 	}
-	if got := an.ClassifyMem(-1); got != irstatic.NeverFires {
+	if got := mem(-1); got != irstatic.NeverFires {
 		t.Errorf("negative mem = %s, want never-fires", got)
 	}
 }

@@ -33,8 +33,8 @@ func NewPruner(an *Analysis, sids []int32) (*Pruner, error) {
 
 // Classify returns the static verdict for one fault:
 //
-//   - NeverFires: the fault cannot apply (step past program end, register or
-//     address out of range, instruction produces no value) — the run
+//   - NeverFires: the fault cannot apply (step past program end, or the
+//     interpreter's fires rule interp.CanFire rejects it) — the run
 //     completes clean and classifies NotApplied.
 //   - Benign: the fault definitely applies and the corruption provably
 //     reaches no sink — the run completes with identical output and
@@ -49,14 +49,16 @@ func (p *Pruner) Classify(f interp.Fault) Class {
 		return NeverFires
 	}
 	sid := int(p.SIDs[f.Step])
+	if !interp.CanFire(p.An.Prog, sid, f) {
+		return NeverFires
+	}
 	switch f.Kind {
 	case interp.FaultDst:
 		return p.An.ClassifyDst(sid)
 	case interp.FaultReg:
 		return p.An.ClassifyReg(sid, f.Reg)
-	case interp.FaultMem:
-		return p.An.ClassifyMem(f.Addr)
 	}
+	// Memory contents are not tracked, so a memory flip that fires is Live.
 	return Live
 }
 

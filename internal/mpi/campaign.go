@@ -7,7 +7,6 @@ import (
 	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
-	"fliptracker/internal/irstatic"
 	"fliptracker/internal/journal"
 	"fliptracker/internal/trace"
 )
@@ -39,10 +38,11 @@ type Campaign struct {
 
 	verify  func(*Result) bool
 	analyze WorldAnalyzer
-	// pruner short-circuits statically proven faults (WithPruner); prune
-	// says whether it applies (see NewCampaign).
-	pruner *irstatic.Pruner
-	prune  bool
+	// sids is the injected rank's clean SID log (WithSIDLog); prune says
+	// whether the campaign skips the faults it shows cannot fire (see
+	// NewCampaign).
+	sids  []int32
+	prune bool
 
 	clean *Result
 	hint  uint64
@@ -52,7 +52,7 @@ type Campaign struct {
 // both engines share (campaign.WithTests, WithSeed, WithParallelism,
 // WithProgress, WithEarlyStop, WithDropTraces, WithJournal, WithJournalApp)
 // or one of this engine's own — WithVerify, WithWorldAnalysis, WithClean,
-// WithPruner. A single-process engine option makes NewCampaign fail.
+// WithSIDLog. A single-process engine option makes NewCampaign fail.
 type Option = campaign.Option
 
 // engineOption is an option of this engine only.
@@ -107,17 +107,19 @@ func WithWorldAnalysis(analyze WorldAnalyzer) Option {
 // the analysis replay the identical recording.
 func WithClean(clean *Result) Option { return engineOption(func(c *Campaign) { c.clean = clean }) }
 
-// WithPruner makes a plain campaign skip the faults whose outcome the static
-// dependence analysis (internal/irstatic) has proven: a Benign fault site
-// records Success and a NeverFires site NotApplied, both with a Contained
-// propagation, without running a world; Live faults run as before, so the
-// outcome stream is identical either way. p must pair the campaign
-// program's analysis with the injected rank's SID log of the clean world
-// (core.MPIAnalyzer.StaticPruner builds one). Those outcomes assume a clean
-// world that verifies, so the pruner is ignored when the campaign's
-// verifier rejects the clean world, and in analyzed campaigns, whose every
-// fault needs a traced world to analyze.
-func WithPruner(p *irstatic.Pruner) Option { return engineOption(func(c *Campaign) { c.pruner = p }) }
+// WithSIDLog makes a plain campaign skip the faults that cannot fire: sids
+// is the injected rank's step-indexed instruction log of the clean world
+// (interp.Machine.RecordSIDs on that rank, replayed under the clean
+// Recording; core.MPIAnalyzer.NewCampaign passes one). A world is
+// fault-free up to its fault step, so a fault whose step lies past the end
+// of the log, or whose instruction there the interpreter's fires rule
+// (interp.CanFire) rejects, leaves the world clean. It records NotApplied
+// with a Contained propagation without running a world, exactly the
+// outcome the world would have had. That outcome assumes a clean world
+// that verifies, so nothing is skipped when the campaign's verifier
+// rejects the clean world, nor in analyzed campaigns, whose every fault
+// needs a traced world to analyze. A nil log skips nothing.
+func WithSIDLog(sids []int32) Option { return engineOption(func(c *Campaign) { c.sids = sids }) }
 
 // NewCampaign builds a campaign over the given fault population. base
 // configures every world (ranks, per-rank seed, extra host binds, and
@@ -196,7 +198,7 @@ func NewCampaign(p *ir.Program, base Config, targets campaign.TargetPicker, opts
 	if c.verify == nil {
 		c.verify = func(faulty *Result) bool { return outputsEqual(c.clean, faulty) }
 	}
-	c.prune = c.pruner != nil && c.analyze == nil && c.verify(c.clean)
+	c.prune = c.sids != nil && c.analyze == nil && c.verify(c.clean)
 	return c, nil
 }
 
@@ -262,28 +264,21 @@ type WorldOutcome struct {
 	Analysis any
 }
 
-// plan is the engine's window planner (campaign.Executor.Plan): static
-// pruning, world checkpoints for the window's live faults, then the
-// per-fault runner. Under pruning (see WithPruner) a fault proven Benign
-// records Success, and one proven NeverFires records NotApplied, with a
-// Contained propagation and without planning or running a world: a fault
-// that never perturbs the world leaves nothing else to classify (what
-// ClassifyPropagation computes for an undisturbed replay). World
-// checkpoints need collective boundaries to cut at; without them, every
-// world replays from step 0.
+// plan is the engine's window planner (campaign.Executor.Plan): skipping
+// the faults that cannot fire, world checkpoints for the window's other
+// faults, then the per-fault runner. A skipped fault (see WithSIDLog)
+// records NotApplied with a Contained propagation and without planning or
+// running a world: a fault that never perturbs the world leaves nothing
+// else to classify (what ClassifyPropagation computes for an undisturbed
+// replay). World checkpoints need collective boundaries to cut at; without
+// them, every world replays from step 0.
 func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first int) (func(int) (WorldOutcome, error), error) {
-	proven := make(map[int]campaign.Outcome)
+	skip := make([]bool, len(faults))
 	live := make([]int, 0, len(faults)-first)
 	for i := first; i < len(faults); i++ {
-		if c.prune {
-			switch c.pruner.Classify(faults[i]) {
-			case irstatic.Benign:
-				proven[i] = campaign.Success
-				continue
-			case irstatic.NeverFires:
-				proven[i] = campaign.NotApplied
-				continue
-			}
+		if c.prune && !c.fires(faults[i]) {
+			skip[i] = true
+			continue
 		}
 		live = append(live, i)
 	}
@@ -292,11 +287,17 @@ func (c *Campaign) plan(ctx context.Context, faults []interp.Fault, first int) (
 		return nil, err
 	}
 	return func(i int) (WorldOutcome, error) {
-		if o, ok := proven[i]; ok {
-			return WorldOutcome{Index: i, Fault: faults[i], Outcome: o, Propagation: Propagation{Class: Contained}}, nil
+		if skip[i] {
+			return WorldOutcome{Index: i, Fault: faults[i], Outcome: campaign.NotApplied, Propagation: Propagation{Class: Contained}}, nil
 		}
 		return c.runFault(i, faults[i], snapAt[i])
 	}, nil
+}
+
+// fires reports whether f can fire on the injected rank: its step lies
+// within the clean SID log and the fires rule admits the instruction there.
+func (c *Campaign) fires(f interp.Fault) bool {
+	return f.Step < uint64(len(c.sids)) && interp.CanFire(c.prog, int(c.sids[f.Step]), f)
 }
 
 // runFault executes injected world i — restored from snap when non-nil,

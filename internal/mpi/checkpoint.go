@@ -30,8 +30,8 @@ import (
 // snapAt[i] receives fault i's world snapshot, or stays nil for a replay
 // from step 0: the program has no collective rounds, the clean world carries
 // no cut logs, or the fault lands before the first cut. Only the live
-// indices are planned: a journal's replayed prefix and statically pruned
-// faults never run, so they request no cuts.
+// indices are planned: a journal's replayed prefix and the faults that
+// cannot fire never run, so they request no cuts.
 func (c *Campaign) planWorldCheckpoints(ctx context.Context, faults []interp.Fault, live []int, snapAt []*WorldSnapshot) error {
 	if len(c.clean.Cuts) != c.base.Ranks {
 		// An adopted clean Result without cut logs (WithClean on a Result

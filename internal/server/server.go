@@ -17,7 +17,7 @@
 // produce — byte-identical for a fixed spec whatever the service's
 // parallelism or restart history. A spec's deprecated "shards" and
 // "static_prune" are accepted and ignored: plain MPI campaigns always skip
-// statically provable faults, inject campaigns never do, and the stream is
+// the faults that cannot fire, inject campaigns never do, and the stream is
 // the same either way. With a DataDir the stream is journaled per campaign: kill
 // the server mid-campaign, start a new one, re-submit the same id and spec,
 // and the campaign resumes from its last committed outcome (replayed
@@ -26,7 +26,8 @@
 //
 // Concurrent campaigns multiplex over shared per-application analyzers —
 // one clean trace and clean index per app, and per world shape a clean
-// world and static pruner for MPI, built once and cached (core.Analyzers) —
+// world and the injected rank's clean SID log for MPI, built once and
+// cached (core.Analyzers) —
 // while MaxRunning bounds concurrently
 // executing campaigns and MaxCampaigns bounds tracked ones, keeping the
 // service's memory budget flat. Campaigns run untraced (outcome records

@@ -94,10 +94,9 @@ func TestStaticPruneSoundnessMatrix(t *testing.T) {
 
 // TestStaticPruneSoundnessMatrixMPI is the same acceptance contract for the
 // MPI engine over all ten Table IV applications' SPMD variants: a plain
-// world campaign, which MPIAnalyzer.NewCampaign always prunes, must be
-// Result-identical to the from-scratch oracle (MPIAnalyzer.AnalyzeWorld on
-// every drawn fault), and every world the oracle replayed must satisfy the
-// static soundness contract.
+// world campaign, which MPIAnalyzer.NewCampaign always builds to skip the
+// faults that cannot fire, must be Result-identical to the from-scratch
+// oracle (MPIAnalyzer.AnalyzeWorld on every drawn fault).
 func TestStaticPruneSoundnessMatrixMPI(t *testing.T) {
 	const (
 		ranks = 2
@@ -110,17 +109,12 @@ func TestStaticPruneSoundnessMatrixMPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pruner, err := ma.StaticPruner()
-		if err != nil {
-			t.Fatalf("%s: static pruner: %v", name, err)
-		}
 		c, err := ma.NewCampaign(nil, fliptracker.WithTests(tests), fliptracker.WithSeed(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		// Reference: replay every drawn fault's world from scratch, with
-		// the per-world soundness cross-check.
+		// Reference: replay every drawn fault's world from scratch.
 		var oracle fliptracker.CampaignResult
 		for _, f := range c.Faults() {
 			wa, err := ma.AnalyzeWorld(f)
@@ -128,9 +122,6 @@ func TestStaticPruneSoundnessMatrixMPI(t *testing.T) {
 				t.Fatal(err)
 			}
 			oracle.Count(wa.Outcome)
-			if err := fliptracker.CrossCheckStaticOutcome(pruner, f, wa.Outcome); err != nil {
-				t.Errorf("%s: %v", name, err)
-			}
 		}
 		if oracle.Tests != tests {
 			t.Fatalf("%s: from-scratch reference ran %d worlds, want %d", name, oracle.Tests, tests)
