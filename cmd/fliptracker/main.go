@@ -13,8 +13,8 @@
 //	fliptracker inject   -app cg -step 12345 -bit 40 [-kind dst|mem|reg] [-addr N]
 //	fliptracker campaign -app cg [-target whole|hybrid|internal|input] [-region cg_b] [-instance 0] [-tests N] [-seed S] [-earlystop] [-stream] [-analyze] [-journal path [-resume]]
 //	fliptracker campaign -app mg -mpi -ranks 4 [-faultrank R] [-tests N] [-seed S] [-earlystop] [-stream] [-analyze] [-journal path [-resume]]
-//	fliptracker static   -app cg [-disasm]
 //	fliptracker dot      -app cg -region cg_b [-instance 0]
+//	fliptracker acl      -app lulesh [-step N] [-bit B] [-buckets N]
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
-	"fliptracker/internal/irstatic"
 	"fliptracker/internal/mpi"
 	"fliptracker/internal/patterns"
 	"fliptracker/internal/stats"
@@ -59,8 +58,6 @@ func main() {
 		err = cmdInject(args)
 	case "campaign":
 		err = cmdCampaign(args)
-	case "static":
-		err = cmdStatic(args)
 	case "dot":
 		err = cmdDot(args)
 	case "acl":
@@ -80,7 +77,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: fliptracker <command> [flags]
-commands: list, regions, disasm, trace, rates, inject, campaign, static, dot, acl
+commands: list, regions, disasm, trace, rates, inject, campaign, dot, acl
 run "fliptracker <command> -h" for the command's flags`)
 }
 
@@ -461,42 +458,6 @@ func tally(found [patterns.NumPatterns]bool, counts *[patterns.NumPatterns]int) 
 		}
 	}
 	return strings.Join(names, ",")
-}
-
-// cmdStatic reports the whole-program static dependence analysis: how many
-// of each function's instruction sites are provably benign (a corrupted
-// result cannot reach any output, store, or branch condition), never fire at
-// all, or must be treated as live — the static counterpart of a campaign's
-// dynamic outcome histogram.
-func cmdStatic(args []string) error {
-	fs := flag.NewFlagSet("static", flag.ExitOnError)
-	app := fs.String("app", "cg", "application name")
-	disasm := fs.Bool("disasm", false, "print the annotated disassembly (each instruction tagged live/benign/never-fires) instead of the per-function table")
-	fs.Parse(args)
-	an, err := core.NewAnalyzer(*app)
-	if err != nil {
-		return err
-	}
-	sa, err := an.StaticAnalysis()
-	if err != nil {
-		return err
-	}
-	if *disasm {
-		fmt.Print(sa.Disassemble())
-		return nil
-	}
-	fmt.Printf("%-16s %8s %8s %8s %12s %9s\n", "function", "sites", "live", "benign", "never-fires", "prunable")
-	var tot irstatic.SiteStats
-	for _, s := range sa.Stats() {
-		tot.Live += s.Live
-		tot.Benign += s.Benign
-		tot.NeverFires += s.NeverFires
-		fmt.Printf("%-16s %8d %8d %8d %12d %8.1f%%\n", s.Func, s.Total(), s.Live, s.Benign, s.NeverFires,
-			100*float64(s.Benign+s.NeverFires)/float64(max(s.Total(), 1)))
-	}
-	fmt.Printf("%-16s %8d %8d %8d %12d %8.1f%%\n", "TOTAL", tot.Total(), tot.Live, tot.Benign, tot.NeverFires,
-		100*float64(tot.Benign+tot.NeverFires)/float64(max(tot.Total(), 1)))
-	return nil
 }
 
 func cmdACL(args []string) error {

@@ -32,7 +32,6 @@ var defaultDirs = []string{
 	"internal/core",
 	"internal/interp",
 	"internal/ir",
-	"internal/irstatic",
 	"internal/coord",
 	"internal/server",
 	"internal/acl",

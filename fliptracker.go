@@ -70,7 +70,6 @@ import (
 	"fliptracker/internal/inject"
 	"fliptracker/internal/interp"
 	"fliptracker/internal/ir"
-	"fliptracker/internal/irstatic"
 	"fliptracker/internal/journal"
 	"fliptracker/internal/mpi"
 	"fliptracker/internal/patterns"
@@ -408,68 +407,6 @@ var (
 	// inconsistent — a state no torn write can produce.
 	ErrJournalCorrupt = journal.ErrCorrupt
 )
-
-// Static IR dependence analysis (the static counterpart of the dynamic
-// DDDG): a sound whole-program over-approximation of whether a corrupted
-// value can reach any program output, store, or branch condition. No
-// campaign consults it: plain MPI campaigns skip only the faults the
-// interpreter's fires rule shows cannot fire.
-type (
-	// StaticAnalysis is the whole-program static dependence analysis of a
-	// sealed program: per-site fault classification (Live / Benign /
-	// NeverFires), per-function site statistics and an annotated
-	// disassembly. Build it with AnalyzeProgram or get the cached one from
-	// Analyzer.StaticAnalysis.
-	StaticAnalysis = irstatic.Analysis
-	// StaticPruner maps dynamic fault sites (step, target) to static
-	// classes through a clean run's step-indexed instruction log. Get one
-	// from Analyzer.StaticPruner.
-	StaticPruner = irstatic.Pruner
-	// StaticClass is a static fault-site classification.
-	StaticClass = irstatic.Class
-	// StaticSiteStats counts one function's static instruction-site
-	// classes (StaticAnalysis.Stats).
-	StaticSiteStats = irstatic.SiteStats
-	// StaticPruneStats counts how a concrete fault list classifies
-	// (StaticPruner.StatsFor); Rate() is the fraction skippable.
-	StaticPruneStats = irstatic.PruneStats
-)
-
-// Static fault-site classes.
-const (
-	// StaticLive: corruption may reach an output, store, branch condition
-	// or crash — the fault must run.
-	StaticLive = irstatic.Live
-	// StaticBenign: the fault fires but the corrupted value provably
-	// cannot reach any output, store, or branch — the outcome is Success
-	// without running.
-	StaticBenign = irstatic.Benign
-	// StaticNeverFires: the interpreter's fires rule rejects the fault —
-	// it cannot latch a flip at all, and the outcome is NotApplied.
-	StaticNeverFires = irstatic.NeverFires
-)
-
-// AnalyzeProgram runs the whole-program static dependence analysis over a
-// sealed program. For registered workloads prefer Analyzer.StaticAnalysis,
-// which caches the result.
-func AnalyzeProgram(p *Program) (*StaticAnalysis, error) { return irstatic.Analyze(p) }
-
-// NewStaticPruner pairs a static analysis with a clean run's step-indexed
-// instruction log (Machine.RecordSIDs + Machine.SIDLog). For registered
-// workloads prefer Analyzer.StaticPruner, which runs the clean run and
-// verifies it for you.
-func NewStaticPruner(an *StaticAnalysis, sids []int32) (*StaticPruner, error) {
-	return irstatic.NewPruner(an, sids)
-}
-
-// CrossCheckStaticOutcome asserts the static analysis's soundness contract
-// against one dynamically observed outcome: statically Benign must have
-// classified Success, statically NeverFires must have classified
-// NotApplied. A non-nil error means an internal error in the static
-// analysis or the interpreter, never in the application.
-func CrossCheckStaticOutcome(p *StaticPruner, f Fault, o Outcome) error {
-	return core.CrossCheckOutcome(p, f, o)
-}
 
 // WholeProgram targets uniform dynamic instructions across the full run
 // (the Table IV population).

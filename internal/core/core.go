@@ -41,7 +41,10 @@ type Analyzer struct {
 	index     *CleanIndex
 	indexErr  error
 
-	static staticState
+	// The deprecated StaticPruner's cache.
+	prunerOnce sync.Once
+	pruner     *StaticPruner
+	prunerErr  error
 }
 
 // NewAnalyzer builds an analyzer for a registered application.

@@ -8,7 +8,6 @@ import (
 
 	"fliptracker/internal/campaign"
 	"fliptracker/internal/interp"
-	"fliptracker/internal/irstatic"
 	"fliptracker/internal/journal"
 	"fliptracker/internal/trace"
 )
@@ -110,11 +109,11 @@ func WithJournalApp(app string) Option { return campaign.WithJournalApp(app) }
 
 // WithStaticPrune does nothing: an untraced injection already stops once it
 // reconverges with the clean run, which leaves static pruning nothing to
-// save.
+// save. It accepts any value, such as a core.StaticPruner.
 //
 // Deprecated: kept only for the campaign benchmark's call; the benchmark
 // change that drops that call removes it.
-func WithStaticPrune(*irstatic.Pruner) Option { return engineOption(func(*Campaign) {}) }
+func WithStaticPrune(any) Option { return engineOption(func(*Campaign) {}) }
 
 // EarlyStopMinTests is the minimum number of completed injections before
 // early stopping (campaign.WithEarlyStop) may end a campaign, guarding the

@@ -32,28 +32,6 @@ func (p *Program) Disassemble() string {
 	return sb.String()
 }
 
-// DisassembleAnnotated renders the whole program like Disassemble, but asks
-// note for a per-instruction annotation (by global static id) and appends any
-// non-empty result after the instruction text. Callers supply classifications
-// from analyses that must not be imported here (e.g. irstatic).
-func (p *Program) DisassembleAnnotated(note func(sid int) string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "program %q: %d funcs, %d globals, %d regions, %d mem words\n",
-		p.Name, len(p.Funcs), len(p.Globals), len(p.Regions), p.MemWords)
-	for _, f := range p.Funcs {
-		fmt.Fprintf(&sb, "func %s(%d args) [%d regs]\n", f.Name, f.NumArgs, f.NumRegs)
-		for i, in := range f.Code {
-			sid := f.Base + i
-			if n := note(sid); n != "" {
-				fmt.Fprintf(&sb, "  %5d| %3d: %-40s ; %s\n", sid, i, in.String(), n)
-			} else {
-				fmt.Fprintf(&sb, "  %5d| %3d: %s\n", sid, i, in)
-			}
-		}
-	}
-	return sb.String()
-}
-
 // DisassembleFunc renders a single function.
 func (p *Program) DisassembleFunc(name string) (string, bool) {
 	f, ok := p.FuncByName[name]

@@ -1,8 +1,8 @@
 package ir
 
 // This file holds the instruction-level control-flow and register facts
-// shared by Validate's semantic checks, the interpreter's fault rule and
-// internal/irstatic's dataflow.
+// shared by Validate's semantic checks and the interpreter's fires rule
+// (interp.CanFire, through Function.Returns).
 
 // Succs appends the control-flow successors of f.Code[i] to dst and returns
 // it: branch targets for branches, nothing for returns, the next instruction

@@ -34,6 +34,44 @@ func TestSemanticToleratesBuilderPadding(t *testing.T) {
 	}
 }
 
+// TestSemanticUnreachablePaddingRet: a callee padded with an unreachable
+// return of the other kind seals, Reachable marks the padding dead, and
+// Returns sees only the reachable return.
+func TestSemanticUnreachablePaddingRet(t *testing.T) {
+	p := NewProgram("padding")
+	vb := p.NewFunc("val", 1)
+	vb.Ret(vb.Arg(0))
+	vb.RetVoid()
+	vf := vb.Done()
+	ub := p.NewFunc("void", 1)
+	ub.RetVoid()
+	ub.Ret(ub.Arg(0))
+	uf := ub.Done()
+	b := p.NewFunc("main", 0)
+	a := b.ConstI(3)
+	b.Call("val", a)
+	b.Call("void", a)
+	b.RetVoid()
+	b.Done()
+	if err := p.Seal(); err != nil {
+		t.Fatalf("Seal = %v, want unreachable ret padding tolerated", err)
+	}
+	for _, f := range []*Function{vf, uf} {
+		if len(f.Code) != 2 || f.Code[1].Op != OpRet {
+			t.Fatalf("%s: code %v, want two rets", f.Name, f.Code)
+		}
+		if reach := f.Reachable(); !reach[0] || reach[1] {
+			t.Fatalf("%s: reachable %v, want [true false]", f.Name, reach)
+		}
+	}
+	if value, void := vf.Returns(); !value || void {
+		t.Errorf("val: Returns() = %v, %v, want true, false", value, void)
+	}
+	if value, void := uf.Returns(); value || !void {
+		t.Errorf("void: Returns() = %v, %v, want false, true", value, void)
+	}
+}
+
 func TestSemanticReadBeforeAssignment(t *testing.T) {
 	p := NewProgram("defuse")
 	b := p.NewFunc("main", 0)

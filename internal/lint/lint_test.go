@@ -199,7 +199,7 @@ func TestDirsOnRealEnginePackages(t *testing.T) {
 	// runs through cmd/ftlint.
 	dirs := []string{
 		"../campaign", "../inject", "../mpi", "../journal",
-		"../trace", "../core", "../interp", "../ir", "../irstatic", "../coord", "../server",
+		"../trace", "../core", "../interp", "../ir", "../coord", "../server",
 		"../acl", "../dddg", "../patterns", "../stats", "../apps", "../predict",
 		"../../cmd/fliptracker",
 	}

@@ -12,13 +12,12 @@ import (
 
 // TestDependsOnlyOnDriver pins the engine layering: the MPI engine builds on
 // the shared campaign driver (internal/campaign), never on the
-// single-process engine (internal/inject) nor on the static dependence
-// analysis (internal/irstatic; the interpreter's fires rule decides which
-// faults it skips), directly or through another package of the module. It
-// follows the imports of every reachable package's non-test files.
+// single-process engine (internal/inject), directly or through another
+// package of the module. It follows the imports of every reachable package's
+// non-test files.
 func TestDependsOnlyOnDriver(t *testing.T) {
 	const module = "fliptracker/"
-	banned := map[string]bool{"fliptracker/internal/inject": true, "fliptracker/internal/irstatic": true}
+	banned := map[string]bool{"fliptracker/internal/inject": true}
 	seen := map[string]bool{"fliptracker/internal/mpi": true}
 	queue := []string{"fliptracker/internal/mpi"}
 	for len(queue) > 0 {

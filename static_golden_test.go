@@ -3,14 +3,12 @@ package fliptracker_test
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"fliptracker"
 	"fliptracker/internal/apps"
 	"fliptracker/internal/inject"
-	"fliptracker/internal/ir"
-	"fliptracker/internal/irstatic"
+	"fliptracker/internal/interp"
 )
 
 // digestResult renders a campaign Result for FNV comparison against the
@@ -20,51 +18,69 @@ func digestResult(r fliptracker.CampaignResult) string {
 		r.Tests, r.Success, r.Failed, r.Crashed, r.NotApplied)
 }
 
-// TestStaticPruneSoundnessMatrix is the static-analysis acceptance test for
-// the single-process engine, swept over all ten Table IV applications:
+// TestStaticPruneSoundnessMatrix is the fires-rule acceptance test for the
+// single-process engine, swept over all ten Table IV applications:
 //
 //   - Oracle: a whole-program campaign produces a Result FNV-identical to
 //     the from-scratch oracle (inject.RunOne on every drawn fault).
-//   - Soundness: every fault the oracle ran is cross-checked against its
-//     static class — no statically-benign site may manifest as
-//     SDC/crash/NotApplied dynamically, and no statically never-fires site
-//     may manifest at all (CrossCheckStaticOutcome).
-//   - Coverage: the measured prune rate is > 0 on at least three apps, so
-//     the soundness check is exercised for real, not vacuously.
+//   - Soundness: every drawn fault whose step lies past the clean run's SID
+//     log, or that interp.CanFire rejects at the logged instruction, must
+//     have classified NotApplied in the oracle.
+//   - Coverage: the rule rejects at least one drawn fault on at least three
+//     apps, so the soundness check is exercised for real, not vacuously.
+//   - Verdicts: the per-app rejected counts are pinned. The dispatch applies
+//     a fault only where the rule admits it, so a rule that starts rejecting
+//     a site class it used to admit stays consistent with every outcome;
+//     only the counts show it.
 func TestStaticPruneSoundnessMatrix(t *testing.T) {
 	const (
 		tests = 40
 		seed  = 20181111
 	)
+	wantRejected := map[string]int{
+		"cg": 7, "mg": 2, "lu": 1, "bt": 3, "is": 8,
+		"dc": 4, "sp": 3, "ft": 4, "kmeans": 12, "lulesh": 9,
+	}
 	ctx := context.Background()
-	appsWithPruning := 0
+	appsWithRejects := 0
 	for _, name := range apps.TableIVNames() {
 		an, err := fliptracker.NewAnalyzer(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pruner, err := an.StaticPruner()
+		m, err := an.App.NewMachine()
 		if err != nil {
-			t.Fatalf("%s: static pruner: %v", name, err)
+			t.Fatal(err)
 		}
+		m.Mode = interp.TraceOff
+		m.RecordSIDs = true
+		if _, err := m.Run(); err != nil {
+			t.Fatalf("%s: clean SID log run: %v", name, err)
+		}
+		sids := m.SIDLog()
 		c, err := an.NewCampaign(fliptracker.WholeProgram(),
 			fliptracker.WithTests(tests), fliptracker.WithSeed(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		// Reference: run every drawn fault from scratch, cross-checking each
-		// dynamic outcome against its static class.
+		// Reference: run every drawn fault from scratch, checking each fault
+		// the fires rule rejects against its dynamic outcome.
 		faults := c.Faults()
 		var oracle fliptracker.CampaignResult
+		rejected := 0
 		for _, f := range faults {
 			o, err := inject.RunOne(an.App.NewMachine, an.App.Verify, f)
 			if err != nil {
 				t.Fatal(err)
 			}
 			oracle.Count(o)
-			if err := fliptracker.CrossCheckStaticOutcome(pruner, f, o); err != nil {
-				t.Errorf("%s: %v", name, err)
+			if f.Step < uint64(len(sids)) && interp.CanFire(an.Prog, int(sids[f.Step]), f) {
+				continue
+			}
+			rejected++
+			if o != inject.NotApplied {
+				t.Errorf("%s: the fires rule rejects %v but it classified %v", name, &f, o)
 			}
 		}
 		if oracle.Tests != tests {
@@ -80,15 +96,17 @@ func TestStaticPruneSoundnessMatrix(t *testing.T) {
 				name, digestResult(res), digestResult(oracle))
 		}
 
-		stats := pruner.StatsFor(faults)
-		t.Logf("%s: prune rate %.1f%% (%d benign + %d never-fires of %d)",
-			name, 100*stats.Rate(), stats.Benign, stats.NeverFires, stats.Total)
-		if stats.Rate() > 0 {
-			appsWithPruning++
+		t.Logf("%s: fires rule rejects %.1f%% (%d of %d)",
+			name, 100*float64(rejected)/float64(len(faults)), rejected, len(faults))
+		if rejected != wantRejected[name] {
+			t.Errorf("%s: the fires rule rejects %d drawn faults, want %d", name, rejected, wantRejected[name])
+		}
+		if rejected > 0 {
+			appsWithRejects++
 		}
 	}
-	if appsWithPruning < 3 {
-		t.Errorf("prune rate > 0 on only %d apps, want at least 3", appsWithPruning)
+	if appsWithRejects < 3 {
+		t.Errorf("the fires rule rejects a drawn fault on only %d apps, want at least 3", appsWithRejects)
 	}
 }
 
@@ -134,84 +152,6 @@ func TestStaticPruneSoundnessMatrixMPI(t *testing.T) {
 		if fnv64(digestResult(pruned)) != fnv64(digestResult(oracle)) {
 			t.Errorf("%s: pruned campaign Run %s != from-scratch reference %s",
 				name, digestResult(pruned), digestResult(oracle))
-		}
-	}
-}
-
-// staticClassDigest renders every static verdict of one program: the
-// FaultDst class of each instruction, the FaultReg class of each of its
-// frame's registers, each function's return danger, and the per-function
-// SiteStats.
-func staticClassDigest(t *testing.T, p *ir.Program) string {
-	t.Helper()
-	an, err := irstatic.Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	for _, f := range p.Funcs {
-		fmt.Fprintf(&sb, "%s retdanger=%v\n", f.Name, an.RetDanger(f.Index))
-		for off := range f.Code {
-			sid := f.Base + off
-			fmt.Fprintf(&sb, "%d %s", sid, an.ClassifyDst(sid))
-			for r := 0; r < f.NumRegs; r++ {
-				sb.WriteByte("LBN"[an.ClassifyReg(sid, ir.Reg(r))])
-			}
-			sb.WriteByte('\n')
-		}
-	}
-	for _, s := range an.Stats() {
-		fmt.Fprintf(&sb, "%s live=%d benign=%d never=%d\n", s.Func, s.Live, s.Benign, s.NeverFires)
-	}
-	return sb.String()
-}
-
-// TestStaticClassificationGolden pins the static verdicts themselves. The
-// soundness matrices prove the verdicts sound, which a change that moves
-// sites between Live and Benign could still pass; this digest of every
-// site's class over every app's single-process and MPI program cannot.
-func TestStaticClassificationGolden(t *testing.T) {
-	want := map[string]uint64{
-		"cg/single":     0x4d1fd75d492a6a06,
-		"cg/mpi":        0x77653a95a4fbe07d,
-		"mg/single":     0xcd76263f968157e3,
-		"mg/mpi":        0xa6b470462441ccbf,
-		"lu/single":     0xff45829641a0b204,
-		"lu/mpi":        0x74ab972e11a88b98,
-		"bt/single":     0x3f33b82e2c8c4060,
-		"bt/mpi":        0x7d5ac54d9d1fe49,
-		"is/single":     0x59c389ac655f1579,
-		"is/mpi":        0xde3a0f424e4b26f4,
-		"dc/single":     0xf72b39c752ad7bef,
-		"dc/mpi":        0xc765dd85128a41e0,
-		"sp/single":     0xdffe29c1be8d1ecd,
-		"sp/mpi":        0x3009d46174410337,
-		"ft/single":     0xc44f47e1b7778eb3,
-		"ft/mpi":        0xca86a7b4a9b6fd78,
-		"kmeans/single": 0xe337114d908b3229,
-		"kmeans/mpi":    0xfc3180ba87704921,
-		"lulesh/single": 0x3e7b32dbd9ebe9af,
-		"lulesh/mpi":    0x7e779522ab4dfaed,
-	}
-	for _, name := range apps.TableIVNames() {
-		app, ok := apps.Get(name)
-		if !ok {
-			t.Fatalf("unknown app %s", name)
-		}
-		for _, variant := range []string{"single", "mpi"} {
-			build := app.Program
-			if variant == "mpi" {
-				build = app.MPIProgram
-			}
-			p, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			key := name + "/" + variant
-			got := fnv64(staticClassDigest(t, p))
-			if got != want[key] {
-				t.Errorf("%s: static classification digest %#x, want %#x", key, got, want[key])
-			}
 		}
 	}
 }
